@@ -39,19 +39,26 @@ inline void check_line_int(const char* what, long paper, long measured) {
 /// Parses key=value args; aborts on unknown keys so typos in sweep
 /// parameters never silently run the default experiment.
 ///
-/// `--metrics-out <path>` (or `metrics_out=<path>`) turns the obs layer
-/// on for the whole run and dumps the metrics registry to `path` when the
-/// bench exits (JSON, or CSV when the path ends in .csv) — see
-/// docs/OBSERVABILITY.md. Without the flag instrumentation stays disabled
-/// and the run is bit-identical to an uninstrumented build.
+/// `--metrics-out <path>`, `--metrics-out=<path>` or `metrics_out=<path>`
+/// turns the obs layer on for the whole run and dumps the metrics
+/// registry to `path` when the bench exits (JSON, or CSV when the path
+/// ends in .csv) — see docs/OBSERVABILITY.md. Without the flag
+/// instrumentation stays disabled and the run is bit-identical to an
+/// uninstrumented build.
 class Args {
  public:
   Args(int argc, char** argv) {
+    constexpr std::string_view kJoined = "--metrics-out=";
     std::vector<const char*> rest;
     rest.push_back(argc > 0 ? argv[0] : "bench");
     for (int i = 1; i < argc; ++i) {
-      if (std::string_view(argv[i]) == "--metrics-out" && i + 1 < argc) {
+      const std::string_view arg(argv[i]);
+      if (arg == "--metrics-out" && i + 1 < argc) {
         metrics_out_ = argv[++i];
+        continue;
+      }
+      if (arg.starts_with(kJoined)) {
+        metrics_out_ = std::string(arg.substr(kJoined.size()));
         continue;
       }
       rest.push_back(argv[i]);

@@ -6,9 +6,8 @@
 // fleet-size windows, so different tenants keep asking about the same
 // points. The run reports throughput, p50/p99 request latency, the
 // cache hit ratio and the coalescing rate, then repeats the identical
-// workload with the content-addressed cache disabled (and once more
-// with the batched columnar compute path also disabled) and prints the
-// speedups the cache and the columnar batching buy.
+// workload with the content-addressed cache disabled and prints the
+// speedup the cache buys.
 //
 // Two self-checks guard the serving story and make this bench a tier-1
 // smoke test (bench_smoke_serving):
@@ -22,7 +21,7 @@
 // Usage: serving_load [tenants=8] [requests_per_tenant=25] [scenarios=3]
 //                     [grid_points=6] [window=3] [cycles_per_point=400]
 //                     [workers=4] [queue_capacity=1024] [max_batch=32]
-//                     [columnar=1] [seed=7] [--metrics-out path]
+//                     [seed=7] [--metrics-out path]
 
 #include <chrono>
 #include <cstdio>
@@ -256,8 +255,6 @@ int main(int argc, char** argv) {
       w.tenants, w.requests_per_tenant, w.scenarios, w.window, w.grid_points,
       w.cycles_per_point, config.workers);
 
-  config.columnar_batching = cfg.get_int("columnar", 1) != 0;
-
   config.cache_enabled = true;
   const PhaseResult with_cache = run_phase(w, config);
   print_phase("cache=on", with_cache);
@@ -266,28 +263,15 @@ int main(int argc, char** argv) {
   const PhaseResult without_cache = run_phase(w, config);
   print_phase("cache=off", without_cache);
 
-  // Cache-off again with per-request scalar sweeps: isolates what the
-  // batched columnar compute path buys when every point is computed.
-  config.columnar_batching = false;
-  const PhaseResult scalar_compute = run_phase(w, config);
-  print_phase("columnar=off", scalar_compute);
-
   const double speedup = with_cache.throughput > 0.0
                              ? with_cache.throughput /
                                    (without_cache.throughput > 0.0
                                         ? without_cache.throughput
                                         : 1.0)
                              : 0.0;
-  const double columnar_speedup =
-      scalar_compute.throughput > 0.0
-          ? without_cache.throughput / scalar_compute.throughput
-          : 0.0;
   std::printf("\n  cache_hit_ratio=%.3f\n", with_cache.cache.hit_ratio());
   std::printf("  cache_speedup=%.2fx (throughput, cache on vs off)\n",
               speedup);
-  std::printf("  columnar_speedup=%.2fx (cache-off throughput, batched "
-              "columnar vs per-request scalar)\n",
-              columnar_speedup);
 
   bool ok = true;
   const auto check_ledger = [&ok](const char* label,
@@ -303,7 +287,6 @@ int main(int argc, char** argv) {
   };
   check_ledger("cache=on", with_cache.ledger);
   check_ledger("cache=off", without_cache.ledger);
-  check_ledger("columnar=off", scalar_compute.ledger);
   if (ok) std::printf("  admission ledger ok\n");
 
   if (parity_ok(w)) {

@@ -26,7 +26,14 @@
 #    committed scripts/anchors/fig6.csv (same bytes as the straight
 #    run), and a scale_fleet campaign killed mid-point (stop_after) and
 #    resumed must match its uninterrupted run (docs/CHECKPOINT.md).
-# 7. Docs link-check:
+# 7. Repo benchmark digest contract: perfbench/ builds into
+#    <build-dir>/perfbench, `beebench --record-digests 0 15` must
+#    reproduce those seeds' rows of perfbench/reference_digests.tsv (the
+#    fleet_campaign digests cover every raw Welford field of the lossy
+#    and resilient sweeps, 10^6-hive rung included), and one-second
+#    fleet_campaign and serve_cold runs must report "correct": true with
+#    0 failed operations.
+# 8. Docs link-check:
 #    a. every local markdown link in README.md, DESIGN.md,
 #       EXPERIMENTS.md and docs/*.md resolves to an existing file;
 #    b. every top-level directory under src/ is mentioned in
@@ -48,9 +55,8 @@
 #               avx2-vs-scalar and int8/bf16-vs-f32 speedup ratios, the
 #               greedy-vs-beam placement energy on the fig7 crossover
 #               fleet under a cloud-outage plan, the task-pool dispatch
-#               overhead vs spawn-per-call (pool.*) and the serving
-#               throughput with/without batched columnar compute
-#               (serving.*).
+#               overhead vs spawn-per-call (pool.*) and the cache-off
+#               serving throughput (serving.*).
 #   --sanitize  configure a second build tree (<build-dir>-san) with
 #               -DBEESIM_SANITIZE=address,undefined and run the
 #               sim/fault/net/checkpoint/simd/precision test binaries
@@ -236,6 +242,42 @@ else
   fail=1
 fi
 
+echo
+echo "== perfbench: recorded digests + fleet/serve output checks =="
+# The repo benchmark is its own CMake package compiled from src/; run.py
+# builds it wherever CARGO_TARGET_DIR points, here inside the check tree.
+perfbench_dir="$repo/$build/perfbench"
+perfbench_run() {
+  CARGO_TARGET_DIR="$perfbench_dir" python3 "$repo/perfbench/run.py" \
+    --workload "$1" --seconds 1 > "$tmp/pb_$1.txt" 2>> "$tmp/pb_build.log"
+}
+perfbench_ok() {
+  tail -n 1 "$tmp/pb_$1.txt" | python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+}
+for w in fleet_campaign serve_cold; do
+  if perfbench_run "$w" && perfbench_ok "$w"; then
+    echo "  ok  perfbench $w: correct, 0 failed operations"
+  else
+    echo "  MISMATCH  perfbench $w failed its output checks:"
+    tail -20 "$tmp/pb_$w.txt" "$tmp/pb_build.log" 2> /dev/null || true
+    fail=1
+  fi
+done
+if "$perfbench_dir/beebench" --record-digests 0 15 > "$tmp/digests.tsv" \
+    && diff <(grep -v '^#' "$tmp/digests.tsv") \
+       <(awk -F'\t' '!/^#/ && $2 <= 15' \
+         "$repo/perfbench/reference_digests.tsv") > "$tmp/digests.diff"
+then
+  echo "  ok  seeds 0-15 reproduce perfbench/reference_digests.tsv" \
+       "($(grep -vc '^#' "$tmp/digests.tsv") rows)"
+else
+  echo "  MISMATCH  recorded digests diverged:"
+  head -10 "$tmp/digests.diff" 2> /dev/null || true
+  fail=1
+fi
+
 if [ "$run_bench" -eq 1 ]; then
   echo
   echo "== bench (--bench): headline numbers -> BENCH_des.json =="
@@ -283,12 +325,7 @@ if [ "$run_bench" -eq 1 ]; then
     scenarios=2 cycles_per_point=300 workers=2 > "$tmp/serving_bench.txt"
   serve_cache_off_rps="$(sed -n \
     's/.*cache=off *\([0-9.]*\) req\/s.*/\1/p' "$tmp/serving_bench.txt")"
-  serve_scalar_rps="$(sed -n \
-    's/.*columnar=off *\([0-9.]*\) req\/s.*/\1/p' "$tmp/serving_bench.txt")"
-  serve_columnar_speedup="$(sed -n \
-    's/.*columnar_speedup=\([0-9.]*\)x.*/\1/p' "$tmp/serving_bench.txt")"
-  echo "  serving: cache-off ${serve_cache_off_rps} req/s columnar vs" \
-       "${serve_scalar_rps} req/s scalar (${serve_columnar_speedup}x)"
+  echo "  serving: cache-off ${serve_cache_off_rps} req/s"
   jq -n \
     --slurpfile des "$tmp/des.json" \
     --slurpfile kern "$tmp/kernels.json" \
@@ -304,8 +341,6 @@ if [ "$run_bench" -eq 1 ]; then
     --arg psp "$pool_speedup" \
     --arg ptps "$pool_tasks_per_sec" \
     --arg scor "$serve_cache_off_rps" \
-    --arg sscr "$serve_scalar_rps" \
-    --arg scsp "$serve_columnar_speedup" \
     '{des: $des[0],
       scale_fleet_hives_per_sec: ($hps | tonumber),
       checkpoint: {soa_speedup: ($cks | tonumber),
@@ -318,9 +353,7 @@ if [ "$run_bench" -eq 1 ]; then
              spawn_dispatch_us: ($sdus | tonumber),
              dispatch_speedup_vs_spawn: ($psp | tonumber),
              steal_tasks_per_sec: ($ptps | tonumber)},
-      serving: {cache_off_req_per_sec_columnar: ($scor | tonumber),
-                cache_off_req_per_sec_scalar: ($sscr | tonumber),
-                columnar_speedup: ($scsp | tonumber)},
+      serving: {cache_off_req_per_sec: ($scor | tonumber)},
       kernels: [$kern[0].benchmarks[]
                 | {name, real_time, time_unit}],
       gemm: ($kern[0].benchmarks

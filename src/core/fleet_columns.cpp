@@ -6,6 +6,7 @@
 #include <string>
 
 #include "dsp/simd_kernels.hpp"
+#include "obs/catalog.hpp"
 #include "util/parallel.hpp"
 
 namespace beesim::core {
@@ -93,9 +94,7 @@ FleetColumns FleetColumns::start(const std::vector<int>& client_counts,
 }
 
 bool FleetColumns::complete() const noexcept {
-  for (std::size_t i = 0; i < size(); ++i)
-    if (cycles_done[i] < cycles_target) return false;
-  return true;
+  return points_done() == size();
 }
 
 std::size_t FleetColumns::points_done() const noexcept {
@@ -159,6 +158,22 @@ namespace {
                               what);
 }
 
+/// Validates an advance call's budget, cycle target and shard spec.
+void check_advance(int budget, std::int32_t cycles_target, int shard_index,
+                   int shard_count) {
+  if (budget < 0) throw std::invalid_argument("advance: negative budget");
+  if (cycles_target < 1)
+    throw std::invalid_argument("advance: cycles_target < 1");
+  if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count)
+    throw std::invalid_argument("advance: bad shard");
+}
+
+/// Whether point `i` belongs to shard `shard_index` of `shard_count`.
+bool in_shard(std::size_t i, int shard_index, int shard_count) {
+  return i % static_cast<std::size_t>(shard_count) ==
+         static_cast<std::size_t>(shard_index);
+}
+
 }  // namespace
 
 void FleetColumns::merge_from(const FleetColumns& other) {
@@ -181,22 +196,34 @@ void FleetColumns::merge_from(const FleetColumns& other) {
   }
 }
 
+std::vector<SweepPoint> LargeScaleSimulator::sweep(
+    const std::vector<int>& client_counts, std::uint64_t seed,
+    int cycles_per_point, unsigned threads) const {
+  FleetColumns columns =
+      FleetColumns::start(client_counts, seed, cycles_per_point);
+  advance(columns, 0, threads);
+  if (obs::enabled()) {
+    static auto& points =
+        obs::registry().counter(obs::metric::kFleetSweepPoints);
+    static auto& sweep_threads =
+        obs::registry().gauge(obs::metric::kFleetSweepThreads);
+    points.inc(static_cast<std::uint64_t>(client_counts.size()));
+    const auto used = std::min<std::size_t>(
+        threads == 0 ? util::default_thread_count() : threads,
+        std::max<std::size_t>(client_counts.size(), 1));
+    sweep_threads.set(static_cast<double>(used));
+  }
+  return columns.points();
+}
+
 bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
                                   unsigned threads, int shard_index,
                                   int shard_count) const {
-  if (max_cycles < 0)
-    throw std::invalid_argument("advance: negative max_cycles");
-  if (columns.cycles_target < 1)
-    throw std::invalid_argument("advance: cycles_target < 1");
-  if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count)
-    throw std::invalid_argument("advance: bad shard");
+  check_advance(max_cycles, columns.cycles_target, shard_index, shard_count);
   util::parallel_for(
       columns.size(),
       [&](std::size_t i) {
-        if (shard_count > 1 &&
-            i % static_cast<std::size_t>(shard_count) !=
-                static_cast<std::size_t>(shard_index))
-          return;
+        if (!in_shard(i, shard_index, shard_count)) return;
         const int target = columns.cycles_target;
         const int done = columns.cycles_done[i];
         if (done >= target) return;
@@ -208,6 +235,7 @@ bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
         // it is wherever the previous advance stopped, so the draw
         // sequence across advances is the one uninterrupted sweep() draws.
         util::Rng rng = util::Rng::from_state(columns.rng_state(i));
+        CycleMemo memo(*this);
         const int n = columns.clients[i];
         int servers = columns.servers_used[i];
         // Run the budget through the dispatched five-lane Welford kernel:
@@ -235,7 +263,7 @@ bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
         double buf[kChunk * 5];
         int filled = 0;
         for (int c = 0; c < budget; ++c) {
-          const CycleResult r = simulate_cycle(n, rng);
+          const CycleResult r = simulate_cycle(n, rng, &memo);
           servers = std::max(servers, r.servers_used);
           double* row = buf + filled * 5;
           row[0] = static_cast<double>(r.lost_clients);
@@ -306,9 +334,7 @@ ResilienceColumns ResilienceColumns::start(
 }
 
 bool ResilienceColumns::complete() const noexcept {
-  for (std::size_t i = 0; i < size(); ++i)
-    if (done[i] == 0) return false;
-  return true;
+  return points_done() == size();
 }
 
 std::size_t ResilienceColumns::points_done() const noexcept {
@@ -380,24 +406,23 @@ void ResilienceColumns::merge_from(const ResilienceColumns& other) {
   }
 }
 
+std::vector<ResiliencePoint> ResilientFleet::sweep(
+    const std::vector<int>& client_counts, std::uint64_t seed,
+    int cycles_per_point, unsigned threads) const {
+  ResilienceColumns columns =
+      ResilienceColumns::start(client_counts, seed, cycles_per_point);
+  advance(columns, 0, threads);
+  return columns.points();
+}
+
 bool ResilientFleet::advance(ResilienceColumns& columns, int max_points,
                              unsigned threads, int shard_index,
                              int shard_count) const {
-  if (max_points < 0)
-    throw std::invalid_argument("advance: negative max_points");
-  if (columns.cycles_target < 1)
-    throw std::invalid_argument("advance: cycles_target < 1");
-  if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count)
-    throw std::invalid_argument("advance: bad shard");
+  check_advance(max_points, columns.cycles_target, shard_index, shard_count);
   std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    if (columns.done[i] != 0) continue;
-    if (shard_count > 1 &&
-        i % static_cast<std::size_t>(shard_count) !=
-            static_cast<std::size_t>(shard_index))
-      continue;
-    todo.push_back(i);
-  }
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    if (columns.done[i] == 0 && in_shard(i, shard_index, shard_count))
+      todo.push_back(i);
   if (max_points > 0 && todo.size() > static_cast<std::size_t>(max_points))
     todo.resize(static_cast<std::size_t>(max_points));
   util::parallel_for(

@@ -1,11 +1,9 @@
 #include "core/network_sim.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "obs/catalog.hpp"
-#include "util/parallel.hpp"
 
 namespace beesim::core {
 
@@ -77,11 +75,6 @@ LargeScaleSimulator::LargeScaleSimulator(FleetParams params)
         "LargeScaleSimulator: client period and server cycle differ");
   // Validate the geometry once (throws if a slot cannot fit).
   (void)server_.slots_per_cycle();
-  if (params_.loss.client_dropout) {
-    FleetParams ideal = params_;
-    ideal.loss.client_dropout = false;
-    ideal_ = std::make_shared<const LargeScaleSimulator>(std::move(ideal));
-  }
 }
 
 util::Joules LargeScaleSimulator::server_energy(
@@ -132,39 +125,64 @@ util::Joules LargeScaleSimulator::server_energy(const CompactLayout& layout,
   return server_.idle_power * (server_.cycle - active_time) + active_energy;
 }
 
-CycleResult LargeScaleSimulator::simulate_cycle(int clients,
-                                                util::Rng& rng) const {
+CycleResult LargeScaleSimulator::simulate_cycle(int clients, util::Rng& rng,
+                                                CycleMemo* memo) const {
   if (clients < 0)
     throw std::invalid_argument("simulate_cycle: negative clients");
-  CycleResult result;
-  result.initial_clients = clients;
-  result.lost_clients = params_.loss.draw_lost_clients(clients, rng);
-  const int surviving = clients - result.lost_clients;
+  if (memo != nullptr && memo->sim_ != this)
+    throw std::invalid_argument(
+        "simulate_cycle: memo bound to another simulator");
+  const int lost = params_.loss.draw_lost_clients(clients, rng);
+  return price_cycle(clients, lost, obs::enabled() ? nullptr : memo);
+}
 
-  result.edge_energy =
-      static_cast<double>(surviving) * params_.client.cycle_energy() +
-      static_cast<double>(result.lost_clients) *
-          params_.client.sleep_cycle_energy();
+CycleResult LargeScaleSimulator::simulate_ideal_cycle(int clients) const {
+  if (clients < 0)
+    throw std::invalid_argument("simulate_cycle: negative clients");
+  return price_cycle(clients, 0, nullptr);
+}
 
-  if (params_.compact_allocation) {
-    // Stack-resident columnar layout: the whole per-cycle allocation is a
-    // few fixed arrays, no heap traffic (the SoA fast path that
-    // bench/checkpoint_bench measures against the old vector form).
-    CompactLayout layout;
-    allocate_compact_into(surviving, server_, params_.policy, layout);
-    result.servers_used = static_cast<int>(layout.servers_used());
-    result.active_slots = static_cast<int>(layout.active_slots());
-    for (int c = 0; c < layout.class_count; ++c)
-      result.cloud_energy +=
-          static_cast<double>(layout.servers[c]) * server_energy(layout, c);
-  } else {
-    const Allocation alloc = allocate(surviving, server_, params_.policy);
-    result.servers_used = alloc.servers_used();
-    for (const auto& load : alloc.servers) {
-      result.active_slots += load.active_slots();
-      result.cloud_energy += server_energy(load);
+CycleResult LargeScaleSimulator::price_cycle(int clients, int lost,
+                                             CycleMemo* memo) const {
+  const int surviving = clients - lost;
+  // Without a memo the cycle prices through a one-entry table that
+  // always misses.
+  CycleMemo::Entry single;
+  CycleMemo::Entry& entry =
+      memo != nullptr ? memo->entries_[surviving & (CycleMemo::kSlots - 1)]
+                      : single;
+  if (entry.surviving != surviving) {
+    entry = {surviving, 0, 0, 0.0,
+             static_cast<double>(surviving) * params_.client.cycle_energy()};
+    if (params_.compact_allocation) {
+      // Stack-resident columnar layout: the whole per-cycle allocation is
+      // a few fixed arrays, no heap traffic (the SoA fast path that
+      // bench/checkpoint_bench measures against the old vector form).
+      CompactLayout layout;
+      allocate_compact_into(surviving, server_, params_.policy, layout);
+      entry.servers_used = static_cast<int>(layout.servers_used());
+      entry.active_slots = static_cast<int>(layout.active_slots());
+      for (int c = 0; c < layout.class_count; ++c)
+        entry.cloud_energy +=
+            static_cast<double>(layout.servers[c]) * server_energy(layout, c);
+    } else {
+      const Allocation alloc = allocate(surviving, server_, params_.policy);
+      entry.servers_used = alloc.servers_used();
+      for (const auto& load : alloc.servers) {
+        entry.active_slots += load.active_slots();
+        entry.cloud_energy += server_energy(load);
+      }
     }
   }
+  CycleResult result;
+  result.initial_clients = clients;
+  result.lost_clients = lost;
+  result.servers_used = entry.servers_used;
+  result.active_slots = entry.active_slots;
+  result.edge_energy =
+      entry.survivor_edge +
+      static_cast<double>(lost) * params_.client.sleep_cycle_energy();
+  result.cloud_energy = entry.cloud_energy;
 
   if (obs::enabled()) {
     static auto& cycles = obs::registry().counter(obs::metric::kFleetCycles);
@@ -185,59 +203,10 @@ CycleResult LargeScaleSimulator::simulate_cycle(int clients,
     // dropped requests are the loss-C sleepers.
     edge_requests.inc(static_cast<std::uint64_t>(surviving));
     cloud_requests.inc(static_cast<std::uint64_t>(surviving));
-    dropped.inc(static_cast<std::uint64_t>(result.lost_clients));
+    dropped.inc(static_cast<std::uint64_t>(lost));
     max_servers.update_max(static_cast<double>(result.servers_used));
   }
   return result;
-}
-
-CycleResult LargeScaleSimulator::simulate_ideal_cycle(int clients) const {
-  util::Rng unused(0);
-  return ideal_ ? ideal_->simulate_cycle(clients, unused)
-                : simulate_cycle(clients, unused);
-}
-
-std::vector<SweepPoint> LargeScaleSimulator::sweep(
-    const std::vector<int>& client_counts, std::uint64_t seed,
-    int cycles_per_point, unsigned threads) const {
-  if (cycles_per_point < 1)
-    throw std::invalid_argument("sweep: cycles_per_point < 1");
-  std::vector<SweepPoint> out(client_counts.size());
-  util::parallel_for(
-      client_counts.size(),
-      [&](std::size_t i) {
-        const int n = client_counts[i];
-        // Stream keyed by the fleet size, not the sweep position: the
-        // n=400 result is identical whether the sweep is {400} or
-        // {100, 200, 300, 400} (regression-tested).
-        util::Rng rng =
-            util::Rng::for_stream(seed, static_cast<std::uint64_t>(n));
-        SweepPoint& point = out[i];
-        point.initial_clients = n;
-        point.cycles = cycles_per_point;
-        for (int c = 0; c < cycles_per_point; ++c) {
-          const CycleResult r = simulate_cycle(n, rng);
-          point.servers_used = std::max(point.servers_used, r.servers_used);
-          point.lost_clients.add(static_cast<double>(r.lost_clients));
-          point.active_slots.add(static_cast<double>(r.active_slots));
-          point.edge_energy.add(r.edge_energy);
-          point.cloud_energy.add(r.cloud_energy);
-          point.total_energy.add(r.edge_energy + r.cloud_energy);
-        }
-      },
-      threads);
-  if (obs::enabled()) {
-    static auto& points =
-        obs::registry().counter(obs::metric::kFleetSweepPoints);
-    static auto& sweep_threads =
-        obs::registry().gauge(obs::metric::kFleetSweepThreads);
-    points.inc(static_cast<std::uint64_t>(client_counts.size()));
-    const auto used = std::min<std::size_t>(
-        threads == 0 ? util::default_thread_count() : threads,
-        std::max<std::size_t>(client_counts.size(), 1));
-    sweep_threads.set(static_cast<double>(used));
-  }
-  return out;
 }
 
 std::vector<int> client_range(int lo, int hi, int step) {

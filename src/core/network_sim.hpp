@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/allocator.hpp"
@@ -82,6 +81,31 @@ struct SweepPoint {
   double total_per_client_ci95() const noexcept;
 };
 
+class LargeScaleSimulator;
+
+/// Per-point memo of a cycle's deterministic half (servers, active slots,
+/// cloud and survivor edge joules), a pure function of the surviving
+/// count, which takes a handful of values per point: a fixed 64-entry
+/// direct-mapped table keyed by that count, bound to one simulator.
+class CycleMemo {
+ public:
+  explicit CycleMemo(const LargeScaleSimulator& sim) noexcept : sim_(&sim) {}
+
+ private:
+  friend class LargeScaleSimulator;
+  static constexpr int kSlots = 64;
+  struct Entry {
+    int surviving = -1;  // -1: empty
+    int servers_used = 0;
+    int active_slots = 0;
+    util::Joules cloud_energy = 0.0;
+    util::Joules survivor_edge = 0.0;
+  };
+
+  const LargeScaleSimulator* sim_;
+  Entry entries_[kSlots];
+};
+
 /// The analytic large-scale simulator of Section VI: allocates clients to
 /// servers and time slots, applies the loss models, and accounts energy
 /// for one cycle. Deterministic given the RNG (only loss C draws from
@@ -90,38 +114,41 @@ class LargeScaleSimulator {
  public:
   explicit LargeScaleSimulator(FleetParams params);
 
-  /// One cycle with `clients` deployed beehives.
-  CycleResult simulate_cycle(int clients, util::Rng& rng) const;
+  /// One cycle with `clients` deployed beehives: the loss C draw, then
+  /// the deterministic half, looked up in `memo` (bound to this
+  /// simulator, else std::invalid_argument) when one is given — except
+  /// while obs::enabled(), so every metric still counts each cycle.
+  CycleResult simulate_cycle(int clients, util::Rng& rng,
+                             CycleMemo* memo = nullptr) const;
 
-  /// One cycle without any stochastic loss (ignores loss model C). The
-  /// no-dropout sibling is built once at construction, so bench loops
-  /// calling this per point never re-validate the server geometry.
+  /// One cycle without any stochastic loss (ignores loss model C): the
+  /// deterministic half of simulate_cycle at zero lost clients.
   CycleResult simulate_ideal_cycle(int clients) const;
 
   /// Sweeps a range of fleet sizes; each point runs `cycles_per_point`
   /// cycles and accumulates statistics (loss C makes single cycles
-  /// noisy). Points run under util::parallel_for (`threads` = 0 picks
-  /// hardware concurrency, 1 runs inline), and every point derives its
-  /// own RNG stream from (seed, fleet size) — results are bit-identical
-  /// across thread counts AND across sweep ranges: the point at n=400 is
-  /// the same whether the sweep is {400} or {100, ..., 400}.
+  /// noisy). FleetColumns::start -> advance -> points(): points run
+  /// under util::parallel_for (`threads` = 0 picks hardware concurrency,
+  /// 1 runs inline), each on its own RNG stream from (seed, fleet size) —
+  /// results are bit-identical across thread counts AND across sweep
+  /// ranges: the point at n=400 is the same in {400} or {100, ..., 400}.
   std::vector<SweepPoint> sweep(const std::vector<int>& client_counts,
                                 std::uint64_t seed, int cycles_per_point = 1,
                                 unsigned threads = 0) const;
 
-  /// Resumable, columnar form of sweep(): runs up to `max_cycles` further
+  /// The lossy cycle loop: runs up to `max_cycles` further memoised
   /// cycles on every incomplete point of `columns` (0 = run each point to
   /// completion), updating the per-point statistic and RNG-cursor columns
   /// in place. Because the columns carry the exact accumulator
   /// representation and the generator state, any interleaving of advance
   /// calls — including stopping mid-point, checkpointing to disk, and
   /// resuming in another process — lands on results bit-identical to one
-  /// uninterrupted sweep() (contract tested in tests/test_checkpoint.cpp
-  /// and enforced on fig6 CSVs by scripts/check.sh). With `shard_count`
-  /// > 1 only points whose index is congruent to `shard_index` advance —
-  /// the fan-out used to split one campaign across processes, each
-  /// checkpointing its own shard file for a later merge. Returns whether
-  /// the whole campaign (all shards) is now complete.
+  /// uninterrupted run (tested against the scalar oracle in
+  /// tests/test_checkpoint.cpp, enforced on fig6 CSVs by check.sh). With
+  /// `shard_count` > 1 only points whose index is congruent to
+  /// `shard_index` advance — the fan-out used to split one campaign
+  /// across processes, each checkpointing its own shard file for a later
+  /// merge. Returns whether the whole campaign (all shards) is complete.
   bool advance(FleetColumns& columns, int max_cycles = 0,
                unsigned threads = 0, int shard_index = 0,
                int shard_count = 1) const;
@@ -131,6 +158,8 @@ class LargeScaleSimulator {
   const FleetParams& params() const noexcept { return params_; }
 
  private:
+  /// The deterministic half of a cycle with `lost` of `clients` asleep.
+  CycleResult price_cycle(int clients, int lost, CycleMemo* memo) const;
   util::Joules server_energy(const Allocation::ServerLoad& load) const;
   /// Per-server energy of class `cls` of a flat columnar layout; the
   /// class multiplicity is read from the layout for exact metric
@@ -140,10 +169,6 @@ class LargeScaleSimulator {
 
   FleetParams params_;
   ServerSpec server_;  // params_.server with transfer stretch applied
-  // Dropout-free sibling backing simulate_ideal_cycle (null when this
-  // simulator is already dropout-free). Shared so the simulator stays
-  // copyable; the sibling is immutable.
-  std::shared_ptr<const LargeScaleSimulator> ideal_;
 };
 
 /// Convenience for sweeps: {lo, lo+step, ..., <= hi}.

@@ -7,9 +7,41 @@
 
 #include "hive/services.hpp"
 #include "obs/catalog.hpp"
-#include "util/parallel.hpp"
 
 namespace beesim::core {
+namespace {
+
+/// Books `active` connected clients' payloads as served; with `catch_up`
+/// they also drain the buffer, its send energy added to `edge`.
+void deliver(const ResiliencePolicy& policy, int active, bool catch_up,
+             fault::StoreAndForwardBuffer& buffer, ResiliencePoint& point,
+             double& edge) {
+  const double upload = policy.upload_bytes_per_client;
+  const double produced = static_cast<double>(active) * upload;
+  point.bytes_generated += produced;
+  point.bytes_served += produced;
+  if (!catch_up || !policy.store_and_forward || buffer.buffered() <= 0.0)
+    return;
+  // Catch-up: surviving clients re-upload queued payloads, billed at the
+  // Table II send-audio energy per payload.
+  const double budget =
+      policy.catchup_factor * upload * static_cast<double>(active);
+  const double drained = buffer.drain(budget);
+  point.bytes_recovered += drained;
+  edge += drained / upload * policy.upload_energy_per_payload;
+}
+
+/// Adds one cycle's outcome to the point's statistics.
+void add_cycle(ResiliencePoint& point, int servers, int lost, double edge,
+               double cloud) {
+  point.servers_used = std::max(point.servers_used, servers);
+  point.lost_clients.add(static_cast<double>(lost));
+  point.edge_energy.add(edge);
+  point.cloud_energy.add(cloud);
+  point.total_energy.add(edge + cloud);
+}
+
+}  // namespace
 
 double ResiliencePoint::delivery_fraction() const noexcept {
   return bytes_generated > 0.0
@@ -142,33 +174,18 @@ ResiliencePoint ResilientFleet::run_point(int clients, int cycles,
   point.cycles = cycles;
   fault::StoreAndForwardBuffer buffer(policy_.buffer_bytes_per_client *
                                       static_cast<double>(clients));
-  const double upload = policy_.upload_bytes_per_client;
+  // Clean cycles share one memo; faulted cycles keep the plain call.
+  CycleMemo memo(base_);
   for (int c = 0; c < cycles; ++c) {
     const fault::CycleFaults& faults = injector_.at(c);
     if (!faults.any()) {
       // Clean cycle: delegate verbatim to the base simulator — with an
       // empty plan every cycle takes this path and the RNG draw sequence
       // is exactly LargeScaleSimulator::sweep's (bit-identity contract).
-      const CycleResult r = base_.simulate_cycle(clients, rng);
+      const CycleResult r = base_.simulate_cycle(clients, rng, &memo);
       double edge = r.edge_energy;
-      const double produced =
-          static_cast<double>(r.surviving_clients()) * upload;
-      point.bytes_generated += produced;
-      point.bytes_served += produced;
-      if (policy_.store_and_forward && buffer.buffered() > 0.0) {
-        // Catch-up: surviving clients re-upload queued payloads, billed
-        // at the Table II send-audio energy per payload.
-        const double budget = policy_.catchup_factor * upload *
-                              static_cast<double>(r.surviving_clients());
-        const double drained = buffer.drain(budget);
-        point.bytes_recovered += drained;
-        edge += drained / upload * policy_.upload_energy_per_payload;
-      }
-      point.servers_used = std::max(point.servers_used, r.servers_used);
-      point.lost_clients.add(static_cast<double>(r.lost_clients));
-      point.edge_energy.add(edge);
-      point.cloud_energy.add(r.cloud_energy);
-      point.total_energy.add(edge + r.cloud_energy);
+      deliver(policy_, r.surviving_clients(), true, buffer, point, edge);
+      add_cycle(point, r.servers_used, r.lost_clients, edge, r.cloud_energy);
     } else {
       simulate_faulted_cycle(clients, faults, rng, buffer, point);
     }
@@ -274,32 +291,16 @@ void ResilientFleet::simulate_faulted_cycle(
     // 4b. Degraded but connected: run the cycle through the
     //     reduced-capacity sibling (fewer parallel uploads per slot
     //     and/or stretched receive windows); loss C draws inside.
-    const LargeScaleSimulator& sim = degraded_sim(faults);
-    const CycleResult r = sim.simulate_cycle(remaining, rng);
+    const CycleResult r = degraded_sim(faults).simulate_cycle(remaining, rng);
     lost = r.lost_clients;
-    const int active = r.surviving_clients();
     edge += r.edge_energy;
     cloud = r.cloud_energy;
     servers = r.servers_used;
-    const double produced = static_cast<double>(active) * upload;
-    point.bytes_generated += produced;
-    point.bytes_served += produced;
     // Catch-up drains only over a full-rate link.
-    if (faults.link_bandwidth_factor >= 1.0 && policy_.store_and_forward &&
-        buffer.buffered() > 0.0) {
-      const double budget =
-          policy_.catchup_factor * upload * static_cast<double>(active);
-      const double drained = buffer.drain(budget);
-      point.bytes_recovered += drained;
-      edge += drained / upload * policy_.upload_energy_per_payload;
-    }
+    deliver(policy_, r.surviving_clients(),
+            faults.link_bandwidth_factor >= 1.0, buffer, point, edge);
   }
-
-  point.servers_used = std::max(point.servers_used, servers);
-  point.lost_clients.add(static_cast<double>(lost));
-  point.edge_energy.add(edge);
-  point.cloud_energy.add(cloud);
-  point.total_energy.add(edge + cloud);
+  add_cycle(point, servers, lost, edge, cloud);
 
   if (obs::enabled()) {
     static auto& degraded =
@@ -312,27 +313,6 @@ void ResilientFleet::simulate_faulted_cycle(
     if (shed > 0) shed_clients.inc(static_cast<std::uint64_t>(shed));
     if (fell_back) fallback.inc();
   }
-}
-
-std::vector<ResiliencePoint> ResilientFleet::sweep(
-    const std::vector<int>& client_counts, std::uint64_t seed,
-    int cycles_per_point, unsigned threads) const {
-  if (cycles_per_point < 1)
-    throw std::invalid_argument("ResilientFleet: cycles_per_point < 1");
-  std::vector<ResiliencePoint> out(client_counts.size());
-  util::parallel_for(
-      client_counts.size(),
-      [&](std::size_t i) {
-        const int n = client_counts[i];
-        // Same stream keying as LargeScaleSimulator::sweep: (seed, fleet
-        // size), so empty-plan sweeps are bit-identical to the base and
-        // any sweep is invariant across thread counts and sweep ranges.
-        util::Rng rng =
-            util::Rng::for_stream(seed, static_cast<std::uint64_t>(n));
-        out[i] = run_point(n, cycles_per_point, rng);
-      },
-      threads);
-  return out;
 }
 
 }  // namespace beesim::core

@@ -121,9 +121,9 @@ class ResilientFleet {
   /// the store-and-forward state across them. Deterministic given `rng`.
   ResiliencePoint run_point(int clients, int cycles, util::Rng& rng) const;
 
-  /// Sweeps fleet sizes with the same stream keying as
-  /// LargeScaleSimulator::sweep — one Rng stream per (seed, fleet size),
-  /// so results are bit-identical across thread counts and sweep ranges.
+  /// ResilienceColumns::start -> advance -> points(): one Rng stream per
+  /// (seed, fleet size) as in LargeScaleSimulator::sweep, so results are
+  /// bit-identical across thread counts and sweep ranges.
   std::vector<ResiliencePoint> sweep(const std::vector<int>& client_counts,
                                      std::uint64_t seed,
                                      int cycles_per_point = 1,

@@ -44,7 +44,6 @@ void register_catalog(Registry& reg) {
         m::kServePointsRequested, m::kServePointsComputed,
         m::kServePointsCoalesced, m::kServeCacheHits, m::kServeCacheMisses,
         m::kServeCacheEvictions, m::kServeCacheExpirations,
-        m::kServeBatchColumnarPoints,
         m::kPoolTasks, m::kPoolSteals, m::kPoolParks,
         m::kCkptSaves, m::kCkptRestores,
         m::kCkptMerges, m::kCkptBytesWritten, m::kCkptBytesRead,

@@ -7,7 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/fleet_columns.hpp"
+#include "core/network_sim.hpp"
+#include "core/resilience.hpp"
 #include "obs/catalog.hpp"
 
 namespace beesim::serve {
@@ -21,7 +22,6 @@ struct ServeMetrics {
   obs::Counter& points_requested;
   obs::Counter& points_computed;
   obs::Counter& points_coalesced;
-  obs::Counter& columnar_points;
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
   obs::Histogram& batch_width;
@@ -39,7 +39,6 @@ ServeMetrics& metrics() {
       reg.counter(m::kServePointsRequested),
       reg.counter(m::kServePointsComputed),
       reg.counter(m::kServePointsCoalesced),
-      reg.counter(m::kServeBatchColumnarPoints),
       reg.counter(m::kServeCacheHits),
       reg.counter(m::kServeCacheMisses),
       reg.histogram(m::kServeBatchWidth, obs::serve_batch_bounds()),
@@ -239,31 +238,20 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
   }
 
   // Pass 2 — one compute dispatch per scenario group over its missing
-  // fleet sizes. With columnar_batching the group runs as one columnar
-  // campaign: FleetColumns/ResilienceColumns::start seeds the SoA state
-  // and advance() sweeps it pool-parallel (threads = 0 → the task pool's
-  // worker set, SIMD advance loop). Without it the group runs the scalar
-  // per-request path (sweep, inner threads = 1). Both spellings draw each
-  // point from its own (seed, size) RNG stream, so cache entries and
-  // responses are bit-identical either way — the grouping only moves
-  // wall-clock time.
-  std::uint64_t computed = 0, columnar = 0;
+  // fleet sizes: a pool-parallel sweep (threads = 0 → the task pool's
+  // worker set), which is one columnar campaign (start → advance →
+  // points). Every point draws from its own (seed, size) RNG stream, so
+  // cache entries and responses are bit-identical to a direct sweep of
+  // any subset — the grouping only moves wall-clock time.
+  std::uint64_t computed = 0;
   for (auto& [group_hash, work] : groups) {
     std::sort(work.missing.begin(), work.missing.end());
     const Request& exemplar = *work.exemplar;
     if (exemplar.kind == RequestKind::kResilience) {
       const ResilienceRequest& r = exemplar.resilience;
       const core::ResilientFleet fleet(r.params, r.plan, r.policy, r.service);
-      std::vector<core::ResiliencePoint> points;
-      if (config_.columnar_batching) {
-        core::ResilienceColumns columns = core::ResilienceColumns::start(
-            work.missing, r.seed, r.cycles_per_point);
-        fleet.advance(columns, 0, 0);
-        points = columns.points();
-        columnar += points.size();
-      } else {
-        points = fleet.sweep(work.missing, r.seed, r.cycles_per_point, 1);
-      }
+      const std::vector<core::ResiliencePoint> points =
+          fleet.sweep(work.missing, r.seed, r.cycles_per_point, 0);
       for (std::size_t i = 0; i < points.size(); ++i) {
         const PointKey key{group_hash, work.missing[i]};
         resilience_local.emplace(key, points[i]);
@@ -277,17 +265,9 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
                                   : exemplar.what_if.cycles_per_point;
       const std::uint64_t seed =
           is_sweep ? exemplar.sweep.seed : exemplar.what_if.seed;
-      const core::LargeScaleSimulator sim(params);
-      std::vector<core::SweepPoint> points;
-      if (config_.columnar_batching) {
-        core::FleetColumns columns =
-            core::FleetColumns::start(work.missing, seed, cycles);
-        sim.advance(columns, 0, 0);
-        points = columns.points();
-        columnar += points.size();
-      } else {
-        points = sim.sweep(work.missing, seed, cycles, 1);
-      }
+      const std::vector<core::SweepPoint> points =
+          core::LargeScaleSimulator(params).sweep(work.missing, seed, cycles,
+                                                  0);
       for (std::size_t i = 0; i < points.size(); ++i) {
         const PointKey key{group_hash, work.missing[i]};
         sweep_local.emplace(key, points[i]);
@@ -345,7 +325,6 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
   metrics().points_requested.inc(requested);
   metrics().points_computed.inc(computed);
   metrics().points_coalesced.inc(coalesced);
-  metrics().columnar_points.inc(columnar);
   metrics().cache_hits.inc(hits);
   metrics().cache_misses.inc(misses);
 }

@@ -1,6 +1,7 @@
 // Tests for the columnar fleet state (core/fleet_columns.hpp) and the
 // mmap checkpoint layer (core/checkpoint.hpp): Welford-column parity,
-// advance-vs-sweep bit-identity (including mid-point stops, sharding and
+// advance bit-identity against the scalar sweep oracle
+// (tests/fleet_oracle.hpp; including mid-point stops, sharding and
 // merging), save->restore->save byte stability, and rejection of
 // truncated, bit-flipped, mis-kinded or foreign-scenario files.
 
@@ -17,6 +18,7 @@
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
 #include "fault/injector.hpp"
+#include "fleet_oracle.hpp"
 #include "hive/farm.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -24,6 +26,10 @@
 namespace {
 
 using namespace beesim;
+using beesim::oracle::expect_same_point;
+using beesim::oracle::expect_same_raw;
+using beesim::oracle::reference_resilient_sweep;
+using beesim::oracle::reference_sweep;
 using core::FleetColumns;
 using core::ResilienceColumns;
 using core::StatColumns;
@@ -36,53 +42,6 @@ core::FleetParams lossy_params() {
   core::FleetParams fleet = core::FleetParams::paper_default();
   fleet.loss = core::LossConfig::all();
   return fleet;
-}
-
-void expect_same_raw(const util::RunningStats& a,
-                     const util::RunningStats& b) {
-  const auto ra = a.raw();
-  const auto rb = b.raw();
-  EXPECT_EQ(ra.n, rb.n);
-  EXPECT_EQ(ra.mean, rb.mean);
-  EXPECT_EQ(ra.m2, rb.m2);
-  EXPECT_EQ(ra.sum, rb.sum);
-  EXPECT_EQ(ra.min, rb.min);
-  EXPECT_EQ(ra.max, rb.max);
-}
-
-void expect_same_point(const core::SweepPoint& a,
-                       const core::SweepPoint& b) {
-  EXPECT_EQ(a.initial_clients, b.initial_clients);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.servers_used, b.servers_used);
-  expect_same_raw(a.lost_clients, b.lost_clients);
-  expect_same_raw(a.active_slots, b.active_slots);
-  expect_same_raw(a.edge_energy, b.edge_energy);
-  expect_same_raw(a.cloud_energy, b.cloud_energy);
-  expect_same_raw(a.total_energy, b.total_energy);
-}
-
-void expect_same_point(const core::ResiliencePoint& a,
-                       const core::ResiliencePoint& b) {
-  EXPECT_EQ(a.initial_clients, b.initial_clients);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.servers_used, b.servers_used);
-  EXPECT_EQ(a.degraded_cycles, b.degraded_cycles);
-  EXPECT_EQ(a.edge_fallback_cycles, b.edge_fallback_cycles);
-  EXPECT_EQ(a.fallback_client_cycles, b.fallback_client_cycles);
-  EXPECT_EQ(a.shed_client_cycles, b.shed_client_cycles);
-  EXPECT_EQ(a.browned_client_cycles, b.browned_client_cycles);
-  EXPECT_EQ(a.sensor_mute_client_cycles, b.sensor_mute_client_cycles);
-  expect_same_raw(a.lost_clients, b.lost_clients);
-  expect_same_raw(a.edge_energy, b.edge_energy);
-  expect_same_raw(a.cloud_energy, b.cloud_energy);
-  expect_same_raw(a.total_energy, b.total_energy);
-  EXPECT_EQ(a.bytes_generated, b.bytes_generated);
-  EXPECT_EQ(a.bytes_served, b.bytes_served);
-  EXPECT_EQ(a.bytes_recovered, b.bytes_recovered);
-  EXPECT_EQ(a.bytes_dropped, b.bytes_dropped);
-  EXPECT_EQ(a.bytes_pending, b.bytes_pending);
-  EXPECT_EQ(a.bytes_lost, b.bytes_lost);
 }
 
 std::vector<char> slurp(const std::string& path) {
@@ -131,12 +90,12 @@ TEST(StatColumns, EmptyAccumulatorRoundtrips) {
   expect_same_raw(cols.stats(0), empty);
 }
 
-// ---- FleetColumns advance vs sweep ------------------------------------
+// ---- FleetColumns advance vs the scalar sweep oracle ------------------
 
 TEST(FleetColumns, AdvanceMatchesSweepBitForBit) {
   const core::LargeScaleSimulator sim(lossy_params());
   const std::vector<int> counts = {50, 120, 200};
-  const auto reference = sim.sweep(counts, 7, 6, 1);
+  const auto reference = reference_sweep(sim, counts, 7, 6);
 
   FleetColumns columns = FleetColumns::start(counts, 7, 6);
   EXPECT_FALSE(columns.complete());
@@ -152,7 +111,7 @@ TEST(FleetColumns, AdvanceMatchesSweepBitForBit) {
 TEST(FleetColumns, MidPointStopsStillLandBitIdentical) {
   const core::LargeScaleSimulator sim(lossy_params());
   const std::vector<int> counts = {80, 160};
-  const auto reference = sim.sweep(counts, 3, 10, 1);
+  const auto reference = reference_sweep(sim, counts, 3, 10);
 
   // 10 cycles per point, delivered 3 + 3 + 4 — each advance stops every
   // point mid-accumulation, exercising the RNG-cursor columns.
@@ -169,7 +128,7 @@ TEST(FleetColumns, MidPointStopsStillLandBitIdentical) {
 TEST(FleetColumns, ShardedAdvanceThenMergeMatchesSweep) {
   const core::LargeScaleSimulator sim(lossy_params());
   const std::vector<int> counts = {30, 60, 90, 120, 150};
-  const auto reference = sim.sweep(counts, 11, 4, 1);
+  const auto reference = reference_sweep(sim, counts, 11, 4);
 
   FleetColumns shard0 = FleetColumns::start(counts, 11, 4);
   FleetColumns shard1 = FleetColumns::start(counts, 11, 4);
@@ -229,7 +188,7 @@ TEST(Checkpoint, InterruptedRestoredRunMatchesUninterrupted) {
   const core::LargeScaleSimulator sim(lossy_params());
   const core::Hash128 hash = core::canonical_hash(sim.params());
   const std::vector<int> counts = {70, 140};
-  const auto reference = sim.sweep(counts, 17, 9, 1);
+  const auto reference = reference_sweep(sim, counts, 17, 9);
 
   // Simulate a kill after 4 of 9 cycles: save, drop the in-memory state,
   // restore (as another process would) and run to completion.
@@ -250,7 +209,7 @@ TEST(Checkpoint, MergeFleetCheckpointsFansShardsBackIn) {
   const core::LargeScaleSimulator sim(lossy_params());
   const core::Hash128 hash = core::canonical_hash(sim.params());
   const std::vector<int> counts = {25, 50, 75, 100};
-  const auto reference = sim.sweep(counts, 29, 3, 1);
+  const auto reference = reference_sweep(sim, counts, 29, 3);
 
   std::vector<std::string> paths;
   for (int s = 0; s < 2; ++s) {
@@ -379,7 +338,7 @@ class ResilienceCheckpoint : public ::testing::Test {
 };
 
 TEST_F(ResilienceCheckpoint, AdvanceMatchesSweepBitForBit) {
-  const auto reference = fleet_.sweep(counts_, 9, 12, 1);
+  const auto reference = reference_resilient_sweep(fleet_, counts_, 9, 12);
   ResilienceColumns columns = ResilienceColumns::start(counts_, 9, 12);
   EXPECT_TRUE(fleet_.advance(columns, 0, 1));
   const auto advanced = columns.points();
@@ -388,7 +347,7 @@ TEST_F(ResilienceCheckpoint, AdvanceMatchesSweepBitForBit) {
 }
 
 TEST_F(ResilienceCheckpoint, PointGranularStopsAndResumeMatch) {
-  const auto reference = fleet_.sweep(counts_, 9, 12, 1);
+  const auto reference = reference_resilient_sweep(fleet_, counts_, 9, 12);
   const core::Hash128 hash = core::resilience_campaign_hash(
       fleet_.base().params(), fleet_.plan(), fleet_.policy());
 
@@ -407,7 +366,7 @@ TEST_F(ResilienceCheckpoint, PointGranularStopsAndResumeMatch) {
 }
 
 TEST_F(ResilienceCheckpoint, ShardedMergeMatchesSweep) {
-  const auto reference = fleet_.sweep(counts_, 9, 12, 1);
+  const auto reference = reference_resilient_sweep(fleet_, counts_, 9, 12);
   const core::Hash128 hash = core::resilience_campaign_hash(
       fleet_.base().params(), fleet_.plan(), fleet_.policy());
   std::vector<std::string> paths;

@@ -4,10 +4,16 @@
 #include <cmath>
 
 #include "core/des_check.hpp"
+#include "core/fleet_columns.hpp"
 #include "core/loss.hpp"
 #include "core/network_sim.hpp"
+#include "core/resilience.hpp"
+#include "fault/fault.hpp"
+#include "fleet_oracle.hpp"
 
 namespace core = beesim::core;
+using beesim::oracle::expect_same_point;
+using beesim::oracle::reference_sweep;
 using core::FillPolicy;
 using core::LossConfig;
 using core::ServiceModel;
@@ -276,6 +282,127 @@ TEST(Sweep, ClientRangeHelper) {
   EXPECT_EQ(core::client_range(10, 45, 10),
             (std::vector<int>{10, 20, 30, 40}));
   EXPECT_THROW(core::client_range(10, 5, 1), std::invalid_argument);
+}
+
+// ------------------------------------ Memoised cycles vs the scalar oracle
+
+namespace {
+
+core::FleetParams lossy(FillPolicy policy = FillPolicy::kFillFirst) {
+  core::FleetParams fleet = core::FleetParams::paper_default();
+  fleet.loss = LossConfig::all();
+  fleet.policy = policy;
+  return fleet;
+}
+
+/// Holds every production path of the lossy campaign to the scalar
+/// oracle, raw field for raw field: sweep at one and four threads;
+/// advance in uneven max_cycles slices, so every point stops and resumes
+/// mid-way with a fresh memo; and ResilientFleet::sweep on an empty plan.
+void expect_paths_match_oracle(const core::FleetParams& params,
+                               const std::vector<int>& counts, int cycles) {
+  constexpr std::uint64_t kSeed = 21;
+  const core::LargeScaleSimulator sim(params);
+  const auto reference = reference_sweep(sim, counts, kSeed, cycles);
+
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("sweep threads=" + std::to_string(threads));
+    const auto swept = sim.sweep(counts, kSeed, cycles, threads);
+    ASSERT_EQ(swept.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      expect_same_point(swept[i], reference[i]);
+  }
+
+  {
+    SCOPED_TRACE("advance in slices");
+    core::FleetColumns columns =
+        core::FleetColumns::start(counts, kSeed, cycles);
+    const int slice = std::max(1, cycles / 3 - 1);
+    int calls = 0;
+    while (!sim.advance(columns, slice, 2)) ASSERT_LE(++calls, cycles);
+    const auto advanced = columns.points();
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      expect_same_point(advanced[i], reference[i]);
+  }
+
+  SCOPED_TRACE("empty-plan ResilientFleet::sweep");
+  const core::ResilientFleet fleet(params, beesim::fault::FaultPlan::none());
+  const auto resilient = fleet.sweep(counts, kSeed, cycles, 2);
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    expect_same_point(resilient[i], reference[i]);
+}
+
+}  // namespace
+
+class MemoOraclePolicy : public ::testing::TestWithParam<FillPolicy> {};
+
+TEST_P(MemoOraclePolicy, AllLossesMatchTheScalarSweep) {
+  expect_paths_match_oracle(lossy(GetParam()), {0, 1, 9, 50, 120, 400, 999},
+                            300);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, MemoOraclePolicy,
+                         ::testing::Values(FillPolicy::kFillFirst,
+                                           FillPolicy::kBalanced,
+                                           FillPolicy::kRoundRobin));
+
+TEST(MemoOracle, LossFreeFleetHasOneSurvivingValuePerPoint) {
+  core::FleetParams fleet = core::FleetParams::paper_default();
+  fleet.loss = LossConfig::none();
+  expect_paths_match_oracle(fleet, {10, 400, 5000}, 200);
+}
+
+TEST(MemoOracle, WideDropoutCollidesInTheTable) {
+  // A 200-client standard deviation spreads each point's surviving
+  // count over far more than the memo's 64 slots, so entries evict one
+  // another and the same slot is re-priced many times.
+  core::FleetParams fleet = lossy();
+  fleet.loss.dropout_stddev = 200.0;
+  const std::vector<int> counts{500, 2000, 20000};
+  const core::LargeScaleSimulator sim(fleet);
+  for (const auto& point : reference_sweep(sim, counts, 21, 400))
+    EXPECT_GT(point.lost_clients.max() - point.lost_clients.min(), 128.0);
+  expect_paths_match_oracle(fleet, counts, 400);
+}
+
+TEST(MemoOracle, VectorAllocationPathMatchesTheScalarSweep) {
+  core::FleetParams fleet = lossy(FillPolicy::kBalanced);
+  fleet.compact_allocation = false;
+  expect_paths_match_oracle(fleet, {50, 250, 999}, 100);
+}
+
+TEST(MemoOracle, MillionHivePointMatchesTheScalarSweep) {
+  expect_paths_match_oracle(lossy(), {1000000}, 200);
+}
+
+TEST(CycleMemo, EveryMemoisedCycleEqualsThePlainCycle) {
+  // Cycle-level form of the oracle property, across hits, misses and
+  // evictions: the same stream drawn through both calls.
+  core::FleetParams fleet = lossy();
+  fleet.loss.dropout_stddev = 200.0;
+  const core::LargeScaleSimulator sim(fleet);
+  core::CycleMemo memo(sim);
+  beesim::util::Rng plain_rng = beesim::util::Rng::for_stream(3, 3000);
+  beesim::util::Rng memo_rng = beesim::util::Rng::for_stream(3, 3000);
+  for (int c = 0; c < 2000; ++c) {
+    const core::CycleResult a = sim.simulate_cycle(3000, plain_rng);
+    const core::CycleResult b = sim.simulate_cycle(3000, memo_rng, &memo);
+    ASSERT_EQ(a.initial_clients, b.initial_clients) << "cycle " << c;
+    ASSERT_EQ(a.lost_clients, b.lost_clients) << "cycle " << c;
+    ASSERT_EQ(a.servers_used, b.servers_used) << "cycle " << c;
+    ASSERT_EQ(a.active_slots, b.active_slots) << "cycle " << c;
+    ASSERT_EQ(a.edge_energy, b.edge_energy) << "cycle " << c;
+    ASSERT_EQ(a.cloud_energy, b.cloud_energy) << "cycle " << c;
+  }
+}
+
+TEST(CycleMemo, RejectsAMemoBoundToAnotherSimulator) {
+  const core::LargeScaleSimulator a(lossy());
+  const core::LargeScaleSimulator b(lossy());
+  core::CycleMemo memo(a);
+  beesim::util::Rng rng(1);
+  EXPECT_THROW(b.simulate_cycle(10, rng, &memo), std::invalid_argument);
+  EXPECT_NO_THROW(a.simulate_cycle(10, rng, &memo));
 }
 
 // ----------------------------------- Compact vs vector allocation paths

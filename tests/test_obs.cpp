@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "core/network_sim.hpp"
+#include "core/resilience.hpp"
+#include "fault/fault.hpp"
+#include "fleet_oracle.hpp"
 #include "obs/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -377,42 +380,61 @@ TEST(ObsDeterminism, EnablingMetricsDoesNotChangeLossyFleetSweep) {
   // The same property for the Section VI simulator under every loss
   // model: the saturation counter used to be incremented inside
   // saturation_factor without an enabled() gate; this pins the counting
-  // to instrumented runs and the physics to both.
+  // to instrumented runs and the physics to both. Uninstrumented sweeps
+  // price cycles through the per-point memo while instrumented ones take
+  // the plain per-cycle path, so this also holds the memo to the plain
+  // path, raw field for raw field — for the lossy sweep and for a
+  // resilient sweep whose plan mixes clean, faulted and degraded cycles.
   beesim::core::FleetParams fleet =
       beesim::core::FleetParams::paper_default();
   fleet.loss = beesim::core::LossConfig::all();
   beesim::core::LargeScaleSimulator sim(fleet);
   const std::vector<int> counts{50, 200, 400};
+  constexpr int kCycles = 200;
+  beesim::fault::FaultPlan plan = beesim::fault::FaultPlan::random_outages(
+      5, kCycles, 0.15, 3, beesim::fault::FaultKind::kCloudOutage);
+  plan.add({beesim::fault::FaultKind::kCloudBrownout, 40, 59, 0.5})
+      .add({beesim::fault::FaultKind::kLinkOutage, 120, 129, 1.0})
+      .add({beesim::fault::FaultKind::kBatteryDerate, 150, 159, 0.7});
+  const beesim::core::ResilientFleet resilient(fleet, plan);
 
   std::vector<beesim::core::SweepPoint> off_points;
+  std::vector<beesim::core::ResiliencePoint> off_resilient;
   {
     EnabledGuard guard(false);
-    off_points = sim.sweep(counts, 17, 3);
+    off_points = sim.sweep(counts, 17, kCycles);
+    off_resilient = resilient.sweep(counts, 17, kCycles);
   }
   std::vector<beesim::core::SweepPoint> on_points;
+  std::vector<beesim::core::ResiliencePoint> on_resilient;
   {
     EnabledGuard guard(true);
     obs::register_catalog(obs::registry());
     obs::registry().reset_values();
-    on_points = sim.sweep(counts, 17, 3);
+    on_points = sim.sweep(counts, 17, kCycles);
     const auto snap = obs::registry().snapshot();
     // Fill-first at 400 clients packs slots to max_parallel, so the
     // saturation penalty fires and is counted — but only when enabled.
     EXPECT_GT(snap.counters.at(obs::metric::kLossSaturatedSlots), 0u);
-    EXPECT_GT(snap.counters.at(obs::metric::kAllocatorCompactCalls), 0u);
     EXPECT_EQ(snap.counters.at(obs::metric::kFleetSweepPoints),
               counts.size());
+    // Every cycle is counted and allocates: no memo hit skips the
+    // per-cycle path while obs is on.
+    EXPECT_EQ(snap.counters.at(obs::metric::kFleetCycles),
+              counts.size() * kCycles);
+    EXPECT_EQ(snap.counters.at(obs::metric::kAllocatorCompactCalls),
+              counts.size() * kCycles);
+    on_resilient = resilient.sweep(counts, 17, kCycles);
+    EXPECT_GT(obs::registry().snapshot().counters.at(
+                  obs::metric::kFleetDegradedCycles),
+              0u);
   }
   ASSERT_EQ(off_points.size(), on_points.size());
-  for (std::size_t i = 0; i < off_points.size(); ++i) {
-    EXPECT_EQ(off_points[i].servers_used, on_points[i].servers_used);
-    EXPECT_DOUBLE_EQ(off_points[i].lost_clients.mean(),
-                     on_points[i].lost_clients.mean());
-    EXPECT_DOUBLE_EQ(off_points[i].edge_energy.mean(),
-                     on_points[i].edge_energy.mean());
-    EXPECT_DOUBLE_EQ(off_points[i].cloud_energy.mean(),
-                     on_points[i].cloud_energy.mean());
-  }
+  for (std::size_t i = 0; i < off_points.size(); ++i)
+    beesim::oracle::expect_same_point(off_points[i], on_points[i]);
+  ASSERT_EQ(off_resilient.size(), on_resilient.size());
+  for (std::size_t i = 0; i < off_resilient.size(); ++i)
+    beesim::oracle::expect_same_point(off_resilient[i], on_resilient[i]);
 }
 
 TEST(ObsHistogram, BulkObserveMatchesRepeatedObserve) {

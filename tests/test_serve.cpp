@@ -431,42 +431,6 @@ TEST(SimulationService, CacheDisabledStillCorrect) {
   EXPECT_EQ(service.cache_stats().entries, 0u);
 }
 
-TEST(SimulationService, ColumnarBatchingMatchesScalarPathFieldExact) {
-  // The batched columnar compute path (FleetColumns/ResilienceColumns +
-  // pool-parallel advance) must produce responses field-identical to the
-  // per-request scalar sweep it replaces — for sweeps and for resilience.
-  serve::ResilienceRequest rr;
-  rr.params = core::FleetParams::paper_default();
-  rr.plan = fault::FaultPlan::random_outages(11, 40, 0.25, 4);
-  rr.client_counts = {150, 350};
-  rr.cycles_per_point = 40;
-  rr.seed = 9;
-
-  std::vector<Response> by_mode;  // [0] = sweep/resilience columnar,
-  for (bool columnar : {true, false}) {
-    SimulationService::Config config = manual_config();
-    config.columnar_batching = columnar;
-    config.cache_enabled = false;  // force every point through compute
-    SimulationService service(config);
-    auto sweep = service.submit(sweep_request({100, 300, 500}));
-    auto resilience = service.submit(Request::make_resilience(rr));
-    service.drain();
-    by_mode.push_back(sweep.response.get());
-    by_mode.push_back(resilience.response.get());
-    expect_balanced_and_drained(service);
-  }
-
-  ASSERT_EQ(by_mode[0].sweep_points.size(), by_mode[2].sweep_points.size());
-  for (std::size_t i = 0; i < by_mode[0].sweep_points.size(); ++i)
-    expect_points_identical(by_mode[0].sweep_points[i].point,
-                            by_mode[2].sweep_points[i].point);
-  ASSERT_EQ(by_mode[1].resilience_points.size(),
-            by_mode[3].resilience_points.size());
-  for (std::size_t i = 0; i < by_mode[1].resilience_points.size(); ++i)
-    expect_points_identical(by_mode[1].resilience_points[i].point,
-                            by_mode[3].resilience_points[i].point);
-}
-
 TEST(SimulationService, DeterministicAcrossWorkerCounts) {
   const std::vector<int> counts{100, 200, 300, 400};
   std::vector<Response> responses;

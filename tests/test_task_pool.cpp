@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <numeric>
@@ -223,7 +224,24 @@ TEST(TaskPool, ConcurrentIssuersFromExternalThreads) {
 TEST(TaskPool, StatsAreMonotonic) {
   auto& pool = u::TaskPool::instance();
   const auto before = pool.stats();
-  u::parallel_for(256, [](std::size_t) {}, 4);
+  // A region of no-ops can finish on its issuer before a lazily woken
+  // worker claims a chunk, leaving `tasks` where it was. So the region
+  // needs a helper: index 0 waits (generously bounded) until some other
+  // thread has run an index.
+  const bool has_workers = pool.worker_count() > 0;
+  const std::thread::id issuer = std::this_thread::get_id();
+  std::atomic<bool> helped{false};
+  u::parallel_for(
+      256,
+      [&](std::size_t i) {
+        if (std::this_thread::get_id() != issuer) helped.store(true);
+        if (i != 0 || !has_workers) return;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!helped.load() && std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+      },
+      4);
   const auto after = pool.stats();
   EXPECT_GE(after.tasks, before.tasks);
   EXPECT_GE(after.steals, before.steals);
