@@ -31,8 +31,9 @@
 #    reproduce those seeds' rows of perfbench/reference_digests.tsv (the
 #    fleet_campaign digests cover every raw Welford field of the lossy
 #    and resilient sweeps, 10^6-hive rung included), and one-second
-#    fleet_campaign and serve_cold runs must report "correct": true with
-#    0 failed operations.
+#    fleet_campaign, serve_hot and serve_cold runs must report
+#    "correct": true with 0 failed operations (serve_hot's requests are
+#    all answered inside submit(), serve_cold's all go to a worker).
 # 8. Docs link-check:
 #    a. every local markdown link in README.md, DESIGN.md,
 #       EXPERIMENTS.md and docs/*.md resolves to an existing file;
@@ -256,7 +257,7 @@ perfbench_ok() {
 r = json.loads(sys.stdin.read())
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 }
-for w in fleet_campaign serve_cold; do
+for w in fleet_campaign serve_hot serve_cold; do
   if perfbench_run "$w" && perfbench_ok "$w"; then
     echo "  ok  perfbench $w: correct, 0 failed operations"
   else

@@ -41,8 +41,9 @@ void register_catalog(Registry& reg) {
         m::kBatteryDerateEvents, m::kMeterStateChanges,
         m::kServeRequestsSubmitted, m::kServeRequestsAdmitted,
         m::kServeRequestsRejected, m::kServeRequestsCompleted,
-        m::kServePointsRequested, m::kServePointsComputed,
-        m::kServePointsCoalesced, m::kServeCacheHits, m::kServeCacheMisses,
+        m::kServeRequestsAnsweredAtSubmit, m::kServePointsRequested,
+        m::kServePointsComputed, m::kServePointsCoalesced,
+        m::kServeCacheHits, m::kServeCacheMisses,
         m::kServeCacheEvictions, m::kServeCacheExpirations,
         m::kPoolTasks, m::kPoolSteals, m::kPoolParks,
         m::kCkptSaves, m::kCkptRestores,

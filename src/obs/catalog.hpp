@@ -182,6 +182,8 @@ inline constexpr const char* kServeRequestsRejected =
     "serve.requests_rejected";
 inline constexpr const char* kServeRequestsCompleted =
     "serve.requests_completed";
+inline constexpr const char* kServeRequestsAnsweredAtSubmit =
+    "serve.requests_answered_at_submit";
 inline constexpr const char* kServePointsRequested =
     "serve.points_requested";
 inline constexpr const char* kServePointsComputed = "serve.points_computed";

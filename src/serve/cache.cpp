@@ -80,67 +80,65 @@ std::size_t PointCache::claim_slot(Shard& shard, const PointKey& key,
   }
 }
 
+template <typename Point>
+bool PointCache::find(Map<Point> Shard::*map, const PointKey& key,
+                      Point* out) const {
+  Shard& shard = shard_for(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  Map<Point>& entries = shard.*map;
+  const auto it = entries.find(key);
+  if (it == entries.end()) return false;
+  if (expired(it->second.inserted_at)) {
+    expire_slot(shard, it->second.slot);
+    entries.erase(it);
+    return false;
+  }
+  *out = it->second.point;
+  shard.ring[it->second.slot].referenced = 1;
+  return true;
+}
+
+template <typename Point>
+void PointCache::store(Map<Point> Shard::*map, Kind kind, const PointKey& key,
+                       const Point& point) {
+  Shard& shard = shard_for(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  Map<Point>& entries = shard.*map;
+  if (entries.count(key) != 0) return;  // first writer wins
+  const std::size_t slot = claim_slot(shard, key, kind);
+  entries.emplace(key, Entry<Point>{point, slot, stamp()});
+}
+
+bool PointCache::peek(const PointKey& key, core::SweepPoint* out) const {
+  return find(&Shard::sweep, key, out);
+}
+
+bool PointCache::peek(const PointKey& key, core::ResiliencePoint* out) const {
+  return find(&Shard::resilience, key, out);
+}
+
+void PointCache::count_hits(std::uint64_t n) const noexcept {
+  hits_.fetch_add(n, std::memory_order_relaxed);
+}
+
 bool PointCache::lookup_sweep(const PointKey& key,
                               core::SweepPoint* out) const {
-  Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.sweep.find(key);
-    if (it != shard.sweep.end()) {
-      if (expired(it->second.inserted_at, now())) {
-        expire_slot(shard, it->second.slot);
-        shard.sweep.erase(it);
-      } else {
-        *out = it->second.point;
-        shard.ring[it->second.slot].referenced = 1;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  return counted(peek(key, out));
 }
 
 void PointCache::insert_sweep(const PointKey& key,
                               const core::SweepPoint& point) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.sweep.count(key) != 0) return;  // first writer wins
-  const std::size_t slot = claim_slot(shard, key, Kind::kSweep);
-  shard.sweep.emplace(key, Entry<core::SweepPoint>{point, slot, now()});
+  store(&Shard::sweep, Kind::kSweep, key, point);
 }
 
 bool PointCache::lookup_resilience(const PointKey& key,
                                    core::ResiliencePoint* out) const {
-  Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.resilience.find(key);
-    if (it != shard.resilience.end()) {
-      if (expired(it->second.inserted_at, now())) {
-        expire_slot(shard, it->second.slot);
-        shard.resilience.erase(it);
-      } else {
-        *out = it->second.point;
-        shard.ring[it->second.slot].referenced = 1;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  return counted(peek(key, out));
 }
 
 void PointCache::insert_resilience(const PointKey& key,
                                    const core::ResiliencePoint& point) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.resilience.count(key) != 0) return;  // first writer wins
-  const std::size_t slot = claim_slot(shard, key, Kind::kResilience);
-  shard.resilience.emplace(key,
-                           Entry<core::ResiliencePoint>{point, slot, now()});
+  store(&Shard::resilience, Kind::kResilience, key, point);
 }
 
 PointCache::Stats PointCache::stats() const {

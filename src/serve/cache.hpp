@@ -82,7 +82,8 @@ class PointCache {
   /// `capacity` is the total entry bound across all shards (rounded up
   /// to a multiple of `shards`); 0 disables eviction entirely.
   /// `ttl_seconds` > 0 expires entries older than that on lookup; 0
-  /// disables expiry. `clock` overrides the time source (tests).
+  /// disables expiry. `clock` overrides the time source (tests); it is
+  /// called only when a TTL is set.
   explicit PointCache(std::size_t shards = 16,
                       std::size_t capacity = kDefaultCapacity,
                       double ttl_seconds = 0.0, ClockFn clock = {});
@@ -101,6 +102,18 @@ class PointCache {
   /// Inserts a computed resilience point (first writer wins).
   void insert_resilience(const PointKey& key,
                          const core::ResiliencePoint& point);
+
+  /// Uncounted lookups: the same as lookup_sweep / lookup_resilience
+  /// (a hit marks the entry recently used, a stale entry expires and
+  /// counts its expiration) except that neither a hit nor a miss is
+  /// counted. SimulationService::submit resolves requests with these and
+  /// reports the hits through count_hits() only when every point of the
+  /// request was found; a request that goes on to a worker is counted
+  /// once, by the worker's lookups.
+  bool peek(const PointKey& key, core::SweepPoint* out) const;
+  bool peek(const PointKey& key, core::ResiliencePoint* out) const;
+  /// Adds `n` to the lifetime hit counter (see peek).
+  void count_hits(std::uint64_t n) const noexcept;
 
   /// Point-in-time counters: lifetime hits/misses/evictions/expirations
   /// and resident entries (lazily-expired entries still count as
@@ -152,13 +165,13 @@ class PointCache {
     std::size_t slot = 0;
     double inserted_at = 0.0;
   };
+  template <typename Point>
+  using Map = std::unordered_map<PointKey, Entry<Point>, PointKeyHash>;
 
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<PointKey, Entry<core::SweepPoint>, PointKeyHash>
-        sweep;
-    std::unordered_map<PointKey, Entry<core::ResiliencePoint>, PointKeyHash>
-        resilience;
+    Map<core::SweepPoint> sweep;
+    Map<core::ResiliencePoint> resilience;
     std::vector<Slot> ring;  // grows to the per-shard capacity, then CLOCK
     std::size_t hand = 0;
     std::vector<std::size_t> free_slots;  // ring indices freed by expiry
@@ -184,17 +197,31 @@ class PointCache {
   /// Caller holds the shard mutex.
   std::size_t claim_slot(Shard& shard, const PointKey& key, Kind kind);
 
-  /// True if `inserted_at` has outlived the TTL at time `now`.
-  bool expired(double inserted_at, double now) const noexcept {
-    return ttl_seconds_ > 0.0 && now - inserted_at >= ttl_seconds_;
+  /// The uncounted lookup and the insert behind both point types.
+  template <typename Point>
+  bool find(Map<Point> Shard::*map, const PointKey& key, Point* out) const;
+  template <typename Point>
+  void store(Map<Point> Shard::*map, Kind kind, const PointKey& key,
+             const Point& point);
+
+  /// True if `inserted_at` has outlived the TTL. The clock is read only
+  /// when a TTL is set.
+  bool expired(double inserted_at) const {
+    return ttl_seconds_ > 0.0 && clock_() - inserted_at >= ttl_seconds_;
+  }
+  /// Insertion timestamp: the clock with a TTL set, else 0 (never read).
+  double stamp() const { return ttl_seconds_ > 0.0 ? clock_() : 0.0; }
+
+  /// Counts one lookup as a hit or a miss and passes `hit` through.
+  bool counted(bool hit) const noexcept {
+    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    return hit;
   }
 
   /// Releases an expired entry's ring slot onto the free list and counts
   /// the expiration. Caller holds the shard mutex and erases the map
   /// entry itself.
   void expire_slot(Shard& shard, std::size_t slot) const;
-
-  double now() const { return clock_(); }
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t capacity_ = 0;            // total bound, 0 = unbounded

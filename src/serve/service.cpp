@@ -1,8 +1,8 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -19,6 +19,7 @@ struct ServeMetrics {
   obs::Counter& admitted;
   obs::Counter& rejected;
   obs::Counter& completed;
+  obs::Counter& answered_at_submit;
   obs::Counter& points_requested;
   obs::Counter& points_computed;
   obs::Counter& points_coalesced;
@@ -36,6 +37,7 @@ ServeMetrics& metrics() {
       reg.counter(m::kServeRequestsAdmitted),
       reg.counter(m::kServeRequestsRejected),
       reg.counter(m::kServeRequestsCompleted),
+      reg.counter(m::kServeRequestsAnsweredAtSubmit),
       reg.counter(m::kServePointsRequested),
       reg.counter(m::kServePointsComputed),
       reg.counter(m::kServePointsCoalesced),
@@ -44,6 +46,75 @@ ServeMetrics& metrics() {
       reg.histogram(m::kServeBatchWidth, obs::serve_batch_bounds()),
       reg.gauge(m::kServeQueuePeakDepth)};
   return instance;
+}
+
+/// Where one point of a response came from; kMissing abandons it.
+enum class Source { kMissing, kComputed, kCached };
+
+/// Builds `request`'s response in its fleet-size order. Both routes call
+/// it: submit() fetching from the cache, where the first miss abandons
+/// the response, and process_batch's fan-out fetching the batch's
+/// resolved points. `fetch(count, &point)` writes the point of one fleet
+/// size — a core::SweepPoint, or a core::ResiliencePoint for kResilience —
+/// and returns its source. What-if verdicts compare against the analytic
+/// edge-only constant, computed once per request.
+template <typename Fetch>
+bool assemble(const Request& request, Fetch&& fetch, Response& response) {
+  const std::vector<int>& counts = request.client_counts();
+  response.kind = request.kind;
+  response.points_total = static_cast<int>(counts.size());
+  // Fetches point `i` into `point` and marks its result slot. The results
+  // are sized only once a point has resolved, so a request whose first
+  // point misses allocates nothing.
+  const auto take = [&](auto& results, std::size_t i, auto* point) {
+    const Source source = fetch(counts[i], point);
+    if (source == Source::kMissing) return false;
+    if (results.empty()) results.resize(counts.size());
+    results[i].from_cache = source == Source::kCached;
+    if (results[i].from_cache) ++response.points_from_cache;
+    return true;
+  };
+  switch (request.kind) {
+    case RequestKind::kSweep: {
+      core::SweepPoint point;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (!take(response.sweep_points, i, &point)) return false;
+        response.sweep_points[i].point = point;
+      }
+      return true;
+    }
+    case RequestKind::kWhatIf: {
+      core::SweepPoint point;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (!take(response.what_if, i, &point)) return false;
+        response.what_if[i].comparison.clients = counts[i];
+        response.what_if[i].comparison.edge_cloud_per_client =
+            point.total_per_client();
+      }
+      // Priced once per request, and only after every point resolved:
+      // at about 0.8 µs it would otherwise dominate a missing submit().
+      const WhatIfRequest& r = request.what_if;
+      const double edge_only =
+          core::ClientSpec::smart_beehive(core::Placement::kEdgeOnly,
+                                          r.service, r.params.client.period)
+              .cycle_energy();
+      for (WhatIfResult& out : response.what_if) {
+        out.comparison.edge_only_per_client = edge_only;
+        out.comparison.edge_cloud_wins =
+            out.comparison.edge_cloud_per_client < edge_only;
+      }
+      return true;
+    }
+    case RequestKind::kResilience: {
+      core::ResiliencePoint point;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (!take(response.resilience_points, i, &point)) return false;
+        response.resilience_points[i].point = point;
+      }
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -84,9 +155,10 @@ SimulationService::Ticket SimulationService::submit(Request request) {
     return reject(Admission::kRejectedShutdown);
   if (!valid(request)) return reject(Admission::kRejectedInvalid);
 
-  // Reserve an in-flight slot before touching a queue: the reservation is
-  // released on push failure or on completion, so max_in_flight is a hard
-  // bound even with many producers racing.
+  // Reserve an in-flight slot before resolving or queueing: the
+  // reservation is released once submit() has answered the request, on
+  // push failure, or on completion, so max_in_flight is a hard bound even
+  // with many producers racing.
   if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
       config_.max_in_flight) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -94,6 +166,38 @@ SimulationService::Ticket SimulationService::submit(Request request) {
   }
 
   const core::Hash128 group = scenario_group(request);
+
+  // Resolve against the cache on the caller's thread: a request whose
+  // every point is cached is answered here, without a ring slot, a worker
+  // or a wake-up. The peeks are uncounted, so a request that falls
+  // through is counted once, by the worker's lookups.
+  if (config_.cache_enabled) {
+    Response response;
+    const auto cached = [&](int count, auto* point) {
+      return cache_.peek(PointKey{group, count}, point) ? Source::kCached
+                                                        : Source::kMissing;
+    };
+    if (assemble(request, cached, response)) {
+      const auto points = static_cast<std::uint64_t>(response.points_total);
+      cache_.count_hits(points);
+      admitted_.fetch_add(1, std::memory_order_relaxed);
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+      ServeMetrics& m = metrics();
+      m.admitted.inc();
+      m.completed.inc();
+      m.answered_at_submit.inc();
+      m.points_requested.inc(points);
+      m.cache_hits.inc(points);
+      std::promise<Response> promise;
+      promise.set_value(std::move(response));
+      Ticket ticket;
+      ticket.admission = Admission::kAdmitted;
+      ticket.response = promise.get_future();
+      return ticket;
+    }
+  }
+
   Worker& w = *workers_[group.lo % workers_.size()];
 
   auto pending = std::make_unique<Pending>();
@@ -110,7 +214,7 @@ SimulationService::Ticket SimulationService::submit(Request request) {
   metrics().admitted.inc();
   metrics().queue_peak_depth.update_max(
       static_cast<double>(w.queue.size_approx()));
-  w.cv.notify_one();
+  w.wake.notify_all();
 
   Ticket ticket;
   ticket.admission = Admission::kAdmitted;
@@ -122,33 +226,31 @@ void SimulationService::worker_loop(Worker& worker) {
   std::vector<Pending*> batch;
   batch.reserve(config_.max_batch);
   for (;;) {
-    batch.clear();
-    Pending* pending = nullptr;
-    while (batch.size() < config_.max_batch && worker.queue.try_pop(pending))
-      batch.push_back(pending);
-    if (!batch.empty()) {
-      process_batch(batch);
-      continue;
-    }
+    // The epoch is read before the ring is popped: a push that lands
+    // after an empty pop has bumped it, so the wait returns at once.
+    const std::uint64_t epoch = worker.wake.prepare();
+    if (run_batch(worker, batch)) continue;
     if (stopping_.load(std::memory_order_acquire)) break;
-    std::unique_lock<std::mutex> lock(worker.mutex);
-    // Timed wait: a producer's push and this wait can race (the ring is
-    // lock-free, the condvar is not tied to it), so never park forever.
-    worker.cv.wait_for(lock, std::chrono::milliseconds(1));
+    worker.wake.wait(epoch);
   }
 }
 
 void SimulationService::drain_queue(Worker& worker) {
   std::vector<Pending*> batch;
   batch.reserve(config_.max_batch);
-  for (;;) {
-    batch.clear();
-    Pending* pending = nullptr;
-    while (batch.size() < config_.max_batch && worker.queue.try_pop(pending))
-      batch.push_back(pending);
-    if (batch.empty()) return;
-    process_batch(batch);
+  while (run_batch(worker, batch)) {
   }
+}
+
+bool SimulationService::run_batch(Worker& worker,
+                                  std::vector<Pending*>& batch) {
+  batch.clear();
+  Pending* pending = nullptr;
+  while (batch.size() < config_.max_batch && worker.queue.try_pop(pending))
+    batch.push_back(pending);
+  if (batch.empty()) return false;
+  process_batch(batch);
+  return true;
 }
 
 void SimulationService::drain() {
@@ -157,7 +259,7 @@ void SimulationService::drain() {
 
 void SimulationService::shutdown() {
   stopping_.store(true, std::memory_order_release);
-  for (auto& worker : workers_) worker->cv.notify_one();
+  for (auto& worker : workers_) worker->wake.notify_all();
   for (auto& worker : workers_)
     if (worker->thread.joinable()) worker->thread.join();
   // Final inline sweep: covers manual mode (workers = 0) and the race
@@ -190,7 +292,7 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
   std::unordered_map<PointKey, core::SweepPoint, PointKeyHash> sweep_local;
   std::unordered_map<PointKey, core::ResiliencePoint, PointKeyHash>
       resilience_local;
-  std::unordered_map<PointKey, bool, PointKeyHash> from_cache;
+  std::unordered_set<PointKey, PointKeyHash> from_cache;
   std::unordered_set<PointKey, PointKeyHash> scheduled;
 
   std::uint64_t requested = 0, coalesced = 0, hits = 0, misses = 0;
@@ -215,7 +317,7 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
           core::ResiliencePoint point;
           if (cache_.lookup_resilience(key, &point)) {
             resilience_local.emplace(key, point);
-            from_cache[key] = true;
+            from_cache.insert(key);
             ++hits;
             continue;
           }
@@ -223,7 +325,7 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
           core::SweepPoint point;
           if (cache_.lookup_sweep(key, &point)) {
             sweep_local.emplace(key, point);
-            from_cache[key] = true;
+            from_cache.insert(key);
             ++hits;
             continue;
           }
@@ -280,41 +382,17 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
   // Pass 3 — fan out: assemble each response in its request's order and
   // fulfill the promise.
   for (Pending* pending : batch) {
-    Response response;
-    response.kind = pending->request.kind;
-    const auto& counts = pending->request.client_counts();
-    response.points_total = static_cast<int>(counts.size());
-    for (int count : counts) {
+    const auto resolved = [&](int count, auto* point) {
       const PointKey key{pending->group, count};
-      const auto cache_it = from_cache.find(key);
-      const bool cached = cache_it != from_cache.end() && cache_it->second;
-      if (cached) ++response.points_from_cache;
-      switch (pending->request.kind) {
-        case RequestKind::kSweep:
-          response.sweep_points.push_back({sweep_local.at(key), cached});
-          break;
-        case RequestKind::kWhatIf: {
-          const WhatIfRequest& r = pending->request.what_if;
-          const core::SweepPoint& point = sweep_local.at(key);
-          core::PlacementComparison comparison;
-          comparison.clients = count;
-          comparison.edge_only_per_client =
-              core::ClientSpec::smart_beehive(core::Placement::kEdgeOnly,
-                                              r.service,
-                                              r.params.client.period)
-                  .cycle_energy();
-          comparison.edge_cloud_per_client = point.total_per_client();
-          comparison.edge_cloud_wins = comparison.edge_cloud_per_client <
-                                       comparison.edge_only_per_client;
-          response.what_if.push_back({comparison, cached});
-          break;
-        }
-        case RequestKind::kResilience:
-          response.resilience_points.push_back(
-              {resilience_local.at(key), cached});
-          break;
-      }
-    }
+      if constexpr (std::is_same_v<decltype(point), core::SweepPoint*>)
+        *point = sweep_local.at(key);
+      else
+        *point = resilience_local.at(key);
+      return from_cache.count(key) != 0 ? Source::kCached
+                                        : Source::kComputed;
+    };
+    Response response;
+    assemble(pending->request, resolved, response);
     pending->promise.set_value(std::move(response));
     completed_.fetch_add(1, std::memory_order_relaxed);
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);

@@ -1,17 +1,16 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "serve/cache.hpp"
 #include "serve/mpsc_queue.hpp"
 #include "serve/request.hpp"
+#include "util/event_count.hpp"
 
 namespace beesim::serve {
 
@@ -19,18 +18,22 @@ namespace beesim::serve {
 /// an in-process request server over the Section VI fleet models. Tenants
 /// submit scenario-evaluation requests concurrently; each request passes
 /// admission control (bounded queues + a service-wide in-flight bound,
-/// with typed rejects), lands on a worker event loop via a lock-free
-/// submission ring, is coalesced with overlapping requests from other
-/// tenants, checked against the content-addressed PointCache, and only
-/// the genuinely new points reach LargeScaleSimulator::sweep /
-/// ResilientFleet::sweep. Responses are bit-identical whether a point
-/// was computed cold, coalesced into another tenant's batch, or served
-/// from the cache (tested in tests/test_serve.cpp).
+/// with typed rejects) and is resolved against the content-addressed
+/// PointCache right there: a request whose every point is cached is
+/// answered on the caller's thread. Any other request lands on a worker
+/// event loop via a lock-free submission ring, is coalesced with
+/// overlapping requests from other tenants, checked against the cache
+/// again, and only the genuinely new points reach
+/// LargeScaleSimulator::sweep / ResilientFleet::sweep. Responses are
+/// bit-identical whether a point was computed cold, coalesced into
+/// another tenant's batch, or served from the cache on either route
+/// (tested in tests/test_serve.cpp).
 ///
-/// Requests are routed to workers by scenario-group hash ("scenario
-/// affinity"), so all requests over the same configuration serialize on
-/// one worker — overlap becomes batching instead of duplicate concurrent
-/// compute. Distinct scenarios spread across workers.
+/// Requests that need compute are routed to workers by scenario-group
+/// hash ("scenario affinity"), so all requests over the same
+/// configuration serialize on one worker — overlap becomes batching
+/// instead of duplicate concurrent compute. Distinct scenarios spread
+/// across workers.
 class SimulationService {
  public:
   /// Serving-policy knobs. Defaults suit a bench-scale deployment; the
@@ -38,14 +41,18 @@ class SimulationService {
   /// surfaces as a typed reject rather than latency collapse.
   struct Config {
     /// Worker event-loop threads. 0 = manual mode: no threads are
-    /// spawned and requests sit queued until `drain()` runs them on the
-    /// calling thread — the deterministic mode the unit tests use.
+    /// spawned and requests that need compute sit queued until `drain()`
+    /// runs them on the calling thread — the deterministic mode the unit
+    /// tests use. Fully cached requests are answered by submit() in
+    /// either mode.
     unsigned workers = 2;
     /// Capacity of each worker's lock-free submission ring (rounded up
-    /// to a power of two). A full ring rejects with kRejectedQueueFull.
+    /// to a power of two). A full ring rejects with kRejectedQueueFull;
+    /// a request answered by submit() never takes a slot.
     std::size_t queue_capacity = 1024;
     /// Service-wide bound on admitted-but-not-completed requests.
-    /// Exceeding it rejects with kRejectedOverloaded.
+    /// Exceeding it rejects with kRejectedOverloaded. Every request,
+    /// fully cached or not, reserves a slot while submit() runs.
     std::int64_t max_in_flight = 4096;
     /// Most requests one worker coalesces into a single dispatch.
     std::size_t max_batch = 32;
@@ -101,7 +108,9 @@ class SimulationService {
   SimulationService(const SimulationService&) = delete;
   SimulationService& operator=(const SimulationService&) = delete;
 
-  /// Thread-safe request submission (any number of tenant threads).
+  /// Thread-safe request submission (any number of tenant threads). An
+  /// admitted request whose every point is in the cache comes back with
+  /// its future already ready; any other goes to a worker.
   Ticket submit(Request request);
 
   /// Stops accepting new work, drains every queued request (all admitted
@@ -128,13 +137,17 @@ class SimulationService {
   struct Worker {
     explicit Worker(std::size_t queue_capacity) : queue(queue_capacity) {}
     MpscRing<Pending*> queue;
+    /// Bumped after every push and by shutdown(); the event loop reads it
+    /// before popping and sleeps on it only while the ring is empty.
+    util::EventCount wake;
     std::thread thread;
-    std::mutex mutex;
-    std::condition_variable cv;
   };
 
   void worker_loop(Worker& worker);
   void drain_queue(Worker& worker);
+  /// Pops up to max_batch requests off `worker`'s ring into `batch` and
+  /// processes them; false when the ring was empty.
+  bool run_batch(Worker& worker, std::vector<Pending*>& batch);
   void process_batch(std::vector<Pending*>& batch);
 
   Config config_;

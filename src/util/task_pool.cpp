@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/catalog.hpp"
+#include "util/event_count.hpp"
 #include "util/parallel.hpp"
 
 namespace beesim::util {
@@ -23,40 +24,6 @@ thread_local int t_worker_index = -1;
 // Parallel-region nesting depth of the calling thread (issuer or
 // worker). Non-zero while a parallel_for body runs on this thread.
 thread_local int t_region_depth = 0;
-
-/// Epoch-guarded sleep for idle workers. The classic eventcount shape:
-/// a sleeper reads the epoch (`prepare`), re-checks the queues, and only
-/// then sleeps (`wait`) — the wait refuses to block if the epoch moved
-/// in between. A producer makes its work visible first and bumps the
-/// epoch second, so every interleaving either lets the sleeper see the
-/// work during its re-check or see the epoch change; a wakeup can never
-/// fall between the cracks.
-class EventCount {
- public:
-  std::uint64_t prepare() const noexcept {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
-  void wait(std::uint64_t key) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] {
-      return epoch_.load(std::memory_order_relaxed) != key;
-    });
-  }
-
-  void notify_all() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      epoch_.fetch_add(1, std::memory_order_release);
-    }
-    cv_.notify_all();
-  }
-
- private:
-  std::atomic<std::uint64_t> epoch_{0};
-  std::mutex mutex_;
-  std::condition_variable cv_;
-};
 
 /// Shared control block of one parallel region, heap-allocated so helper
 /// tasks still queued after the region completes hold a valid reference:

@@ -252,7 +252,11 @@ class CheckpointCorruption : public ::testing::Test {
     hash_ = core::canonical_hash(sim.params());
     FleetColumns columns = FleetColumns::start({60, 90}, 23, 5);
     sim.advance(columns, 2, 1);
-    path_ = temp_path("ckpt_corrupt.ck");
+    // One file per test: ctest may run the tests as parallel processes,
+    // and one must not truncate a file another has mapped.
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = temp_path(("ckpt_corrupt_" + name + ".ck").c_str());
     core::save_checkpoint(path_, columns, hash_);
     image_ = slurp(path_);
   }

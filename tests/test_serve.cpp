@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
 #include "fault/fault.hpp"
+#include "obs/catalog.hpp"
 #include "serve/cache.hpp"
 #include "serve/mpsc_queue.hpp"
 #include "serve/request.hpp"
@@ -81,6 +83,70 @@ Request sweep_request(std::vector<int> counts, int cycles = 3,
   r.seed = seed;
   return Request::make_sweep(std::move(r), tenant);
 }
+
+Request what_if_request(std::vector<int> counts) {
+  serve::WhatIfRequest w;
+  w.params = lossy_fleet();
+  w.client_counts = std::move(counts);
+  w.cycles_per_point = 3;
+  w.seed = 7;
+  return Request::make_what_if(std::move(w));
+}
+
+Request resilience_request(std::vector<int> counts) {
+  serve::ResilienceRequest r;
+  r.params = core::FleetParams::paper_default();
+  r.plan = fault::FaultPlan::random_outages(11, 40, 0.25, 4);
+  r.client_counts = std::move(counts);
+  r.cycles_per_point = 40;
+  r.seed = 9;
+  return Request::make_resilience(std::move(r));
+}
+
+/// Payload equality of two responses, field for field; the `from_cache`
+/// provenance flags are not compared.
+void expect_same_payload(const Response& a, const Response& b) {
+  ASSERT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.points_total, b.points_total);
+  ASSERT_EQ(a.sweep_points.size(), b.sweep_points.size());
+  for (std::size_t i = 0; i < a.sweep_points.size(); ++i)
+    expect_points_identical(a.sweep_points[i].point, b.sweep_points[i].point);
+  ASSERT_EQ(a.what_if.size(), b.what_if.size());
+  for (std::size_t i = 0; i < a.what_if.size(); ++i) {
+    const auto& x = a.what_if[i].comparison;
+    const auto& y = b.what_if[i].comparison;
+    EXPECT_EQ(x.clients, y.clients);
+    EXPECT_EQ(x.edge_only_per_client, y.edge_only_per_client);
+    EXPECT_EQ(x.edge_cloud_per_client, y.edge_cloud_per_client);
+    EXPECT_EQ(x.edge_cloud_wins, y.edge_cloud_wins);
+  }
+  ASSERT_EQ(a.resilience_points.size(), b.resilience_points.size());
+  for (std::size_t i = 0; i < a.resilience_points.size(); ++i)
+    expect_points_identical(a.resilience_points[i].point,
+                            b.resilience_points[i].point);
+}
+
+bool ready(const std::future<Response>& response) {
+  return response.wait_for(std::chrono::seconds(0)) ==
+         std::future_status::ready;
+}
+
+/// Turns metrics on with every instrument at zero for one test and
+/// restores the previous toggle on exit.
+class ObsOn {
+ public:
+  ObsOn() : previous_(beesim::obs::enabled()) {
+    beesim::obs::set_enabled(true);
+    beesim::obs::register_catalog(beesim::obs::registry());
+    beesim::obs::registry().reset_values();
+  }
+  ~ObsOn() { beesim::obs::set_enabled(previous_); }
+  ObsOn(const ObsOn&) = delete;
+  ObsOn& operator=(const ObsOn&) = delete;
+
+ private:
+  bool previous_;
+};
 
 SimulationService::Config manual_config() {
   SimulationService::Config config;
@@ -422,6 +488,7 @@ TEST(SimulationService, CacheDisabledStillCorrect) {
   auto first = service.submit(sweep_request({250}));
   service.drain();
   auto second = service.submit(sweep_request({250}));
+  EXPECT_FALSE(ready(second.response));  // no cache: never answered at submit
   service.drain();
   const Response a = first.response.get();
   const Response b = second.response.get();
@@ -494,6 +561,184 @@ TEST(SimulationService, ConcurrentTenantsShareCacheAndBalanceLedger) {
   // entries exist, and far more hits than computes.
   EXPECT_EQ(service.cache_stats().entries, 2u);
   EXPECT_GT(service.cache_stats().hits, 0u);
+}
+
+TEST(SimulationService, SubmitAnswersFullyCachedRequestsOfEveryKind) {
+  for (const Request& request :
+       {sweep_request({100, 300}), what_if_request({100, 300}),
+        resilience_request({150, 350})}) {
+    SCOPED_TRACE(serve::to_string(request.kind));
+    SimulationService service(manual_config());
+    auto cold = service.submit(request);
+    ASSERT_EQ(cold.admission, Admission::kAdmitted);
+    EXPECT_FALSE(ready(cold.response));  // a miss waits for drain()
+    service.drain();
+    const Response cold_response = cold.response.get();
+    EXPECT_EQ(cold_response.points_from_cache, 0);
+
+    auto warm = service.submit(request);
+    ASSERT_EQ(warm.admission, Admission::kAdmitted);
+    ASSERT_TRUE(ready(warm.response));  // answered with no drain()
+    const auto ledger = service.ledger();
+    EXPECT_EQ(ledger.admitted, 2u);
+    EXPECT_EQ(ledger.completed, ledger.admitted);
+    EXPECT_EQ(ledger.in_flight(), 0);
+    const Response warm_response = warm.response.get();
+    EXPECT_EQ(warm_response.points_total, 2);
+    EXPECT_EQ(warm_response.points_from_cache, warm_response.points_total);
+    for (const auto& p : warm_response.sweep_points) EXPECT_TRUE(p.from_cache);
+    for (const auto& p : warm_response.what_if) EXPECT_TRUE(p.from_cache);
+    for (const auto& p : warm_response.resilience_points)
+      EXPECT_TRUE(p.from_cache);
+    expect_same_payload(warm_response, cold_response);
+  }
+}
+
+TEST(SimulationService, PartiallyCachedRequestGoesToTheWorker) {
+  SimulationService service(manual_config());
+  auto warmup = service.submit(sweep_request({100, 200}));
+  service.drain();
+  warmup.response.get();
+  const auto before = service.cache_stats();
+
+  // 100 is cached, 300 is not: submit() stops there and hands the whole
+  // request to the worker, counting nothing.
+  const std::vector<int> counts{100, 300, 200};
+  auto ticket = service.submit(sweep_request(counts));
+  ASSERT_EQ(ticket.admission, Admission::kAdmitted);
+  EXPECT_FALSE(ready(ticket.response));
+  const auto at_submit = service.cache_stats();
+  EXPECT_EQ(at_submit.hits, before.hits);
+  EXPECT_EQ(at_submit.misses, before.misses);
+  EXPECT_EQ(service.ledger().in_flight(), 1);
+
+  service.drain();
+  const Response response = ticket.response.get();
+  const auto direct =
+      core::LargeScaleSimulator(lossy_fleet()).sweep(counts, 7, 3, 1);
+  ASSERT_EQ(response.sweep_points.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i)
+    expect_points_identical(response.sweep_points[i].point, direct[i]);
+  EXPECT_TRUE(response.sweep_points[0].from_cache);
+  EXPECT_FALSE(response.sweep_points[1].from_cache);
+  EXPECT_TRUE(response.sweep_points[2].from_cache);
+  EXPECT_EQ(response.points_from_cache, 2);
+  const auto after = service.cache_stats();
+  EXPECT_EQ(after.hits, before.hits + 2);
+  EXPECT_EQ(after.misses, before.misses + 1);
+  expect_balanced_and_drained(service);
+}
+
+TEST(SimulationService, AnsweredRequestReservesInFlightButNoRingSlot) {
+  // A full ring does not stop a fully cached request...
+  SimulationService::Config config = manual_config();
+  config.queue_capacity = 2;
+  SimulationService service(config);
+  auto warmup = service.submit(sweep_request({100}));
+  service.drain();
+  warmup.response.get();
+  EXPECT_EQ(service.submit(sweep_request({201}, 1)).admission,
+            Admission::kAdmitted);
+  EXPECT_EQ(service.submit(sweep_request({202}, 1)).admission,
+            Admission::kAdmitted);
+  EXPECT_EQ(service.submit(sweep_request({203}, 1)).admission,
+            Admission::kRejectedQueueFull);
+  auto cached = service.submit(sweep_request({100}));
+  ASSERT_EQ(cached.admission, Admission::kAdmitted);
+  EXPECT_TRUE(ready(cached.response));
+  service.drain();
+  expect_balanced_and_drained(service);
+
+  // ...but the in-flight bound does.
+  config.queue_capacity = 1024;
+  config.max_in_flight = 1;
+  SimulationService bounded(config);
+  auto warm = bounded.submit(sweep_request({100}));
+  bounded.drain();
+  warm.response.get();
+  auto queued = bounded.submit(sweep_request({201}, 1));
+  ASSERT_EQ(queued.admission, Admission::kAdmitted);
+  EXPECT_EQ(bounded.submit(sweep_request({100})).admission,
+            Admission::kRejectedOverloaded);
+  bounded.drain();
+  auto after = bounded.submit(sweep_request({100}));
+  ASSERT_EQ(after.admission, Admission::kAdmitted);
+  EXPECT_TRUE(ready(after.response));
+  expect_balanced_and_drained(bounded);
+}
+
+TEST(SimulationService, ObsCountsEveryPointOnceOnBothRoutes) {
+  namespace m = beesim::obs::metric;
+  const ObsOn obs_on;
+  SimulationService service(manual_config());
+  auto cold = service.submit(sweep_request({100, 200}));  // worker: 2 misses
+  service.drain();
+  auto sweep = service.submit(sweep_request({100, 200}));  // submit: 2 hits
+  auto what_if = service.submit(what_if_request({200}));   // submit: 1 hit
+  // One worker batch of two: 200 hits, 300 misses, the second 300 is
+  // coalesced into the first one's compute.
+  auto partial = service.submit(sweep_request({200, 300}));
+  auto coalesced = service.submit(sweep_request({300}));
+  EXPECT_TRUE(ready(sweep.response));
+  EXPECT_TRUE(ready(what_if.response));
+  EXPECT_FALSE(ready(partial.response));
+  service.drain();
+  for (auto* ticket : {&cold, &sweep, &what_if, &partial, &coalesced})
+    ticket->response.get();
+
+  const auto snap = beesim::obs::registry().snapshot();
+  const auto counter = [&snap](const char* name) {
+    return snap.counters.at(name);
+  };
+  EXPECT_EQ(counter(m::kServeRequestsAnsweredAtSubmit), 2u);
+  EXPECT_EQ(counter(m::kServeRequestsAdmitted), 5u);
+  EXPECT_EQ(counter(m::kServeRequestsCompleted), 5u);
+  EXPECT_EQ(counter(m::kServePointsRequested), 8u);
+  EXPECT_EQ(counter(m::kServeCacheHits), 4u);
+  EXPECT_EQ(counter(m::kServeCacheMisses), 3u);
+  EXPECT_EQ(counter(m::kServePointsCoalesced), 1u);
+  EXPECT_EQ(counter(m::kServePointsComputed), 3u);
+  EXPECT_EQ(counter(m::kServePointsRequested),
+            counter(m::kServeCacheHits) + counter(m::kServeCacheMisses) +
+                counter(m::kServePointsCoalesced));
+  // The cache's own counters agree with the service's.
+  EXPECT_EQ(service.cache_stats().hits, 4u);
+  EXPECT_EQ(service.cache_stats().misses, 3u);
+  // Two worker batches, of one and two requests; answered requests are
+  // not batches.
+  const auto& width = snap.histograms.at(m::kServeBatchWidth);
+  EXPECT_EQ(width.count, 2u);
+  EXPECT_EQ(width.sum, 3.0);
+}
+
+TEST(SimulationService, EveryQueuedRequestWakesItsWorker) {
+  // Sequential round trips on one worker, each request a miss, so each
+  // push must wake a worker that has gone to sleep on an empty ring. The
+  // worker has no timed poll: a lost wake-up fails the bounded wait
+  // instead of hanging (shutdown() still drains the stranded request).
+  SimulationService::Config config;
+  config.workers = 1;
+  config.cache_capacity = 1024;
+  SimulationService service(config);
+  constexpr int kRoundTrips = 20000;
+  int stranded = 0, cached = 0;
+  for (int i = 0; i < kRoundTrips && stranded == 0; ++i) {
+    auto ticket = service.submit(
+        sweep_request({100}, 1, 1000 + static_cast<std::uint64_t>(i)));
+    ASSERT_EQ(ticket.admission, Admission::kAdmitted);
+    if (ticket.response.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      ++stranded;
+      continue;
+    }
+    cached += ticket.response.get().points_from_cache;
+  }
+  EXPECT_EQ(stranded, 0);
+  EXPECT_EQ(cached, 0);  // every request missed and took the worker path
+  service.shutdown();
+  expect_balanced_and_drained(service);
+  EXPECT_EQ(service.ledger().completed,
+            static_cast<std::uint64_t>(kRoundTrips));
 }
 
 TEST(PointCache, FirstWriterWinsAndCounts) {
@@ -728,4 +973,63 @@ TEST(PointCache, TtlAppliesToResiliencePoints) {
   EXPECT_FALSE(cache.lookup_resilience(key, &out));
   EXPECT_EQ(cache.stats().expirations, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(PointCache, TtlZeroNeverReadsTheClock) {
+  int reads = 0;
+  serve::PointCache cache(2, 0, /*ttl_seconds=*/0.0, [&reads] {
+    ++reads;
+    return 0.0;
+  });
+  core::SweepPoint sweep;
+  core::ResiliencePoint resilience;
+  for (int i = 0; i < 8; ++i) {
+    const serve::PointKey key{core::Hash128{static_cast<std::uint64_t>(i), 1},
+                              i};
+    cache.insert_sweep(key, sweep);
+    cache.insert_resilience(key, resilience);
+    EXPECT_TRUE(cache.lookup_sweep(key, &sweep));
+    EXPECT_TRUE(cache.lookup_resilience(key, &resilience));
+    const serve::PointKey absent{core::Hash128{99, 99}, i};
+    EXPECT_FALSE(cache.lookup_sweep(absent, &sweep));
+  }
+  EXPECT_EQ(reads, 0);
+}
+
+TEST(PointCache, ExpiredEntryFallsThroughAndRecomputesBitIdentically) {
+  // The service's two lookups in their order: submit()'s uncounted peek
+  // finds the stale entry, expires it and falls through; the worker's
+  // counted lookup then misses, and the recompute reproduces the expired
+  // bytes. One expiration in all.
+  const core::LargeScaleSimulator sim(lossy_fleet());
+  const core::SweepPoint first = sim.sweep({120}, 5, 4, 1)[0];
+  double now = 0.0;
+  serve::PointCache cache(1, 8, /*ttl_seconds=*/10.0, [&now] { return now; });
+  const serve::PointKey key{core::Hash128{7, 9}, 120};
+  core::SweepPoint out;
+  EXPECT_FALSE(cache.peek(key, &out));
+  cache.insert_sweep(key, first);
+  core::ResiliencePoint other_kind;
+  EXPECT_FALSE(cache.peek(key, &other_kind));
+  ASSERT_TRUE(cache.peek(key, &out));
+  expect_points_identical(out, first);
+
+  now = 10.0;
+  EXPECT_FALSE(cache.peek(key, &out));
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.expirations, 1u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits, 0u);  // no peek, found or not, is counted
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_FALSE(cache.lookup_sweep(key, &out));
+  stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.expirations, 1u);
+
+  const core::SweepPoint recomputed = sim.sweep({120}, 5, 4, 1)[0];
+  expect_points_identical(recomputed, first);
+  cache.insert_sweep(key, recomputed);
+  ASSERT_TRUE(cache.peek(key, &out));
+  expect_points_identical(out, first);
+  EXPECT_EQ(cache.stats().expirations, 1u);
 }
