@@ -60,8 +60,9 @@
 #               serving throughput (serving.*).
 #   --sanitize  configure a second build tree (<build-dir>-san) with
 #               -DBEESIM_SANITIZE=address,undefined and run the
-#               sim/fault/net/checkpoint/simd/precision test binaries
-#               under ASan+UBSan; then a third tree (<build-dir>-tsan)
+#               sim/fault/net/checkpoint/simd/precision/placement-search,
+#               serving, core-simulation and obs test binaries under
+#               ASan+UBSan; then a third tree (<build-dir>-tsan)
 #               with -DBEESIM_SANITIZE=thread and run the task-pool and
 #               serving test binaries under ThreadSanitizer (the two
 #               suites that exercise the work-stealing executor and the
@@ -383,14 +384,16 @@ fi
 
 if [ "$run_sanitize" -eq 1 ]; then
   echo
-  echo "== sanitize (--sanitize): sim/fault/net tests under ASan+UBSan =="
+  echo "== sanitize (--sanitize): sim/fault/net/serve tests under ASan+UBSan =="
   cmake -B "$repo/$build-san" -S "$repo" \
     -DBEESIM_SANITIZE=address,undefined > /dev/null
   cmake --build "$repo/$build-san" -j \
     --target test_sim test_fault test_net test_checkpoint \
-             test_simd test_precision test_placement_search > /dev/null
+             test_simd test_precision test_placement_search \
+             test_serve test_core_simulation test_obs > /dev/null
   for t in test_sim test_fault test_net test_checkpoint \
-           test_simd test_precision test_placement_search; do
+           test_simd test_precision test_placement_search \
+           test_serve test_core_simulation test_obs; do
     if "$repo/$build-san/tests/$t" --gtest_brief=1 > "$tmp/$t.san.log" 2>&1
     then
       echo "  ok  $t clean under address,undefined"

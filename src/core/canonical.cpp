@@ -6,15 +6,6 @@
 namespace beesim::core {
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // Structure tags: one per hashed type, so a ClientSpec can never alias a
 // ServerSpec even if their field bytes happened to line up.
 enum : std::uint8_t {
@@ -40,30 +31,18 @@ std::string Hash128::to_string() const {
   return buf;
 }
 
-void CanonicalHasher::byte(std::uint8_t b) noexcept {
-  a_ = (a_ ^ b) * kFnvPrime;
-  b_ = splitmix64(b_ ^ b);
-}
-
-void CanonicalHasher::u64(std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void CanonicalHasher::f64(double v) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void CanonicalHasher::str(std::string_view s) noexcept {
-  u64(s.size());
-  bytes(s.data(), s.size());
-}
-
 void CanonicalHasher::bytes(const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) byte(p[i]);
+  const auto load_le = [](const unsigned char* q) {
+    std::uint64_t w = 0;
+    for (int i = 0; i < 8; ++i) w |= std::uint64_t{q[i]} << (8 * i);
+    return w;
+  };
+  for (; n >= 8; p += 8, n -= 8) append(load_le(p), 8);
+  if (n == 0) return;
+  unsigned char last[8] = {};
+  std::memcpy(last, p, n);
+  append(load_le(last), static_cast<unsigned>(n));
 }
 
 void hash_append(CanonicalHasher& h, const device::TaskSpec& task) {
@@ -112,7 +91,6 @@ void hash_append(CanonicalHasher& h, const FleetParams& params) {
   hash_append(h, params.server);
   h.i64(static_cast<std::int64_t>(params.policy));
   hash_append(h, params.loss);
-  h.boolean(params.compact_allocation);
 }
 
 void hash_append(CanonicalHasher& h, const fault::FaultWindow& window) {

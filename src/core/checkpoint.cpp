@@ -20,7 +20,12 @@ const char* to_string(CheckpointKind kind) noexcept {
 namespace {
 
 constexpr char kMagic[8] = {'B', 'E', 'E', 'S', 'I', 'M', 'C', 'K'};
-constexpr std::uint32_t kVersion = 1;
+// Version 2 stores scenario identities from the word-wise canonical
+// hasher (core/hash128.hpp). Version 1 stored byte-wise ones, which also
+// covered the since-removed FleetParams::compact_allocation, so no
+// version-1 params hash matches any scenario today.
+constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kByteWiseIdentityVersion = 1;
 constexpr std::size_t kHeaderBytes = 80;
 
 // Header field offsets (fixed little-endian layout; the format is a
@@ -248,6 +253,10 @@ LoadedFile open_checkpoint(const std::string& path) {
   if (std::memcmp(base + kOffMagic, kMagic, sizeof kMagic) != 0)
     reject(path, "not a checkpoint file (bad magic)");
   const std::uint32_t version = get_u32(base, kOffVersion);
+  if (version == kByteWiseIdentityVersion)
+    reject(path,
+           "version 1 predates the word-wise scenario identity of version "
+           "2, so it can match no current scenario — rerun the campaign");
   if (version != kVersion)
     reject(path, "unsupported version " + std::to_string(version));
   Header& h = loaded.header;

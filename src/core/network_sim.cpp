@@ -1,7 +1,9 @@
 #include "core/network_sim.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/catalog.hpp"
 
@@ -65,38 +67,78 @@ double SweepPoint::total_per_client_ci95() const noexcept {
          static_cast<double>(initial_clients);
 }
 
-LargeScaleSimulator::LargeScaleSimulator(FleetParams params)
-    : params_(std::move(params)), server_(params_.server) {
-  if (params_.loss.transfer_stretch)
-    server_.extra_transfer_per_client =
-        params_.loss.extra_transfer_per_client;
-  if (params_.client.period != server_.cycle)
-    throw std::invalid_argument(
-        "LargeScaleSimulator: client period and server cycle differ");
-  // Validate the geometry once (throws if a slot cannot fit).
-  (void)server_.slots_per_cycle();
+namespace {
+
+[[noreturn]] void reject(const char* why) {
+  throw std::invalid_argument(std::string("FleetParams: ") + why);
 }
 
-util::Joules LargeScaleSimulator::server_energy(
-    const Allocation::ServerLoad& load) const {
-  util::Seconds active_time = 0.0;
-  util::Joules active_energy = 0.0;
-  for (int k : load.slot_clients) {
-    if (k <= 0) continue;
-    active_time += server_.slot_duration(k);
-    active_energy += server_.slot_active_energy(k) *
-                     params_.loss.saturation_factor(k,
-                                                    server_.max_parallel);
-    if (obs::enabled() && params_.loss.saturates(k, server_.max_parallel)) {
-      static auto& saturated =
-          obs::registry().counter(obs::metric::kLossSaturatedSlots);
-      saturated.inc();
-    }
-  }
-  if (active_time > server_.cycle)
-    throw std::logic_error(
-        "LargeScaleSimulator: active slots exceed the cycle");
-  return server_.idle_power * (server_.cycle - active_time) + active_energy;
+bool finite_nonnegative(double v) noexcept {
+  return std::isfinite(v) && v >= 0.0;
+}
+
+/// params.server with loss model B's per-client transfer stretch folded
+/// in: the server every cycle is priced against.
+ServerSpec stretched_server(const FleetParams& params) {
+  ServerSpec server = params.server;
+  if (params.loss.transfer_stretch)
+    server.extra_transfer_per_client = params.loss.extra_transfer_per_client;
+  return server;
+}
+
+}  // namespace
+
+void validate(const FleetParams& params) {
+  const ClientSpec& client = params.client;
+  const ServerSpec& server = params.server;
+  const LossConfig& loss = params.loss;
+  if (!finite_nonnegative(client.sleep_power))
+    reject("client.sleep_power must be finite and >= 0");
+  if (!std::isfinite(client.period) || client.period <= 0.0)
+    reject("client.period must be finite and > 0");
+  for (const auto& task : client.actions)
+    if (!finite_nonnegative(task.duration) ||
+        !finite_nonnegative(task.power) ||
+        !finite_nonnegative(task.duration_stddev))
+      reject("client.actions durations and powers must be finite and >= 0");
+  if (client.active_time() > client.period)
+    reject("client.actions take longer than client.period");
+  if (server.cycle != client.period)
+    reject("server.cycle must equal client.period");
+  if (server.max_parallel < 1) reject("server.max_parallel must be >= 1");
+  if (!finite_nonnegative(server.idle_power) ||
+      !finite_nonnegative(server.receive_power) ||
+      !finite_nonnegative(server.process_power))
+    reject("server powers must be finite and >= 0");
+  if (!finite_nonnegative(server.receive_time) ||
+      !finite_nonnegative(server.process_time) ||
+      !finite_nonnegative(server.extra_transfer_per_client))
+    reject("server durations must be finite and >= 0");
+  if (params.policy != FillPolicy::kFillFirst &&
+      params.policy != FillPolicy::kBalanced &&
+      params.policy != FillPolicy::kRoundRobin)
+    reject("policy is not a FillPolicy");
+  if (loss.saturation_slack < 0) reject("loss.saturation_slack must be >= 0");
+  if (!finite_nonnegative(loss.saturation_penalty) ||
+      !finite_nonnegative(loss.extra_transfer_per_client) ||
+      !finite_nonnegative(loss.dropout_mean_fraction) ||
+      !finite_nonnegative(loss.dropout_stddev))
+    reject("loss parameters must be finite and >= 0");
+  // The full-slot geometry of the stretched server, as
+  // ServerSpec::slots_per_cycle computes it — without its obs counters,
+  // since admission calls this per request.
+  const double slot = stretched_server(params).planning_slot_duration();
+  if (slot <= 0.0) reject("a full slot must take time");
+  const double slots = server.cycle / slot;
+  if (slots < 1.0) reject("a full slot does not fit in server.cycle");
+  if (std::floor(slots) * static_cast<double>(server.max_parallel) >
+      static_cast<double>(std::numeric_limits<int>::max()))
+    reject("server capacity per cycle overflows int");
+}
+
+LargeScaleSimulator::LargeScaleSimulator(FleetParams params)
+    : params_(std::move(params)), server_(stretched_server(params_)) {
+  validate(params_);
 }
 
 util::Joules LargeScaleSimulator::server_energy(const CompactLayout& layout,
@@ -154,25 +196,16 @@ CycleResult LargeScaleSimulator::price_cycle(int clients, int lost,
   if (entry.surviving != surviving) {
     entry = {surviving, 0, 0, 0.0,
              static_cast<double>(surviving) * params_.client.cycle_energy()};
-    if (params_.compact_allocation) {
-      // Stack-resident columnar layout: the whole per-cycle allocation is
-      // a few fixed arrays, no heap traffic (the SoA fast path that
-      // bench/checkpoint_bench measures against the old vector form).
-      CompactLayout layout;
-      allocate_compact_into(surviving, server_, params_.policy, layout);
-      entry.servers_used = static_cast<int>(layout.servers_used());
-      entry.active_slots = static_cast<int>(layout.active_slots());
-      for (int c = 0; c < layout.class_count; ++c)
-        entry.cloud_energy +=
-            static_cast<double>(layout.servers[c]) * server_energy(layout, c);
-    } else {
-      const Allocation alloc = allocate(surviving, server_, params_.policy);
-      entry.servers_used = alloc.servers_used();
-      for (const auto& load : alloc.servers) {
-        entry.active_slots += load.active_slots();
-        entry.cloud_energy += server_energy(load);
-      }
-    }
+    // Stack-resident columnar layout: the whole per-cycle allocation is a
+    // few fixed arrays, no heap traffic (the SoA fast path that
+    // bench/checkpoint_bench measures against the old vector form).
+    CompactLayout layout;
+    allocate_compact_into(surviving, server_, params_.policy, layout);
+    entry.servers_used = static_cast<int>(layout.servers_used());
+    entry.active_slots = static_cast<int>(layout.active_slots());
+    for (int c = 0; c < layout.class_count; ++c)
+      entry.cloud_energy +=
+          static_cast<double>(layout.servers[c]) * server_energy(layout, c);
   }
   CycleResult result;
   result.initial_clients = clients;

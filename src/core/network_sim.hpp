@@ -21,12 +21,6 @@ struct FleetParams {
   ServerSpec server;
   FillPolicy policy = FillPolicy::kFillFirst;
   LossConfig loss;
-  /// When true (the default) each cycle allocates through the O(1)
-  /// occupancy-histogram fast path (allocate_compact); false forces the
-  /// materialized per-slot vector path. Both produce the same energy
-  /// accounting (equivalence-tested); the vector path exists for
-  /// cross-validation and stays O(servers × slots) per cycle.
-  bool compact_allocation = true;
 
   /// The paper's Section VI configuration: edge+cloud smart-beehive
   /// clients on a 5-minute cycle, cloud servers running the given queen
@@ -35,6 +29,16 @@ struct FleetParams {
                                    int max_parallel = 10,
                                    util::Seconds cycle = 300.0);
 };
+
+/// Throws std::invalid_argument naming the first field the fleet
+/// simulator cannot run: a client period that differs from the server
+/// cycle, max_parallel < 1, a non-finite or negative power, duration or
+/// loss parameter, a fill policy outside the enum, client actions longer
+/// than the period, or a full slot (loss model B folded in) that does not
+/// fit the cycle. LargeScaleSimulator's constructor and the serving
+/// layer's admission both call it, so a request the simulator would
+/// crash on is refused before it runs.
+void validate(const FleetParams& params);
 
 /// Outcome of one simulated wake-up cycle across the whole fleet.
 struct CycleResult {
@@ -160,11 +164,11 @@ class LargeScaleSimulator {
  private:
   /// The deterministic half of a cycle with `lost` of `clients` asleep.
   CycleResult price_cycle(int clients, int lost, CycleMemo* memo) const;
-  util::Joules server_energy(const Allocation::ServerLoad& load) const;
   /// Per-server energy of class `cls` of a flat columnar layout; the
   /// class multiplicity is read from the layout for exact metric
-  /// accounting. Arithmetic is band-for-band identical to the vector
-  /// path (equivalence-tested).
+  /// accounting. Agrees to rounding with pricing every slot of the
+  /// materialized allocate() vectors (the oracle in
+  /// tests/fleet_oracle.hpp).
   util::Joules server_energy(const CompactLayout& layout, int cls) const;
 
   FleetParams params_;

@@ -67,25 +67,36 @@ double ResiliencePoint::cloud_per_client() const noexcept {
              : 0.0;
 }
 
+void ResiliencePolicy::validate() const {
+  const auto finite_nonnegative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  if (!finite_nonnegative(buffer_bytes_per_client))
+    throw std::invalid_argument(
+        "ResiliencePolicy: buffer_bytes_per_client must be finite and >= 0");
+  if (!std::isfinite(upload_bytes_per_client) ||
+      upload_bytes_per_client <= 0.0)
+    throw std::invalid_argument(
+        "ResiliencePolicy: upload_bytes_per_client must be finite and > 0");
+  if (!finite_nonnegative(upload_energy_per_payload))
+    throw std::invalid_argument(
+        "ResiliencePolicy: upload_energy_per_payload must be finite and >= 0");
+  if (!finite_nonnegative(catchup_factor))
+    throw std::invalid_argument(
+        "ResiliencePolicy: catchup_factor must be finite and >= 0");
+  if (!finite_nonnegative(outage_loss_tolerance) ||
+      outage_loss_tolerance > 1.0)
+    throw std::invalid_argument(
+        "ResiliencePolicy: outage_loss_tolerance outside [0, 1]");
+  search.validate();
+  for (const auto& cls : classes) cls.validate();
+}
+
 ResilientFleet::ResilientFleet(FleetParams params, fault::FaultPlan plan,
                                ResiliencePolicy policy, ServiceModel service)
     : base_(std::move(params)), plan_(std::move(plan)), injector_(plan_),
       policy_(policy) {
-  if (policy_.buffer_bytes_per_client < 0.0)
-    throw std::invalid_argument("ResilientFleet: negative buffer bound");
-  if (policy_.upload_bytes_per_client <= 0.0)
-    throw std::invalid_argument("ResilientFleet: non-positive upload size");
-  if (policy_.upload_energy_per_payload < 0.0)
-    throw std::invalid_argument("ResilientFleet: negative upload energy");
-  if (policy_.catchup_factor < 0.0)
-    throw std::invalid_argument("ResilientFleet: negative catchup factor");
-  if (!std::isfinite(policy_.outage_loss_tolerance) ||
-      policy_.outage_loss_tolerance < 0.0 ||
-      policy_.outage_loss_tolerance > 1.0)
-    throw std::invalid_argument(
-        "ResilientFleet: outage_loss_tolerance outside [0, 1]");
-  policy_.search.validate();
-  for (const auto& cls : policy_.classes) cls.validate();
+  policy_.validate();
   edge_fallback_energy_ =
       ClientSpec::smart_beehive(Placement::kEdgeOnly, service,
                                 base_.params().client.period)

@@ -7,10 +7,9 @@
 namespace beesim::dsp {
 
 /// Selects between the optimized fast-path kernels and the naive
-/// reference implementations across the queen-detection substrate
-/// (mirrors `FleetParams::compact_allocation`: the slow kernels stay in
-/// the tree as executable documentation and as the oracle for the
-/// equivalence tests in tests/test_dsp_kernels.cpp).
+/// reference implementations across the queen-detection substrate (the
+/// slow kernels stay in the tree as executable documentation and as the
+/// oracle for the equivalence tests in tests/test_dsp_kernels.cpp).
 ///
 /// The switch is process-global and meant to be set once at startup
 /// (benches accept `kernels=fast|reference`); flipping it concurrently

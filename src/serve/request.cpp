@@ -1,5 +1,7 @@
 #include "serve/request.hpp"
 
+#include <stdexcept>
+
 namespace beesim::serve {
 namespace {
 
@@ -78,7 +80,25 @@ bool valid(const Request& request) noexcept {
   if (counts.empty() || request.cycles_per_point() < 1) return false;
   for (int n : counts)
     if (n < 1) return false;
-  return true;
+  const auto edge_service = [](core::ServiceModel s) {
+    return s == core::ServiceModel::kSvm || s == core::ServiceModel::kCnn;
+  };
+  try {
+    switch (request.kind) {
+      case RequestKind::kSweep:
+        core::validate(request.sweep.params);
+        return true;
+      case RequestKind::kWhatIf:
+        core::validate(request.what_if.params);
+        return edge_service(request.what_if.service);
+      case RequestKind::kResilience:
+        core::validate(request.resilience.params);
+        request.resilience.policy.validate();
+        return edge_service(request.resilience.service);
+    }
+  } catch (const std::invalid_argument&) {
+  }
+  return false;
 }
 
 core::Hash128 scenario_group(const Request& request) {

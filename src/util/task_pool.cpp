@@ -96,7 +96,8 @@ void participate(JobCtl* job) {
 
 struct TaskPool::Impl {
   /// Chase–Lev work-stealing deque of JobCtl pointers (Le et al.,
-  /// "Correct and Efficient Work-Stealing for Weak Memory Models"). The
+  /// "Correct and Efficient Work-Stealing for Weak Memory Models", in its
+  /// fence-free form: seq_cst operations on top_/bottom_). The
   /// owning worker pushes and pops at the bottom (LIFO, lock-free);
   /// thieves steal at the top (FIFO) racing through one CAS. Cells are
   /// atomics, so the owner/thief race on a cell is defined behavior and
@@ -118,16 +119,20 @@ struct TaskPool::Impl {
       }
       buf->cells[static_cast<std::size_t>(b & buf->mask)].store(
           job, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_release);
-      bottom_.store(b + 1, std::memory_order_relaxed);
+      // Publishes the cell (and the job it points to) to any thief that
+      // reads the new bottom.
+      bottom_.store(b + 1, std::memory_order_release);
     }
 
     bool pop(JobCtl*& out) {  // owner only
       const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
       Buffer* buf = buffer_.load(std::memory_order_relaxed);
-      bottom_.store(b, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      std::int64_t t = top_.load(std::memory_order_relaxed);
+      // The owner's bottom store and a thief's top load (and vice versa in
+      // steal) are seq_cst operations rather than relaxed ones behind
+      // standalone fences: the same total order, in a form
+      // ThreadSanitizer models (it does not model atomic_thread_fence).
+      bottom_.store(b, std::memory_order_seq_cst);
+      std::int64_t t = top_.load(std::memory_order_seq_cst);
       if (t > b) {  // empty: restore
         bottom_.store(b + 1, std::memory_order_relaxed);
         return false;
@@ -144,9 +149,8 @@ struct TaskPool::Impl {
     }
 
     bool steal(JobCtl*& out) {  // any thread
-      std::int64_t t = top_.load(std::memory_order_acquire);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      const std::int64_t b = bottom_.load(std::memory_order_acquire);
+      std::int64_t t = top_.load(std::memory_order_seq_cst);
+      const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
       if (t >= b) return false;
       Buffer* buf = buffer_.load(std::memory_order_acquire);
       out = buf->cells[static_cast<std::size_t>(t & buf->mask)].load(

@@ -8,7 +8,9 @@
 // RunningStats::add per statistic per cycle — and every production path
 // must equal it bit for bit. ResilientFleet::sweep is likewise
 // ResilienceColumns::start -> advance -> points(); its oracle runs each
-// point's run_point serially on the same streams.
+// point's run_point serially on the same streams. The simulator prices a
+// cycle on the compact occupancy layout only; vector_cycle is the
+// materialized per-slot pricing it is checked against.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/allocator.hpp"
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
 #include "util/rng.hpp"
@@ -23,9 +26,49 @@
 
 namespace beesim::oracle {
 
-inline std::vector<core::SweepPoint> reference_sweep(
-    const core::LargeScaleSimulator& sim, const std::vector<int>& counts,
-    std::uint64_t seed, int cycles_per_point) {
+/// One cycle with `lost` of `clients` asleep, priced the long way:
+/// allocate() materializes every server's per-slot vector, and each
+/// occupied slot adds its duration and its (saturation-scaled) active
+/// energy. Agrees with the simulator's compact pricing to rounding
+/// (slots × energy there, repeated addition here), not bitwise.
+inline core::CycleResult vector_cycle(const core::LargeScaleSimulator& sim,
+                                      int clients, int lost) {
+  const core::FleetParams& params = sim.params();
+  const core::ServerSpec& server = sim.effective_server();
+  const int surviving = clients - lost;
+  const core::Allocation alloc =
+      core::allocate(surviving, server, params.policy);
+  core::CycleResult r;
+  r.initial_clients = clients;
+  r.lost_clients = lost;
+  r.servers_used = alloc.servers_used();
+  for (const auto& load : alloc.servers) {
+    double active_time = 0.0;
+    double active_energy = 0.0;
+    for (int k : load.slot_clients) {
+      if (k <= 0) continue;
+      active_time += server.slot_duration(k);
+      active_energy += server.slot_active_energy(k) *
+                       params.loss.saturation_factor(k, server.max_parallel);
+    }
+    r.active_slots += load.active_slots();
+    r.cloud_energy +=
+        server.idle_power * (server.cycle - active_time) + active_energy;
+  }
+  r.edge_energy =
+      static_cast<double>(surviving) * params.client.cycle_energy() +
+      static_cast<double>(lost) * params.client.sleep_cycle_energy();
+  return r;
+}
+
+/// The per-point loop every sweep oracle shares: one
+/// Rng::for_stream(seed, n) per point and one RunningStats::add per
+/// statistic per cycle, with `cycle(n, rng)` producing each cycle.
+template <typename Cycle>
+std::vector<core::SweepPoint> accumulate_sweep(const std::vector<int>& counts,
+                                               std::uint64_t seed,
+                                               int cycles_per_point,
+                                               Cycle cycle) {
   std::vector<core::SweepPoint> out(counts.size());
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const int n = counts[i];
@@ -34,7 +77,7 @@ inline std::vector<core::SweepPoint> reference_sweep(
     point.initial_clients = n;
     point.cycles = cycles_per_point;
     for (int c = 0; c < cycles_per_point; ++c) {
-      const core::CycleResult r = sim.simulate_cycle(n, rng);
+      const core::CycleResult r = cycle(n, rng);
       point.servers_used = std::max(point.servers_used, r.servers_used);
       point.lost_clients.add(static_cast<double>(r.lost_clients));
       point.active_slots.add(static_cast<double>(r.active_slots));
@@ -44,6 +87,28 @@ inline std::vector<core::SweepPoint> reference_sweep(
     }
   }
   return out;
+}
+
+inline std::vector<core::SweepPoint> reference_sweep(
+    const core::LargeScaleSimulator& sim, const std::vector<int>& counts,
+    std::uint64_t seed, int cycles_per_point) {
+  return accumulate_sweep(counts, seed, cycles_per_point,
+                          [&](int n, util::Rng& rng) {
+                            return sim.simulate_cycle(n, rng);
+                          });
+}
+
+/// The scalar sweep with every cycle priced by vector_cycle. The loss C
+/// draw comes first, on the point's own stream, as in simulate_cycle, so
+/// both see the same surviving counts.
+inline std::vector<core::SweepPoint> vector_sweep(
+    const core::LargeScaleSimulator& sim, const std::vector<int>& counts,
+    std::uint64_t seed, int cycles_per_point) {
+  return accumulate_sweep(
+      counts, seed, cycles_per_point, [&](int n, util::Rng& rng) {
+        return vector_cycle(sim, n,
+                            sim.params().loss.draw_lost_clients(n, rng));
+      });
 }
 
 inline std::vector<core::ResiliencePoint> reference_resilient_sweep(

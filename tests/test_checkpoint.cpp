@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -233,7 +234,7 @@ TEST(Checkpoint, InspectReportsHeaderFields) {
   const std::string path = temp_path("ckpt_inspect.ck");
   core::save_checkpoint(path, columns, hash);
   const core::CheckpointInfo info = core::inspect_checkpoint(path);
-  EXPECT_EQ(info.version, 1u);
+  EXPECT_EQ(info.version, 2u);
   EXPECT_EQ(info.kind, core::CheckpointKind::kSweep);
   EXPECT_EQ(info.points, 3u);
   EXPECT_EQ(info.seed, 5u);
@@ -322,6 +323,32 @@ TEST_F(CheckpointCorruption, WrongKindIsRejected) {
   EXPECT_THROW(core::load_farm_checkpoint(path_), std::runtime_error);
 }
 
+TEST_F(CheckpointCorruption, VersionOneFileIsRefusedForItsIdentity) {
+  // Version 1 stored byte-wise scenario identities, which no current
+  // scenario can match: the refusal must say so, not report a params-hash
+  // mismatch. The version check precedes the checksum, so the rewritten
+  // file needs no re-sealing.
+  std::vector<char> old = image_;
+  const std::uint32_t v1 = 1;
+  std::memcpy(old.data() + 8, &v1, sizeof v1);
+  spit(path_, old);
+  const auto refusal = [](auto load) {
+    try {
+      load();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const std::string& why :
+       {refusal([&] { core::load_fleet_checkpoint(path_, hash_); }),
+        refusal([&] { core::inspect_checkpoint(path_); })}) {
+    EXPECT_NE(why.find("scenario identity"), std::string::npos) << why;
+    EXPECT_EQ(why.find("params hash"), std::string::npos) << why;
+    EXPECT_EQ(why.find("unsupported version"), std::string::npos) << why;
+  }
+}
+
 TEST_F(CheckpointCorruption, MissingFileIsRejected) {
   EXPECT_THROW(core::load_fleet_checkpoint(temp_path("no_such.ck"), hash_),
                std::runtime_error);
@@ -408,6 +435,15 @@ TEST_F(ResilienceCheckpoint, CampaignHashSeparatesPlansAndPolicies) {
       fleet_.base().params(), fleet_.plan(), tweaked);
   EXPECT_FALSE(base.hi == other.hi && base.lo == other.lo);
   EXPECT_FALSE(base.hi == third.hi && base.lo == third.lo);
+}
+
+TEST_F(ResilienceCheckpoint, CampaignHashIsPinned) {
+  // Golden value of the word-wise identity (see CanonicalHash.Golden* in
+  // tests/test_serve.cpp): moving it orphans every saved checkpoint.
+  EXPECT_EQ(core::resilience_campaign_hash(fleet_.base().params(),
+                                           fleet_.plan(), fleet_.policy())
+                .to_string(),
+            "e656c1ce29e016dc.b95e3734a8544364");
 }
 
 // ---- Farm columns -----------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/des_check.hpp"
 #include "core/fleet_columns.hpp"
@@ -365,12 +366,6 @@ TEST(MemoOracle, WideDropoutCollidesInTheTable) {
   expect_paths_match_oracle(fleet, counts, 400);
 }
 
-TEST(MemoOracle, VectorAllocationPathMatchesTheScalarSweep) {
-  core::FleetParams fleet = lossy(FillPolicy::kBalanced);
-  fleet.compact_allocation = false;
-  expect_paths_match_oracle(fleet, {50, 250, 999}, 100);
-}
-
 TEST(MemoOracle, MillionHivePointMatchesTheScalarSweep) {
   expect_paths_match_oracle(lossy(), {1000000}, 200);
 }
@@ -407,10 +402,11 @@ TEST(CycleMemo, RejectsAMemoBoundToAnotherSimulator) {
 
 // ----------------------------------- Compact vs vector allocation paths
 
-/// The scaling tentpole: a simulator on the O(1) histogram path must
-/// report the same fleet physics as one on the materialized per-slot
-/// path. Energies go through a different summation order (slots × E vs
-/// repeated addition), so they agree to rounding, not bitwise.
+/// The scaling tentpole: the simulator's O(1) histogram pricing must
+/// report the same fleet physics as pricing every slot of the
+/// materialized allocate() vectors (tests/fleet_oracle.hpp). Energies go
+/// through a different summation order (slots × E vs repeated addition),
+/// so they agree to rounding, not bitwise.
 class CompactPathEquivalence
     : public ::testing::TestWithParam<FillPolicy> {};
 
@@ -418,19 +414,15 @@ TEST_P(CompactPathEquivalence, MatchesVectorPathAcrossLossModels) {
   for (const auto& loss :
        {LossConfig::none(), LossConfig::only_saturation(),
         LossConfig::only_transfer_stretch(), LossConfig::all()}) {
-    core::FleetParams fast = core::FleetParams::paper_default();
-    fast.loss = loss;
-    fast.policy = GetParam();
-    fast.compact_allocation = true;
-    core::FleetParams slow = fast;
-    slow.compact_allocation = false;
-    core::LargeScaleSimulator fast_sim(fast);
-    core::LargeScaleSimulator slow_sim(slow);
-    const int cap = fast_sim.effective_server().capacity();
+    core::FleetParams fleet = core::FleetParams::paper_default();
+    fleet.loss = loss;
+    fleet.policy = GetParam();
+    core::LargeScaleSimulator sim(fleet);
+    const int cap = sim.effective_server().capacity();
     for (int n : {0, 1, 9, 10, 11, 90, cap - 1, cap, cap + 1, 2 * cap,
                   1000, 54321}) {
-      const auto a = fast_sim.simulate_ideal_cycle(n);
-      const auto b = slow_sim.simulate_ideal_cycle(n);
+      const auto a = sim.simulate_ideal_cycle(n);
+      const auto b = beesim::oracle::vector_cycle(sim, n, 0);
       SCOPED_TRACE(std::string("policy ") + core::to_string(GetParam()) +
                    " n=" + std::to_string(n));
       EXPECT_EQ(a.servers_used, b.servers_used);
@@ -443,18 +435,15 @@ TEST_P(CompactPathEquivalence, MatchesVectorPathAcrossLossModels) {
 }
 
 TEST_P(CompactPathEquivalence, MatchesVectorPathUnderDropout) {
-  // With dropout the two paths must also see the same RNG draws: the
-  // loss draw happens before allocation, so identical seeds give
-  // identical surviving counts on both paths.
-  core::FleetParams fast = core::FleetParams::paper_default();
-  fast.loss = LossConfig::all();
-  fast.policy = GetParam();
-  core::FleetParams slow = fast;
-  slow.compact_allocation = false;
-  core::LargeScaleSimulator fast_sim(fast);
-  core::LargeScaleSimulator slow_sim(slow);
-  const auto a = fast_sim.sweep({50, 250, 999}, 13, 4);
-  const auto b = slow_sim.sweep({50, 250, 999}, 13, 4);
+  // With dropout both must also see the same RNG draws: the loss draw
+  // happens before allocation, so identical seeds give identical
+  // surviving counts on both paths.
+  core::FleetParams fleet = core::FleetParams::paper_default();
+  fleet.loss = LossConfig::all();
+  fleet.policy = GetParam();
+  core::LargeScaleSimulator sim(fleet);
+  const auto a = sim.sweep({50, 250, 999}, 13, 4);
+  const auto b = beesim::oracle::vector_sweep(sim, {50, 250, 999}, 13, 4);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].servers_used, b[i].servers_used);
@@ -486,6 +475,54 @@ TEST(Simulation, MismatchedPeriodsRejected) {
   core::FleetParams fleet = core::FleetParams::paper_default();
   fleet.client.period = 600.0;
   EXPECT_THROW(core::LargeScaleSimulator{fleet}, std::invalid_argument);
+}
+
+TEST(Simulation, ParamsTheCycleCannotRunAreRejectedAtConstruction) {
+  const auto rejected = [](void (*edit)(core::FleetParams&)) {
+    core::FleetParams fleet = core::FleetParams::paper_default();
+    fleet.loss = LossConfig::all();
+    edit(fleet);
+    try {
+      const core::LargeScaleSimulator sim(fleet);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(rejected([](core::FleetParams&) {}));
+  // The allocator divides by max_parallel: 0 used to trap on the first
+  // cycle (SIGFPE), which no catch can stop.
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.server.max_parallel = 0;
+  }));
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.server.max_parallel = -3;
+  }));
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.client.sleep_power = std::nan("");
+  }));
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.server.idle_power = -1.0;
+  }));
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.server.receive_time = std::numeric_limits<double>::infinity();
+  }));
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.loss.dropout_stddev = -2.0;
+  }));
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.loss.saturation_slack = -1;
+  }));
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.policy = static_cast<FillPolicy>(7);
+  }));
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.client.actions.front().duration = 1e6;  // longer than the period
+  }));
+  // Loss model B stretches a full slot past the 300 s cycle.
+  EXPECT_TRUE(rejected([](core::FleetParams& p) {
+    p.loss.extra_transfer_per_client = 100.0;
+  }));
 }
 
 // --------------------------------- Analytic vs event-driven cross-validation

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "serve/mpsc_queue.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
+#include "util/rng.hpp"
 
 namespace core = beesim::core;
 namespace fault = beesim::fault;
@@ -191,10 +193,6 @@ TEST(CanonicalHash, EveryFieldPerturbsTheHash) {
   p = lossy_fleet();
   p.loss.dropout_mean_fraction += 1e-12;
   EXPECT_NE(core::canonical_hash(p), base);
-
-  p = lossy_fleet();
-  p.compact_allocation = !p.compact_allocation;
-  EXPECT_NE(core::canonical_hash(p), base);
 }
 
 TEST(CanonicalHash, DistinguishesSignedZero) {
@@ -211,6 +209,112 @@ TEST(CanonicalHash, TagPreventsFieldAliasing) {
   two.str("a");
   two.str("b");
   EXPECT_NE(one.digest(), two.digest());
+}
+
+// The word-wise identity, pinned: any change to the serialization or to
+// the fold moves these digests, and with them every cache key and
+// checkpoint params hash — which is a checkpoint version bump, never a
+// silent edit.
+TEST(CanonicalHash, GoldenDigestsPinTheIdentity) {
+  EXPECT_EQ(core::CanonicalHasher{}.digest().to_string(),
+            "1df2044a5d6c89fd.46b73e79f0c37c00");
+
+  // bytes() over the first n of 0xa0, 0xa1, ...: empty, partial tails,
+  // one full word, and a word plus partial tails.
+  const char* const kPrefixDigests[] = {
+      "1df2044a5d6c89fd.46b73e79f0c37c00",  // 0
+      "f956a6826841026d.4471604e93b7370e",  // 1
+      "80f97eda0f62cf83.70cee970a8215a99",  // 2
+      "14c363faf97c5b5b.dd24b27524e8184d",  // 3
+      "ccc6638a62066dbe.09fdf03a8e0a31bd",  // 4
+      "e3c417690f0a603c.c6bfba6e5290bafd",  // 5
+      "93f916a0e83fbf82.7eba5e9c9676c0d5",  // 6
+      "d559ce257b63fbca.4ecf66d9add6e164",  // 7
+      "61fc1cca80795b6c.04923ff478816a95",  // 8
+      "60ffe19bcc25dbb4.5a0fce947df48b25",  // 9
+      "a43b3fd977807799.f4347bd74863033c",  // 10
+      "c12e0a7927f1160b.02f398c675b497d1",  // 11
+      "28d06751409317e6.77a597284894cf73",  // 12
+      "3b3a5f418ef08c1f.04b54d9e482a1352",  // 13
+      "b87dcd76e71826e7.9db0682bfaba8044",  // 14
+      "f9c5a201e977fcc5.bac3eb67e2569284",  // 15
+      "bf7aafbe9342073a.4994a845b897acdb",  // 16
+      "f548e3d33f8abd2a.75006a1343c71396",  // 17
+  };
+  unsigned char stream[17];
+  for (int i = 0; i < 17; ++i) stream[i] = static_cast<unsigned char>(0xa0 + i);
+  for (std::size_t n = 0; n <= 17; ++n) {
+    core::CanonicalHasher h;
+    h.bytes(stream, n);
+    EXPECT_EQ(h.digest().to_string(), kPrefixDigests[n]) << n << " bytes";
+  }
+
+  core::FleetParams paper = core::FleetParams::paper_default();
+  paper.loss = core::LossConfig::none();
+  EXPECT_EQ(core::canonical_hash(paper).to_string(),
+            "18b52f984f535267.4c64439faf3e3a50");
+  paper.loss = core::LossConfig::all();
+  EXPECT_EQ(core::canonical_hash(paper).to_string(),
+            "da1951ae100e7b6b.072b4d166a520af2");
+
+  EXPECT_EQ(serve::scenario_group(sweep_request({100})).to_string(),
+            "a496e38aab4a753a.2d779497295fbc5a");
+  EXPECT_EQ(serve::scenario_group(resilience_request({100})).to_string(),
+            "07528b0ddb0b9224.cc3b01e90fdd5673");
+}
+
+TEST(CanonicalHash, DigestIgnoresHowCallsCutTheStream) {
+  // Random byte strings fed once through one bytes() call and once cut at
+  // random points into tag / u64 / bytes calls: every cut must land on
+  // the same digest. This walks every partial-word offset of the tail
+  // shifting, including the carry-nothing case a `>> 64` would break.
+  beesim::util::Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 64));
+    std::vector<unsigned char> stream(n);
+    for (auto& b : stream)
+      b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+    core::CanonicalHasher whole;
+    whole.bytes(stream.data(), n);
+
+    core::CanonicalHasher cut;
+    std::size_t at = 0;
+    while (at < n) {
+      const std::size_t left = n - at;
+      const auto call = rng.uniform_int(0, 2);
+      if (call == 0) {
+        cut.tag(stream[at]);
+        at += 1;
+      } else if (call == 1 && left >= 8) {
+        std::uint64_t word = 0;
+        for (int i = 0; i < 8; ++i)
+          word |= std::uint64_t{stream[at + static_cast<std::size_t>(i)]}
+                  << (8 * i);
+        cut.u64(word);
+        at += 8;
+      } else {
+        const auto len = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(left)));
+        cut.bytes(stream.data() + at, len);
+        at += len;
+      }
+    }
+    ASSERT_EQ(cut.digest().to_string(), whole.digest().to_string())
+        << "trial " << trial << ", " << n << " bytes";
+  }
+}
+
+TEST(CanonicalHash, TrailingZeroBytesMoveTheDigest) {
+  // The zero-padded tail word alone cannot tell "ab" from "ab\0"; the
+  // byte count folded into the digest does.
+  const unsigned char bytes[9] = {'a', 'b'};
+  core::Hash128 previous = core::CanonicalHasher{}.digest();
+  for (std::size_t n = 1; n <= 9; ++n) {
+    core::CanonicalHasher h;
+    h.bytes(bytes, n);
+    EXPECT_NE(h.digest(), previous) << n << " bytes";
+    previous = h.digest();
+  }
 }
 
 // ------------------------------------------------------------ scenario group
@@ -432,6 +536,75 @@ TEST(SimulationService, InvalidRequestsRejectTyped) {
   service.drain();
   expect_balanced_and_drained(service);
   EXPECT_EQ(service.ledger().rejected, 3u);
+}
+
+TEST(SimulationService, ParamsTheSimulatorsCannotRunAreRejectedAtAdmission) {
+  // Each of these used to be admitted and then take the whole process
+  // down on a worker: max_parallel = 0 divides by zero in the allocator
+  // (SIGFPE), and the others throw out of process_batch, which
+  // terminates a threaded service.
+  SimulationService::Config config;
+  config.workers = 1;
+  SimulationService service(config);
+
+  std::vector<Request> bad;
+  const auto bad_sweep = [&](void (*edit)(core::FleetParams&)) {
+    Request r = sweep_request({100});
+    edit(r.sweep.params);
+    bad.push_back(std::move(r));
+  };
+  bad_sweep([](core::FleetParams& p) { p.server.max_parallel = 0; });
+  bad_sweep([](core::FleetParams& p) { p.server.max_parallel = -3; });
+  bad_sweep([](core::FleetParams& p) { p.server.cycle = 600.0; });
+  bad_sweep([](core::FleetParams& p) { p.client.sleep_power = std::nan(""); });
+  bad_sweep([](core::FleetParams& p) { p.server.process_time = 400.0; });
+  {
+    Request r = what_if_request({100});
+    r.what_if.params.server.max_parallel = 0;
+    bad.push_back(std::move(r));
+  }
+  {
+    Request r = what_if_request({100});
+    r.what_if.service = core::ServiceModel::kNone;
+    bad.push_back(std::move(r));
+  }
+  {
+    Request r = resilience_request({100});
+    r.resilience.params.server.max_parallel = 0;
+    bad.push_back(std::move(r));
+  }
+  {
+    Request r = resilience_request({100});
+    r.resilience.policy.upload_bytes_per_client = 0.0;
+    bad.push_back(std::move(r));
+  }
+  {
+    Request r = resilience_request({100});
+    r.resilience.service = core::ServiceModel::kNone;
+    bad.push_back(std::move(r));
+  }
+  const auto rejected = bad.size();
+  for (auto& request : bad) {
+    auto ticket = service.submit(std::move(request));
+    EXPECT_EQ(ticket.admission, Admission::kRejectedInvalid);
+    EXPECT_FALSE(ticket.response.valid());
+  }
+
+  // The service is still up: a valid request is answered by the worker.
+  auto good = service.submit(sweep_request({100}));
+  ASSERT_EQ(good.admission, Admission::kAdmitted);
+  ASSERT_EQ(good.response.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  const Response response = good.response.get();
+  const auto direct =
+      core::LargeScaleSimulator(lossy_fleet()).sweep({100}, 7, 3, 1);
+  ASSERT_EQ(response.sweep_points.size(), 1u);
+  expect_points_identical(response.sweep_points[0].point, direct[0]);
+
+  service.shutdown();
+  expect_balanced_and_drained(service);
+  EXPECT_EQ(service.ledger().rejected, rejected);
+  EXPECT_EQ(service.ledger().completed, 1u);
 }
 
 TEST(SimulationService, QueueFullRejectsTyped) {
