@@ -13,8 +13,10 @@
 #    (docs/ARCHITECTURE.md "Runtime CPU dispatch").
 # 3. Resilience anchors: with an empty FaultPlan the fig6/fig8/fig9
 #    benches must be byte-identical to the committed scripts/anchors/
-#    outputs (the fault layer costs nothing until scheduled), and the
-#    resilience sweep itself must be thread-count invariant.
+#    outputs (the fault layer costs nothing until scheduled), the
+#    resilience sweep itself must be thread-count invariant, and faulted
+#    resilience sweeps (kind = mix, brownout, degraded, battery, sensor
+#    at outage rate 0.2) must reproduce scripts/anchors/resilience_*.csv.
 # 4. DES anchors: the fig2 farm run must be byte-identical to
 #    scripts/anchors/fig2.txt for threads=1 and threads=4 (the pool
 #    engine + parallel apiary must not move a single digit).
@@ -191,6 +193,18 @@ else
   diff "$tmp/res1.csv" "$tmp/res4.csv" || true
   fail=1
 fi
+
+echo
+echo "== resilience_sweep: faulted sweeps byte-identical to anchors =="
+# One plan per fault kind. The anchors were written by the memo-free
+# scalar resilient loop, so a change to the per-point loop cannot move
+# both sides of the thread-count comparison above unnoticed.
+for kind in mix brownout degraded battery sensor; do
+  "$repo/$build/bench/resilience_sweep" lo=10 hi=2010 step=400 cycles=300 \
+    rates=0.2 kind="$kind" threads=4 csv="$tmp/res_$kind.csv" > /dev/null
+  check_anchor "resilience_sweep kind=$kind" \
+    "$repo/scripts/anchors/resilience_$kind.csv" "$tmp/res_$kind.csv"
+done
 
 echo
 echo "== fig2 farm: byte-identical to anchor for any thread count =="

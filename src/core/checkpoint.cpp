@@ -1,7 +1,11 @@
 #include "core/checkpoint.hpp"
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "obs/catalog.hpp"
 #include "util/mmap.hpp"
@@ -185,12 +189,22 @@ struct Header {
   std::uint64_t payload_bytes = 0;
 };
 
-/// Maps `path`, sizes it for `payload_bytes`, and writes the header; the
-/// caller fills the payload and then calls seal() to stamp the checksum.
+/// Maps `<path>.tmp.<pid>`, sizes it for `payload_bytes`, and writes the
+/// header; the caller fills the payload and then calls seal() to stamp
+/// the checksum and move the file over `path`. Until seal() returns the
+/// previous file at `path` is untouched, so a save that crashes or throws
+/// never costs the last good checkpoint; an unsealed builder unlinks its
+/// temporary file.
 class FileBuilder {
  public:
   FileBuilder(const std::string& path, const Header& h)
-      : file_(util::MappedFile::create(path, kHeaderBytes + h.payload_bytes)) {
+      : path_(path), temp_(path + ".tmp." + std::to_string(::getpid())) {
+    try {
+      file_ = util::MappedFile::create(temp_, kHeaderBytes + h.payload_bytes);
+    } catch (...) {
+      std::remove(temp_.c_str());
+      throw;
+    }
     std::uint8_t* base = file_.mutable_data();
     std::memcpy(base + kOffMagic, kMagic, sizeof kMagic);
     put_u32(base, kOffVersion, kVersion);
@@ -222,11 +236,25 @@ class FileBuilder {
       saves.inc();
       bytes.inc(file_.size());
     }
-    file_.reset();  // unmap flushes the dirty pages to the file
+    file_.reset();
+    util::replace_file(temp_, path_);
+    sealed_ = true;
   }
 
+  ~FileBuilder() {
+    if (sealed_) return;
+    file_.reset();
+    std::remove(temp_.c_str());
+  }
+
+  FileBuilder(const FileBuilder&) = delete;
+  FileBuilder& operator=(const FileBuilder&) = delete;
+
  private:
+  std::string path_;
+  std::string temp_;
   util::MappedFile file_;
+  bool sealed_ = false;
 };
 
 /// Maps `path` and validates everything shared between kinds: magic,

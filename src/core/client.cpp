@@ -1,5 +1,7 @@
 #include "core/client.hpp"
 
+#include <array>
+#include <cstddef>
 #include <stdexcept>
 
 #include "device/calibration.hpp"
@@ -24,6 +26,28 @@ util::Joules ClientSpec::cycle_energy() const {
       obs::registry().counter(obs::metric::kClientCycleEvaluations);
   evaluations.inc();
   return active_energy() + sleep_power * (period - active);
+}
+
+void validate_edge_only(ServiceModel service, util::Seconds period) {
+  // The routine depends on the model, not on the period, and building
+  // its spec builds a task list: time each model's routine once.
+  static const std::array<util::Seconds, 3> active_times = [] {
+    std::array<util::Seconds, 3> out{};
+    for (std::size_t m = 0; m < out.size(); ++m)
+      out[m] = ClientSpec::smart_beehive(Placement::kEdgeOnly,
+                                         static_cast<ServiceModel>(m))
+                   .active_time();
+    return out;
+  }();
+  const auto m = static_cast<std::size_t>(service);
+  const util::Seconds active =
+      m < active_times.size()
+          ? active_times[m]
+          : ClientSpec::smart_beehive(Placement::kEdgeOnly, service)
+                .active_time();
+  if (active > period)
+    throw std::invalid_argument(
+        "ClientSpec: the edge-only routine takes longer than the period");
 }
 
 ClientSpec ClientSpec::smart_beehive(Placement placement,

@@ -31,4 +31,11 @@ struct ClientSpec {
                                   util::Seconds period = 300.0);
 };
 
+/// Throws std::invalid_argument when the edge-only smart beehive of
+/// `service` cannot run a `period`-second cycle: its routine is longer
+/// than the period, so its cycle_energy() would throw. What-if admission
+/// (whose verdict prices this client) and ResilientFleet::validate (whose
+/// edge fallback does) both call it.
+void validate_edge_only(ServiceModel service, util::Seconds period);
+
 }  // namespace beesim::core

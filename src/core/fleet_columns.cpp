@@ -56,6 +56,28 @@ void StatColumns::set(std::size_t i, const util::RunningStats& s) {
   max[i] = raw.max;
 }
 
+util::RunningStats welford_lane(const dsp::Welford5& st, int lane) {
+  util::RunningStats::Raw raw;
+  raw.n = st.n;
+  raw.mean = st.mean[lane];
+  raw.m2 = st.m2[lane];
+  raw.sum = st.sum[lane];
+  raw.min = st.min[lane];
+  raw.max = st.max[lane];
+  return util::RunningStats::from_raw(raw);
+}
+
+void set_welford_lane(dsp::Welford5& st, int lane,
+                      const util::RunningStats& stats) {
+  const util::RunningStats::Raw raw = stats.raw();
+  st.n = raw.n;
+  st.mean[lane] = raw.mean;
+  st.m2[lane] = raw.m2;
+  st.sum[lane] = raw.sum;
+  st.min[lane] = raw.min;
+  st.max[lane] = raw.max;
+}
+
 // ----------------------------------------------------------- FleetColumns
 
 FleetColumns FleetColumns::start(const std::vector<int>& client_counts,
@@ -238,55 +260,23 @@ bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
         CycleMemo memo(*this);
         const int n = columns.clients[i];
         int servers = columns.servers_used[i];
-        // Run the budget through the dispatched five-lane Welford kernel:
-        // every statistic sees every cycle, so all five share one n and
-        // advance in lockstep. Cycle results are buffered in chunks and
-        // batch-added — the stat updates draw no RNG, so deferring them
-        // past simulate_cycle is pure reordering, and the kernel applies
-        // the exact RunningStats::add recurrence per sample per lane
-        // under every tier. Net result: bit-identical to the old
-        // add-per-cycle loop (tested in tests/test_simd.cpp).
+        // Every statistic sees every cycle, so all five share one n and
+        // advance in lockstep through the shared chunked Welford loop.
         StatColumns* cols[5] = {&columns.lost_clients, &columns.active_slots,
                                 &columns.edge_energy, &columns.cloud_energy,
                                 &columns.total_energy};
         dsp::Welford5 st;
-        st.n = columns.lost_clients.n[i];
-        for (int l = 0; l < 5; ++l) {
-          st.mean[l] = cols[l]->mean[i];
-          st.m2[l] = cols[l]->m2[i];
-          st.sum[l] = cols[l]->sum[i];
-          st.min[l] = cols[l]->min[i];
-          st.max[l] = cols[l]->max[i];
-        }
-        const dsp::KernelTable& kernels = dsp::kernel_table();
-        constexpr int kChunk = 128;
-        double buf[kChunk * 5];
-        int filled = 0;
-        for (int c = 0; c < budget; ++c) {
+        for (int l = 0; l < 5; ++l) set_welford_lane(st, l, cols[l]->stats(i));
+        accumulate_cycles(st, budget, [&](int, double* row) {
           const CycleResult r = simulate_cycle(n, rng, &memo);
           servers = std::max(servers, r.servers_used);
-          double* row = buf + filled * 5;
           row[0] = static_cast<double>(r.lost_clients);
           row[1] = static_cast<double>(r.active_slots);
           row[2] = r.edge_energy;
           row[3] = r.cloud_energy;
           row[4] = r.edge_energy + r.cloud_energy;
-          if (++filled == kChunk) {
-            kernels.welford5_add(&st, buf, kChunk);
-            filled = 0;
-          }
-        }
-        if (filled > 0)
-          kernels.welford5_add(&st, buf,
-                               static_cast<std::size_t>(filled));
-        for (int l = 0; l < 5; ++l) {
-          cols[l]->n[i] = st.n;
-          cols[l]->mean[i] = st.mean[l];
-          cols[l]->m2[i] = st.m2[l];
-          cols[l]->sum[i] = st.sum[l];
-          cols[l]->min[i] = st.min[l];
-          cols[l]->max[i] = st.max[l];
-        }
+        });
+        for (int l = 0; l < 5; ++l) cols[l]->set(i, welford_lane(st, l));
         columns.servers_used[i] = servers;
         columns.cycles_done[i] = done + budget;
         columns.set_rng_state(i, rng.state());

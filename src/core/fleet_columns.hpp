@@ -6,6 +6,7 @@
 
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
+#include "dsp/simd_kernels.hpp"
 #include "hive/farm.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -40,6 +41,38 @@ struct StatColumns {
 
   std::size_t size() const noexcept { return n.size(); }
 };
+
+/// The cycle loop both sweeps share (LargeScaleSimulator::advance and
+/// ResilientFleet::run_point): `cycle(c, row)` runs cycle c of `cycles`
+/// and writes its statistics into a five-lane row, and the rows fold
+/// into `st` through dsp::kernel_table().welford5_add in 128-row chunks.
+/// The statistics draw no RNG, so deferring them past the cycle is pure
+/// reordering, and the kernel applies the exact RunningStats::add
+/// recurrence per sample per lane under every tier: bit-identical to one
+/// add per statistic per cycle (tests/test_simd.cpp, and the scalar
+/// oracles in tests/fleet_oracle.hpp).
+template <typename Cycle>
+void accumulate_cycles(dsp::Welford5& st, int cycles, Cycle&& cycle) {
+  const dsp::KernelTable& kernels = dsp::kernel_table();
+  constexpr int kChunk = 128;
+  double buf[kChunk * 5];
+  int filled = 0;
+  for (int c = 0; c < cycles; ++c) {
+    cycle(c, buf + filled * 5);
+    if (++filled == kChunk) {
+      kernels.welford5_add(&st, buf, kChunk);
+      filled = 0;
+    }
+  }
+  if (filled > 0)
+    kernels.welford5_add(&st, buf, static_cast<std::size_t>(filled));
+}
+
+/// Lane `lane` of `st` as a RunningStats, and the reverse (exact
+/// representation transfers; every lane shares `st.n`).
+util::RunningStats welford_lane(const dsp::Welford5& st, int lane);
+void set_welford_lane(dsp::Welford5& st, int lane,
+                      const util::RunningStats& stats);
 
 /// Columnar campaign state of one LargeScaleSimulator sweep — the SoA
 /// ("structure of arrays") counterpart of std::vector<SweepPoint>. Every

@@ -167,21 +167,27 @@ util::Joules LargeScaleSimulator::server_energy(const CompactLayout& layout,
   return server_.idle_power * (server_.cycle - active_time) + active_energy;
 }
 
+CycleMemo* LargeScaleSimulator::usable(CycleMemo* memo) const {
+  if (memo != nullptr && memo->sim_ != this)
+    throw std::invalid_argument(
+        "simulate_cycle: memo bound to another simulator");
+  return obs::enabled() ? nullptr : memo;
+}
+
 CycleResult LargeScaleSimulator::simulate_cycle(int clients, util::Rng& rng,
                                                 CycleMemo* memo) const {
   if (clients < 0)
     throw std::invalid_argument("simulate_cycle: negative clients");
-  if (memo != nullptr && memo->sim_ != this)
-    throw std::invalid_argument(
-        "simulate_cycle: memo bound to another simulator");
+  CycleMemo* const table = usable(memo);
   const int lost = params_.loss.draw_lost_clients(clients, rng);
-  return price_cycle(clients, lost, obs::enabled() ? nullptr : memo);
+  return price_cycle(clients, lost, table);
 }
 
-CycleResult LargeScaleSimulator::simulate_ideal_cycle(int clients) const {
+CycleResult LargeScaleSimulator::simulate_ideal_cycle(int clients,
+                                                      CycleMemo* memo) const {
   if (clients < 0)
     throw std::invalid_argument("simulate_cycle: negative clients");
-  return price_cycle(clients, 0, nullptr);
+  return price_cycle(clients, 0, usable(memo));
 }
 
 CycleResult LargeScaleSimulator::price_cycle(int clients, int lost,

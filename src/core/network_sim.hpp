@@ -126,8 +126,11 @@ class LargeScaleSimulator {
                              CycleMemo* memo = nullptr) const;
 
   /// One cycle without any stochastic loss (ignores loss model C): the
-  /// deterministic half of simulate_cycle at zero lost clients.
-  CycleResult simulate_ideal_cycle(int clients) const;
+  /// deterministic half of simulate_cycle at zero lost clients, which is
+  /// `memo`'s entry for `clients` survivors. The memo rule is
+  /// simulate_cycle's.
+  CycleResult simulate_ideal_cycle(int clients,
+                                   CycleMemo* memo = nullptr) const;
 
   /// Sweeps a range of fleet sizes; each point runs `cycles_per_point`
   /// cycles and accumulates statistics (loss C makes single cycles
@@ -164,6 +167,9 @@ class LargeScaleSimulator {
  private:
   /// The deterministic half of a cycle with `lost` of `clients` asleep.
   CycleResult price_cycle(int clients, int lost, CycleMemo* memo) const;
+  /// `memo` as a cycle may use it: null while obs::enabled(); throws
+  /// std::invalid_argument when it is bound to another simulator.
+  CycleMemo* usable(CycleMemo* memo) const;
   /// Per-server energy of class `cls` of a flat columnar layout; the
   /// class multiplicity is read from the layout for exact metric
   /// accounting. Agrees to rounding with pricing every slot of the

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "core/fleet_columns.hpp"
 #include "hive/services.hpp"
 #include "obs/catalog.hpp"
 
@@ -31,14 +33,43 @@ void deliver(const ResiliencePolicy& policy, int active, bool catch_up,
   edge += drained / upload * policy.upload_energy_per_payload;
 }
 
-/// Adds one cycle's outcome to the point's statistics.
-void add_cycle(ResiliencePoint& point, int servers, int lost, double edge,
-               double cloud) {
-  point.servers_used = std::max(point.servers_used, servers);
-  point.lost_clients.add(static_cast<double>(lost));
-  point.edge_energy.add(edge);
-  point.cloud_energy.add(cloud);
-  point.total_energy.add(edge + cloud);
+/// A reduced-capacity cycle's (cloud capacity, link bandwidth) factors.
+using Factors = std::pair<double, double>;
+
+/// The distinct factor pairs of `injector`'s connected reduced-capacity
+/// cycles (brownout and/or degraded link, no outage), in first-seen
+/// order, and each plan cycle's index into them (-1: no sibling).
+struct SiblingPlan {
+  std::vector<Factors> factors;
+  std::vector<int> of_cycle;
+};
+
+SiblingPlan plan_siblings(const fault::FaultInjector& injector) {
+  SiblingPlan out;
+  out.of_cycle.assign(static_cast<std::size_t>(injector.horizon()), -1);
+  for (int c = 0; c < injector.horizon(); ++c) {
+    const fault::CycleFaults& f = injector.at(c);
+    if (f.link_outage || f.cloud_outage) continue;
+    if (f.cloud_capacity_factor >= 1.0 && f.link_bandwidth_factor >= 1.0)
+      continue;
+    const Factors key{f.cloud_capacity_factor, f.link_bandwidth_factor};
+    const auto at = std::find(out.factors.begin(), out.factors.end(), key);
+    out.of_cycle[static_cast<std::size_t>(c)] =
+        static_cast<int>(at - out.factors.begin());
+    if (at == out.factors.end()) out.factors.push_back(key);
+  }
+  return out;
+}
+
+/// The sibling geometry of `params` under `f`: a brownout leaves only a
+/// fraction of the slot's parallelism; a degraded link stretches every
+/// slot's receive window.
+FleetParams sibling_params(FleetParams params, const Factors& f) {
+  params.server.max_parallel = std::max(
+      1, static_cast<int>(std::floor(
+             static_cast<double>(params.server.max_parallel) * f.first)));
+  params.server.receive_time /= f.second;
+  return params;
 }
 
 }  // namespace
@@ -92,11 +123,49 @@ void ResiliencePolicy::validate() const {
   for (const auto& cls : classes) cls.validate();
 }
 
+void ResilientFleet::validate(const FleetParams& params,
+                              const fault::FaultPlan& plan,
+                              const ResiliencePolicy& policy,
+                              ServiceModel service) {
+  core::validate(params);
+  // Only brownout and degraded-link windows derive siblings, so a plan
+  // without them is not compiled.
+  const bool reduces = std::any_of(
+      plan.windows().begin(), plan.windows().end(),
+      [](const fault::FaultWindow& w) {
+        return w.kind == fault::FaultKind::kCloudBrownout ||
+               w.kind == fault::FaultKind::kLinkDegraded;
+      });
+  validate(params,
+           reduces ? plan_siblings(fault::FaultInjector(plan)).factors
+                   : std::vector<Factors>{},
+           policy, service);
+}
+
+void ResilientFleet::validate(const FleetParams& params,
+                              const std::vector<Factors>& sibling_factors,
+                              const ResiliencePolicy& policy,
+                              ServiceModel service) {
+  policy.validate();
+  validate_edge_only(service, params.client.period);
+  for (const Factors& f : sibling_factors) {
+    try {
+      core::validate(sibling_params(params, f));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(
+          "ResilientFleet: the plan's reduced-capacity geometry (capacity "
+          "factor " + std::to_string(f.first) + ", bandwidth factor " +
+          std::to_string(f.second) + ") fails: " + e.what());
+    }
+  }
+}
+
 ResilientFleet::ResilientFleet(FleetParams params, fault::FaultPlan plan,
                                ResiliencePolicy policy, ServiceModel service)
     : base_(std::move(params)), plan_(std::move(plan)), injector_(plan_),
       policy_(policy) {
-  policy_.validate();
+  SiblingPlan siblings = plan_siblings(injector_);
+  validate(base_.params(), siblings.factors, policy_, service);
   edge_fallback_energy_ =
       ClientSpec::smart_beehive(Placement::kEdgeOnly, service,
                                 base_.params().client.period)
@@ -141,37 +210,19 @@ ResilientFleet::ResilientFleet(FleetParams params, fault::FaultPlan plan,
     }
   }
   // Build the reduced-capacity siblings once: one simulator per distinct
-  // (capacity, bandwidth) factor pair the plan ever produces. A degraded
-  // geometry that cannot fit a single slot in the cycle throws here —
-  // plan validation, not a mid-run surprise.
-  for (int c = 0; c < injector_.horizon(); ++c) {
-    const fault::CycleFaults& f = injector_.at(c);
-    if (f.link_outage || f.cloud_outage) continue;
-    if (f.cloud_capacity_factor >= 1.0 && f.link_bandwidth_factor >= 1.0)
-      continue;
-    const auto key =
-        std::make_pair(f.cloud_capacity_factor, f.link_bandwidth_factor);
-    if (degraded_.count(key) != 0) continue;
-    FleetParams p = base_.params();
-    // A brownout leaves only a fraction of the slot's parallelism; a
-    // degraded link stretches every slot's receive window.
-    p.server.max_parallel = std::max(
-        1, static_cast<int>(std::floor(
-               static_cast<double>(p.server.max_parallel) *
-               f.cloud_capacity_factor)));
-    p.server.receive_time /= f.link_bandwidth_factor;
-    degraded_.emplace(key,
-                      std::make_shared<const LargeScaleSimulator>(std::move(p)));
-  }
+  // (capacity, bandwidth) factor pair the plan ever produces, each
+  // geometry already checked by validate().
+  siblings_.reserve(siblings.factors.size());
+  for (const Factors& f : siblings.factors)
+    siblings_.emplace_back(sibling_params(base_.params(), f));
+  sibling_of_cycle_ = std::move(siblings.of_cycle);
 }
 
-const LargeScaleSimulator& ResilientFleet::degraded_sim(
-    const fault::CycleFaults& faults) const {
-  if (faults.cloud_capacity_factor >= 1.0 &&
-      faults.link_bandwidth_factor >= 1.0)
-    return base_;
-  return *degraded_.at(
-      {faults.cloud_capacity_factor, faults.link_bandwidth_factor});
+ResilientFleet::PointMemos::PointMemos(const ResilientFleet& fleet)
+    : base(fleet.base_) {
+  siblings.reserve(fleet.siblings_.size());
+  for (const LargeScaleSimulator& sim : fleet.siblings_)
+    siblings.emplace_back(sim);
 }
 
 ResiliencePoint ResilientFleet::run_point(int clients, int cycles,
@@ -185,29 +236,45 @@ ResiliencePoint ResilientFleet::run_point(int clients, int cycles,
   point.cycles = cycles;
   fault::StoreAndForwardBuffer buffer(policy_.buffer_bytes_per_client *
                                       static_cast<double>(clients));
-  // Clean cycles share one memo; faulted cycles keep the plain call.
-  CycleMemo memo(base_);
-  for (int c = 0; c < cycles; ++c) {
+  PointMemos memos(*this);
+  // The lossy sweep's loop: four of the five Welford lanes carry the
+  // point's statistics, the fifth idles at zero.
+  dsp::Welford5 st;
+  for (int l = 0; l < 5; ++l) set_welford_lane(st, l, util::RunningStats());
+  accumulate_cycles(st, cycles, [&](int c, double* row) {
     const fault::CycleFaults& faults = injector_.at(c);
+    CycleOutcome out;
     if (!faults.any()) {
       // Clean cycle: delegate verbatim to the base simulator — with an
       // empty plan every cycle takes this path and the RNG draw sequence
       // is exactly LargeScaleSimulator::sweep's (bit-identity contract).
-      const CycleResult r = base_.simulate_cycle(clients, rng, &memo);
-      double edge = r.edge_energy;
-      deliver(policy_, r.surviving_clients(), true, buffer, point, edge);
-      add_cycle(point, r.servers_used, r.lost_clients, edge, r.cloud_energy);
+      const CycleResult r = base_.simulate_cycle(clients, rng, &memos.base);
+      out = {r.servers_used, r.lost_clients, r.edge_energy, r.cloud_energy};
+      deliver(policy_, r.surviving_clients(), true, buffer, point,
+              out.edge_energy);
     } else {
-      simulate_faulted_cycle(clients, faults, rng, buffer, point);
+      out = simulate_faulted_cycle(clients, c, faults, rng, buffer, memos,
+                                   point);
     }
-  }
+    point.servers_used = std::max(point.servers_used, out.servers_used);
+    row[0] = static_cast<double>(out.lost_clients);
+    row[1] = out.edge_energy;
+    row[2] = out.cloud_energy;
+    row[3] = out.edge_energy + out.cloud_energy;
+    row[4] = 0.0;
+  });
+  point.lost_clients = welford_lane(st, 0);
+  point.edge_energy = welford_lane(st, 1);
+  point.cloud_energy = welford_lane(st, 2);
+  point.total_energy = welford_lane(st, 3);
   point.bytes_pending = buffer.buffered();
   return point;
 }
 
-void ResilientFleet::simulate_faulted_cycle(
-    int clients, const fault::CycleFaults& faults, util::Rng& rng,
-    fault::StoreAndForwardBuffer& buffer, ResiliencePoint& point) const {
+ResilientFleet::CycleOutcome ResilientFleet::simulate_faulted_cycle(
+    int clients, int cycle, const fault::CycleFaults& faults, util::Rng& rng,
+    fault::StoreAndForwardBuffer& buffer, PointMemos& memos,
+    ResiliencePoint& point) const {
   const ClientSpec& client = base_.params().client;
   const double upload = policy_.upload_bytes_per_client;
   ++point.degraded_cycles;
@@ -291,8 +358,9 @@ void ResilientFleet::simulate_faulted_cycle(
     }
     if (!faults.cloud_outage && active > 0) {
       // Link outage with a live cloud: the provisioned servers idle the
-      // whole cycle waiting for uploads that never arrive.
-      const CycleResult idle = base_.simulate_ideal_cycle(active);
+      // whole cycle waiting for uploads that never arrive. Their count is
+      // the base memo's entry for `active` survivors.
+      const CycleResult idle = base_.simulate_ideal_cycle(active, &memos.base);
       servers = idle.servers_used;
       cloud = static_cast<double>(servers) *
               base_.effective_server().idle_power *
@@ -301,8 +369,15 @@ void ResilientFleet::simulate_faulted_cycle(
   } else {
     // 4b. Degraded but connected: run the cycle through the
     //     reduced-capacity sibling (fewer parallel uploads per slot
-    //     and/or stretched receive windows); loss C draws inside.
-    const CycleResult r = degraded_sim(faults).simulate_cycle(remaining, rng);
+    //     and/or stretched receive windows) and its memo, or through the
+    //     base simulator and memo when only the battery or sensors are
+    //     faulted; loss C draws inside.
+    const int s = sibling_of_cycle_[static_cast<std::size_t>(cycle)];
+    const auto k = static_cast<std::size_t>(s);
+    const CycleResult r =
+        s < 0 ? base_.simulate_cycle(remaining, rng, &memos.base)
+              : siblings_[k].simulate_cycle(remaining, rng,
+                                            &memos.siblings[k]);
     lost = r.lost_clients;
     edge += r.edge_energy;
     cloud = r.cloud_energy;
@@ -311,8 +386,6 @@ void ResilientFleet::simulate_faulted_cycle(
     deliver(policy_, r.surviving_clients(),
             faults.link_bandwidth_factor >= 1.0, buffer, point, edge);
   }
-  add_cycle(point, servers, lost, edge, cloud);
-
   if (obs::enabled()) {
     static auto& degraded =
         obs::registry().counter(obs::metric::kFleetDegradedCycles);
@@ -324,6 +397,7 @@ void ResilientFleet::simulate_faulted_cycle(
     if (shed > 0) shed_clients.inc(static_cast<std::uint64_t>(shed));
     if (fell_back) fallback.inc();
   }
+  return {servers, lost, edge, cloud};
 }
 
 }  // namespace beesim::core

@@ -88,13 +88,20 @@ bool valid(const Request& request) noexcept {
       case RequestKind::kSweep:
         core::validate(request.sweep.params);
         return true;
-      case RequestKind::kWhatIf:
-        core::validate(request.what_if.params);
-        return edge_service(request.what_if.service);
-      case RequestKind::kResilience:
-        core::validate(request.resilience.params);
-        request.resilience.policy.validate();
-        return edge_service(request.resilience.service);
+      case RequestKind::kWhatIf: {
+        const WhatIfRequest& r = request.what_if;
+        if (!edge_service(r.service)) return false;
+        core::validate(r.params);
+        // The verdict prices the edge-only client at fan-out.
+        core::validate_edge_only(r.service, r.params.client.period);
+        return true;
+      }
+      case RequestKind::kResilience: {
+        const ResilienceRequest& r = request.resilience;
+        if (!edge_service(r.service)) return false;
+        core::ResilientFleet::validate(r.params, r.plan, r.policy, r.service);
+        return true;
+      }
     }
   } catch (const std::invalid_argument&) {
   }

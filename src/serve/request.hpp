@@ -85,10 +85,13 @@ struct Request {
 /// True when the request is well-formed: at least one fleet size, every
 /// fleet size >= 1, cycles_per_point >= 1, fleet params that pass
 /// `core::validate`, and — for what-if and resilience requests — an SVM
-/// or CNN edge service, plus a policy that passes
-/// `ResiliencePolicy::validate`. Malformed requests are rejected at
-/// admission with `Admission::kRejectedInvalid`, so a request the
-/// simulators would throw or trap on never reaches a worker.
+/// or CNN edge service whose edge-only routine fits the period
+/// (`core::validate_edge_only`). Resilience requests must also pass
+/// `ResilientFleet::validate`: a valid policy, and a plan whose every
+/// brownout/degraded-link geometry still fits a slot in the cycle.
+/// Malformed requests are rejected at admission with
+/// `Admission::kRejectedInvalid`, so a request the simulators would throw
+/// or trap on never reaches a worker.
 bool valid(const Request& request) noexcept;
 
 /// The request's *scenario group* hash: everything that defines its

@@ -91,4 +91,24 @@ MappedFile MappedFile::create(const std::string& path, std::size_t size) {
   return file;
 }
 
+void replace_file(const std::string& from, const std::string& to) {
+  const int fd = ::open(from.c_str(), O_RDONLY);
+  if (fd < 0) fail("cannot open", from);
+  if (::fsync(fd) != 0) {
+    ::close(fd);
+    fail("cannot sync", from);
+  }
+  ::close(fd);
+  if (::rename(from.c_str(), to.c_str()) != 0) fail("cannot rename", from);
+  const std::size_t slash = to.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : to.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) fail("cannot open", dir);
+  const int synced = ::fsync(dir_fd);
+  ::close(dir_fd);
+  if (synced != 0) fail("cannot sync", dir);
+}
+
 }  // namespace beesim::util

@@ -9,10 +9,11 @@ namespace beesim::util {
 /// RAII memory-mapped file, the I/O substrate of the checkpoint layer
 /// (docs/CHECKPOINT.md). Loading a snapshot is "map + validate + bulk
 /// column copies" — the kernel pages bytes in on demand and nothing is
-/// parsed — and saving maps a freshly sized file and memcpy's the column
-/// images straight into the page cache. Move-only; the mapping is
-/// released on destruction (no fsync: checkpoints are crash *restart*
-/// points, not transactional storage — see docs/CHECKPOINT.md).
+/// parsed — and saving maps a freshly sized temporary file, memcpy's the
+/// column images straight into the page cache, and hands the file to
+/// replace_file() to become the checkpoint. Move-only; the mapping is
+/// released on destruction (unmapping does not sync — replace_file
+/// does).
 class MappedFile {
  public:
   MappedFile() = default;
@@ -48,5 +49,12 @@ class MappedFile {
   void* addr_ = nullptr;
   std::size_t size_ = 0;
 };
+
+/// Makes `from` durable and atomically puts it in place of `to`: fsyncs
+/// the file, renames it over `to`, and fsyncs the containing directory so
+/// the rename survives too. A crash at any point leaves `to` either as it
+/// was or as `from`, never partial. Throws std::runtime_error (with the
+/// path and errno string) on failure.
+void replace_file(const std::string& from, const std::string& to);
 
 }  // namespace beesim::util

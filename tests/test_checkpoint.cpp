@@ -5,11 +5,20 @@
 // merging), save->restore->save byte stability, and rejection of
 // truncated, bit-flipped, mis-kinded or foreign-scenario files.
 
+#include <signal.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +27,7 @@
 #include "core/fleet_columns.hpp"
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
+#include "crash_campaign.hpp"
 #include "fault/injector.hpp"
 #include "fleet_oracle.hpp"
 #include "hive/farm.hpp"
@@ -352,6 +362,72 @@ TEST_F(CheckpointCorruption, VersionOneFileIsRefusedForItsIdentity) {
 TEST_F(CheckpointCorruption, MissingFileIsRejected) {
   EXPECT_THROW(core::load_fleet_checkpoint(temp_path("no_such.ck"), hash_),
                std::runtime_error);
+}
+
+// ---- Crash safety -----------------------------------------------------
+
+bool same_stats(const StatColumns& a, const StatColumns& b) {
+  return a.n == b.n && a.mean == b.mean && a.m2 == b.m2 && a.sum == b.sum &&
+         a.min == b.min && a.max == b.max;
+}
+
+bool same_columns(const FleetColumns& a, const FleetColumns& b) {
+  return a.seed == b.seed && a.cycles_target == b.cycles_target &&
+         a.clients == b.clients && a.cycles_done == b.cycles_done &&
+         a.servers_used == b.servers_used && a.rng_s0 == b.rng_s0 &&
+         a.rng_s1 == b.rng_s1 && a.rng_s2 == b.rng_s2 &&
+         a.rng_s3 == b.rng_s3 && a.rng_cached_normal == b.rng_cached_normal &&
+         a.rng_has_cached == b.rng_has_cached &&
+         same_stats(a.lost_clients, b.lost_clients) &&
+         same_stats(a.active_slots, b.active_slots) &&
+         same_stats(a.edge_energy, b.edge_energy) &&
+         same_stats(a.cloud_energy, b.cloud_energy) &&
+         same_stats(a.total_energy, b.total_energy);
+}
+
+TEST(CheckpointCrash, SaveKilledMidWriteLeavesTheLastGoodCheckpoint) {
+  // A helper process (tests/checkpoint_writer.cpp) re-saves a 14.6 MB
+  // campaign in a loop and is SIGKILLed 20-50 ms after its first save
+  // began, mostly mid-save. Every kill must leave a checkpoint that loads
+  // and equals the saved columns. The helper is a separate binary
+  // because this process may already run the task pool's threads.
+  std::string dir = ::testing::TempDir() + "beesim_crash_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/campaign.ck";
+  const FleetColumns columns = crash::campaign();
+  core::save_checkpoint(path, columns, crash::campaign_hash());
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    posix_spawn_file_actions_t actions;
+    ::posix_spawn_file_actions_init(&actions);
+    ::posix_spawn_file_actions_adddup2(&actions, ready[1], STDOUT_FILENO);
+    ::posix_spawn_file_actions_addclose(&actions, ready[0]);
+    char* const argv[] = {const_cast<char*>(BEESIM_CHECKPOINT_WRITER),
+                          const_cast<char*>(path.c_str()), nullptr};
+    pid_t pid = 0;
+    const int spawned = ::posix_spawn(&pid, BEESIM_CHECKPOINT_WRITER,
+                                      &actions, nullptr, argv, environ);
+    ::posix_spawn_file_actions_destroy(&actions);
+    ::close(ready[1]);
+    ASSERT_EQ(spawned, 0) << std::strerror(spawned);
+    char byte = 0;
+    const ssize_t began = ::read(ready[0], &byte, 1);
+    ::close(ready[0]);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20 + trial * 7 % 31));
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_EQ(began, 1) << "the writer exited before saving";
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the writer stopped before the kill";
+    FleetColumns loaded;
+    ASSERT_NO_THROW(
+        loaded = core::load_fleet_checkpoint(path, crash::campaign_hash()));
+    EXPECT_TRUE(same_columns(loaded, columns));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---- Resilience columns and checkpoints -------------------------------

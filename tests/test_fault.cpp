@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "core/fleet_columns.hpp"
 #include "core/resilience.hpp"
 #include "fault/degradation.hpp"
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
+#include "fleet_oracle.hpp"
+#include "obs/catalog.hpp"
 #include "util/rng.hpp"
 
 namespace core = beesim::core;
@@ -318,4 +323,184 @@ TEST(ResilientFleet, RejectsInvalidUse) {
   EXPECT_THROW(resilient.run_point(-1, 1, rng), std::invalid_argument);
   EXPECT_THROW(resilient.run_point(10, 0, rng), std::invalid_argument);
   EXPECT_THROW(resilient.sweep({10}, 1, 0), std::invalid_argument);
+}
+
+TEST(ResilientFleet, ValidateRefusesSiblingGeometriesThatCannotFitASlot) {
+  // A CNN slot is 15 s of receive + 1 s of processing in a 300 s cycle,
+  // so a link must keep about 5 % of its bandwidth for one to fit.
+  const core::FleetParams params = core::FleetParams::paper_default();
+  const core::ResiliencePolicy policy;
+  const auto svc = core::ServiceModel::kCnn;
+  FaultPlan fits;
+  fits.add({FaultKind::kLinkDegraded, 0, 3, 0.2});
+  fits.add({FaultKind::kLinkDegraded, 5, 8, 0.2});
+  EXPECT_NO_THROW(core::ResilientFleet::validate(params, fits, policy, svc));
+  EXPECT_NO_THROW(core::ResilientFleet(params, fits, policy, svc));
+
+  // Two overlapping 0.2 windows leave 4 % of the link: the product sibling
+  // no longer fits, though each window alone does.
+  FaultPlan overlapping;
+  overlapping.add({FaultKind::kLinkDegraded, 0, 3, 0.2});
+  overlapping.add({FaultKind::kLinkDegraded, 2, 6, 0.2});
+  FaultPlan starved;
+  starved.add({FaultKind::kLinkDegraded, 4, 4, 0.01});
+  for (const FaultPlan& plan : {overlapping, starved}) {
+    try {
+      core::ResilientFleet::validate(params, plan, policy, svc);
+      ADD_FAILURE() << "validate accepted an unfittable sibling";
+    } catch (const std::invalid_argument& e) {
+      const std::string why = e.what();
+      EXPECT_NE(why.find("bandwidth factor"), std::string::npos) << why;
+      EXPECT_NE(why.find("does not fit"), std::string::npos) << why;
+    }
+    EXPECT_THROW(core::ResilientFleet(params, plan, policy, svc),
+                 std::invalid_argument);
+  }
+  // A link outage over the same cycles builds no sibling at all.
+  FaultPlan outage = overlapping;
+  outage.add({FaultKind::kLinkOutage, 0, 6});
+  EXPECT_NO_THROW(core::ResilientFleet::validate(params, outage, policy, svc));
+}
+
+TEST(ResilientFleet, ValidateRefusesEdgeOnlyRoutinesLongerThanThePeriod) {
+  // A 100 s cycle fits the 89 s edge+cloud routine but neither edge-only
+  // one (113 s CNN, 121.5 s SVM), which the fallback prices.
+  for (const auto svc : {core::ServiceModel::kCnn, core::ServiceModel::kSvm}) {
+    const core::FleetParams params =
+        core::FleetParams::paper_default(svc, 10, 100.0);
+    EXPECT_NO_THROW(core::validate(params));
+    try {
+      core::ResilientFleet::validate(params, FaultPlan::none(), {}, svc);
+      ADD_FAILURE() << "validate accepted an edge-only routine > period";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("edge-only"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(core::ResilientFleet(params, FaultPlan::none(), {}, svc),
+                 std::invalid_argument);
+    EXPECT_THROW(core::validate_edge_only(svc, 100.0), std::invalid_argument);
+    EXPECT_NO_THROW(core::validate_edge_only(svc, 300.0));
+  }
+}
+
+// -------------------------------------- ResilientFleet against the oracle
+
+namespace {
+
+/// Every FaultKind, with overlapping brownout and degraded-link windows
+/// (a product-factor sibling), overlapping derates, a second brownout
+/// sibling, outages on top of derate/dropout/brownout cycles, and clean
+/// gaps. The points run past the 40-cycle horizon, so the memo also
+/// serves a clean tail.
+FaultPlan every_kind_plan() {
+  FaultPlan plan;
+  plan.add({FaultKind::kCloudOutage, 2, 4});
+  plan.add({FaultKind::kLinkOutage, 7, 9});
+  plan.add({FaultKind::kCloudBrownout, 12, 17, 0.5});
+  plan.add({FaultKind::kLinkDegraded, 15, 20, 0.6});
+  plan.add({FaultKind::kBatteryDerate, 23, 27, 0.7});
+  plan.add({FaultKind::kBatteryDerate, 25, 29, 0.5});
+  plan.add({FaultKind::kSensorDropout, 28, 33, 0.3});
+  plan.add({FaultKind::kLinkOutage, 30, 31});
+  plan.add({FaultKind::kCloudBrownout, 35, 39, 0.25});
+  plan.add({FaultKind::kCloudOutage, 37, 37});
+  return plan;
+}
+
+constexpr int kOracleCycles = 60;
+constexpr std::uint64_t kOracleSeed = 23;
+const std::vector<int> kOracleSizes = {1, 7, 64, 333, 4000, 100000, 1000000};
+
+core::FleetParams lossy(double dropout_stddev) {
+  core::FleetParams params = fleet(core::LossConfig::all());
+  params.loss.dropout_stddev = dropout_stddev;
+  return params;
+}
+
+/// sweep() at 1 and 4 threads, and advance() in 3-point slices, each
+/// compared raw field for raw field with the scalar oracle — at a
+/// dropout stddev of 2 and of 200, the second scattering the surviving
+/// counts so memo slots collide.
+void expect_matches_oracle(const core::ResiliencePolicy& policy) {
+  for (const double stddev : {2.0, 200.0}) {
+    SCOPED_TRACE("dropout_stddev " + std::to_string(stddev));
+    const core::ResilientFleet resilient(lossy(stddev), every_kind_plan(),
+                                         policy);
+    const auto reference = beesim::oracle::reference_resilient_sweep(
+        resilient, kOracleSizes, kOracleSeed, kOracleCycles);
+    core::ResilienceColumns sliced = core::ResilienceColumns::start(
+        kOracleSizes, kOracleSeed, kOracleCycles);
+    while (!resilient.advance(sliced, 3, 2)) {
+    }
+    const std::vector<std::vector<core::ResiliencePoint>> runs = {
+        resilient.sweep(kOracleSizes, kOracleSeed, kOracleCycles, 1),
+        resilient.sweep(kOracleSizes, kOracleSeed, kOracleCycles, 4),
+        sliced.points()};
+    for (const auto& run : runs) {
+      ASSERT_EQ(run.size(), reference.size());
+      for (std::size_t i = 0; i < run.size(); ++i)
+        beesim::oracle::expect_same_point(run[i], reference[i]);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ResilientFleetOracle, DefaultPolicy) {
+  expect_matches_oracle(core::ResiliencePolicy{});
+}
+
+TEST(ResilientFleetOracle, EveryReactionOff) {
+  core::ResiliencePolicy policy;
+  policy.edge_fallback = false;
+  policy.store_and_forward = false;
+  policy.load_shedding = false;
+  expect_matches_oracle(policy);
+}
+
+TEST(ResilientFleetOracle, LoadSheddingOff) {
+  core::ResiliencePolicy policy;
+  policy.load_shedding = false;
+  expect_matches_oracle(policy);
+}
+
+TEST(ResilientFleetOracle, BeamShedsDuringOutages) {
+  core::ResiliencePolicy policy;
+  policy.optimizer = core::PlacementOptimizer::kBeam;
+  core::DeviceClassSpec healthy;
+  healthy.name = "healthy";
+  healthy.count = 50;
+  healthy.battery_soc = 0.9;
+  core::DeviceClassSpec flat = healthy;
+  flat.name = "flat";
+  flat.battery_soc = 0.1;
+  policy.classes = {healthy, flat};
+  policy.outage_loss_tolerance = 0.6;
+  ASSERT_GT(core::ResilientFleet(lossy(2.0), every_kind_plan(), policy)
+                .outage_shed_fraction(),
+            0.0);
+  expect_matches_oracle(policy);
+}
+
+TEST(ResilientFleetOracle, ObsCountsEveryCycleAsThePlainLoopDid) {
+  // While obs is on the memos are bypassed, so a faulted sweep must count
+  // exactly what the memo-free loop counted (literals recorded with it).
+  const bool was_enabled = beesim::obs::enabled();
+  beesim::obs::set_enabled(true);
+  beesim::obs::register_catalog(beesim::obs::registry());
+  beesim::obs::registry().reset_values();
+  const core::ResilientFleet resilient(lossy(2.0), every_kind_plan());
+  const auto points =
+      resilient.sweep(kOracleSizes, kOracleSeed, kOracleCycles, 1);
+  const auto counters = beesim::obs::registry().snapshot().counters;
+  beesim::obs::set_enabled(was_enabled);
+  namespace metric = beesim::obs::metric;
+  EXPECT_EQ(counters.at(metric::kFleetCycles), 391u);
+  EXPECT_EQ(counters.at(metric::kAllocatorCompactCalls), 372u);
+  EXPECT_EQ(counters.at(metric::kLossSaturatedSlots), 7250977u);
+  EXPECT_EQ(counters.at(metric::kFleetDegradedCycles), 217u);
+  const auto reference = beesim::oracle::reference_resilient_sweep(
+      resilient, kOracleSizes, kOracleSeed, kOracleCycles);
+  for (std::size_t i = 0; i < points.size(); ++i)
+    beesim::oracle::expect_same_point(points[i], reference[i]);
 }

@@ -607,6 +607,65 @@ TEST(SimulationService, ParamsTheSimulatorsCannotRunAreRejectedAtAdmission) {
   EXPECT_EQ(service.ledger().completed, 1u);
 }
 
+TEST(SimulationService, FaultGeometryAndEdgeOnlyRoutinesAreCheckedAtAdmission) {
+  // Each of these passed admission and then threw on the worker, which
+  // terminates a threaded service: a degraded link that leaves 1 % of the
+  // bandwidth (ResilientFleet's sibling slot no longer fits the cycle),
+  // and a 100 s period the edge+cloud routine fits but the 113 s
+  // edge-only CNN routine does not (the resilience fallback prices it in
+  // ResilientFleet's constructor, the what-if verdict in its fan-out).
+  SimulationService::Config config;
+  config.workers = 1;
+  SimulationService service(config);
+
+  std::vector<Request> bad;
+  {
+    Request r = resilience_request({100});
+    r.resilience.plan = fault::FaultPlan();
+    r.resilience.plan.add({fault::FaultKind::kLinkDegraded, 3, 5, 0.01});
+    bad.push_back(std::move(r));
+  }
+  const core::FleetParams short_period =
+      core::FleetParams::paper_default(core::ServiceModel::kCnn, 10, 100.0);
+  {
+    Request r = resilience_request({100});
+    r.resilience.params = short_period;
+    bad.push_back(std::move(r));
+  }
+  {
+    Request r = what_if_request({100});
+    r.what_if.params = short_period;
+    bad.push_back(std::move(r));
+  }
+  for (auto& request : bad) {
+    auto ticket = service.submit(std::move(request));
+    EXPECT_EQ(ticket.admission, Admission::kRejectedInvalid);
+    EXPECT_FALSE(ticket.response.valid());
+  }
+
+  // The service is still up: a valid resilience request is computed by
+  // the worker, bit-identical to a direct sweep.
+  auto good = service.submit(resilience_request({100, 200}));
+  ASSERT_EQ(good.admission, Admission::kAdmitted);
+  ASSERT_EQ(good.response.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  const Response response = good.response.get();
+  const Request reference = resilience_request({100, 200});
+  const auto direct =
+      core::ResilientFleet(reference.resilience.params,
+                           reference.resilience.plan)
+          .sweep({100, 200}, reference.resilience.seed,
+                 reference.resilience.cycles_per_point, 1);
+  ASSERT_EQ(response.resilience_points.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i)
+    expect_points_identical(response.resilience_points[i].point, direct[i]);
+
+  service.shutdown();
+  expect_balanced_and_drained(service);
+  EXPECT_EQ(service.ledger().rejected, bad.size());
+  EXPECT_EQ(service.ledger().completed, 1u);
+}
+
 TEST(SimulationService, QueueFullRejectsTyped) {
   SimulationService::Config config = manual_config();
   config.queue_capacity = 2;  // tiny ring, nothing drains it
