@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,8 +37,16 @@ inline void check_line_int(const char* what, long paper, long measured) {
               measured);
 }
 
-/// Parses key=value args; aborts on unknown keys so typos in sweep
-/// parameters never silently run the default experiment.
+/// Rejects a bench invocation: one `error: ...` line, exit status 2.
+[[noreturn]] inline void fail(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
+}
+
+/// Parses key=value args; exits 2 with an `error: ...` line on a
+/// malformed argument (a token without `=`, a `--metrics-out` with no
+/// path) and on unknown keys, so typos in sweep parameters never
+/// silently run the default experiment.
 ///
 /// `--metrics-out <path>`, `--metrics-out=<path>` or `metrics_out=<path>`
 /// turns the obs layer on for the whole run and dumps the metrics
@@ -53,7 +62,8 @@ class Args {
     rest.push_back(argc > 0 ? argv[0] : "bench");
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg(argv[i]);
-      if (arg == "--metrics-out" && i + 1 < argc) {
+      if (arg == "--metrics-out") {
+        if (i + 1 == argc) fail("--metrics-out needs a path");
         metrics_out_ = argv[++i];
         continue;
       }
@@ -63,7 +73,11 @@ class Args {
       }
       rest.push_back(argv[i]);
     }
-    config_ = util::Config(static_cast<int>(rest.size()), rest.data());
+    try {
+      config_ = util::Config(static_cast<int>(rest.size()), rest.data());
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
+    }
     if (metrics_out_.empty())
       metrics_out_ = config_.get_string("metrics_out", "");
     if (!metrics_out_.empty()) {
@@ -86,13 +100,9 @@ class Args {
       std::exit(2);
     }
     if (!metrics_out_.empty()) {
-      if (obs::write_file(obs::registry(), metrics_out_)) {
-        std::printf("\nMetrics written to %s\n", metrics_out_.c_str());
-      } else {
-        std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                     metrics_out_.c_str());
-        std::exit(2);
-      }
+      if (!obs::write_file(obs::registry(), metrics_out_))
+        fail("cannot write metrics to " + metrics_out_);
+      std::printf("\nMetrics written to %s\n", metrics_out_.c_str());
     }
   }
 

@@ -13,23 +13,22 @@
 //
 // Usage: fig5_model_energy_accuracy [clips=240] [clip_seconds=1.5]
 //          [epochs=8] [seed=2023] [sides=20,40,60,80,100,140]
-//          [kernels=fast]   (fast | reference DSP/ML kernel paths)
 //          [dispatch=auto]  (auto | scalar | sse2 | avx2 SIMD tier —
 //                            bit-identical output under every tier)
-//          [precision=f32]  (f32 | bf16 | int8: adds a reduced-precision
+//          [precision=f32]  (f32 | int8: int8 adds a quantized
 //                            inference pass with scaled edge energy and
 //                            accuracy deltas vs the f32 reference)
 
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "audio/dataset.hpp"
 #include "bench_common.hpp"
 #include "device/calibration.hpp"
 #include "dsp/dispatch.hpp"
-#include "dsp/kernel_config.hpp"
 #include "ml/costmodel.hpp"
 #include "ml/metrics.hpp"
 #include "ml/network.hpp"
@@ -63,13 +62,15 @@ int main(int argc, char** argv) {
   const int epochs = static_cast<int>(args.config().get_int("epochs", 8));
   const auto sides = parse_sides(
       args.config().get_string("sides", "20,40,60,80,100,140"));
-  const auto kernels = args.config().get_string("kernels", "fast");
-  dsp::KernelConfig kcfg = dsp::kernel_config_from_name(kernels);
-  kcfg.dispatch =
-      dsp::isa_from_name(args.config().get_string("dispatch", "auto"));
-  dsp::set_kernel_config(kcfg);
-  const ml::Precision precision = ml::precision_from_name(
-      args.config().get_string("precision", "f32"));
+  ml::Precision precision = ml::Precision::kF32;
+  try {
+    dsp::set_active_isa(
+        dsp::isa_from_name(args.config().get_string("dispatch", "auto")));
+    precision = ml::precision_from_name(
+        args.config().get_string("precision", "f32"));
+  } catch (const std::invalid_argument& e) {
+    bench::fail(e.what());
+  }
 
   bench::banner("Fig 5",
                 "prediction energy and accuracy vs image resolution");

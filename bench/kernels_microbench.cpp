@@ -12,7 +12,6 @@
 #include "core/network_sim.hpp"
 #include "dsp/dispatch.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/kernel_config.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/simd_kernels.hpp"
 #include "dsp/spectrogram.hpp"
@@ -26,34 +25,8 @@ namespace {
 
 using namespace beesim;
 
-/// Pins the global kernel config for one benchmark body and restores the
-/// fast default afterwards, so fixture order never leaks a config.
-class ScopedKernels {
- public:
-  explicit ScopedKernels(const dsp::KernelConfig& kc) {
-    dsp::set_kernel_config(kc);
-  }
-  ~ScopedKernels() { dsp::set_kernel_config(dsp::KernelConfig::fast()); }
-};
-
-void BM_Fft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(1);
-  std::vector<dsp::Complex> data(n);
-  for (auto& v : data) v = {rng.normal(), rng.normal()};
-  for (auto _ : state) {
-    auto copy = data;
-    dsp::fft(copy);
-    benchmark::DoNotOptimize(copy.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Fft)->Arg(512)->Arg(2048)->Arg(8192);
-
-// Planned real FFT vs the reference path (full complex FFT of the real
-// signal, recomputed twiddles). Same output bins, ~4x less work expected:
-// 2x from the half-size transform, the rest from the tables.
+// The planned real FFT: an N/2 complex transform on precomputed tables
+// (the naive full complex FFT is the test oracle in tests/dsp_oracle.hpp).
 void BM_RealFftPlanned(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
@@ -71,20 +44,6 @@ void BM_RealFftPlanned(benchmark::State& state) {
 }
 BENCHMARK(BM_RealFftPlanned)->Arg(512)->Arg(2048)->Arg(8192);
 
-void BM_RealFftReference(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(1);
-  std::vector<double> signal(n);
-  for (auto& v : signal) v = rng.normal();
-  for (auto _ : state) {
-    auto spec = dsp::rfft(signal);
-    benchmark::DoNotOptimize(spec.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RealFftReference)->Arg(512)->Arg(2048)->Arg(8192);
-
 void BM_MelSpectrogram(benchmark::State& state) {
   const double seconds = static_cast<double>(state.range(0)) / 10.0;
   audio::BeeAudioSynth synth;
@@ -98,25 +57,8 @@ void BM_MelSpectrogram(benchmark::State& state) {
 }
 BENCHMARK(BM_MelSpectrogram)->Arg(5)->Arg(10)->Arg(30);  // 0.5 / 1 / 3 s
 
-// Full mel pipeline with every fast-path kernel disabled — the pre-plan
-// baseline, kept runnable so the speedup in EXPERIMENTS.md can always be
-// re-measured on the current tree.
-void BM_MelSpectrogramReference(benchmark::State& state) {
-  ScopedKernels scoped(dsp::KernelConfig::reference());
-  const double seconds = static_cast<double>(state.range(0)) / 10.0;
-  audio::BeeAudioSynth synth;
-  util::Rng rng(2);
-  const auto clip = synth.synthesize(true, seconds, rng);
-  dsp::MelSpectrogram mel;
-  for (auto _ : state) {
-    auto m = mel.compute(clip);
-    benchmark::DoNotOptimize(m.data());
-  }
-}
-BENCHMARK(BM_MelSpectrogramReference)->Arg(5)->Arg(10)->Arg(30);
-
-// Banded vs dense filterbank apply, isolated from the STFT: 128 mel
-// bands over a 1-second spectrogram.
+// Banded filterbank apply, isolated from the STFT: 128 mel bands over a
+// 1-second spectrogram.
 void BM_FilterbankBanded(benchmark::State& state) {
   util::Rng rng(6);
   const auto fb = dsp::mel_filterbank(128, 2048, 22050.0);
@@ -132,21 +74,6 @@ void BM_FilterbankBanded(benchmark::State& state) {
   state.counters["nnz"] = static_cast<double>(banded.nonzeros());
 }
 BENCHMARK(BM_FilterbankBanded);
-
-void BM_FilterbankDense(benchmark::State& state) {
-  util::Rng rng(6);
-  const auto fb = dsp::mel_filterbank(128, 2048, 22050.0);
-  dsp::Matrix power(fb.cols(), 44);
-  for (std::size_t r = 0; r < power.rows(); ++r)
-    for (std::size_t c = 0; c < power.cols(); ++c)
-      power(r, c) = rng.uniform(0.0, 10.0);
-  for (auto _ : state) {
-    auto m = dsp::apply_filterbank(fb, power);
-    benchmark::DoNotOptimize(m.data());
-  }
-  state.counters["dense"] = static_cast<double>(fb.rows() * fb.cols());
-}
-BENCHMARK(BM_FilterbankDense);
 
 void BM_AudioSynthesis(benchmark::State& state) {
   audio::BeeAudioSynth synth;
@@ -173,28 +100,11 @@ void BM_CnnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnForward)->Arg(20)->Arg(50)->Arg(100);
 
-// CNN forward with the naive 6-deep convolution loop (gemm_conv off) —
-// the GEMM comparison baseline.
-void BM_CnnForwardNaive(benchmark::State& state) {
-  ScopedKernels scoped(dsp::KernelConfig::reference());
-  const auto side = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(4);
-  auto net = ml::make_queen_cnn(rng, 8, side);
-  ml::Tensor input({1, 1, side, side});
-  for (std::size_t i = 0; i < input.size(); ++i)
-    input[i] = static_cast<float>(rng.uniform());
-  for (auto _ : state) {
-    auto out = net.forward(input, false);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_CnnForwardNaive)->Arg(20)->Arg(50)->Arg(100);
-
 // GEMM microkernels behind the runtime CPU dispatch, on the conv-like
 // shape of the 100x100 queen CNN's widest layer (m = output channels,
 // n = output pixels, k = in_channels * 3 * 3 after im2col). One shape,
-// every tier and precision: the tier ratios justify the dispatch layer,
-// the precision ratios are the measured throughput scales committed in
+// every f32 tier plus int8: the tier ratios justify the dispatch layer,
+// the int8 ratio is the measured throughput scale committed in
 // ml::precision_throughput_scale (scripts/check.sh --bench records both
 // in BENCH_des.json).
 constexpr std::size_t kGemmM = 16;
@@ -246,22 +156,6 @@ void BM_GemmF32Avx2(benchmark::State& state) {
   gemm_f32_tier(state, dsp::IsaTier::kAvx2);
 }
 BENCHMARK(BM_GemmF32Avx2);
-
-void BM_GemmBf16(benchmark::State& state) {
-  GemmOperands ops;
-  const auto a16 = ml::to_bf16(ops.a.data(), ops.a.size());
-  const auto b16 = ml::to_bf16(ops.b.data(), ops.b.size());
-  const dsp::KernelTable& kt = dsp::kernel_table();
-  for (auto _ : state) {
-    kt.sgemm_bias_bf16(kGemmM, kGemmN, kGemmK, a16.data(), b16.data(),
-                       ops.bias.data(), ops.c.data());
-    benchmark::DoNotOptimize(ops.c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * kGemmM * kGemmN *
-                                                    kGemmK));
-}
-BENCHMARK(BM_GemmBf16);
 
 void BM_GemmInt8(benchmark::State& state) {
   GemmOperands ops;

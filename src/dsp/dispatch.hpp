@@ -38,7 +38,8 @@ IsaTier active_isa() noexcept;
 
 /// Selects the dispatch tier (clamped to detected_isa() — requesting
 /// AVX2 on a CPU without it falls back to the best supported tier).
-/// Process-global, set once at startup like set_kernel_config.
+/// Process-global and atomic; every tier is bit-identical, so a switch
+/// while kernels run moves only their speed.
 void set_active_isa(IsaRequest request) noexcept;
 
 /// Parses the `dispatch=` bench argument: "auto", "scalar", "sse2" or

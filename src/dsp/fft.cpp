@@ -10,44 +10,6 @@
 namespace beesim::dsp {
 namespace {
 
-/// Bit-reversal permutation.
-void bit_reverse(std::vector<Complex>& data) {
-  const std::size_t n = data.size();
-  std::size_t j = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-}
-
-void transform(std::vector<Complex>& data, bool inverse) {
-  const std::size_t n = data.size();
-  if (!is_power_of_two(n))
-    throw std::invalid_argument("fft: size must be a power of two");
-  bit_reverse(data);
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * std::numbers::pi /
-                         static_cast<double>(len);
-    const Complex wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (auto& x : data) x *= inv_n;
-  }
-}
-
 void count_plan_reuse() {
   if (obs::enabled()) {
     static auto& reuses =
@@ -57,22 +19,6 @@ void count_plan_reuse() {
 }
 
 }  // namespace
-
-void fft(std::vector<Complex>& data) { transform(data, false); }
-void ifft(std::vector<Complex>& data) { transform(data, true); }
-
-std::vector<Complex> rfft(const std::vector<double>& signal) {
-  std::vector<Complex> buf(signal.begin(), signal.end());
-  fft(buf);
-  buf.resize(signal.size() / 2 + 1);
-  return buf;
-}
-
-std::size_t next_power_of_two(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 // ---------------------------------------------------------------- FftPlan
 

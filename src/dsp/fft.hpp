@@ -8,35 +8,19 @@ namespace beesim::dsp {
 
 using Complex = std::complex<double>;
 
-/// In-place iterative radix-2 Cooley-Tukey FFT. `data.size()` must be a
-/// power of two. Forward transform uses the e^{-i2pi/N} convention
-/// (matching numpy/librosa); the inverse divides by N.
-///
-/// This is the *reference* kernel: twiddles are recomputed (and
-/// incrementally drifted) every call. Hot paths use FftPlan/RealFftPlan,
-/// which precompute the bit-reversal permutation and exact per-stage
-/// twiddle tables once and reuse them across every STFT frame.
-void fft(std::vector<Complex>& data);
-void ifft(std::vector<Complex>& data);
-
-/// FFT of a real signal; returns the non-redundant half spectrum of
-/// length n/2 + 1 (like numpy.fft.rfft). `signal.size()` must be a power
-/// of two. Reference kernel (full complex transform of the real input).
-std::vector<Complex> rfft(const std::vector<double>& signal);
-
 /// True if n is a power of two (and nonzero).
 constexpr bool is_power_of_two(std::size_t n) noexcept {
   return n != 0 && (n & (n - 1)) == 0;
 }
 
-/// Smallest power of two >= n.
-std::size_t next_power_of_two(std::size_t n) noexcept;
-
 /// Precomputed forward complex FFT of a fixed power-of-two size:
-/// bit-reversal permutation plus per-stage twiddle tables, built once and
-/// reused for every transform. The plan is immutable after construction,
-/// so one plan can serve many threads concurrently; forward() does no
-/// heap allocation.
+/// iterative radix-2 Cooley-Tukey with the e^{-i2pi/N} convention
+/// (matching numpy/librosa), bit-reversal permutation plus exact
+/// per-stage twiddle tables, built once and reused for every transform
+/// (the oracle, whose twiddles drift by repeated multiplication, is in
+/// tests/dsp_oracle.hpp). The plan is immutable after construction, so
+/// one plan can serve many threads concurrently; forward() does no heap
+/// allocation.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);
@@ -69,11 +53,12 @@ class RealFftPlan {
   std::size_t bins() const noexcept { return n_ / 2 + 1; }
   std::size_t scratch_size() const noexcept { return n_ / 2; }
 
-  /// out[0..bins()) = rfft(in[0..size())); scratch holds scratch_size()
-  /// elements (unused for n == 1). No heap allocation.
+  /// out[0..bins()) = the half spectrum of in[0..size()) (numpy.fft.rfft);
+  /// scratch holds scratch_size() elements (unused for n == 1). No heap
+  /// allocation.
   void transform(const double* in, Complex* out, Complex* scratch) const;
 
-  /// |rfft(in)|^2 into out_power[0..bins()) — the STFT inner loop.
+  /// |transform(in)|^2 into out_power[0..bins()) — the STFT inner loop.
   void power(const double* in, double* out_power, Complex* scratch) const;
 
   /// Convenience allocating form (tests, one-off callers).

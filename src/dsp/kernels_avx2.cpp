@@ -101,84 +101,6 @@ void sgemm_bias_f32_avx2(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-namespace {
-
-/// Widens 8 bf16 values to f32 lanes: a 16-bit left shift into the high
-/// half of each 32-bit lane — the exact bf16_bits_to_f32 bit operation.
-inline __m256 bf16_widen8(const std::uint16_t* p) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-}
-
-}  // namespace
-
-void sgemm_bias_bf16_avx2(std::size_t m, std::size_t n, std::size_t k,
-                          const std::uint16_t* a, const std::uint16_t* b,
-                          const float* bias, float* c) {
-  // Column blocks outermost like the f32 kernel (the k x 16 bf16 B panel
-  // is ~4.5 KB, L1-resident across every row block), 2-row x 16-column
-  // register tiles, with A pre-widened to f32 once (m*k conversions
-  // amortize over n columns) so the inner loop broadcasts like the f32
-  // path and only B pays the widen-on-load. Each c[i][j] accumulates
-  // over k ascending in its own lane, so per-element IEEE order matches
-  // the scalar tier.
-  std::vector<float> awide(m * k);
-  for (std::size_t i = 0; i < m * k; ++i) awide[i] = bf16_bits_to_f32(a[i]);
-  const std::size_t jv = n & ~static_cast<std::size_t>(15);
-  const std::size_t mv = m & ~static_cast<std::size_t>(1);
-  for (std::size_t j0 = 0; j0 < jv; j0 += 16) {
-    for (std::size_t i0 = 0; i0 < mv; i0 += 2) {
-      const float* a0 = awide.data() + i0 * k;
-      const float* a1 = a0 + k;
-      __m256 c00 = _mm256_setzero_ps();
-      __m256 c01 = _mm256_setzero_ps();
-      __m256 c10 = _mm256_setzero_ps();
-      __m256 c11 = _mm256_setzero_ps();
-      const std::uint16_t* bp = b + j0;
-      for (std::size_t p = 0; p < k; ++p, bp += n) {
-        const __m256 b0 = bf16_widen8(bp);
-        const __m256 b1 = bf16_widen8(bp + 8);
-        const __m256 av0 = _mm256_broadcast_ss(a0 + p);
-        const __m256 av1 = _mm256_broadcast_ss(a1 + p);
-        c00 = _mm256_add_ps(c00, _mm256_mul_ps(av0, b0));
-        c01 = _mm256_add_ps(c01, _mm256_mul_ps(av0, b1));
-        c10 = _mm256_add_ps(c10, _mm256_mul_ps(av1, b0));
-        c11 = _mm256_add_ps(c11, _mm256_mul_ps(av1, b1));
-      }
-      float* crow = c + i0 * n + j0;
-      __m256 bv = _mm256_set1_ps(bias[i0]);
-      _mm256_storeu_ps(crow, _mm256_add_ps(bv, c00));
-      _mm256_storeu_ps(crow + 8, _mm256_add_ps(bv, c01));
-      bv = _mm256_set1_ps(bias[i0 + 1]);
-      _mm256_storeu_ps(crow + n, _mm256_add_ps(bv, c10));
-      _mm256_storeu_ps(crow + n + 8, _mm256_add_ps(bv, c11));
-    }
-    for (std::size_t i = mv; i < m; ++i) {  // 1 x 16 row tail
-      const float* arow = awide.data() + i * k;
-      __m256 c0 = _mm256_setzero_ps(), c1 = _mm256_setzero_ps();
-      const std::uint16_t* bp = b + j0;
-      for (std::size_t p = 0; p < k; ++p, bp += n) {
-        const __m256 av = _mm256_broadcast_ss(arow + p);
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, bf16_widen8(bp)));
-        c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, bf16_widen8(bp + 8)));
-      }
-      const __m256 bv = _mm256_set1_ps(bias[i]);
-      _mm256_storeu_ps(c + i * n + j0, _mm256_add_ps(bv, c0));
-      _mm256_storeu_ps(c + i * n + j0 + 8, _mm256_add_ps(bv, c1));
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {  // scalar column tail
-    const float* arow = awide.data() + i * k;
-    for (std::size_t j = jv; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p)
-        acc += arow[p] * bf16_bits_to_f32(b[p * n + j]);
-      c[i * n + j] = bias[i] + acc;
-    }
-  }
-}
-
 void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
                         const std::int8_t* a, const float* a_scales,
                         const std::int8_t* b, float b_scale,
@@ -442,12 +364,6 @@ void sgemm_bias_f32_avx2(std::size_t m, std::size_t n, std::size_t k,
                          const float* a, const float* b, const float* bias,
                          float* c) {
   sgemm_bias_f32_scalar(m, n, k, a, b, bias, c);
-}
-
-void sgemm_bias_bf16_avx2(std::size_t m, std::size_t n, std::size_t k,
-                          const std::uint16_t* a, const std::uint16_t* b,
-                          const float* bias, float* c) {
-  sgemm_bias_bf16_scalar(m, n, k, a, b, bias, c);
 }
 
 void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,

@@ -57,22 +57,6 @@ Matrix mel_filterbank(std::size_t n_mels, std::size_t n_fft,
   return fb;
 }
 
-Matrix apply_filterbank(const Matrix& filterbank, const Matrix& power) {
-  if (filterbank.cols() != power.rows())
-    throw std::invalid_argument(
-        "apply_filterbank: filterbank cols != spectrum bins");
-  Matrix out(filterbank.rows(), power.cols());
-  for (std::size_t m = 0; m < filterbank.rows(); ++m) {
-    for (std::size_t b = 0; b < filterbank.cols(); ++b) {
-      const double w = filterbank(m, b);
-      if (w == 0.0) continue;
-      for (std::size_t f = 0; f < power.cols(); ++f)
-        out(m, f) += w * power(b, f);
-    }
-  }
-  return out;
-}
-
 BandedFilterbank::BandedFilterbank(const Matrix& dense) : bins_(dense.cols()) {
   if (dense.empty())
     throw std::invalid_argument("BandedFilterbank: empty filterbank");
@@ -116,9 +100,10 @@ Matrix BandedFilterbank::apply(const Matrix& power) const {
     double* out_row = out.data() + m * frames;
     for (std::size_t j = 0; j < count; ++j) {
       // Triangular bands have no interior zeros, but skip them anyway so
-      // the accumulation order matches apply_filterbank bit for bit on
-      // any input matrix. The row update dispatches to the SIMD axpy
-      // kernel — same per-element mul/add order under every tier.
+      // the accumulation order matches the dense apply (skip zero
+      // weights, bins ascending) bit for bit on any input matrix. The row
+      // update dispatches to the SIMD axpy kernel — same per-element
+      // mul/add order under every tier.
       if (w[j] == 0.0) continue;
       const double* in_row = power.data() + (first + j) * frames;
       kernels.axpy(w[j], in_row, out_row, frames);

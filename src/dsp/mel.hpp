@@ -19,17 +19,14 @@ Matrix mel_filterbank(std::size_t n_mels, std::size_t n_fft,
                       double sample_rate, double fmin = 0.0,
                       double fmax = 0.0 /* 0 => sample_rate/2 */);
 
-/// Applies the filterbank to a power spectrogram (bins x frames),
-/// producing a (n_mels x frames) mel spectrogram. Reference kernel: scans
-/// every bin of every band (each triangular band is nonzero on only a
-/// narrow bin range, so the dense matrix is >90% zeros).
-Matrix apply_filterbank(const Matrix& filterbank, const Matrix& power);
-
 /// Sparse (banded) form of a triangular filterbank: per band, the first
 /// nonzero bin and the packed weights up to the last nonzero bin. Built
-/// once per MelSpectrogram; apply() touches only the nonzero bins and is
-/// bit-identical to apply_filterbank on the dense matrix it was built
-/// from (same accumulation order, zero weights skipped in both).
+/// once per MelSpectrogram; apply() maps a power spectrogram (bins x
+/// frames) onto a (bands x frames) mel spectrogram, touching only the
+/// nonzero bins. Each triangular band is nonzero on a narrow bin range,
+/// so the dense matrix is >90% zeros. apply() is bit-identical to the
+/// dense bin-by-bin apply (the oracle in tests/dsp_oracle.hpp): same
+/// accumulation order, zero weights skipped in both.
 class BandedFilterbank {
  public:
   explicit BandedFilterbank(const Matrix& dense);

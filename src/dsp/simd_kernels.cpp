@@ -64,29 +64,6 @@ void sgemm_bias_f32_scalar(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-void sgemm_bias_bf16_scalar(std::size_t m, std::size_t n, std::size_t k,
-                            const std::uint16_t* a, const std::uint16_t* b,
-                            const float* bias, float* c) {
-  constexpr std::size_t kColTile = 64;
-  float acc[kColTile];
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint16_t* arow = a + i * k;
-    for (std::size_t j0 = 0; j0 < n; j0 += kColTile) {
-      const std::size_t jn = std::min(kColTile, n - j0);
-      for (std::size_t j = 0; j < jn; ++j) acc[j] = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = bf16_bits_to_f32(arow[p]);
-        const std::uint16_t* brow = b + p * n + j0;
-        for (std::size_t j = 0; j < jn; ++j)
-          acc[j] += av * bf16_bits_to_f32(brow[j]);
-      }
-      float* crow = c + i * n + j0;
-      const float bv = bias[i];
-      for (std::size_t j = 0; j < jn; ++j) crow[j] = bv + acc[j];
-    }
-  }
-}
-
 void sgemm_bias_s8_scalar(std::size_t m, std::size_t n, std::size_t k,
                           const std::int8_t* a, const float* a_scales,
                           const std::int8_t* b, float b_scale,
@@ -334,28 +311,28 @@ void welford5_add_sse2(Welford5* s, const double* xs, std::size_t count) {
 namespace {
 
 constexpr KernelTable kScalarTable = {
-    detail::sgemm_bias_f32_scalar, detail::sgemm_bias_bf16_scalar,
-    detail::sgemm_bias_s8_scalar,  detail::fft_stage_scalar,
-    detail::axpy_scalar,           detail::welford5_add_scalar,
+    detail::sgemm_bias_f32_scalar, detail::sgemm_bias_s8_scalar,
+    detail::fft_stage_scalar,      detail::axpy_scalar,
+    detail::welford5_add_scalar,
 };
 
 #if defined(__SSE2__)
-// bf16/int8 stay on the scalar code at this tier: without AVX2's 8-wide
+// int8 stays on the scalar code at this tier: without AVX2's 8-wide
 // widening loads and madd there is little to gain over what the compiler
 // already autovectorizes (results are identical either way).
 constexpr KernelTable kSse2Table = {
-    detail::sgemm_bias_f32_sse2, detail::sgemm_bias_bf16_scalar,
-    detail::sgemm_bias_s8_scalar, detail::fft_stage_sse2,
-    detail::axpy_sse2,            detail::welford5_add_sse2,
+    detail::sgemm_bias_f32_sse2, detail::sgemm_bias_s8_scalar,
+    detail::fft_stage_sse2,      detail::axpy_sse2,
+    detail::welford5_add_sse2,
 };
 #else
 constexpr KernelTable kSse2Table = kScalarTable;
 #endif
 
 constexpr KernelTable kAvx2Table = {
-    detail::sgemm_bias_f32_avx2, detail::sgemm_bias_bf16_avx2,
-    detail::sgemm_bias_s8_avx2,  detail::fft_stage_avx2,
-    detail::axpy_avx2,           detail::welford5_add_avx2,
+    detail::sgemm_bias_f32_avx2, detail::sgemm_bias_s8_avx2,
+    detail::fft_stage_avx2,      detail::axpy_avx2,
+    detail::welford5_add_avx2,
 };
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "dsp/dispatch.hpp"
 
@@ -18,26 +17,6 @@ namespace beesim::dsp {
 /// int8 path accumulates in exact i32 arithmetic, fusing only the final
 /// dequantization where the scalar tier calls std::fma (both correctly
 /// rounded). Equivalence is fuzz-tested in tests/test_simd.cpp.
-
-/// bf16 <-> f32 bit conversions shared by every tier (ml/precision wraps
-/// these for the layer-facing API). bf16 is the high 16 bits of an IEEE
-/// f32; f32 -> bf16 rounds to nearest-even, with NaN payloads truncated
-/// but kept quiet (never rounded up into an infinity).
-inline float bf16_bits_to_f32(std::uint16_t v) noexcept {
-  const std::uint32_t bits = static_cast<std::uint32_t>(v) << 16;
-  float f;
-  std::memcpy(&f, &bits, sizeof f);
-  return f;
-}
-
-inline std::uint16_t f32_to_bf16_bits(float f) noexcept {
-  std::uint32_t bits;
-  std::memcpy(&bits, &f, sizeof bits);
-  if ((bits & 0x7fffffffu) > 0x7f800000u)  // NaN: truncate, force quiet
-    return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);
-  const std::uint32_t lsb = (bits >> 16) & 1u;
-  return static_cast<std::uint16_t>((bits + 0x7fffu + lsb) >> 16);
-}
 
 /// Five Welford accumulators advanced in lockstep — one per sweep
 /// statistic of a fleet point (lost clients, active slots, edge / cloud /
@@ -61,12 +40,6 @@ struct KernelTable {
   void (*sgemm_bias)(std::size_t m, std::size_t n, std::size_t k,
                      const float* a, const float* b, const float* bias,
                      float* c);
-
-  /// Same contract with bf16 (bit pattern per bf16_bits_to_f32) storage
-  /// for A and B; products and accumulation in f32.
-  void (*sgemm_bias_bf16)(std::size_t m, std::size_t n, std::size_t k,
-                          const std::uint16_t* a, const std::uint16_t* b,
-                          const float* bias, float* c);
 
   /// Symmetric-int8 GEMM with i32 accumulation and fused dequantization:
   /// C[i,j] = fma(a_scales[i] * b_scale, (float)sum_p A[i,p]*B[p,j],

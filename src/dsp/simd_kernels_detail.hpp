@@ -17,9 +17,6 @@ namespace beesim::dsp::detail {
 void sgemm_bias_f32_scalar(std::size_t m, std::size_t n, std::size_t k,
                            const float* a, const float* b, const float* bias,
                            float* c);
-void sgemm_bias_bf16_scalar(std::size_t m, std::size_t n, std::size_t k,
-                            const std::uint16_t* a, const std::uint16_t* b,
-                            const float* bias, float* c);
 void sgemm_bias_s8_scalar(std::size_t m, std::size_t n, std::size_t k,
                           const std::int8_t* a, const float* a_scales,
                           const std::int8_t* b, float b_scale,
@@ -34,9 +31,6 @@ void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count);
 void sgemm_bias_f32_avx2(std::size_t m, std::size_t n, std::size_t k,
                          const float* a, const float* b, const float* bias,
                          float* c);
-void sgemm_bias_bf16_avx2(std::size_t m, std::size_t n, std::size_t k,
-                          const std::uint16_t* a, const std::uint16_t* b,
-                          const float* bias, float* c);
 void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
                         const std::int8_t* a, const float* a_scales,
                         const std::int8_t* b, float b_scale,

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "dsp/kernel_config.hpp"
 #include "dsp/mel.hpp"
 
 namespace beesim::dsp {
@@ -11,18 +10,14 @@ MelSpectrogram::MelSpectrogram() : MelSpectrogram(Params{}) {}
 
 MelSpectrogram::MelSpectrogram(const Params& params)
     : params_(params),
-      filterbank_(mel_filterbank(params.n_mels, params.n_fft,
-                                 params.sample_rate, params.fmin,
-                                 params.fmax)),
-      banded_(filterbank_) {}
+      banded_(mel_filterbank(params.n_mels, params.n_fft, params.sample_rate,
+                             params.fmin, params.fmax)) {}
 
 Matrix MelSpectrogram::compute(const std::vector<double>& signal) const {
   StftParams sp;
   sp.n_fft = params_.n_fft;
   sp.hop = params_.hop;
-  const Matrix power = stft_power(signal, sp);
-  return kernel_config().banded_mel ? banded_.apply(power)
-                                    : apply_filterbank(filterbank_, power);
+  return banded_.apply(stft_power(signal, sp));
 }
 
 Matrix MelSpectrogram::compute_image(const std::vector<double>& signal,

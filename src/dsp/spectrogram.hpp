@@ -10,8 +10,8 @@ namespace beesim::dsp {
 
 /// End-to-end mel-spectrogram pipeline with the paper's parameters
 /// (Section V): sample rate 22050 Hz, FFT window 2048, hop 512, 128 mel
-/// bands. Construct once (the filterbank is precomputed), then call for
-/// each audio sample.
+/// bands. Construct once (the filterbank is precomputed, nonzero spans
+/// only), then call for each audio sample.
 class MelSpectrogram {
  public:
   struct Params {
@@ -40,13 +40,10 @@ class MelSpectrogram {
       const std::vector<double>& signal) const;
 
   const Params& params() const noexcept { return params_; }
-  const Matrix& filterbank() const noexcept { return filterbank_; }
 
  private:
   Params params_;
-  Matrix filterbank_;
-  /// Sparse view of filterbank_, used when KernelConfig::banded_mel is
-  /// set (bit-identical to the dense apply).
+  /// The mel_filterbank(...) of params_, nonzero spans only.
   BandedFilterbank banded_;
 };
 

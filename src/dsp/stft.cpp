@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "dsp/fft.hpp"
-#include "dsp/kernel_config.hpp"
 #include "dsp/window.hpp"
 #include "obs/catalog.hpp"
 #include "util/parallel.hpp"
@@ -37,24 +36,7 @@ void count_frames(std::size_t frames) {
   }
 }
 
-/// Reference frame loop: full complex FFT of the real frame, twiddles
-/// recomputed per call, one spectrum allocation per frame.
-void stft_frames_reference(const std::vector<double>& padded,
-                           const std::vector<double>& window,
-                           const StftParams& params, std::size_t frames,
-                           std::size_t bins, Matrix& out) {
-  std::vector<double> frame(params.n_fft);
-  for (std::size_t f = 0; f < frames; ++f) {
-    const std::size_t start = f * params.hop;
-    for (std::size_t i = 0; i < params.n_fft; ++i)
-      frame[i] = padded[start + i] * window[i];
-    const auto spectrum = rfft(frame);
-    for (std::size_t b = 0; b < bins; ++b)
-      out(b, f) = std::norm(spectrum[b]);
-  }
-}
-
-/// Fast frame loop: one RealFftPlan shared by all frames, frames split
+/// The frame loop: one RealFftPlan shared by all frames, frames split
 /// into contiguous chunks across util::parallel_for, per-chunk scratch
 /// buffers and no per-frame heap allocation. Every frame's output is
 /// independent, so the result is bit-identical for any chunk count.
@@ -62,17 +44,16 @@ void stft_frames_reference(const std::vector<double>& padded,
 /// (e.g. the clip-parallel dataset featurizer): the task pool composes
 /// nested regions on one bounded worker set, so going wide here can no
 /// longer oversubscribe the machine.
-void stft_frames_fast(const std::vector<double>& padded,
-                      const std::vector<double>& window,
-                      const StftParams& params, std::size_t frames,
-                      std::size_t bins, Matrix& out) {
+void stft_frames(const std::vector<double>& padded,
+                 const std::vector<double>& window,
+                 const StftParams& params, std::size_t frames,
+                 std::size_t bins, Matrix& out) {
   const RealFftPlan plan(params.n_fft);
-  const std::size_t max_chunks =
-      kernel_config().parallel_stft ? util::default_thread_count() : 1;
   // Keep chunks coarse: at least 8 frames per chunk so scratch setup and
   // scheduling stay negligible against the FFT work.
   const std::size_t chunks = std::clamp<std::size_t>(
-      std::min<std::size_t>(max_chunks, frames / 8), 1, frames);
+      std::min<std::size_t>(util::default_thread_count(), frames / 8), 1,
+      frames);
   const std::size_t per_chunk = (frames + chunks - 1) / chunks;
 
   util::parallel_for(chunks, [&](std::size_t c) {
@@ -114,10 +95,7 @@ Matrix stft_power(const std::vector<double>& signal,
 
   const std::vector<double> window = hann_window(params.n_fft);
   Matrix out(bins, frames);
-  if (kernel_config().planned_fft)
-    stft_frames_fast(padded, window, params, frames, bins, out);
-  else
-    stft_frames_reference(padded, window, params, frames, bins, out);
+  stft_frames(padded, window, params, frames, bins, out);
   count_frames(frames);
   return out;
 }

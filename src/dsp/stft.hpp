@@ -17,13 +17,13 @@ struct StftParams {
 /// Power spectrogram |STFT|^2 with a periodic Hann window.
 /// Rows: n_fft/2 + 1 frequency bins. Cols: frames.
 ///
-/// KernelConfig::planned_fft selects the fast frame loop (one shared
-/// RealFftPlan, per-chunk scratch, no per-frame allocation; frames run
-/// across util::parallel_for when KernelConfig::parallel_stft is set and
-/// the result is bit-identical for any chunk count) versus the reference
-/// loop (full complex FFT per frame). With center=true the signal must be
-/// longer than n_fft/2 — shorter signals cannot be reflect-padded and
-/// throw std::invalid_argument.
+/// One RealFftPlan serves every frame; frames run in contiguous chunks
+/// across util::parallel_for with per-chunk scratch and no per-frame
+/// allocation, and the result is bit-identical for any chunk count
+/// (tests/dsp_oracle.hpp holds the serial frame loop and the naive
+/// complex-FFT loop it is checked against). With center=true the signal
+/// must be longer than n_fft/2 — shorter signals cannot be reflect-padded
+/// and throw std::invalid_argument.
 Matrix stft_power(const std::vector<double>& signal,
                   const StftParams& params = StftParams{});
 

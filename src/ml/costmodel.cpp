@@ -82,19 +82,11 @@ double mel_frontend_flops(double clip_seconds, double sample_rate,
 }
 
 double precision_throughput_scale(Precision p) noexcept {
-  // Committed calibration constants: measured GEMM throughput ratios
-  // from bench/kernels_microbench (BM_GemmInt8 / BM_GemmBf16 over
-  // BM_GemmF32Avx2, conv-shaped m=16, n=2500, k=144) on the reference
-  // machine, rounded to one digit. bf16 measures ~1.0x on AVX2: without
-  // a native bf16 dot product the widen-on-load costs what the halved
-  // operand traffic saves, so only its memory footprint shrinks. See
-  // EXPERIMENTS.md "Reduced-precision inference".
-  switch (p) {
-    case Precision::kBf16: return 1.0;
-    case Precision::kInt8: return 1.8;
-    case Precision::kF32: break;
-  }
-  return 1.0;
+  // Committed calibration constant: the measured GEMM throughput ratio
+  // from bench/kernels_microbench (BM_GemmInt8 over BM_GemmF32Avx2,
+  // conv-shaped m=16, n=2500, k=144) on the reference machine, rounded
+  // to one digit. See EXPERIMENTS.md "Reduced-precision inference".
+  return p == Precision::kInt8 ? 1.8 : 1.0;
 }
 
 DeviceComputeModel rpi_cnn_compute(Precision p) {

@@ -43,18 +43,17 @@ struct DeviceComputeModel {
 };
 
 /// Per-precision effective-throughput multiplier of the edge CPU GEMM
-/// path, relative to f32 (= 1.0). The constants are calibrated from
+/// path, relative to f32 (= 1.0). The int8 constant is calibrated from
 /// bench/kernels_microbench GEMM measurements on the repo's reference
 /// machine and committed (like the 94.8 J Table I calibration) so the
-/// precision-energy axis stays deterministic across hosts: bf16 halves
-/// memory traffic at unchanged f32 arithmetic, int8 quadruples operand
-/// density and uses 2-way madd accumulation.
+/// precision-energy axis stays deterministic across hosts: int8
+/// quadruples operand density and uses 2-way madd accumulation.
 double precision_throughput_scale(Precision p) noexcept;
 
 /// Raspberry Pi 3B+ running the CNN: calibrated so ResNet18 at 100x100
-/// costs exactly Table I's 94.8 J / 37.6 s in f32. Reduced precisions
-/// scale throughput by precision_throughput_scale at the same active
-/// power (the vector units stay saturated), so energy drops by the same
+/// costs exactly Table I's 94.8 J / 37.6 s in f32. int8 scales
+/// throughput by precision_throughput_scale at the same active power
+/// (the vector units stay saturated), so energy drops by the same
 /// factor.
 DeviceComputeModel rpi_cnn_compute(Precision p = Precision::kF32);
 

@@ -17,12 +17,6 @@ void sgemm_bias(std::size_t m, std::size_t n, std::size_t k, const float* a,
   dsp::kernel_table().sgemm_bias(m, n, k, a, b, bias, c);
 }
 
-void sgemm_bias_bf16(std::size_t m, std::size_t n, std::size_t k,
-                     const std::uint16_t* a, const std::uint16_t* b,
-                     const float* bias, float* c) {
-  dsp::kernel_table().sgemm_bias_bf16(m, n, k, a, b, bias, c);
-}
-
 void sgemm_bias_s8(std::size_t m, std::size_t n, std::size_t k,
                    const std::int8_t* a, const float* a_scales,
                    const std::int8_t* b, float b_scale, const float* bias,

@@ -18,13 +18,6 @@ void sgemm_bias(std::size_t m, std::size_t n, std::size_t k,
                 const float* a, const float* b, const float* bias,
                 float* c);
 
-/// sgemm_bias with bf16-stored operands (bit patterns per
-/// dsp::f32_to_bf16_bits); products and accumulation stay in f32. Used by
-/// the reduced-precision inference path (ml/precision.hpp).
-void sgemm_bias_bf16(std::size_t m, std::size_t n, std::size_t k,
-                     const std::uint16_t* a, const std::uint16_t* b,
-                     const float* bias, float* c);
-
 /// Symmetric-int8 sgemm_bias: per-row scales for A (weights), one tensor
 /// scale for B (activations), exact i32 accumulation, fused f32
 /// dequantization (see dsp::KernelTable::sgemm_bias_s8).

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/kernel_config.hpp"
-#include "dsp/simd_kernels.hpp"
 #include "ml/gemm.hpp"
 #include "obs/catalog.hpp"
 
@@ -19,13 +17,6 @@ void sgd_update(Tensor& param, Tensor& grad, Tensor& velocity, float lr,
     param[i] += velocity[i];
   }
   grad.fill(0.0f);
-}
-
-void convert_bf16(const float* src, std::size_t count,
-                  std::vector<std::uint16_t>& dst) {
-  dst.resize(count);
-  for (std::size_t i = 0; i < count; ++i)
-    dst[i] = dsp::f32_to_bf16_bits(src[i]);
 }
 
 }  // namespace
@@ -56,90 +47,41 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   const std::size_t n = input.dim(0);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
-  const std::size_t pad = k_ / 2;
   Tensor out({n, out_ch_, h, w});
 
   const float* in = input.data();
   float* o = out.data();
   const float* wt = weights_.data();
 
-  if (dsp::kernel_config().gemm_conv) {
-    // im2col + GEMM fast path: weights are already laid out as the
-    // (out_ch, in_ch*k*k) matrix; the lowered image supplies the
-    // (in_ch*k*k, h*w) right-hand side. Inference may run the GEMM in
-    // reduced precision; training always stays f32 for exact gradients.
-    const Precision prec = train ? Precision::kF32 : inference_precision();
-    const std::size_t cols = h * w;
-    const std::size_t kdim = in_ch_ * k_ * k_;
-    if (prec != Precision::kF32 && quant_dirty_) {
-      wt_bf16_.clear();
-      wt_s8_ = QuantizedRows{};
-      quant_dirty_ = false;
-    }
-    if (prec == Precision::kBf16 && wt_bf16_.empty())
-      convert_bf16(wt, weights_.size(), wt_bf16_);
-    if (prec == Precision::kInt8 && wt_s8_.values.empty())
-      wt_s8_ = quantize_rows_s8(wt, out_ch_, kdim);
-    for (std::size_t b = 0; b < n; ++b) {
-      im2col_same(in + b * in_ch_ * cols, in_ch_, h, w, k_, im2col_buf_);
-      float* obatch = o + b * out_ch_ * cols;
-      switch (prec) {
-        case Precision::kF32:
-          sgemm_bias(out_ch_, cols, kdim, wt, im2col_buf_.data(),
-                     bias_.data(), obatch);
-          break;
-        case Precision::kBf16:
-          convert_bf16(im2col_buf_.data(), im2col_buf_.size(), act_bf16_);
-          sgemm_bias_bf16(out_ch_, cols, kdim, wt_bf16_.data(),
-                          act_bf16_.data(), bias_.data(), obatch);
-          break;
-        case Precision::kInt8: {
-          const QuantizedTensor act =
-              quantize_tensor_s8(im2col_buf_.data(), im2col_buf_.size());
-          sgemm_bias_s8(out_ch_, cols, kdim, wt_s8_.values.data(),
-                        wt_s8_.scales.data(), act.values.data(), act.scale,
-                        bias_.data(), obatch);
-          break;
-        }
-      }
-    }
-    if (obs::enabled()) {
-      static auto& flops =
-          obs::registry().counter(obs::metric::kMlConvGemmFlops);
-      flops.inc(2 * n * out_ch_ * cols * kdim);
-    }
-    if (train) cached_input_ = input;
-    return out;
+  // im2col + GEMM: weights are already laid out as the (out_ch,
+  // in_ch*k*k) matrix; the lowered image supplies the (in_ch*k*k, h*w)
+  // right-hand side. Inference may run the GEMM in int8; training always
+  // stays f32 for exact gradients.
+  const Precision prec = train ? Precision::kF32 : inference_precision();
+  const std::size_t cols = h * w;
+  const std::size_t kdim = in_ch_ * k_ * k_;
+  if (prec == Precision::kInt8 && quant_dirty_) {
+    wt_s8_ = quantize_rows_s8(wt, out_ch_, kdim);
+    quant_dirty_ = false;
   }
-
   for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-      const float bias = bias_[oc];
-      for (std::size_t y = 0; y < h; ++y) {
-        for (std::size_t x = 0; x < w; ++x) {
-          float acc = bias;
-          for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-            const float* in_plane = in + (b * in_ch_ + ic) * h * w;
-            const float* wk = wt + ((oc * in_ch_ + ic) * k_) * k_;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(y + ky) -
-                                        static_cast<std::ptrdiff_t>(pad);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(x + kx) -
-                    static_cast<std::ptrdiff_t>(pad);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                acc += in_plane[static_cast<std::size_t>(iy) * w +
-                                static_cast<std::size_t>(ix)] *
-                       wk[ky * k_ + kx];
-              }
-            }
-          }
-          o[((b * out_ch_ + oc) * h + y) * w + x] = acc;
-        }
-      }
+    im2col_same(in + b * in_ch_ * cols, in_ch_, h, w, k_, im2col_buf_);
+    float* obatch = o + b * out_ch_ * cols;
+    if (prec == Precision::kInt8) {
+      const QuantizedTensor act =
+          quantize_tensor_s8(im2col_buf_.data(), im2col_buf_.size());
+      sgemm_bias_s8(out_ch_, cols, kdim, wt_s8_.values.data(),
+                    wt_s8_.scales.data(), act.values.data(), act.scale,
+                    bias_.data(), obatch);
+    } else {
+      sgemm_bias(out_ch_, cols, kdim, wt, im2col_buf_.data(), bias_.data(),
+                 obatch);
     }
+  }
+  if (obs::enabled()) {
+    static auto& flops =
+        obs::registry().counter(obs::metric::kMlConvGemmFlops);
+    flops.inc(2 * n * out_ch_ * cols * kdim);
   }
   if (train) cached_input_ = input;
   return out;
@@ -396,13 +338,12 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   const std::size_t n = input.dim(0);
   Tensor out({n, out_});
   const Precision prec = train ? Precision::kF32 : inference_precision();
-  if (prec != Precision::kF32) {
+  if (prec == Precision::kInt8) {
     // Transpose the batch to (in, n) so the GEMM contract applies with
     // the (out, in) weight matrix on the left; the (out, n) product is
     // transposed back into the row-major output.
     if (quant_dirty_) {
-      wt_bf16_.clear();
-      wt_s8_ = QuantizedRows{};
+      wt_s8_ = quantize_rows_s8(weights_.data(), out_, in_);
       quant_dirty_ = false;
     }
     in_t_.resize(in_ * n);
@@ -410,21 +351,9 @@ Tensor Linear::forward(const Tensor& input, bool train) {
       for (std::size_t i = 0; i < in_; ++i)
         in_t_[i * n + b] = input.data()[b * in_ + i];
     out_t_.resize(out_ * n);
-    if (prec == Precision::kBf16) {
-      if (wt_bf16_.empty())
-        convert_bf16(weights_.data(), weights_.size(), wt_bf16_);
-      convert_bf16(in_t_.data(), in_t_.size(), act_bf16_);
-      sgemm_bias_bf16(out_, n, in_, wt_bf16_.data(), act_bf16_.data(),
-                      bias_.data(), out_t_.data());
-    } else {
-      if (wt_s8_.values.empty())
-        wt_s8_ = quantize_rows_s8(weights_.data(), out_, in_);
-      const QuantizedTensor act =
-          quantize_tensor_s8(in_t_.data(), in_t_.size());
-      sgemm_bias_s8(out_, n, in_, wt_s8_.values.data(),
-                    wt_s8_.scales.data(), act.values.data(), act.scale,
-                    bias_.data(), out_t_.data());
-    }
+    const QuantizedTensor act = quantize_tensor_s8(in_t_.data(), in_t_.size());
+    sgemm_bias_s8(out_, n, in_, wt_s8_.values.data(), wt_s8_.scales.data(),
+                  act.values.data(), act.scale, bias_.data(), out_t_.data());
     for (std::size_t b = 0; b < n; ++b)
       for (std::size_t o = 0; o < out_; ++o)
         out.at2(b, o) = out_t_[o * n + b];

@@ -35,13 +35,13 @@ class Layer {
 /// 2-D convolution, stride 1, "same" zero padding, square kernel. He
 /// initialization. Input/output layout: (N, C, H, W).
 ///
-/// The forward pass has two implementations selected by
-/// dsp::KernelConfig::gemm_conv: an im2col + register-blocked GEMM fast
-/// path (the weight matrix (out, in*k*k) times the lowered image), and
-/// the naive 6-deep loop nest kept as the reference. Inference-only
-/// forward passes honor ml::inference_precision(): the GEMM path swaps
-/// in bf16 or symmetric-int8 operands (weights quantized once and cached
-/// until the next sgd_step/load_parameters, activations per call).
+/// The forward pass is im2col + the dispatched register-blocked GEMM
+/// (the weight matrix (out, in*k*k) times the lowered image); the naive
+/// 6-deep loop nest it is checked against is the test oracle in
+/// tests/dsp_oracle.hpp. Inference-only forward passes honor
+/// ml::inference_precision(): int8 swaps in symmetric-int8 operands
+/// (weights quantized once and cached until the next
+/// sgd_step/load_parameters, activations per call).
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -72,12 +72,10 @@ class Conv2d final : public Layer {
   Tensor cached_input_;
   std::vector<float> im2col_buf_;  // reused across forward calls
 
-  // Reduced-precision weight caches (inference fast path); rebuilt lazily
-  // after any parameter mutation flips quant_dirty_.
-  std::vector<std::uint16_t> wt_bf16_;
+  // int8 weight cache (inference only); rebuilt lazily after any
+  // parameter mutation flips quant_dirty_.
   QuantizedRows wt_s8_;
   bool quant_dirty_ = true;
-  std::vector<std::uint16_t> act_bf16_;  // per-call activation scratch
 };
 
 /// Element-wise ReLU.
@@ -133,8 +131,9 @@ class GlobalAvgPool final : public Layer {
 
 /// Fully connected layer: (N, D) -> (N, M). Xavier initialization.
 /// Inference-only forward passes honor ml::inference_precision() like
-/// Conv2d: the batch is transposed to (D, N) so the dispatched GEMM
-/// kernels apply, with weights as the quantized left operand.
+/// Conv2d: under int8 the batch is transposed to (D, N) so the
+/// dispatched GEMM kernel applies, with weights as the quantized left
+/// operand.
 class Linear final : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng);
@@ -160,11 +159,9 @@ class Linear final : public Layer {
   Tensor vel_bias_;
   Tensor cached_input_;
 
-  // Reduced-precision caches/scratch (see Conv2d).
-  std::vector<std::uint16_t> wt_bf16_;
+  // int8 weight cache and scratch (see Conv2d).
   QuantizedRows wt_s8_;
   bool quant_dirty_ = true;
-  std::vector<std::uint16_t> act_bf16_;
   std::vector<float> in_t_;   // input transposed to (in, n)
   std::vector<float> out_t_;  // gemm result (out, n) before transpose-back
 };

@@ -1,9 +1,8 @@
 #include "ml/precision.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "dsp/simd_kernels.hpp"
 
 namespace beesim::ml {
 namespace {
@@ -14,16 +13,13 @@ Precision g_precision = Precision::kF32;
 
 Precision precision_from_name(const std::string& name) {
   if (name == "f32") return Precision::kF32;
-  if (name == "bf16") return Precision::kBf16;
   if (name == "int8") return Precision::kInt8;
   throw std::invalid_argument(
-      "precision_from_name: expected 'f32', 'bf16' or 'int8', got '" + name +
-      "'");
+      "precision_from_name: expected 'f32' or 'int8', got '" + name + "'");
 }
 
 const char* precision_name(Precision p) noexcept {
   switch (p) {
-    case Precision::kBf16: return "bf16";
     case Precision::kInt8: return "int8";
     case Precision::kF32: break;
   }
@@ -82,20 +78,6 @@ std::vector<float> dequantize_rows_s8(const QuantizedRows& q,
     for (std::size_t c = 0; c < cols; ++c)
       out[r * cols + c] =
           q.scales[r] * static_cast<float>(q.values[r * cols + c]);
-  return out;
-}
-
-std::vector<std::uint16_t> to_bf16(const float* data, std::size_t count) {
-  std::vector<std::uint16_t> out(count);
-  for (std::size_t i = 0; i < count; ++i)
-    out[i] = dsp::f32_to_bf16_bits(data[i]);
-  return out;
-}
-
-std::vector<float> from_bf16(const std::uint16_t* data, std::size_t count) {
-  std::vector<float> out(count);
-  for (std::size_t i = 0; i < count; ++i)
-    out[i] = dsp::bf16_bits_to_f32(data[i]);
   return out;
 }
 

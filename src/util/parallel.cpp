@@ -18,8 +18,6 @@ unsigned default_thread_count() {
   return cached;
 }
 
-bool in_parallel_region() noexcept { return TaskPool::in_region(); }
-
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   unsigned threads) {
   if (!fn) throw std::invalid_argument("parallel_for: null function");

@@ -32,11 +32,4 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
 /// std::thread::hardware_concurrency() once and caches the answer.
 unsigned default_thread_count();
 
-/// True while the calling thread is executing a parallel_for body (at
-/// any nesting depth, worker or issuer). Historically the guard that
-/// forced nested kernels serial; with the TaskPool composing nested
-/// regions it remains as a diagnostic — kernels no longer need it to
-/// avoid oversubscription.
-bool in_parallel_region() noexcept;
-
 }  // namespace beesim::util

@@ -21,10 +21,6 @@ namespace {
 // startup.
 thread_local int t_worker_index = -1;
 
-// Parallel-region nesting depth of the calling thread (issuer or
-// worker). Non-zero while a parallel_for body runs on this thread.
-thread_local int t_region_depth = 0;
-
 /// Shared control block of one parallel region, heap-allocated so helper
 /// tasks still queued after the region completes hold a valid reference:
 /// a straggler finds the index cursor exhausted and releases without
@@ -61,7 +57,6 @@ void release_job(JobCtl* job) {
 /// whoever finishes the last chunk signals the issuer. Exceptions are
 /// captured per index, lowest index kept.
 void participate(JobCtl* job) {
-  ++t_region_depth;
   for (;;) {
     const std::size_t begin =
         job->next.fetch_add(job->chunk, std::memory_order_relaxed);
@@ -89,7 +84,6 @@ void participate(JobCtl* job) {
       job->cv.notify_all();
     }
   }
-  --t_region_depth;
 }
 
 }  // namespace
@@ -340,8 +334,6 @@ TaskPool::~TaskPool() {
     if (thread.joinable()) thread.join();
   delete impl_;
 }
-
-bool TaskPool::in_region() noexcept { return t_region_depth > 0; }
 
 TaskPool::Stats TaskPool::stats() const noexcept {
   Stats s;

@@ -74,11 +74,6 @@ class TaskPool {
   };
   Stats stats() const noexcept;
 
-  /// True while the calling thread is executing a parallel region body
-  /// (worker or issuer, any nesting depth). Backs
-  /// util::in_parallel_region().
-  static bool in_region() noexcept;
-
  private:
   TaskPool();
 

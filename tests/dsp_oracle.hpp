@@ -1,0 +1,231 @@
+#pragma once
+
+// The naive DSP/ML kernels, and exact and near matrix comparisons
+// against them. Each kernel of the queen-detection front end has one
+// production path: the planned FFT (dsp::FftPlan / dsp::RealFftPlan),
+// the chunk-parallel STFT, the banded mel filterbank and the im2col +
+// GEMM convolution. Their oracles are the loops they replaced — a
+// radix-2 FFT whose twiddles drift by repeated multiplication, one
+// complex transform per STFT frame, the dense bin-by-bin filterbank
+// apply and the 6-deep convolution loop nest — plus the serial planned
+// frame loop that the chunked STFT must equal bit for bit.
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <numbers>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "dsp/fft.hpp"
+#include "dsp/matrix.hpp"
+#include "dsp/stft.hpp"
+#include "dsp/window.hpp"
+#include "ml/layers.hpp"
+#include "ml/tensor.hpp"
+
+namespace beesim::oracle {
+
+/// In-place iterative radix-2 Cooley-Tukey FFT, forward (e^{-i2pi/N}).
+/// Each stage's twiddle advances by repeated multiplication (w *= wlen),
+/// so it drifts from the exact value; dsp::FftPlan computes every
+/// twiddle directly, and the two agree to ~1e-9 relative.
+inline void fft(std::vector<dsp::Complex>& data) {
+  const std::size_t n = data.size();
+  if (!dsp::is_power_of_two(n))
+    throw std::invalid_argument("oracle::fft: size must be a power of two");
+  std::size_t j = 0;
+  for (std::size_t i = 1; i < n; ++i) {  // bit-reversal permutation
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
+    const dsp::Complex wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      dsp::Complex w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const dsp::Complex u = data[i + k];
+        const dsp::Complex v = data[i + k + len / 2] * w;
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+}
+
+/// The n/2 + 1 non-redundant bins of a real signal (numpy.fft.rfft),
+/// through the full n-point complex transform.
+inline std::vector<dsp::Complex> rfft(const std::vector<double>& signal) {
+  std::vector<dsp::Complex> buf(signal.begin(), signal.end());
+  fft(buf);
+  buf.resize(signal.size() / 2 + 1);
+  return buf;
+}
+
+/// Dense filterbank apply, (bands x bins) on (bins x frames): every bin
+/// of every band, zero weights skipped, bins ascending — the
+/// accumulation order dsp::BandedFilterbank::apply reproduces.
+inline dsp::Matrix apply_filterbank(const dsp::Matrix& filterbank,
+                                    const dsp::Matrix& power) {
+  if (filterbank.cols() != power.rows())
+    throw std::invalid_argument(
+        "oracle::apply_filterbank: filterbank cols != spectrum bins");
+  dsp::Matrix out(filterbank.rows(), power.cols());
+  for (std::size_t m = 0; m < filterbank.rows(); ++m)
+    for (std::size_t b = 0; b < filterbank.cols(); ++b) {
+      const double w = filterbank(m, b);
+      if (w == 0.0) continue;
+      for (std::size_t f = 0; f < power.cols(); ++f)
+        out(m, f) += w * power(b, f);
+    }
+  return out;
+}
+
+/// Per-band time means of a (bands x frames) dB spectrogram, frames
+/// summed in order: the SVM feature vector.
+inline std::vector<double> band_means(const dsp::Matrix& db) {
+  std::vector<double> means(db.rows());
+  for (std::size_t m = 0; m < db.rows(); ++m) {
+    double acc = 0.0;
+    for (std::size_t f = 0; f < db.cols(); ++f) acc += db(m, f);
+    means[m] = acc / static_cast<double>(db.cols());
+  }
+  return means;
+}
+
+/// |STFT|^2 one frame at a time on the calling thread: the signal is
+/// reflect-padded by n_fft/2 like librosa when p.center (mirrored around
+/// the end samples, which are not repeated), each frame is multiplied by
+/// the periodic Hann window, and frame_power(frame, column) writes the
+/// frame's n_fft/2 + 1 bins.
+template <typename FramePower>
+dsp::Matrix stft_loop(const std::vector<double>& x, const dsp::StftParams& p,
+                      FramePower frame_power) {
+  std::vector<double> padded;
+  if (p.center) {
+    const std::size_t pad = p.n_fft / 2;
+    for (std::size_t i = pad; i > 0; --i) padded.push_back(x[i]);
+    padded.insert(padded.end(), x.begin(), x.end());
+    for (std::size_t i = 0; i < pad; ++i)
+      padded.push_back(x[x.size() - 2 - i]);
+  } else {
+    padded = x;
+  }
+  const std::size_t frames = (padded.size() - p.n_fft) / p.hop + 1;
+  const std::vector<double> window = dsp::hann_window(p.n_fft);
+  dsp::Matrix out(p.n_fft / 2 + 1, frames);
+  std::vector<double> frame(p.n_fft);
+  std::vector<double> column(out.rows());
+  for (std::size_t f = 0; f < frames; ++f) {
+    for (std::size_t i = 0; i < p.n_fft; ++i)
+      frame[i] = padded[f * p.hop + i] * window[i];
+    frame_power(frame, column);
+    for (std::size_t b = 0; b < out.rows(); ++b) out(b, f) = column[b];
+  }
+  return out;
+}
+
+/// The naive STFT: the full complex FFT of every frame (rfft above), one
+/// spectrum allocation per frame. Matches dsp::stft_power to ~1e-9
+/// relative.
+inline dsp::Matrix stft_power_naive(const std::vector<double>& x,
+                                    const dsp::StftParams& p) {
+  return stft_loop(x, p, [](const std::vector<double>& frame,
+                            std::vector<double>& column) {
+    const auto spectrum = rfft(frame);
+    for (std::size_t b = 0; b < column.size(); ++b)
+      column[b] = std::norm(spectrum[b]);
+  });
+}
+
+/// The serial planned STFT: dsp::RealFftPlan::power per frame, on one
+/// thread. dsp::stft_power, which splits the frames into chunks across
+/// the task pool, must equal it bit for bit.
+inline dsp::Matrix stft_power_serial(const std::vector<double>& x,
+                                     const dsp::StftParams& p) {
+  const dsp::RealFftPlan plan(p.n_fft);
+  std::vector<dsp::Complex> scratch(plan.scratch_size());
+  return stft_loop(x, p, [&](const std::vector<double>& frame,
+                             std::vector<double>& column) {
+    plan.power(frame.data(), column.data(), scratch.data());
+  });
+}
+
+/// The 6-deep convolution loop nest (stride 1, "same" zero padding) over
+/// the layer's own weights and bias, in f32: the bias plus the kernel
+/// taps in (in channel, ky, kx) order. ml::Conv2d::forward's im2col +
+/// GEMM accumulates in another order, so the two agree to float
+/// tolerance.
+inline ml::Tensor conv2d_forward(const ml::Conv2d& conv,
+                                 const ml::Tensor& input) {
+  const ml::Tensor& weights = conv.weights();  // (out, in, k, k)
+  const std::size_t out_ch = weights.dim(0);
+  const std::size_t in_ch = weights.dim(1);
+  const std::size_t k = weights.dim(2);
+  std::vector<float> params;
+  conv.append_parameters(params);  // weights, then the out_ch biases
+  const float* bias = params.data() + weights.size();
+  const std::size_t n = input.dim(0);
+  const std::size_t h = input.dim(2);
+  const std::size_t w = input.dim(3);
+  const auto pad = static_cast<std::ptrdiff_t>(k / 2);
+  ml::Tensor out({n, out_ch, h, w});
+  for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t oc = 0; oc < out_ch; ++oc)
+      for (std::size_t y = 0; y < h; ++y)
+        for (std::size_t x = 0; x < w; ++x) {
+          float acc = bias[oc];
+          for (std::size_t ic = 0; ic < in_ch; ++ic) {
+            const float* plane = input.data() + (b * in_ch + ic) * h * w;
+            const float* wk = weights.data() + (oc * in_ch + ic) * k * k;
+            for (std::size_t ky = 0; ky < k; ++ky) {
+              const std::ptrdiff_t iy =
+                  static_cast<std::ptrdiff_t>(y + ky) - pad;
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+              for (std::size_t kx = 0; kx < k; ++kx) {
+                const std::ptrdiff_t ix =
+                    static_cast<std::ptrdiff_t>(x + kx) - pad;
+                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
+                acc += plane[static_cast<std::size_t>(iy) * w +
+                             static_cast<std::size_t>(ix)] *
+                       wk[ky * k + kx];
+              }
+            }
+          }
+          out[((b * out_ch + oc) * h + y) * w + x] = acc;
+        }
+  return out;
+}
+
+inline void expect_matrices_identical(const dsp::Matrix& a,
+                                      const dsp::Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c)
+      ASSERT_EQ(a(r, c), b(r, c)) << "at (" << r << ", " << c << ")";
+}
+
+/// |a - b| <= rel_tol * max(1, max |b|) element-wise.
+inline void expect_matrices_close(const dsp::Matrix& a, const dsp::Matrix& b,
+                                  double rel_tol) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  double scale = 1.0;
+  for (std::size_t r = 0; r < b.rows(); ++r)
+    for (std::size_t c = 0; c < b.cols(); ++c)
+      scale = std::max(scale, std::abs(b(r, c)));
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c)
+      ASSERT_NEAR(a(r, c), b(r, c), rel_tol * scale)
+          << "at (" << r << ", " << c << ")";
+}
+
+}  // namespace beesim::oracle

@@ -5,38 +5,30 @@
 #include <numbers>
 #include <vector>
 
+#include "dsp/dispatch.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/kernel_config.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/spectrogram.hpp"
 #include "dsp/stft.hpp"
+#include "dsp_oracle.hpp"
 #include "ml/layers.hpp"
 #include "ml/network.hpp"
 #include "obs/catalog.hpp"
 #include "util/rng.hpp"
 
-// Equivalence tests between the fast-path kernels (dsp::KernelConfig) and
-// the naive reference implementations they replace: bit-identical where
-// the accumulation order is unchanged (banded filterbank, fused
-// power_to_db, STFT chunking), <= 1e-9 relative where the FFT algorithm
-// differs (planned real FFT vs full complex FFT), and float tolerance for
-// the GEMM convolution.
+// Each DSP/ML kernel's one production path against its oracle in
+// dsp_oracle.hpp: bit-identical where the accumulation order is
+// unchanged (banded filterbank, fused power_to_db, STFT chunking),
+// <= 1e-9 relative where the FFT algorithm differs (planned real FFT vs
+// full complex FFT), and float tolerance for the GEMM convolution.
 
 namespace dsp = beesim::dsp;
 namespace ml = beesim::ml;
+namespace oracle = beesim::oracle;
+using oracle::expect_matrices_close;
+using oracle::expect_matrices_identical;
 
 namespace {
-
-/// Restores the global kernel config on scope exit so test order never
-/// leaks a reference config into other suites.
-class KernelConfigGuard {
- public:
-  KernelConfigGuard() : saved_(dsp::kernel_config()) {}
-  ~KernelConfigGuard() { dsp::set_kernel_config(saved_); }
-
- private:
-  dsp::KernelConfig saved_;
-};
 
 std::vector<double> random_signal(std::size_t n, beesim::util::Rng& rng) {
   std::vector<double> x(n);
@@ -44,46 +36,7 @@ std::vector<double> random_signal(std::size_t n, beesim::util::Rng& rng) {
   return x;
 }
 
-/// Max |a - b| over the matrices, for scale-relative comparisons.
-void expect_matrices_close(const dsp::Matrix& a, const dsp::Matrix& b,
-                           double rel_tol) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  double scale = 1.0;
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c)
-      scale = std::max(scale, std::abs(b(r, c)));
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c)
-      ASSERT_NEAR(a(r, c), b(r, c), rel_tol * scale)
-          << "at (" << r << ", " << c << ")";
-}
-
-void expect_matrices_identical(const dsp::Matrix& a, const dsp::Matrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c)
-      ASSERT_EQ(a(r, c), b(r, c)) << "at (" << r << ", " << c << ")";
-}
-
 }  // namespace
-
-// ------------------------------------------------------------ KernelConfig
-
-TEST(KernelConfig, ParseNames) {
-  EXPECT_TRUE(dsp::kernel_config_from_name("fast").planned_fft);
-  EXPECT_FALSE(dsp::kernel_config_from_name("reference").gemm_conv);
-  EXPECT_THROW(dsp::kernel_config_from_name("turbo"), std::invalid_argument);
-}
-
-TEST(KernelConfig, DefaultIsFast) {
-  const auto& kc = dsp::kernel_config();
-  EXPECT_TRUE(kc.planned_fft);
-  EXPECT_TRUE(kc.parallel_stft);
-  EXPECT_TRUE(kc.banded_mel);
-  EXPECT_TRUE(kc.gemm_conv);
-}
 
 // ---------------------------------------------------------------- FFT plan
 
@@ -93,7 +46,7 @@ TEST(FftPlan, MatchesReferenceFft) {
     std::vector<dsp::Complex> data(n);
     for (auto& v : data) v = {rng.normal(), rng.normal()};
     auto reference = data;
-    dsp::fft(reference);
+    oracle::fft(reference);
     const dsp::FftPlan plan(n);
     plan.forward(data);
     double scale = 1.0;
@@ -115,7 +68,7 @@ TEST(RealFftPlan, MatchesReferenceRfft) {
   beesim::util::Rng rng(12);
   for (std::size_t n : {1u, 2u, 4u, 8u, 32u, 512u, 2048u, 4096u}) {
     const auto signal = random_signal(n, rng);
-    const auto reference = dsp::rfft(signal);
+    const auto reference = oracle::rfft(signal);
     const dsp::RealFftPlan plan(n);
     const auto fast = plan.transform(signal);
     ASSERT_EQ(fast.size(), n / 2 + 1);
@@ -156,33 +109,20 @@ TEST(RealFftPlan, PowerMatchesTransformSquared) {
 // -------------------------------------------------------------------- STFT
 
 TEST(StftKernels, FastMatchesReference) {
-  KernelConfigGuard guard;
   beesim::util::Rng rng(14);
   const auto signal = random_signal(10000, rng);
   dsp::StftParams p;
   p.n_fft = 1024;
   p.hop = 256;
-
-  dsp::set_kernel_config(dsp::KernelConfig::reference());
-  const auto reference = dsp::stft_power(signal, p);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
-  const auto fast = dsp::stft_power(signal, p);
-  expect_matrices_close(fast, reference, 1e-9);
+  expect_matrices_close(dsp::stft_power(signal, p),
+                        oracle::stft_power_naive(signal, p), 1e-9);
 }
 
 TEST(StftKernels, ChunkingIsBitIdentical) {
-  KernelConfigGuard guard;
   beesim::util::Rng rng(15);
   const auto signal = random_signal(30000, rng);
-
-  auto kc = dsp::KernelConfig::fast();
-  kc.parallel_stft = false;
-  dsp::set_kernel_config(kc);
-  const auto serial = dsp::stft_power(signal);
-  kc.parallel_stft = true;
-  dsp::set_kernel_config(kc);
-  const auto chunked = dsp::stft_power(signal);
-  expect_matrices_identical(chunked, serial);
+  expect_matrices_identical(dsp::stft_power(signal),
+                            oracle::stft_power_serial(signal, {}));
 }
 
 TEST(StftKernels, ReflectPadShortSignalThrows) {
@@ -212,7 +152,7 @@ TEST(BandedFilterbank, MatchesDenseBitIdentical) {
         power(r, c) = rng.uniform(0.0, 10.0);
     const dsp::BandedFilterbank banded(fb);
     expect_matrices_identical(banded.apply(power),
-                              dsp::apply_filterbank(fb, power));
+                              oracle::apply_filterbank(fb, power));
   }
 }
 
@@ -273,61 +213,107 @@ TEST(PowerToDb, MatchesLegacyTwoPassBitIdentical) {
 // ------------------------------------------------------------ Conv2d GEMM
 
 TEST(ConvGemm, ForwardMatchesNaive) {
-  KernelConfigGuard guard;
+  // A generic shape, then the queen CNN's two conv layers (base width 8)
+  // at a 20 px input, each under every dispatch tier's GEMM. Biases are
+  // drawn at random: the constructor leaves them zero, which would hide
+  // a GEMM that drops them.
+  struct Shape {
+    std::size_t in_ch, out_ch, h, w;
+  };
   beesim::util::Rng rng(18);
-  ml::Conv2d conv(3, 5, 3, rng);
-  ml::Tensor input({2, 3, 17, 13});
-  for (std::size_t i = 0; i < input.size(); ++i)
-    input[i] = static_cast<float>(rng.normal());
+  for (const Shape s : {Shape{3, 5, 17, 13}, Shape{1, 8, 20, 20},
+                        Shape{8, 16, 10, 10}}) {
+    ml::Conv2d conv(s.in_ch, s.out_ch, 3, rng);
+    std::vector<float> params;
+    conv.append_parameters(params);
+    for (std::size_t i = params.size() - s.out_ch; i < params.size(); ++i)
+      params[i] = static_cast<float>(rng.normal());
+    const float* cursor = params.data();
+    conv.load_parameters(cursor);
+    ml::Tensor input({2, s.in_ch, s.h, s.w});
+    for (std::size_t i = 0; i < input.size(); ++i)
+      input[i] = static_cast<float>(rng.normal());
 
-  dsp::set_kernel_config(dsp::KernelConfig::reference());
-  const auto reference = conv.forward(input, false);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
-  const auto fast = conv.forward(input, false);
-
-  ASSERT_EQ(fast.size(), reference.size());
-  float scale = 1.0f;
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    scale = std::max(scale, std::abs(reference[i]));
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    ASSERT_NEAR(fast[i], reference[i], 1e-5f * scale) << "index " << i;
+    const auto reference = oracle::conv2d_forward(conv, input);
+    float scale = 1.0f;
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      scale = std::max(scale, std::abs(reference[i]));
+    for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
+                            dsp::IsaRequest::kAuto}) {
+      dsp::set_active_isa(tier);
+      const auto fast = conv.forward(input, false);
+      ASSERT_TRUE(fast.same_shape(reference));
+      for (std::size_t i = 0; i < reference.size(); ++i)
+        ASSERT_NEAR(fast[i], reference[i], 1e-5f * scale)
+            << dsp::isa_name(dsp::active_isa()) << " in " << s.in_ch
+            << " out " << s.out_ch << " index " << i;
+    }
+  }
 }
 
 TEST(ConvGemm, QueenCnnLogitsMatchNaive) {
-  KernelConfigGuard guard;
+  // The whole queen CNN end to end: its logits under every dispatch
+  // tier against a mirror of the same layers whose two convolutions run
+  // the oracle's loop nest.
   const std::size_t side = 20;
+  const std::size_t base = 8;
   beesim::util::Rng net_rng(19);
-  auto net = ml::make_queen_cnn(net_rng, 8, side);
+  auto net = ml::make_queen_cnn(net_rng, base, side);
   ml::Tensor input({2, 1, side, side});
   beesim::util::Rng in_rng(20);
   for (std::size_t i = 0; i < input.size(); ++i)
     input[i] = static_cast<float>(in_rng.uniform());
 
-  dsp::set_kernel_config(dsp::KernelConfig::reference());
-  const auto reference = net.forward(input, false);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
-  const auto fast = net.forward(input, false);
-  ASSERT_EQ(fast.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    ASSERT_NEAR(fast[i], reference[i],
-                1e-4f * std::max(1.0f, std::abs(reference[i])));
+  beesim::util::Rng mirror_rng(0);
+  ml::Conv2d conv1(1, base, 3, mirror_rng);
+  ml::Conv2d conv2(base, base * 2, 3, mirror_rng);
+  ml::Linear head(base * 2 * (side / 4), 2, mirror_rng);
+  const auto params = net.parameters();
+  const float* cursor = params.data();
+  conv1.load_parameters(cursor);
+  conv2.load_parameters(cursor);
+  head.load_parameters(cursor);
+  ASSERT_EQ(cursor, params.data() + params.size());
+  ml::ReLU relu;
+  ml::MaxPool2 pool;
+  ml::TimeAvgPool time_pool;
+  auto x = pool.forward(relu.forward(oracle::conv2d_forward(conv1, input),
+                                     false),
+                        false);
+  x = pool.forward(relu.forward(oracle::conv2d_forward(conv2, x), false),
+                   false);
+  const auto reference = head.forward(time_pool.forward(x, false), false);
+
+  for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
+                          dsp::IsaRequest::kAuto}) {
+    dsp::set_active_isa(tier);
+    const auto fast = net.forward(input, false);
+    ASSERT_TRUE(fast.same_shape(reference));
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      ASSERT_NEAR(fast[i], reference[i],
+                  1e-4f * std::max(1.0f, std::abs(reference[i])))
+          << dsp::isa_name(dsp::active_isa()) << " index " << i;
+  }
 }
 
 // ----------------------------------------------------------- Mel pipeline
 
 TEST(MelPipeline, FastMatchesReference) {
-  KernelConfigGuard guard;
   beesim::util::Rng rng(21);
   const auto clip = random_signal(22050, rng);
-  dsp::MelSpectrogram mel;
+  const dsp::MelSpectrogram mel;
+  const auto& mp = mel.params();
+  dsp::StftParams sp;
+  sp.n_fft = mp.n_fft;
+  sp.hop = mp.hop;
+  const auto reference = oracle::apply_filterbank(
+      dsp::mel_filterbank(mp.n_mels, mp.n_fft, mp.sample_rate, mp.fmin,
+                          mp.fmax),
+      oracle::stft_power_naive(clip, sp));
+  const auto ref_features = oracle::band_means(dsp::power_to_db(reference));
 
-  dsp::set_kernel_config(dsp::KernelConfig::reference());
-  const auto reference = mel.compute(clip);
-  const auto ref_features = mel.compute_features(clip);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
   const auto fast = mel.compute(clip);
   const auto fast_features = mel.compute_features(clip);
-
   expect_matrices_close(fast, reference, 1e-9);
   ASSERT_EQ(fast_features.size(), ref_features.size());
   for (std::size_t i = 0; i < ref_features.size(); ++i)
@@ -337,8 +323,6 @@ TEST(MelPipeline, FastMatchesReference) {
 // ------------------------------------------------------------ Obs metrics
 
 TEST(KernelMetrics, StftCountsFramesAndPlanReuses) {
-  KernelConfigGuard guard;
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
   auto& frames =
       beesim::obs::registry().counter(beesim::obs::metric::kDspStftFrames);
   auto& reuses = beesim::obs::registry().counter(
@@ -363,14 +347,13 @@ TEST(KernelMetrics, StftCountsFramesAndPlanReuses) {
 // ---------------------------------------------------------- Property fuzz
 
 TEST(FuzzKernels, FastStftAndRfftMatchReferenceOnRandomShapes) {
-  KernelConfigGuard guard;
   beesim::util::Rng rng(23);
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n_fft =
         std::size_t{1} << rng.uniform_int(4, 11);  // 16 .. 2048
     // Random real-FFT equivalence at this size.
     const auto frame = random_signal(n_fft, rng);
-    const auto ref_spec = dsp::rfft(frame);
+    const auto ref_spec = oracle::rfft(frame);
     const auto fast_spec = dsp::RealFftPlan(n_fft).transform(frame);
     double scale = 1.0;
     for (const auto& v : ref_spec) scale = std::max(scale, std::abs(v));
@@ -389,10 +372,8 @@ TEST(FuzzKernels, FastStftAndRfftMatchReferenceOnRandomShapes) {
                                 static_cast<std::int64_t>(n_fft / 2),
                                 8192));
     const auto signal = random_signal(len, rng);
-    dsp::set_kernel_config(dsp::KernelConfig::reference());
-    const auto reference = dsp::stft_power(signal, p);
-    dsp::set_kernel_config(dsp::KernelConfig::fast());
     const auto fast = dsp::stft_power(signal, p);
-    expect_matrices_close(fast, reference, 1e-9);
+    expect_matrices_close(fast, oracle::stft_power_naive(signal, p), 1e-9);
+    expect_matrices_identical(fast, oracle::stft_power_serial(signal, p));
   }
 }

@@ -1,23 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <vector>
 
-#include "dsp/simd_kernels.hpp"
 #include "ml/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/precision.hpp"
 #include "ml/tensor.hpp"
 #include "util/rng.hpp"
 
-// Properties of the reduced-precision inference types: bf16
-// round-to-nearest-even conversion, symmetric int8 quantization with
-// bounded roundtrip error, and the layer forward paths that consume them.
+// Properties of the int8 inference type: symmetric quantization with
+// bounded roundtrip error, and the layer forward paths that consume it.
 
 namespace ml = beesim::ml;
-namespace dsp = beesim::dsp;
 using beesim::util::Rng;
 
 namespace {
@@ -32,77 +27,22 @@ class PrecisionGuard {
   ml::Precision saved_;
 };
 
-float bf16_roundtrip(float f) {
-  return dsp::bf16_bits_to_f32(dsp::f32_to_bf16_bits(f));
-}
-
 }  // namespace
 
 TEST(Precision, Names) {
   EXPECT_EQ(ml::precision_from_name("f32"), ml::Precision::kF32);
-  EXPECT_EQ(ml::precision_from_name("bf16"), ml::Precision::kBf16);
   EXPECT_EQ(ml::precision_from_name("int8"), ml::Precision::kInt8);
   EXPECT_THROW(ml::precision_from_name("fp16"), std::invalid_argument);
+  EXPECT_THROW(ml::precision_from_name("bf16"), std::invalid_argument);
   EXPECT_STREQ(ml::precision_name(ml::Precision::kF32), "f32");
-  EXPECT_STREQ(ml::precision_name(ml::Precision::kBf16), "bf16");
   EXPECT_STREQ(ml::precision_name(ml::Precision::kInt8), "int8");
 }
 
 TEST(Precision, GlobalDefaultsToF32) {
   EXPECT_EQ(ml::inference_precision(), ml::Precision::kF32);
   PrecisionGuard guard;
-  ml::set_inference_precision(ml::Precision::kBf16);
-  EXPECT_EQ(ml::inference_precision(), ml::Precision::kBf16);
-}
-
-TEST(Bf16, ExactlyRepresentableRoundTrips) {
-  // Values with <= 8 significand bits are bf16-exact: conversion must be
-  // the identity on them.
-  for (float f : {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, 2.0f, 96.0f, -0.375f,
-                  1.0f / 256.0f, 3.140625f}) {
-    const float back = bf16_roundtrip(f);
-    EXPECT_EQ(std::memcmp(&back, &f, sizeof f), 0) << f;
-  }
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(bf16_roundtrip(inf), inf);
-  EXPECT_EQ(bf16_roundtrip(-inf), -inf);
-}
-
-TEST(Bf16, RoundsToNearestEven) {
-  // 1 + 2^-9 sits exactly between bf16 neighbours 1.0 and 1 + 2^-8;
-  // nearest-even resolves it down to 1.0. 1 + 3*2^-9 resolves up.
-  EXPECT_EQ(bf16_roundtrip(1.0f + 0x1p-9f), 1.0f);
-  EXPECT_EQ(bf16_roundtrip(1.0f + 3 * 0x1p-9f), 1.0f + 0x1p-7f);
-  // Relative error of rounding is bounded by 2^-8.
-  Rng rng(5);
-  for (int i = 0; i < 1000; ++i) {
-    const float f = static_cast<float>(rng.normal(0.0, 100.0));
-    EXPECT_LE(std::fabs(bf16_roundtrip(f) - f), std::fabs(f) * 0x1p-8f);
-  }
-}
-
-TEST(Bf16, NaNStaysQuietNaN) {
-  const float qnan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_TRUE(std::isnan(bf16_roundtrip(qnan)));
-  // A signalling payload entirely in the low 16 bits must not truncate
-  // to an infinity bit pattern.
-  std::uint32_t bits = 0x7f800001u;  // sNaN with low-bits-only payload
-  float snan;
-  std::memcpy(&snan, &bits, sizeof snan);
-  EXPECT_TRUE(std::isnan(bf16_roundtrip(snan)));
-}
-
-TEST(Bf16, BufferConvertersMatchScalar) {
-  Rng rng(11);
-  std::vector<float> xs(257);
-  for (auto& x : xs) x = static_cast<float>(rng.normal(0.0, 10.0));
-  const auto packed = ml::to_bf16(xs.data(), xs.size());
-  ASSERT_EQ(packed.size(), xs.size());
-  const auto back = ml::from_bf16(packed.data(), packed.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(packed[i], dsp::f32_to_bf16_bits(xs[i]));
-    EXPECT_EQ(back[i], bf16_roundtrip(xs[i]));
-  }
+  ml::set_inference_precision(ml::Precision::kInt8);
+  EXPECT_EQ(ml::inference_precision(), ml::Precision::kInt8);
 }
 
 TEST(Int8, RowQuantizationRoundTripBounded) {
@@ -197,13 +137,6 @@ TEST(Precision, LinearForwardTracksF32) {
   ml::set_inference_precision(ml::Precision::kF32);
   const ml::Tensor f32_out = layer.forward(input, /*train=*/false);
 
-  ml::set_inference_precision(ml::Precision::kBf16);
-  const ml::Tensor bf16_out = layer.forward(input, false);
-  ASSERT_TRUE(f32_out.same_shape(bf16_out));
-  for (std::size_t i = 0; i < f32_out.size(); ++i)
-    EXPECT_NEAR(bf16_out[i], f32_out[i],
-                0.02f * std::max(1.0f, std::fabs(f32_out[i])));
-
   ml::set_inference_precision(ml::Precision::kInt8);
   const ml::Tensor s8_out = layer.forward(input, false);
   ASSERT_TRUE(f32_out.same_shape(s8_out));
@@ -222,13 +155,6 @@ TEST(Precision, Conv2dForwardTracksF32) {
 
   ml::set_inference_precision(ml::Precision::kF32);
   const ml::Tensor f32_out = layer.forward(input, false);
-
-  ml::set_inference_precision(ml::Precision::kBf16);
-  const ml::Tensor bf16_out = layer.forward(input, false);
-  ASSERT_TRUE(f32_out.same_shape(bf16_out));
-  for (std::size_t i = 0; i < f32_out.size(); ++i)
-    EXPECT_NEAR(bf16_out[i], f32_out[i],
-                0.02f * std::max(1.0f, std::fabs(f32_out[i])));
 
   ml::set_inference_precision(ml::Precision::kInt8);
   const ml::Tensor s8_out = layer.forward(input, false);

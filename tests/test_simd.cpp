@@ -10,7 +10,6 @@
 #include "core/network_sim.hpp"
 #include "dsp/dispatch.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/kernel_config.hpp"
 #include "dsp/simd_kernels.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -85,16 +84,6 @@ TEST(Dispatch, ForcedTierClampsToDetected) {
   EXPECT_EQ(dsp::active_isa(), dsp::detected_isa());
 }
 
-TEST(Dispatch, KernelConfigCarriesDispatch) {
-  IsaGuard guard;
-  dsp::KernelConfig cfg = dsp::KernelConfig::fast();
-  cfg.dispatch = dsp::IsaRequest::kScalar;
-  dsp::set_kernel_config(cfg);
-  EXPECT_EQ(dsp::active_isa(), dsp::IsaTier::kScalar);
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
-  EXPECT_EQ(dsp::active_isa(), dsp::detected_isa());
-}
-
 TEST(SimdGemm, F32BitIdenticalFuzzed) {
   Rng rng(2024);
   const dsp::KernelTable& scalar = dsp::kernel_table(dsp::IsaTier::kScalar);
@@ -122,34 +111,6 @@ TEST(SimdGemm, F32BitIdenticalFuzzed) {
                 0)
           << "tier " << dsp::isa_name(tier) << " m=" << m << " n=" << n
           << " k=" << k << " offset=" << offset;
-    }
-  }
-}
-
-TEST(SimdGemm, Bf16BitIdenticalFuzzed) {
-  Rng rng(99);
-  const dsp::KernelTable& scalar = dsp::kernel_table(dsp::IsaTier::kScalar);
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 8));
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 50));
-    const std::size_t k = static_cast<std::size_t>(rng.uniform_int(1, 30));
-    std::vector<std::uint16_t> a(m * k), b(k * n);
-    std::vector<float> bias(m);
-    for (auto& x : a)
-      x = dsp::f32_to_bf16_bits(static_cast<float>(rng.normal(0.0, 1.0)));
-    for (auto& x : b)
-      x = dsp::f32_to_bf16_bits(static_cast<float>(rng.normal(0.0, 1.0)));
-    for (auto& x : bias) x = static_cast<float>(rng.normal(0.0, 1.0));
-    std::vector<float> want(m * n), got(m * n);
-    scalar.sgemm_bias_bf16(m, n, k, a.data(), b.data(), bias.data(),
-                           want.data());
-    for (dsp::IsaTier tier : kTiers) {
-      dsp::kernel_table(tier).sgemm_bias_bf16(m, n, k, a.data(), b.data(),
-                                              bias.data(), got.data());
-      ASSERT_EQ(std::memcmp(want.data(), got.data(), m * n * sizeof(float)),
-                0)
-          << "tier " << dsp::isa_name(tier) << " m=" << m << " n=" << n
-          << " k=" << k;
     }
   }
 }

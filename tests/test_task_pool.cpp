@@ -10,15 +10,21 @@
 #include <vector>
 
 #include "audio/dataset.hpp"
-#include "dsp/kernel_config.hpp"
+#include "audio/synth.hpp"
+#include "dsp/features.hpp"
 #include "dsp/matrix.hpp"
+#include "dsp/mel.hpp"
 #include "dsp/stft.hpp"
+#include "dsp_oracle.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "util/task_pool.hpp"
 
 namespace u = beesim::util;
 namespace dsp = beesim::dsp;
 namespace audio = beesim::audio;
+namespace oracle = beesim::oracle;
+using oracle::expect_matrices_identical;
 
 namespace {
 
@@ -46,40 +52,19 @@ std::vector<double> nested_compute(unsigned outer_threads,
   return out;
 }
 
-dsp::Matrix stft_fixture(bool parallel, bool nested_outer) {
-  dsp::KernelConfig cfg = dsp::KernelConfig::fast();
-  cfg.parallel_stft = parallel;
-  dsp::set_kernel_config(cfg);
-
+std::vector<double> stft_signal() {
   std::vector<double> signal(8192);
   for (std::size_t i = 0; i < signal.size(); ++i)
     signal[i] = std::sin(0.031 * static_cast<double>(i)) +
                 0.25 * std::sin(0.173 * static_cast<double>(i));
+  return signal;
+}
+
+dsp::StftParams stft_params() {
   dsp::StftParams params;
   params.n_fft = 256;
   params.hop = 64;
-
-  dsp::Matrix out;
-  if (nested_outer) {
-    // Issue the STFT from inside an outer region, the shape the dataset
-    // featurizer produces (clip-parallel outer, frame-parallel inner).
-    u::parallel_for(2, [&](std::size_t i) {
-      const dsp::Matrix m = dsp::stft_power(signal, params);
-      if (i == 0) out = m;
-    });
-  } else {
-    out = dsp::stft_power(signal, params);
-  }
-  dsp::set_kernel_config(dsp::KernelConfig::fast());
-  return out;
-}
-
-void expect_matrices_identical(const dsp::Matrix& a, const dsp::Matrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c)
-      ASSERT_EQ(a(r, c), b(r, c)) << "at (" << r << ", " << c << ")";
+  return params;
 }
 
 }  // namespace
@@ -95,35 +80,56 @@ TEST(TaskPool, NestedRegionsBitIdenticalForAnyWorkerCount) {
 }
 
 TEST(TaskPool, NestedStftMatchesSerialFrameLoop) {
-  const dsp::Matrix serial = stft_fixture(/*parallel=*/false,
-                                          /*nested_outer=*/false);
-  expect_matrices_identical(serial, stft_fixture(true, false));
-  // Frame-parallel STFT nested inside an outer clip-style region: the
-  // pool composes the tree and the result still matches the serial loop.
-  expect_matrices_identical(serial, stft_fixture(true, true));
+  const std::vector<double> signal = stft_signal();
+  const dsp::Matrix serial = oracle::stft_power_serial(signal, stft_params());
+  expect_matrices_identical(serial, dsp::stft_power(signal, stft_params()));
+  // Frame-parallel STFT nested inside an outer clip-style region (the
+  // shape the dataset featurizer produces): the pool composes the tree
+  // and the result still matches the serial loop.
+  dsp::Matrix nested;
+  u::parallel_for(2, [&](std::size_t i) {
+    const dsp::Matrix m = dsp::stft_power(signal, stft_params());
+    if (i == 0) nested = m;
+  });
+  expect_matrices_identical(serial, nested);
 }
 
 TEST(TaskPool, DatasetFeaturizerInvariantToNestedStftParallelism) {
+  // The featurizer runs chunk-parallel STFTs inside its clip-parallel
+  // region. Every example must equal the oracle pipeline on one thread:
+  // serial planned STFT, dense filterbank, power_to_db, band means, then
+  // the spectral descriptor. The clips are re-synthesised the way the
+  // generator draws them: sequentially from Rng(seed), example i queen
+  // iff i % 2 == 0.
   audio::DatasetParams params;
   params.count = 6;
   params.clip_seconds = 0.5;
   params.extended_features = true;
+  const audio::QueenDataset ds = audio::generate_queen_dataset(params);
+  ASSERT_EQ(ds.size(), 6u);
 
-  dsp::KernelConfig cfg = dsp::KernelConfig::fast();
-  cfg.parallel_stft = false;
-  dsp::set_kernel_config(cfg);
-  const audio::QueenDataset serial_inner = audio::generate_queen_dataset(params);
+  const auto& mp = params.mel;
+  const dsp::Matrix fb = dsp::mel_filterbank(mp.n_mels, mp.n_fft,
+                                             mp.sample_rate, mp.fmin, mp.fmax);
+  dsp::StftParams sp;
+  sp.n_fft = mp.n_fft;
+  sp.hop = mp.hop;
+  audio::BeeAudioSynth synth(params.synth);
+  u::Rng rng(params.seed);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const bool queen = i % 2 == 0;
+    const std::vector<double> clip =
+        synth.synthesize(queen, params.clip_seconds, rng);
+    const dsp::Matrix power = oracle::stft_power_serial(clip, sp);
+    const dsp::Matrix mel_db =
+        dsp::power_to_db(oracle::apply_filterbank(fb, power));
+    std::vector<double> features = oracle::band_means(mel_db);
+    const auto descriptor = dsp::spectral_descriptor(power, mp.sample_rate);
+    features.insert(features.end(), descriptor.begin(), descriptor.end());
 
-  dsp::set_kernel_config(dsp::KernelConfig::fast());  // parallel_stft on
-  const audio::QueenDataset nested = audio::generate_queen_dataset(params);
-
-  ASSERT_EQ(serial_inner.size(), nested.size());
-  for (std::size_t i = 0; i < nested.size(); ++i) {
-    EXPECT_EQ(serial_inner.examples[i].queen_present,
-              nested.examples[i].queen_present);
-    EXPECT_EQ(serial_inner.examples[i].features, nested.examples[i].features);
-    expect_matrices_identical(serial_inner.examples[i].mel_db,
-                              nested.examples[i].mel_db);
+    EXPECT_EQ(ds.examples[i].queen_present, queen);
+    EXPECT_EQ(ds.examples[i].features, features) << "example " << i;
+    expect_matrices_identical(ds.examples[i].mel_db, mel_db);
   }
 }
 
@@ -146,22 +152,6 @@ TEST(TaskPool, ThreeLevelNestingCompletes) {
       },
       4);
   EXPECT_EQ(leaves.load(), 64u);
-}
-
-TEST(TaskPool, InRegionReportsNesting) {
-  // Explicit thread counts force the pool dispatch path even on a
-  // single-core host, where threads = 0 resolves to the inline loop.
-  EXPECT_FALSE(u::in_parallel_region());
-  u::parallel_for(
-      4,
-      [&](std::size_t) {
-        EXPECT_TRUE(u::in_parallel_region());
-        u::parallel_for(
-            4, [&](std::size_t) { EXPECT_TRUE(u::in_parallel_region()); }, 4);
-        EXPECT_TRUE(u::in_parallel_region());
-      },
-      4);
-  EXPECT_FALSE(u::in_parallel_region());
 }
 
 TEST(TaskPool, ExceptionInNestedRegionPropagatesLowestIndex) {
