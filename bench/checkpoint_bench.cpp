@@ -6,10 +6,10 @@
 //      the pre-columnar hot loop — per cycle a heap-allocated
 //      CompactAllocation (vector of ServerClass, each with a vector of
 //      bands) folded into an array of per-point accumulator structs. The
-//      replica lives in this translation unit on purpose (the
-//      bench/seed_engine.hpp idiom): it must stay what the old code was,
-//      not drift with the library. Both paths must land bit-identically
-//      on the same sweep results (checked; exits non-zero otherwise).
+//      replica lives in this translation unit on purpose: it must stay
+//      what the old code was, not drift with the library. Both paths
+//      must land bit-identically on the same sweep results (checked;
+//      exits non-zero otherwise).
 //
 //   2. Sweep checkpoint roundtrip: save -> restore -> save of the part-1
 //      campaign must be byte-identical on disk (checked).

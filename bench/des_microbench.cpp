@@ -1,8 +1,5 @@
-// DES core microbenchmark: events/sec of the pool engine vs the seed
-// engine (a faithful replica of the pre-pool `priority_queue` +
-// `unordered_map<EventId, std::function>` implementation, kept here so the
-// speedup claim stays measurable on every machine), across four workload
-// shapes:
+// DES core microbenchmark: events/sec of the event-pool engine across
+// four workload shapes:
 //
 //   schedule  — schedule N one-shot events at random times, drain.
 //   cancel    — schedule N, cancel every other id, drain (tombstone path).
@@ -12,47 +9,37 @@
 //               uplink). Each chain closure carries 32 bytes of sequence
 //               state — the size the device layer's step closures
 //               actually have (task list + completion callback), which
-//               overflows std::function's 16-byte inline buffer (the
-//               seed heap-allocated every step event) but fits EventFn's
-//               48-byte buffer. On the pool engine this mode also
-//               *asserts* zero steady-state allocations via the counting
-//               global operator new below: after warm-up, the hot loop
-//               must not touch the allocator at all (exit 1 otherwise).
+//               overflows std::function's 16-byte inline buffer but fits
+//               EventFn's 48-byte buffer. This mode also *asserts* zero
+//               steady-state allocations via the counting global operator
+//               new below: after warm-up, the hot loop must not touch the
+//               allocator at all (exit 1 otherwise).
 //   multihive — H independent engines, each running the periodic shape,
 //               fanned out over util::parallel_for worker threads.
 //
 // Usage: des_microbench [mode=all|schedule|cancel|periodic|multihive]
 //                       [events=500000] [tasks=16] [chain=4] [hives=8]
-//                       [threads=0] [reps=3] [json=path]
+//                       [threads=0] [reps=3]
 //
 // `tasks` defaults to 16: since the farm refactor every engine hosts a
 // single hive, so the honest periodic density is a handful of sensor/
 // uplink routines per engine, not hundreds (fig2 executes ~1.9k
 // events/hive/day). Crank it up to stress deep-heap behaviour.
 //
-// Each mode runs `reps` repetitions and reports the best run for both
-// engines (min-time, the standard throughput-microbench estimator: the
-// best rep is the one least perturbed by scheduler noise, and taking it
-// for both sides keeps the comparison symmetric).
-//
-// `json=path` dumps the headline numbers for scripts/check.sh --bench
-// (BENCH_des.json), so future PRs can track the perf trajectory.
+// Each mode runs `reps` repetitions and reports the best run (min-time,
+// the standard throughput-microbench estimator: the best rep is the one
+// least perturbed by scheduler noise).
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
-#include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "seed_engine.hpp"
 #include "sim/engine.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -95,13 +82,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The baseline SeedEngine + SeedPeriodic live in seed_engine.{hpp,cpp}:
-// a separate translation unit compiled like the seed's own engine.cpp,
-// so the replica pays the same ABI-boundary and std::function costs the
-// seed actually paid (see the header comment there).
-using beesim::bench::SeedEngine;
-using beesim::bench::SeedPeriodic;
-
 // ------------------------------------------------------- wake-up chain
 // Per-step sequence state carried inside each chained closure. 32 bytes:
 // deliberately sized like the device layer's real step closures (task
@@ -117,10 +97,8 @@ struct ChainState {
 static_assert(sizeof(ChainState) == 32);
 
 /// One step of the wake-up task sequence: account, then schedule the
-/// next step. Identical code for both engines, so the measured delta is
-/// pure engine overhead.
-template <class E>
-void run_chain(E& eng, ChainState st) {
+/// next step.
+void run_chain(sim::Engine& eng, ChainState st) {
   ++*st.fired;
   st.energy_acc += st.step_delay * static_cast<double>(st.task_index);
   if (st.remaining == 0) return;
@@ -128,239 +106,129 @@ void run_chain(E& eng, ChainState st) {
   --next.remaining;
   ++next.task_index;
   eng.schedule_at(eng.now() + st.step_delay,
-                  [next](E& e) { run_chain(e, next); });
+                  [next](sim::Engine& e) { run_chain(e, next); });
 }
 
-template <class E>
-void start_chain(E& eng, std::uint64_t* fired, int chain) {
+void start_chain(sim::Engine& eng, std::uint64_t* fired, int chain) {
   if (chain <= 0) return;
   ChainState st{fired, 0.01, 0.0, static_cast<std::uint32_t>(chain - 1),
                 0};
   eng.schedule_at(eng.now() + st.step_delay,
-                  [st](E& e) { run_chain(e, st); });
+                  [st](sim::Engine& e) { run_chain(e, st); });
 }
 
 // ------------------------------------------------------- workloads
-
-struct Result {
-  double pool_eps = 0.0;   // events per second, pool engine
-  double seed_eps = 0.0;   // events per second, seed replica
-  double speedup() const {
-    return seed_eps > 0.0 ? pool_eps / seed_eps : 0.0;
-  }
-};
+// Each returns executed events per second.
 
 /// N one-shot events at Rng-drawn times, then drain.
-Result bench_schedule(std::uint64_t events) {
-  Result r;
-  {
-    sim::Engine engine;
-    std::uint64_t fired = 0;
-    Rng rng(42);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < events; ++i)
-      engine.schedule_at(rng.uniform(0.0, 1e6),
-                         [&fired](sim::Engine&) { ++fired; });
-    engine.run();
-    r.pool_eps = static_cast<double>(fired) / seconds_since(start);
-  }
-  {
-    SeedEngine engine;
-    std::uint64_t fired = 0;
-    Rng rng(42);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < events; ++i)
-      engine.schedule_at(rng.uniform(0.0, 1e6),
-                         [&fired](SeedEngine&) { ++fired; });
-    engine.run();
-    r.seed_eps = static_cast<double>(fired) / seconds_since(start);
-  }
-  return r;
+double bench_schedule(std::uint64_t events) {
+  sim::Engine engine;
+  std::uint64_t fired = 0;
+  Rng rng(42);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < events; ++i)
+    engine.schedule_at(rng.uniform(0.0, 1e6),
+                       [&fired](sim::Engine&) { ++fired; });
+  engine.run();
+  return static_cast<double>(fired) / seconds_since(start);
 }
 
 /// N events, every other one cancelled before the drain: exercises the
-/// tombstone + compaction path (and the hash-erase path on the seed).
-Result bench_cancel(std::uint64_t events) {
-  Result r;
-  {
-    sim::Engine engine;
-    std::uint64_t fired = 0;
-    Rng rng(43);
-    std::vector<sim::EventId> ids;
-    ids.reserve(events);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < events; ++i)
-      ids.push_back(engine.schedule_at(rng.uniform(0.0, 1e6),
-                                       [&fired](sim::Engine&) { ++fired; }));
-    for (std::uint64_t i = 0; i < events; i += 2) engine.cancel(ids[i]);
-    engine.run();
-    r.pool_eps = static_cast<double>(events) / seconds_since(start);
-  }
-  {
-    SeedEngine engine;
-    std::uint64_t fired = 0;
-    Rng rng(43);
-    std::vector<std::uint64_t> ids;
-    ids.reserve(events);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < events; ++i)
-      ids.push_back(engine.schedule_at(rng.uniform(0.0, 1e6),
-                                       [&fired](SeedEngine&) { ++fired; }));
-    for (std::uint64_t i = 0; i < events; i += 2) engine.cancel(ids[i]);
-    engine.run();
-    r.seed_eps = static_cast<double>(events) / seconds_since(start);
-  }
-  return r;
+/// tombstone + compaction path.
+double bench_cancel(std::uint64_t events) {
+  sim::Engine engine;
+  std::uint64_t fired = 0;
+  Rng rng(43);
+  std::vector<sim::EventId> ids;
+  ids.reserve(events);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < events; ++i)
+    ids.push_back(engine.schedule_at(rng.uniform(0.0, 1e6),
+                                     [&fired](sim::Engine&) { ++fired; }));
+  for (std::uint64_t i = 0; i < events; i += 2) engine.cancel(ids[i]);
+  engine.run();
+  return static_cast<double>(events) / seconds_since(start);
 }
 
 /// K periodic wake-up tasks (staggered starts, ~unit periods), each
 /// firing spawning a `chain`-step task sequence, `events` executed
-/// events in total — the per-hive wake-up shape. Returns the
-/// steady-state allocation count for the pool engine via
-/// `steady_allocs`.
-Result bench_periodic(std::uint64_t events, int tasks, int chain,
+/// events in total — the per-hive wake-up shape. Writes the
+/// steady-state allocation count to `steady_allocs`.
+double bench_periodic(std::uint64_t events, int tasks, int chain,
                       std::uint64_t* steady_allocs) {
   // Each cycle executes 1 wake-up + `chain` sequence steps.
   const double horizon = static_cast<double>(events) /
                          static_cast<double>(tasks * (1 + chain));
-  Result r;
-  {
-    sim::Engine engine;
-    std::uint64_t fired = 0;
-    Rng rng(44);
-    std::vector<std::unique_ptr<sim::PeriodicTask>> fleet;
-    fleet.reserve(static_cast<std::size_t>(tasks));
-    for (int i = 0; i < tasks; ++i)
-      fleet.push_back(std::make_unique<sim::PeriodicTask>(
-          engine, rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5),
-          [&fired, chain](sim::Engine& eng, sim::PeriodicTask&) {
-            ++fired;
-            start_chain(eng, &fired, chain);
-          }));
-    // Warm-up: grows the slab, the heap and every amortized buffer to
-    // the workload's high-water mark.
-    engine.run_until(horizon * 0.1);
-    const std::uint64_t allocs_before = alloc_count();
-    const std::uint64_t fired_before = fired;
-    const auto start = std::chrono::steady_clock::now();
-    engine.run_until(horizon);
-    const double elapsed = seconds_since(start);
-    if (steady_allocs != nullptr)
-      *steady_allocs = alloc_count() - allocs_before;
-    r.pool_eps = static_cast<double>(fired - fired_before) / elapsed;
-  }
-  {
-    SeedEngine engine;
-    std::uint64_t fired = 0;
-    Rng rng(44);
-    std::vector<std::unique_ptr<SeedPeriodic>> fleet;
-    fleet.reserve(static_cast<std::size_t>(tasks));
-    for (int i = 0; i < tasks; ++i) {
-      fleet.push_back(std::make_unique<SeedPeriodic>(SeedPeriodic{
-          &engine, 0.0, [&fired, chain](SeedEngine& eng) {
-            ++fired;
-            start_chain(eng, &fired, chain);
-          }}));
-      const double start_at = rng.uniform(0.0, 1.0);
-      fleet.back()->period = rng.uniform(0.5, 1.5);
-      fleet.back()->arm(start_at);
-    }
-    engine.run_until(horizon * 0.1);
-    const std::uint64_t fired_before = fired;
-    const auto start = std::chrono::steady_clock::now();
-    engine.run_until(horizon);
-    r.seed_eps =
-        static_cast<double>(fired - fired_before) / seconds_since(start);
-  }
-  return r;
+  sim::Engine engine;
+  std::uint64_t fired = 0;
+  Rng rng(44);
+  std::vector<std::unique_ptr<sim::PeriodicTask>> fleet;
+  fleet.reserve(static_cast<std::size_t>(tasks));
+  for (int i = 0; i < tasks; ++i)
+    fleet.push_back(std::make_unique<sim::PeriodicTask>(
+        engine, rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5),
+        [&fired, chain](sim::Engine& eng, sim::PeriodicTask&) {
+          ++fired;
+          start_chain(eng, &fired, chain);
+        }));
+  // Warm-up: grows the slab, the heap and every amortized buffer to the
+  // workload's high-water mark.
+  engine.run_until(horizon * 0.1);
+  const std::uint64_t allocs_before = alloc_count();
+  const std::uint64_t fired_before = fired;
+  const auto start = std::chrono::steady_clock::now();
+  engine.run_until(horizon);
+  const double elapsed = seconds_since(start);
+  *steady_allocs = alloc_count() - allocs_before;
+  return static_cast<double>(fired - fired_before) / elapsed;
 }
 
 /// H independent engines, each running the periodic wake-up shape,
 /// across util::parallel_for workers. Aggregate events/sec.
-Result bench_multihive(std::uint64_t events, int tasks, int chain,
+double bench_multihive(std::uint64_t events, int tasks, int chain,
                        int hives, unsigned threads) {
   const double horizon = static_cast<double>(events) /
                          static_cast<double>(tasks * (1 + chain));
-  Result r;
-  {
-    std::vector<std::uint64_t> fired(static_cast<std::size_t>(hives), 0);
-    const auto start = std::chrono::steady_clock::now();
-    beesim::util::parallel_for(
-        static_cast<std::size_t>(hives),
-        [&](std::size_t h) {
-          sim::Engine engine;
-          Rng rng = Rng::for_stream(44, h);
-          std::vector<std::unique_ptr<sim::PeriodicTask>> fleet;
-          fleet.reserve(static_cast<std::size_t>(tasks));
-          std::uint64_t local = 0;
-          for (int i = 0; i < tasks; ++i)
-            fleet.push_back(std::make_unique<sim::PeriodicTask>(
-                engine, rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5),
-                [&local, chain](sim::Engine& eng, sim::PeriodicTask&) {
-                  ++local;
-                  start_chain(eng, &local, chain);
-                }));
-          engine.run_until(horizon);
-          fired[h] = local;
-        },
-        threads);
-    const double elapsed = seconds_since(start);
-    std::uint64_t total = 0;
-    for (const auto f : fired) total += f;
-    r.pool_eps = static_cast<double>(total) / elapsed;
-  }
-  {
-    std::vector<std::uint64_t> fired(static_cast<std::size_t>(hives), 0);
-    const auto start = std::chrono::steady_clock::now();
-    beesim::util::parallel_for(
-        static_cast<std::size_t>(hives),
-        [&](std::size_t h) {
-          SeedEngine engine;
-          Rng rng = Rng::for_stream(44, h);
-          std::vector<std::unique_ptr<SeedPeriodic>> fleet;
-          fleet.reserve(static_cast<std::size_t>(tasks));
-          std::uint64_t local = 0;
-          for (int i = 0; i < tasks; ++i) {
-            fleet.push_back(std::make_unique<SeedPeriodic>(SeedPeriodic{
-                &engine, 0.0, [&local, chain](SeedEngine& eng) {
-                  ++local;
-                  start_chain(eng, &local, chain);
-                }}));
-            const double start_at = rng.uniform(0.0, 1.0);
-            fleet.back()->period = rng.uniform(0.5, 1.5);
-            fleet.back()->arm(start_at);
-          }
-          engine.run_until(horizon);
-          fired[h] = local;
-        },
-        threads);
-    const double elapsed = seconds_since(start);
-    std::uint64_t total = 0;
-    for (const auto f : fired) total += f;
-    r.seed_eps = static_cast<double>(total) / elapsed;
-  }
-  return r;
+  std::vector<std::uint64_t> fired(static_cast<std::size_t>(hives), 0);
+  const auto start = std::chrono::steady_clock::now();
+  beesim::util::parallel_for(
+      static_cast<std::size_t>(hives),
+      [&](std::size_t h) {
+        sim::Engine engine;
+        Rng rng = Rng::for_stream(44, h);
+        std::vector<std::unique_ptr<sim::PeriodicTask>> fleet;
+        fleet.reserve(static_cast<std::size_t>(tasks));
+        std::uint64_t local = 0;
+        for (int i = 0; i < tasks; ++i)
+          fleet.push_back(std::make_unique<sim::PeriodicTask>(
+              engine, rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5),
+              [&local, chain](sim::Engine& eng, sim::PeriodicTask&) {
+                ++local;
+                start_chain(eng, &local, chain);
+              }));
+        engine.run_until(horizon);
+        fired[h] = local;
+      },
+      threads);
+  const double elapsed = seconds_since(start);
+  std::uint64_t total = 0;
+  for (const auto f : fired) total += f;
+  return static_cast<double>(total) / elapsed;
 }
 
-/// Runs `fn` `reps` times and keeps each engine's best rep (max
-/// events/sec). Every field other than the throughputs is taken from the
-/// last rep — for periodic mode the caller accumulates steady-state
-/// allocation counts across reps itself.
+/// Runs `fn` `reps` times and keeps the best rep (max events/sec).
 template <class F>
-Result best_of(int reps, F&& fn) {
-  Result best;
+double best_of(int reps, F&& fn) {
+  double best = 0.0;
   for (int i = 0; i < reps; ++i) {
-    const Result r = fn();
-    if (r.pool_eps > best.pool_eps) best.pool_eps = r.pool_eps;
-    if (r.seed_eps > best.seed_eps) best.seed_eps = r.seed_eps;
+    const double eps = fn();
+    if (eps > best) best = eps;
   }
   return best;
 }
 
-void print_result(const char* mode, const Result& r) {
-  std::printf("  %-10s pool %8.2fM events/s   seed %8.2fM events/s   "
-              "speedup %.2fx\n",
-              mode, r.pool_eps / 1e6, r.seed_eps / 1e6, r.speedup());
+void print_result(const char* mode, double eps) {
+  std::printf("  %-10s %8.2fM events/s\n", mode, eps / 1e6);
 }
 
 }  // namespace
@@ -375,46 +243,36 @@ int main(int argc, char** argv) {
   const int hives = static_cast<int>(args.config().get_int("hives", 8));
   const auto threads = beesim::bench::threads_arg(args);
   const int reps = static_cast<int>(args.config().get_int("reps", 3));
-  const std::string json_path = args.config().get_string("json", "");
 
-  beesim::bench::banner("DES microbench",
-                        "event-pool engine vs seed engine, events/sec");
+  beesim::bench::banner("DES microbench", "event-pool engine, events/sec");
   std::printf(
       "\nWorkload: %llu events, %d periodic tasks, %d-step wake-up "
       "chains, %d hives\n\n",
       static_cast<unsigned long long>(events), tasks, chain, hives);
 
   const bool all = mode == "all";
-  Result schedule_r, cancel_r, periodic_r, multihive_r;
+  if (all || mode == "schedule")
+    print_result("schedule",
+                 best_of(reps, [&] { return bench_schedule(events); }));
+  if (all || mode == "cancel")
+    print_result("cancel", best_of(reps, [&] { return bench_cancel(events); }));
+  // steady_allocs accumulates over reps: any rep that allocates in the
+  // hot loop fails the zero-allocation gate.
   std::uint64_t steady_allocs = 0;
-  bool ran_periodic = false;
-
-  if (all || mode == "schedule") {
-    schedule_r = best_of(reps, [&] { return bench_schedule(events); });
-    print_result("schedule", schedule_r);
-  }
-  if (all || mode == "cancel") {
-    cancel_r = best_of(reps, [&] { return bench_cancel(events); });
-    print_result("cancel", cancel_r);
-  }
-  if (all || mode == "periodic") {
-    // steady_allocs accumulates over reps: any rep that allocates in the
-    // hot loop fails the zero-allocation gate.
-    periodic_r = best_of(reps, [&] {
-      std::uint64_t rep_allocs = 0;
-      const Result r = bench_periodic(events, tasks, chain, &rep_allocs);
-      steady_allocs += rep_allocs;
-      return r;
-    });
-    ran_periodic = true;
-    print_result("periodic", periodic_r);
-  }
-  if (all || mode == "multihive") {
-    multihive_r = best_of(reps, [&] {
-      return bench_multihive(events / 4, tasks, chain, hives, threads);
-    });
-    print_result("multihive", multihive_r);
-  }
+  const bool ran_periodic = all || mode == "periodic";
+  if (ran_periodic)
+    print_result("periodic", best_of(reps, [&] {
+                   std::uint64_t rep_allocs = 0;
+                   const double eps =
+                       bench_periodic(events, tasks, chain, &rep_allocs);
+                   steady_allocs += rep_allocs;
+                   return eps;
+                 }));
+  if (all || mode == "multihive")
+    print_result("multihive", best_of(reps, [&] {
+                   return bench_multihive(events / 4, tasks, chain, hives,
+                                          threads);
+                 }));
 
   if (ran_periodic) {
     std::printf("\n  periodic steady-state allocations: %llu %s\n",
@@ -428,31 +286,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(steady_allocs));
       return 1;
     }
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n"
-        << "  \"schedule_pool_events_per_sec\": " << schedule_r.pool_eps
-        << ",\n"
-        << "  \"schedule_seed_events_per_sec\": " << schedule_r.seed_eps
-        << ",\n"
-        << "  \"cancel_pool_events_per_sec\": " << cancel_r.pool_eps
-        << ",\n"
-        << "  \"cancel_seed_events_per_sec\": " << cancel_r.seed_eps
-        << ",\n"
-        << "  \"periodic_pool_events_per_sec\": " << periodic_r.pool_eps
-        << ",\n"
-        << "  \"periodic_seed_events_per_sec\": " << periodic_r.seed_eps
-        << ",\n"
-        << "  \"periodic_speedup_vs_seed\": " << periodic_r.speedup()
-        << ",\n"
-        << "  \"periodic_steady_state_allocs\": " << steady_allocs << ",\n"
-        << "  \"multihive_pool_events_per_sec\": " << multihive_r.pool_eps
-        << ",\n"
-        << "  \"multihive_seed_events_per_sec\": " << multihive_r.seed_eps
-        << "\n}\n";
-    std::printf("\nHeadline numbers written to %s\n", json_path.c_str());
   }
   return 0;
 }

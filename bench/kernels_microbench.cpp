@@ -105,8 +105,8 @@ BENCHMARK(BM_CnnForward)->Arg(20)->Arg(50)->Arg(100);
 // n = output pixels, k = in_channels * 3 * 3 after im2col). One shape,
 // every f32 tier plus int8: the tier ratios justify the dispatch layer,
 // the int8 ratio is the measured throughput scale committed in
-// ml::precision_throughput_scale (scripts/check.sh --bench records both
-// in BENCH_des.json).
+// ml::precision_throughput_scale (EXPERIMENTS.md tables the last
+// recorded numbers).
 constexpr std::size_t kGemmM = 16;
 constexpr std::size_t kGemmN = 2500;
 constexpr std::size_t kGemmK = 144;

@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
           ? 100.0 * (pg.total_energy.mean() - pb.total_energy.mean()) /
                 pg.total_energy.mean()
           : 0.0;
-  // The parseable headline check.sh --bench lifts into BENCH_des.json.
+  // One parseable headline line: both energies and the saving.
   std::printf("\nplacement headline: greedy_j_per_cycle=%.1f "
               "beam_j_per_cycle=%.1f saving_pct=%.2f\n",
               pg.total_energy.mean(), pb.total_energy.mean(), saving_pct);

@@ -11,7 +11,7 @@
 //               the scheduler counters (tasks/steals/parks) read from
 //               TaskPool::stats() before and after.
 //
-// Parseable output (consumed by scripts/check.sh --bench):
+// Parseable output, one key=value per figure:
 //   pool_dispatch_us=  spawn_dispatch_us=  dispatch_speedup=
 //   steal_tasks_per_sec=  pool_steals=  pool_parks=
 //

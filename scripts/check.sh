@@ -20,23 +20,22 @@
 # 4. DES anchors: the fig2 farm run must be byte-identical to
 #    scripts/anchors/fig2.txt for threads=1 and threads=4 (the pool
 #    engine + parallel apiary must not move a single digit).
-# 5. Serving smoke: a small multi-tenant serving_load run must balance
-#    its admission ledger, pass its bit-identity parity self-check, and
-#    hit the cache on an overlapping workload.
-# 6. Checkpoint resume parity: a fig6 campaign sharded across two
+# 5. Checkpoint resume parity: a fig6 campaign sharded across two
 #    processes and merged must write a CSV byte-identical to the
 #    committed scripts/anchors/fig6.csv (same bytes as the straight
 #    run), and a scale_fleet campaign killed mid-point (stop_after) and
 #    resumed must match its uninterrupted run (docs/CHECKPOINT.md).
-# 7. Repo benchmark digest contract: perfbench/ builds into
+# 6. Repo benchmark digest contract: perfbench/ builds into
 #    <build-dir>/perfbench, `beebench --record-digests 0 15` must
 #    reproduce those seeds' rows of perfbench/reference_digests.tsv (the
 #    fleet_campaign digests cover every raw Welford field of the lossy
 #    and resilient sweeps, 10^6-hive rung included), and one-second
 #    fleet_campaign, serve_hot and serve_cold runs must report
 #    "correct": true with 0 failed operations (serve_hot's requests are
-#    all answered inside submit(), serve_cold's all go to a worker).
-# 8. Docs link-check:
+#    all answered inside submit(), serve_cold's all go to a worker; both
+#    must balance the service's admission ledger and return responses
+#    equal to a direct sweep field for field).
+# 7. Docs link-check:
 #    a. every local markdown link in README.md, DESIGN.md,
 #       EXPERIMENTS.md and docs/*.md resolves to an existing file;
 #    b. every top-level directory under src/ is mentioned in
@@ -50,16 +49,13 @@
 #       documented).
 #
 # Opt-in steps:
-#   --bench     run des_microbench + scale_fleet + kernels_microbench +
-#               placement_search + pool_microbench + serving_load and
-#               write the headline numbers to BENCH_des.json at the repo
-#               root (perf trajectory across PRs), including the per-tier
-#               f32 and the int8 GEMM kernel throughput, the
-#               avx2-vs-scalar and int8-vs-f32 speedup ratios, the
-#               greedy-vs-beam placement energy on the fig7 crossover
-#               fleet under a cloud-outage plan, the task-pool dispatch
-#               overhead vs spawn-per-call (pool.*) and the cache-off
-#               serving throughput (serving.*).
+#   --bench     run each of the four perfbench workloads at its default
+#               seed and length (perfbench/run.py, built into
+#               <build-dir>/perfbench) and append each run record (commit,
+#               machine, medians and spreads) as one JSON line to
+#               BENCH_history.jsonl at the repo root (perf trajectory
+#               across commits); fails if a run fails or reports failed
+#               operations.
 #   --sanitize  configure a second build tree (<build-dir>-san) with
 #               -DBEESIM_SANITIZE=address,undefined and run the
 #               sim/fault/net/checkpoint/simd/precision/placement-search,
@@ -270,102 +266,23 @@ fi
 
 if [ "$run_bench" -eq 1 ]; then
   echo
-  echo "== bench (--bench): headline numbers -> BENCH_des.json =="
-  "$repo/$build/bench/des_microbench" events=2000000 reps=3 \
-    json="$tmp/des.json" | tail -8
-  "$repo/$build/bench/scale_fleet" lo=1000 hi=100000 points=4 cycles=5 \
-    > "$tmp/fleet.txt"
-  hives_per_sec="$(sed -n \
-    's/.*: \([0-9.e+-]*\) hives\/sec.*/\1/p' "$tmp/fleet.txt")"
-  echo "  scale_fleet: $hives_per_sec hives/sec"
-  "$repo/$build/bench/kernels_microbench" \
-    --benchmark_format=json --benchmark_min_time=0.1 \
-    > "$tmp/kernels.json" 2> /dev/null
-  "$repo/$build/bench/checkpoint_bench" dir="$tmp" > "$tmp/ckpt.txt"
-  ckpt_speedup="$(sed -n 's/.*speedup: \([0-9.]*\)x.*/\1/p' "$tmp/ckpt.txt")"
-  ckpt_save_ms="$(sed -n 's/.*save: *\([0-9.]*\) ms.*/\1/p' "$tmp/ckpt.txt")"
-  ckpt_restore_ms="$(sed -n \
-    's/.*restore: *\([0-9.]*\) ms.*/\1/p' "$tmp/ckpt.txt")"
-  echo "  checkpoint: soa ${ckpt_speedup}x," \
-       "farm save ${ckpt_save_ms} ms / restore ${ckpt_restore_ms} ms"
-  "$repo/$build/bench/placement_search" > "$tmp/placement.txt"
-  placement_greedy="$(sed -n \
-    's/.*greedy_j_per_cycle=\([0-9.]*\).*/\1/p' "$tmp/placement.txt")"
-  placement_beam="$(sed -n \
-    's/.*beam_j_per_cycle=\([0-9.]*\).*/\1/p' "$tmp/placement.txt")"
-  placement_saving="$(sed -n \
-    's/.*saving_pct=\([0-9.-]*\).*/\1/p' "$tmp/placement.txt")"
-  echo "  placement: greedy ${placement_greedy} J/cycle vs beam" \
-       "${placement_beam} J/cycle (${placement_saving}% saved)"
-  # require=1: the pool must beat spawn-per-call by >= 5x on the
-  # small-grain 64-task region, or the bench (and this script) fails.
-  "$repo/$build/bench/pool_microbench" tasks=64 reps=400 threads=4 \
-    require=1 > "$tmp/pool.txt"
-  pool_dispatch_us="$(sed -n \
-    's/.*pool_dispatch_us=\([0-9.]*\).*/\1/p' "$tmp/pool.txt")"
-  spawn_dispatch_us="$(sed -n \
-    's/.*spawn_dispatch_us=\([0-9.]*\).*/\1/p' "$tmp/pool.txt")"
-  pool_speedup="$(sed -n \
-    's/.*dispatch_speedup=\([0-9.]*\).*/\1/p' "$tmp/pool.txt")"
-  pool_tasks_per_sec="$(sed -n \
-    's/.*steal_tasks_per_sec=\([0-9.]*\).*/\1/p' "$tmp/pool.txt")"
-  echo "  pool: dispatch ${pool_dispatch_us} us vs spawn" \
-       "${spawn_dispatch_us} us (${pool_speedup}x)"
-  "$repo/$build/bench/serving_load" tenants=4 requests_per_tenant=12 \
-    scenarios=2 cycles_per_point=300 workers=2 > "$tmp/serving_bench.txt"
-  serve_cache_off_rps="$(sed -n \
-    's/.*cache=off *\([0-9.]*\) req\/s.*/\1/p' "$tmp/serving_bench.txt")"
-  echo "  serving: cache-off ${serve_cache_off_rps} req/s"
-  jq -n \
-    --slurpfile des "$tmp/des.json" \
-    --slurpfile kern "$tmp/kernels.json" \
-    --arg hps "$hives_per_sec" \
-    --arg cks "$ckpt_speedup" \
-    --arg cksave "$ckpt_save_ms" \
-    --arg ckrestore "$ckpt_restore_ms" \
-    --arg plg "$placement_greedy" \
-    --arg plb "$placement_beam" \
-    --arg pls "$placement_saving" \
-    --arg pdus "$pool_dispatch_us" \
-    --arg sdus "$spawn_dispatch_us" \
-    --arg psp "$pool_speedup" \
-    --arg ptps "$pool_tasks_per_sec" \
-    --arg scor "$serve_cache_off_rps" \
-    '{des: $des[0],
-      scale_fleet_hives_per_sec: ($hps | tonumber),
-      checkpoint: {soa_speedup: ($cks | tonumber),
-                   farm_save_ms: ($cksave | tonumber),
-                   farm_restore_ms: ($ckrestore | tonumber)},
-      placement: {greedy_j_per_cycle: ($plg | tonumber),
-                  beam_j_per_cycle: ($plb | tonumber),
-                  saving_pct: ($pls | tonumber)},
-      pool: {dispatch_us: ($pdus | tonumber),
-             spawn_dispatch_us: ($sdus | tonumber),
-             dispatch_speedup_vs_spawn: ($psp | tonumber),
-             steal_tasks_per_sec: ($ptps | tonumber)},
-      serving: {cache_off_req_per_sec: ($scor | tonumber)},
-      kernels: [$kern[0].benchmarks[]
-                | {name, real_time, time_unit}],
-      gemm: ($kern[0].benchmarks
-             | map(select(.items_per_second != null)
-                   | {(.name): .items_per_second})
-             | add
-             | {f32_scalar_flops_per_s: .BM_GemmF32Scalar,
-                f32_sse2_flops_per_s: .BM_GemmF32Sse2,
-                f32_avx2_flops_per_s: .BM_GemmF32Avx2,
-                int8_flops_per_s: .BM_GemmInt8,
-                avx2_speedup_vs_scalar:
-                  (.BM_GemmF32Avx2 / .BM_GemmF32Scalar),
-                int8_speedup_vs_f32: (.BM_GemmInt8 / .BM_GemmF32Avx2)})}' \
-    > "$repo/BENCH_des.json"
-  echo "  wrote BENCH_des.json ($(jq -r '.des.periodic_speedup_vs_seed' \
-    "$repo/BENCH_des.json")x periodic speedup vs seed engine," \
-    "gemm avx2 $(jq -r '.gemm.avx2_speedup_vs_scalar' \
-    "$repo/BENCH_des.json")x vs scalar," \
-    "int8 $(jq -r '.gemm.int8_speedup_vs_f32' \
-    "$repo/BENCH_des.json")x vs f32," \
-    "pool dispatch $(jq -r '.pool.dispatch_speedup_vs_spawn' \
-    "$repo/BENCH_des.json")x vs spawn)"
+  echo "== bench (--bench): perfbench run records -> BENCH_history.jsonl =="
+  for w in fleet_campaign serve_hot serve_cold queen_detect; do
+    record="$perfbench_dir/results/$w.seed1.untraced.record.json"
+    rm -f "$record"
+    if CARGO_TARGET_DIR="$perfbench_dir" python3 "$repo/perfbench/run.py" \
+         --workload "$w" > "$tmp/bench_$w.txt" 2>> "$tmp/pb_build.log" \
+       && jq -c . "$record" >> "$repo/BENCH_history.jsonl" \
+       && jq -e '.failed == 0' "$record" > /dev/null; then
+      echo "  ok  $w: $(jq -r '.metrics[]
+        | select(.name == "throughput_per_s")
+        | "\(.value) \(.unit), spread \(.spread)"' "$record")"
+    else
+      echo "  FAILED  perfbench $w run or record:"
+      tail -20 "$tmp/bench_$w.txt" 2> /dev/null || true
+      fail=1
+    fi
+  done
 fi
 
 if [ "$run_sanitize" -eq 1 ]; then
@@ -406,31 +323,6 @@ if [ "$run_sanitize" -eq 1 ]; then
       fail=1
     fi
   done
-fi
-
-echo
-echo "== serving: load smoke + ledger + cache self-checks =="
-"$repo/$build/bench/serving_load" tenants=4 requests_per_tenant=10 \
-  scenarios=2 cycles_per_point=50 workers=2 > "$tmp/serving.txt"
-if grep -q "admission ledger ok" "$tmp/serving.txt"; then
-  echo "  ok  admission ledger balanced (no silent drops)"
-else
-  echo "  MISMATCH  admission ledger leaked"
-  fail=1
-fi
-if grep -q "serving parity ok" "$tmp/serving.txt"; then
-  echo "  ok  cached responses bit-identical to direct computes"
-else
-  echo "  MISMATCH  serving parity self-check failed"
-  fail=1
-fi
-hit_ratio="$(sed -n 's/.*cache_hit_ratio=\([0-9.]*\).*/\1/p' \
-  "$tmp/serving.txt")"
-if awk -v r="${hit_ratio:-0}" 'BEGIN { exit !(r > 0) }'; then
-  echo "  ok  overlapping tenants hit the cache (hit ratio $hit_ratio)"
-else
-  echo "  MISMATCH  cache hit ratio is 0 on an overlapping workload"
-  fail=1
 fi
 
 echo

@@ -22,19 +22,6 @@ void StatColumns::reset(std::size_t count) {
   max.assign(count, -std::numeric_limits<double>::infinity());
 }
 
-void StatColumns::add(std::size_t i, double x) noexcept {
-  // The exact recurrence of util::RunningStats::add — same operations in
-  // the same order, so the columnar and struct accumulators stay
-  // bit-identical (tested in tests/test_checkpoint.cpp).
-  ++n[i];
-  sum[i] += x;
-  const double delta = x - mean[i];
-  mean[i] += delta / static_cast<double>(n[i]);
-  m2[i] += delta * (x - mean[i]);
-  min[i] = std::min(min[i], x);
-  max[i] = std::max(max[i], x);
-}
-
 util::RunningStats StatColumns::stats(std::size_t i) const {
   util::RunningStats::Raw raw;
   raw.n = n[i];

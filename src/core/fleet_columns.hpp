@@ -15,11 +15,11 @@ namespace beesim::core {
 
 /// One util::RunningStats accumulator per sweep point, stored as six
 /// per-field contiguous columns instead of an array of accumulator
-/// structs. add() runs the exact Welford recurrence RunningStats::add
-/// runs — same operations, same order — so a column advanced here and an
-/// accumulator advanced there hold bit-identical values (equivalence- and
-/// roundtrip-tested). The columns are also the unit the checkpoint layer
-/// persists: restore is a bulk copy, no per-point reconstruction.
+/// structs. The sweeps advance a point in a dsp::Welford5 (see
+/// accumulate_cycles) and transfer it here through set(); stats() hands
+/// it back. Both transfers are exact (roundtrip-tested). The columns are
+/// the unit the checkpoint layer persists: restore is a bulk copy, no
+/// per-point reconstruction.
 struct StatColumns {
   std::vector<std::uint64_t> n;
   std::vector<double> mean;
@@ -31,9 +31,6 @@ struct StatColumns {
   /// Sizes every column to `count` empty accumulators (min/max at their
   /// +/-infinity sentinels, everything else zero).
   void reset(std::size_t count);
-  /// One Welford step on accumulator `i` — bit-identical arithmetic to
-  /// util::RunningStats::add.
-  void add(std::size_t i, double x) noexcept;
   /// Accumulator `i` as a RunningStats (exact representation transfer).
   util::RunningStats stats(std::size_t i) const;
   /// Overwrites accumulator `i` with the exact representation of `s`.

@@ -44,8 +44,8 @@ void register_catalog(Registry& reg) {
         m::kServeRequestsAnsweredAtSubmit, m::kServePointsRequested,
         m::kServePointsComputed, m::kServePointsCoalesced,
         m::kServeCacheHits, m::kServeCacheMisses,
-        m::kServeCacheEvictions, m::kServeCacheExpirations,
-        m::kPoolTasks, m::kPoolSteals, m::kPoolParks,
+        m::kServeCacheEvictions, m::kPoolTasks, m::kPoolSteals,
+        m::kPoolParks,
         m::kCkptSaves, m::kCkptRestores,
         m::kCkptMerges, m::kCkptBytesWritten, m::kCkptBytesRead,
         m::kCkptRejected})

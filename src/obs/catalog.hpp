@@ -193,8 +193,6 @@ inline constexpr const char* kServeCacheHits = "serve.cache.hits";
 inline constexpr const char* kServeCacheMisses = "serve.cache.misses";
 inline constexpr const char* kServeCacheEvictions =
     "serve.cache.evictions";
-inline constexpr const char* kServeCacheExpirations =
-    "serve.cache.expirations";
 inline constexpr const char* kServeBatchWidth = "serve.batch.width";
 inline constexpr const char* kServeQueuePeakDepth =
     "serve.queue.peak_depth";

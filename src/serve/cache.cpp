@@ -1,24 +1,10 @@
 #include "serve/cache.hpp"
 
-#include <chrono>
-
 #include "obs/catalog.hpp"
 
 namespace beesim::serve {
-namespace {
 
-double steady_now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-PointCache::PointCache(std::size_t shards, std::size_t capacity,
-                       double ttl_seconds, ClockFn clock)
-    : ttl_seconds_(ttl_seconds > 0.0 ? ttl_seconds : 0.0),
-      clock_(clock ? std::move(clock) : ClockFn(steady_now)) {
+PointCache::PointCache(std::size_t shards, std::size_t capacity) {
   if (shards < 1) shards = 1;
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i)
@@ -27,29 +13,12 @@ PointCache::PointCache(std::size_t shards, std::size_t capacity,
   capacity_ = per_shard_capacity_ * shards;
 }
 
-void PointCache::expire_slot(Shard& shard, std::size_t slot) const {
-  shard.ring[slot] = {PointKey{}, Kind::kFree, 0};
-  shard.free_slots.push_back(slot);
-  expirations_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::enabled()) {
-    static auto& expirations =
-        obs::registry().counter(obs::metric::kServeCacheExpirations);
-    expirations.inc();
-  }
-}
-
 std::size_t PointCache::claim_slot(Shard& shard, const PointKey& key,
                                    Kind kind) {
   // New entries start unreferenced: they earn their second chance on the
   // first lookup. Inserting with the bit set would let a burst of fresh
   // keys force the hand all the way around and evict the hot entry it
   // just cleared (CLOCK degenerates to FIFO at small capacities).
-  if (!shard.free_slots.empty()) {
-    const std::size_t index = shard.free_slots.back();
-    shard.free_slots.pop_back();
-    shard.ring[index] = {key, kind, 0};
-    return index;
-  }
   if (per_shard_capacity_ == 0 || shard.ring.size() < per_shard_capacity_) {
     shard.ring.push_back({key, kind, 0});
     return shard.ring.size() - 1;
@@ -88,11 +57,6 @@ bool PointCache::find(Map<Point> Shard::*map, const PointKey& key,
   Map<Point>& entries = shard.*map;
   const auto it = entries.find(key);
   if (it == entries.end()) return false;
-  if (expired(it->second.inserted_at)) {
-    expire_slot(shard, it->second.slot);
-    entries.erase(it);
-    return false;
-  }
   *out = it->second.point;
   shard.ring[it->second.slot].referenced = 1;
   return true;
@@ -106,7 +70,7 @@ void PointCache::store(Map<Point> Shard::*map, Kind kind, const PointKey& key,
   Map<Point>& entries = shard.*map;
   if (entries.count(key) != 0) return;  // first writer wins
   const std::size_t slot = claim_slot(shard, key, kind);
-  entries.emplace(key, Entry<Point>{point, slot, stamp()});
+  entries.emplace(key, Entry<Point>{point, slot});
 }
 
 bool PointCache::peek(const PointKey& key, core::SweepPoint* out) const {
@@ -146,7 +110,6 @@ PointCache::Stats PointCache::stats() const {
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.expirations = expirations_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     stats.entries += shard->sweep.size() + shard->resilience.size();

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -58,35 +57,16 @@ struct PointKeyHash {
 /// bit-identical to the evicted one (regression-tested), so eviction can
 /// only cost recompute time, never change results. Resident entries are
 /// never mutated after insert.
-///
-/// Entries can additionally carry a time-to-live (`ttl_seconds` > 0):
-/// a lookup that finds an entry older than the TTL expires it lazily —
-/// the entry is dropped, its ring slot is recycled through a free list,
-/// the lookup counts as a miss, and `serve.cache.expirations` (distinct
-/// from capacity evictions) is incremented. Expiry exists for operational
-/// hygiene in long-lived multi-tenant services (bounding how stale a
-/// resident point can get after a config rollout), not for correctness —
-/// the determinism contract makes stale entries bit-identical anyway.
-/// Entries that are never looked up again simply age in place until the
-/// CLOCK hand reaches them.
 class PointCache {
  public:
   /// Default capacity bound: plenty for every figure sweep in the bench
   /// suite while capping resident memory near tens of MB.
   static constexpr std::size_t kDefaultCapacity = 65536;
 
-  /// Monotonic time source in seconds; injectable so tests drive expiry
-  /// deterministically. The default reads std::chrono::steady_clock.
-  using ClockFn = std::function<double()>;
-
   /// `capacity` is the total entry bound across all shards (rounded up
   /// to a multiple of `shards`); 0 disables eviction entirely.
-  /// `ttl_seconds` > 0 expires entries older than that on lookup; 0
-  /// disables expiry. `clock` overrides the time source (tests); it is
-  /// called only when a TTL is set.
   explicit PointCache(std::size_t shards = 16,
-                      std::size_t capacity = kDefaultCapacity,
-                      double ttl_seconds = 0.0, ClockFn clock = {});
+                      std::size_t capacity = kDefaultCapacity);
 
   /// Sweep-point lookup; counts a hit or miss. Returns true on hit and
   /// copies the point into `out`. A hit marks the entry recently used.
@@ -104,25 +84,22 @@ class PointCache {
                          const core::ResiliencePoint& point);
 
   /// Uncounted lookups: the same as lookup_sweep / lookup_resilience
-  /// (a hit marks the entry recently used, a stale entry expires and
-  /// counts its expiration) except that neither a hit nor a miss is
-  /// counted. SimulationService::submit resolves requests with these and
-  /// reports the hits through count_hits() only when every point of the
-  /// request was found; a request that goes on to a worker is counted
-  /// once, by the worker's lookups.
+  /// (a hit marks the entry recently used) except that neither a hit nor
+  /// a miss is counted. SimulationService::submit resolves requests with
+  /// these and reports the hits through count_hits() only when every
+  /// point of the request was found; a request that goes on to a worker
+  /// is counted once, by the worker's lookups.
   bool peek(const PointKey& key, core::SweepPoint* out) const;
   bool peek(const PointKey& key, core::ResiliencePoint* out) const;
   /// Adds `n` to the lifetime hit counter (see peek).
   void count_hits(std::uint64_t n) const noexcept;
 
-  /// Point-in-time counters: lifetime hits/misses/evictions/expirations
-  /// and resident entries (lazily-expired entries still count as
-  /// resident until a lookup touches them or CLOCK reclaims them).
+  /// Point-in-time counters: lifetime hits/misses/evictions and
+  /// resident entries.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t expirations = 0;
     std::uint64_t entries = 0;
 
     double hit_ratio() const noexcept {
@@ -139,14 +116,10 @@ class PointCache {
   std::vector<std::size_t> shard_occupancy() const;
 
   std::size_t capacity() const noexcept { return capacity_; }
-  double ttl_seconds() const noexcept { return ttl_seconds_; }
 
  private:
-  /// Which per-shard map owns a CLOCK slot's key. kFree slots belong to
-  /// the shard's free list (recycled by expiry) and are invisible to the
-  /// CLOCK hand — claim_slot drains the free list before sweeping, so a
-  /// sweeping hand never encounters one.
-  enum class Kind : std::uint8_t { kSweep, kResilience, kFree };
+  /// Which per-shard map owns a CLOCK slot's key.
+  enum class Kind : std::uint8_t { kSweep, kResilience };
 
   /// One CLOCK ring slot: the resident key, its owning map, and the
   /// second-chance reference bit the hand clears as it sweeps.
@@ -157,13 +130,11 @@ class PointCache {
   };
 
   /// Map values carry the slot index so hits can set the reference bit
-  /// and evictions can erase the victim without a second lookup, plus
-  /// the insertion timestamp the TTL check compares against.
+  /// and evictions can erase the victim without a second lookup.
   template <typename Point>
   struct Entry {
     Point point;
     std::size_t slot = 0;
-    double inserted_at = 0.0;
   };
   template <typename Point>
   using Map = std::unordered_map<PointKey, Entry<Point>, PointKeyHash>;
@@ -174,7 +145,6 @@ class PointCache {
     Map<core::ResiliencePoint> resilience;
     std::vector<Slot> ring;  // grows to the per-shard capacity, then CLOCK
     std::size_t hand = 0;
-    std::vector<std::size_t> free_slots;  // ring indices freed by expiry
   };
 
   /// Shard selector: the bucket hash pushed through a splitmix64-style
@@ -192,9 +162,8 @@ class PointCache {
     return *shards_[shard_mix(PointKeyHash{}(key)) % shards_.size()];
   }
 
-  /// Returns the ring slot for a new entry: recycles an expired slot if
-  /// one is free, else grows the ring, else evicts the CLOCK victim.
-  /// Caller holds the shard mutex.
+  /// Returns the ring slot for a new entry: grows the ring, or at
+  /// capacity evicts the CLOCK victim. Caller holds the shard mutex.
   std::size_t claim_slot(Shard& shard, const PointKey& key, Kind kind);
 
   /// The uncounted lookup and the insert behind both point types.
@@ -204,34 +173,20 @@ class PointCache {
   void store(Map<Point> Shard::*map, Kind kind, const PointKey& key,
              const Point& point);
 
-  /// True if `inserted_at` has outlived the TTL. The clock is read only
-  /// when a TTL is set.
-  bool expired(double inserted_at) const {
-    return ttl_seconds_ > 0.0 && clock_() - inserted_at >= ttl_seconds_;
-  }
-  /// Insertion timestamp: the clock with a TTL set, else 0 (never read).
-  double stamp() const { return ttl_seconds_ > 0.0 ? clock_() : 0.0; }
-
   /// Counts one lookup as a hit or a miss and passes `hit` through.
   bool counted(bool hit) const noexcept {
     (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
     return hit;
   }
 
-  /// Releases an expired entry's ring slot onto the free list and counts
-  /// the expiration. Caller holds the shard mutex and erases the map
-  /// entry itself.
-  void expire_slot(Shard& shard, std::size_t slot) const;
-
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t capacity_ = 0;            // total bound, 0 = unbounded
   std::size_t per_shard_capacity_ = 0;  // 0 = unbounded
-  double ttl_seconds_ = 0.0;            // 0 = no expiry
-  ClockFn clock_;
-  mutable std::atomic<std::uint64_t> hits_{0};
+  // Written on every served request; kept off the cache line of the
+  // shard table above, which every lookup reads.
+  alignas(64) mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  mutable std::atomic<std::uint64_t> expirations_{0};
 };
 
 }  // namespace beesim::serve

@@ -171,31 +171,29 @@ SimulationService::Ticket SimulationService::submit(Request request) {
   // every point is cached is answered here, without a ring slot, a worker
   // or a wake-up. The peeks are uncounted, so a request that falls
   // through is counted once, by the worker's lookups.
-  if (config_.cache_enabled) {
-    Response response;
-    const auto cached = [&](int count, auto* point) {
-      return cache_.peek(PointKey{group, count}, point) ? Source::kCached
-                                                        : Source::kMissing;
-    };
-    if (assemble(request, cached, response)) {
-      const auto points = static_cast<std::uint64_t>(response.points_total);
-      cache_.count_hits(points);
-      admitted_.fetch_add(1, std::memory_order_relaxed);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      ServeMetrics& m = metrics();
-      m.admitted.inc();
-      m.completed.inc();
-      m.answered_at_submit.inc();
-      m.points_requested.inc(points);
-      m.cache_hits.inc(points);
-      std::promise<Response> promise;
-      promise.set_value(std::move(response));
-      Ticket ticket;
-      ticket.admission = Admission::kAdmitted;
-      ticket.response = promise.get_future();
-      return ticket;
-    }
+  Response response;
+  const auto cached = [&](int count, auto* point) {
+    return cache_.peek(PointKey{group, count}, point) ? Source::kCached
+                                                      : Source::kMissing;
+  };
+  if (assemble(request, cached, response)) {
+    const auto points = static_cast<std::uint64_t>(response.points_total);
+    cache_.count_hits(points);
+    admitted_.fetch_add(1, std::memory_order_relaxed);
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    ServeMetrics& m = metrics();
+    m.admitted.inc();
+    m.completed.inc();
+    m.answered_at_submit.inc();
+    m.points_requested.inc(points);
+    m.cache_hits.inc(points);
+    std::promise<Response> promise;
+    promise.set_value(std::move(response));
+    Ticket ticket;
+    ticket.admission = Admission::kAdmitted;
+    ticket.response = promise.get_future();
+    return ticket;
   }
 
   Worker& w = *workers_[group.lo % workers_.size()];
@@ -312,26 +310,24 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
         ++coalesced;
         continue;
       }
-      if (config_.cache_enabled) {
-        if (is_resilience) {
-          core::ResiliencePoint point;
-          if (cache_.lookup_resilience(key, &point)) {
-            resilience_local.emplace(key, point);
-            from_cache.insert(key);
-            ++hits;
-            continue;
-          }
-        } else {
-          core::SweepPoint point;
-          if (cache_.lookup_sweep(key, &point)) {
-            sweep_local.emplace(key, point);
-            from_cache.insert(key);
-            ++hits;
-            continue;
-          }
+      if (is_resilience) {
+        core::ResiliencePoint point;
+        if (cache_.lookup_resilience(key, &point)) {
+          resilience_local.emplace(key, point);
+          from_cache.insert(key);
+          ++hits;
+          continue;
         }
-        ++misses;
+      } else {
+        core::SweepPoint point;
+        if (cache_.lookup_sweep(key, &point)) {
+          sweep_local.emplace(key, point);
+          from_cache.insert(key);
+          ++hits;
+          continue;
+        }
       }
+      ++misses;
       scheduled.insert(key);
       GroupWork& work = groups[pending->group];
       if (work.exemplar == nullptr) work.exemplar = &pending->request;
@@ -357,7 +353,7 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
       for (std::size_t i = 0; i < points.size(); ++i) {
         const PointKey key{group_hash, work.missing[i]};
         resilience_local.emplace(key, points[i]);
-        if (config_.cache_enabled) cache_.insert_resilience(key, points[i]);
+        cache_.insert_resilience(key, points[i]);
       }
     } else {
       const bool is_sweep = exemplar.kind == RequestKind::kSweep;
@@ -373,7 +369,7 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
       for (std::size_t i = 0; i < points.size(); ++i) {
         const PointKey key{group_hash, work.missing[i]};
         sweep_local.emplace(key, points[i]);
-        if (config_.cache_enabled) cache_.insert_sweep(key, points[i]);
+        cache_.insert_sweep(key, points[i]);
       }
     }
     computed += work.missing.size();

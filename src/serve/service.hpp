@@ -56,10 +56,6 @@ class SimulationService {
     std::int64_t max_in_flight = 4096;
     /// Most requests one worker coalesces into a single dispatch.
     std::size_t max_batch = 32;
-    /// When false, no point persists across batches (within-batch
-    /// coalescing still applies) — the baseline the serving_load bench
-    /// compares against.
-    bool cache_enabled = true;
     /// Total PointCache entry bound (0 = unbounded). At the bound the
     /// cache evicts CLOCK victims instead of growing — the fix for the
     /// long-lived-service leak where every distinct scenario stayed
@@ -82,7 +78,7 @@ class SimulationService {
   /// The admission ledger: every submitted request is exactly one of
   /// admitted or rejected, and every admitted request is eventually
   /// completed. `balanced()` is the no-leak invariant checked by the
-  /// tests and the serving_load bench (and scripts/check.sh).
+  /// tests and by the repo benchmark's serve workloads.
   struct Ledger {
     std::uint64_t submitted = 0;
     std::uint64_t admitted = 0;

@@ -69,21 +69,6 @@ void spit(const std::string& path, const std::vector<char>& bytes) {
 
 // ---- StatColumns ------------------------------------------------------
 
-TEST(StatColumns, MatchesRunningStatsBitForBit) {
-  StatColumns cols;
-  cols.reset(3);
-  std::vector<util::RunningStats> ref(3);
-  util::Rng rng(99);
-  for (int step = 0; step < 1000; ++step) {
-    const std::size_t i = static_cast<std::size_t>(rng.uniform_int(0, 2));
-    const double x = rng.normal(50.0, 200.0);
-    cols.add(i, x);
-    ref[i].add(x);
-  }
-  for (std::size_t i = 0; i < 3; ++i)
-    expect_same_raw(cols.stats(i), ref[i]);
-}
-
 TEST(StatColumns, SetIsExactRepresentationTransfer) {
   util::RunningStats s;
   util::Rng rng(5);

@@ -713,23 +713,6 @@ TEST(SimulationService, ShutdownRejectsNewWorkButFulfilsQueued) {
   expect_balanced_and_drained(service);
 }
 
-TEST(SimulationService, CacheDisabledStillCorrect) {
-  SimulationService::Config config = manual_config();
-  config.cache_enabled = false;
-  SimulationService service(config);
-  auto first = service.submit(sweep_request({250}));
-  service.drain();
-  auto second = service.submit(sweep_request({250}));
-  EXPECT_FALSE(ready(second.response));  // no cache: never answered at submit
-  service.drain();
-  const Response a = first.response.get();
-  const Response b = second.response.get();
-  EXPECT_FALSE(a.sweep_points[0].from_cache);
-  EXPECT_FALSE(b.sweep_points[0].from_cache);  // recomputed, not cached
-  expect_points_identical(a.sweep_points[0].point, b.sweep_points[0].point);
-  EXPECT_EQ(service.cache_stats().entries, 0u);
-}
-
 TEST(SimulationService, DeterministicAcrossWorkerCounts) {
   const std::vector<int> counts{100, 200, 300, 400};
   std::vector<Response> responses;
@@ -978,6 +961,7 @@ TEST(PointCache, FirstWriterWinsAndCounts) {
   const serve::PointKey key{core::Hash128{1, 2}, 100};
   core::SweepPoint point;
   point.initial_clients = 100;
+  EXPECT_FALSE(cache.peek(key, &point));          // uncounted miss
   EXPECT_FALSE(cache.lookup_sweep(key, &point));  // miss counted
   cache.insert_sweep(key, point);
   core::SweepPoint again;
@@ -986,11 +970,19 @@ TEST(PointCache, FirstWriterWinsAndCounts) {
   core::SweepPoint out;
   ASSERT_TRUE(cache.lookup_sweep(key, &out));
   EXPECT_EQ(out.initial_clients, 100);
+  out.initial_clients = 0;
+  ASSERT_TRUE(cache.peek(key, &out));  // uncounted hit, same bytes
+  EXPECT_EQ(out.initial_clients, 100);
+  // A sweep key never answers for a resilience point, counted or not.
+  core::ResiliencePoint other_kind;
+  EXPECT_FALSE(cache.peek(key, &other_kind));
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_DOUBLE_EQ(stats.hit_ratio(), 0.5);
+  EXPECT_FALSE(cache.lookup_resilience(key, &other_kind));
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(PointCache, CapacityBoundEvictsAndCounts) {
@@ -1099,169 +1091,4 @@ TEST(PointCache, ShardSelectionIsNearUniform) {
     EXPECT_LT(static_cast<double>(occupancy[s]), share * 1.5)
         << "shard " << s << " overloaded";
   }
-}
-
-TEST(PointCache, TtlExpiresOnLookupAndCountsSeparately) {
-  // Injected clock: entries older than the TTL expire lazily on lookup,
-  // counted as expirations (not evictions) and as misses.
-  double now = 0.0;
-  serve::PointCache cache(1, 8, /*ttl_seconds=*/10.0,
-                          [&now] { return now; });
-  EXPECT_DOUBLE_EQ(cache.ttl_seconds(), 10.0);
-  const serve::PointKey key{core::Hash128{3, 4}, 200};
-  core::SweepPoint point;
-  point.initial_clients = 200;
-  cache.insert_sweep(key, point);
-
-  core::SweepPoint out;
-  now = 9.99;  // just inside the TTL: still a hit
-  ASSERT_TRUE(cache.lookup_sweep(key, &out));
-  EXPECT_EQ(out.initial_clients, 200);
-
-  now = 10.0;  // now - inserted_at == ttl: expired
-  EXPECT_FALSE(cache.lookup_sweep(key, &out));
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.expirations, 1u);
-  EXPECT_EQ(stats.evictions, 0u);  // expiry is not a capacity eviction
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);  // the expired lookup counts as a miss
-
-  // The freed ring slot is recycled: a new insert reuses it and the
-  // re-inserted entry gets a fresh timestamp.
-  cache.insert_sweep(key, point);
-  ASSERT_TRUE(cache.lookup_sweep(key, &out));
-  now = 19.0;  // 9 s after re-insert: still fresh
-  ASSERT_TRUE(cache.lookup_sweep(key, &out));
-  now = 25.0;
-  EXPECT_FALSE(cache.lookup_sweep(key, &out));
-  EXPECT_EQ(cache.stats().expirations, 2u);
-}
-
-TEST(PointCache, TtlZeroNeverExpires) {
-  double now = 0.0;
-  serve::PointCache cache(1, 8, /*ttl_seconds=*/0.0,
-                          [&now] { return now; });
-  const serve::PointKey key{core::Hash128{5, 6}, 300};
-  core::SweepPoint point;
-  cache.insert_sweep(key, point);
-  now = 1e12;  // thirty thousand years later
-  core::SweepPoint out;
-  EXPECT_TRUE(cache.lookup_sweep(key, &out));
-  EXPECT_EQ(cache.stats().expirations, 0u);
-}
-
-TEST(PointCache, TtlExpiryComposesWithClockEviction) {
-  // Expired slots go through the free list, invisible to the CLOCK hand;
-  // capacity eviction keeps working on the remaining residents, and the
-  // two counters never mix.
-  double now = 0.0;
-  serve::PointCache cache(1, 4, /*ttl_seconds=*/5.0,
-                          [&now] { return now; });
-  core::SweepPoint point;
-  for (int i = 0; i < 4; ++i) {
-    const serve::PointKey key{
-        core::Hash128{static_cast<std::uint64_t>(i), 8}, i};
-    cache.insert_sweep(key, point);
-  }
-  EXPECT_EQ(cache.stats().entries, 4u);
-
-  // Expire two of the four; their slots land on the free list.
-  now = 6.0;
-  core::SweepPoint out;
-  for (int i = 0; i < 2; ++i) {
-    const serve::PointKey key{
-        core::Hash128{static_cast<std::uint64_t>(i), 8}, i};
-    EXPECT_FALSE(cache.lookup_sweep(key, &out));
-  }
-  EXPECT_EQ(cache.stats().expirations, 2u);
-  EXPECT_EQ(cache.stats().entries, 2u);
-
-  // The next two inserts recycle the freed slots (no evictions yet);
-  // the one after that is back at capacity and must evict via CLOCK.
-  for (int i = 10; i < 13; ++i) {
-    const serve::PointKey key{
-        core::Hash128{static_cast<std::uint64_t>(i), 9}, i};
-    cache.insert_sweep(key, point);
-    if (i < 12) {
-      EXPECT_EQ(cache.stats().evictions, 0u) << "insert " << i;
-    }
-  }
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().entries, 4u);
-  EXPECT_EQ(cache.stats().expirations, 2u);
-}
-
-TEST(PointCache, TtlAppliesToResiliencePoints) {
-  double now = 0.0;
-  serve::PointCache cache(1, 8, /*ttl_seconds=*/3.0,
-                          [&now] { return now; });
-  const serve::PointKey key{core::Hash128{9, 9}, 50};
-  core::ResiliencePoint point;
-  cache.insert_resilience(key, point);
-  core::ResiliencePoint out;
-  ASSERT_TRUE(cache.lookup_resilience(key, &out));
-  now = 3.5;
-  EXPECT_FALSE(cache.lookup_resilience(key, &out));
-  EXPECT_EQ(cache.stats().expirations, 1u);
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(PointCache, TtlZeroNeverReadsTheClock) {
-  int reads = 0;
-  serve::PointCache cache(2, 0, /*ttl_seconds=*/0.0, [&reads] {
-    ++reads;
-    return 0.0;
-  });
-  core::SweepPoint sweep;
-  core::ResiliencePoint resilience;
-  for (int i = 0; i < 8; ++i) {
-    const serve::PointKey key{core::Hash128{static_cast<std::uint64_t>(i), 1},
-                              i};
-    cache.insert_sweep(key, sweep);
-    cache.insert_resilience(key, resilience);
-    EXPECT_TRUE(cache.lookup_sweep(key, &sweep));
-    EXPECT_TRUE(cache.lookup_resilience(key, &resilience));
-    const serve::PointKey absent{core::Hash128{99, 99}, i};
-    EXPECT_FALSE(cache.lookup_sweep(absent, &sweep));
-  }
-  EXPECT_EQ(reads, 0);
-}
-
-TEST(PointCache, ExpiredEntryFallsThroughAndRecomputesBitIdentically) {
-  // The service's two lookups in their order: submit()'s uncounted peek
-  // finds the stale entry, expires it and falls through; the worker's
-  // counted lookup then misses, and the recompute reproduces the expired
-  // bytes. One expiration in all.
-  const core::LargeScaleSimulator sim(lossy_fleet());
-  const core::SweepPoint first = sim.sweep({120}, 5, 4, 1)[0];
-  double now = 0.0;
-  serve::PointCache cache(1, 8, /*ttl_seconds=*/10.0, [&now] { return now; });
-  const serve::PointKey key{core::Hash128{7, 9}, 120};
-  core::SweepPoint out;
-  EXPECT_FALSE(cache.peek(key, &out));
-  cache.insert_sweep(key, first);
-  core::ResiliencePoint other_kind;
-  EXPECT_FALSE(cache.peek(key, &other_kind));
-  ASSERT_TRUE(cache.peek(key, &out));
-  expect_points_identical(out, first);
-
-  now = 10.0;
-  EXPECT_FALSE(cache.peek(key, &out));
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.expirations, 1u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 0u);  // no peek, found or not, is counted
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_FALSE(cache.lookup_sweep(key, &out));
-  stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.expirations, 1u);
-
-  const core::SweepPoint recomputed = sim.sweep({120}, 5, 4, 1)[0];
-  expect_points_identical(recomputed, first);
-  cache.insert_sweep(key, recomputed);
-  ASSERT_TRUE(cache.peek(key, &out));
-  expect_points_identical(out, first);
-  EXPECT_EQ(cache.stats().expirations, 1u);
 }
