@@ -3,9 +3,9 @@
 //
 //   1. SoA vs AoS sweep throughput. The columnar advance path (stack
 //      CompactLayout, StatColumns accumulators) races a frozen replica of
-//      the pre-columnar hot loop — per cycle a heap-allocated
-//      CompactAllocation (vector of ServerClass, each with a vector of
-//      bands) folded into an array of per-point accumulator structs. The
+//      the pre-columnar hot loop — per cycle the layout copied into heap
+//      server classes (a vector of classes, each with a vector of bands)
+//      and folded into an array of per-point accumulator structs. The
 //      replica lives in this translation unit on purpose: it must stay
 //      what the old code was, not drift with the library. Both paths
 //      must land bit-identically on the same sweep results (checked;
@@ -64,11 +64,22 @@ struct AosPoint {
   util::RunningStats total_energy;
 };
 
+/// One server class of the heap form the old loop built every cycle: a
+/// vector of classes, each with a vector of bands in slot order.
+struct HeapClass {
+  struct Band {
+    int clients_per_slot = 0;
+    int slots = 0;
+  };
+  std::int64_t servers = 0;
+  std::vector<Band> bands;
+};
+
 /// Band-for-band replica of LargeScaleSimulator::server_energy for one
-/// heap ServerClass (metrics elided — pure arithmetic).
+/// heap class (metrics elided — pure arithmetic).
 util::Joules class_energy(const core::ServerSpec& server,
                           const core::LossConfig& loss,
-                          const core::CompactAllocation::ServerClass& cls) {
+                          const HeapClass& cls) {
   util::Seconds active_time = 0.0;
   util::Joules active_energy = 0.0;
   for (const auto& band : cls.bands) {
@@ -82,7 +93,7 @@ util::Joules class_energy(const core::ServerSpec& server,
   return server.idle_power * (server.cycle - active_time) + active_energy;
 }
 
-/// The old per-cycle body: heap CompactAllocation per cycle, struct
+/// The old per-cycle body: heap server classes per cycle, struct
 /// accumulators per point.
 void aos_cycle(const core::FleetParams& params,
                const core::ServerSpec& server, int clients, util::Rng& rng,
@@ -92,16 +103,32 @@ void aos_cycle(const core::FleetParams& params,
   const double edge =
       static_cast<double>(surviving) * params.client.cycle_energy() +
       static_cast<double>(lost) * params.client.sleep_cycle_energy();
-  const core::CompactAllocation alloc =
-      core::allocate_compact(surviving, server, params.policy);
+  core::CompactLayout layout;
+  core::allocate_compact_into(surviving, server, params.policy, layout);
+  std::vector<HeapClass> classes;
+  classes.reserve(static_cast<std::size_t>(layout.class_count));
+  for (int c = 0; c < layout.class_count; ++c) {
+    HeapClass& cls = classes.emplace_back();
+    cls.servers = layout.servers[c];
+    for (int b = 0; b < layout.band_count[c]; ++b)
+      cls.bands.push_back({layout.band_clients[c][b], layout.band_slots[c][b]});
+  }
   double cloud = 0.0;
-  for (const auto& cls : alloc.classes)
+  std::int64_t servers_used = 0;
+  std::int64_t active_slots = 0;
+  for (const auto& cls : classes) {
     cloud += static_cast<double>(cls.servers) *
              class_energy(server, params.loss, cls);
-  point.servers_used = std::max(
-      point.servers_used, static_cast<int>(alloc.servers_used()));
+    int active = 0;
+    for (const auto& band : cls.bands)
+      if (band.clients_per_slot > 0) active += band.slots;
+    servers_used += cls.servers;
+    active_slots += cls.servers * active;
+  }
+  point.servers_used =
+      std::max(point.servers_used, static_cast<int>(servers_used));
   point.lost_clients.add(static_cast<double>(lost));
-  point.active_slots.add(static_cast<double>(alloc.active_slots()));
+  point.active_slots.add(static_cast<double>(active_slots));
   point.edge_energy.add(edge);
   point.cloud_energy.add(cloud);
   point.total_energy.add(edge + cloud);
@@ -194,7 +221,7 @@ int main(int argc, char** argv) {
       static_cast<double>(counts.size()) * static_cast<double>(cycles);
   std::printf("\nLossy sweep, %zu points x %d cycles, top fleet %d "
               "hives:\n", counts.size(), cycles, hives);
-  std::printf("  AoS (heap CompactAllocation): %8.3f s  (%.0f cycles/s)\n",
+  std::printf("  AoS (heap server classes):    %8.3f s  (%.0f cycles/s)\n",
               aos_time, aos_time > 0.0 ? cycle_count / aos_time : 0.0);
   std::printf("  SoA (columnar advance):       %8.3f s  (%.0f cycles/s)\n",
               soa_time, soa_time > 0.0 ? cycle_count / soa_time : 0.0);

@@ -1,6 +1,6 @@
 // Plan the orchestration of a whole apiary network: given a number of
 // smart beehives and a server capacity, decide edge vs edge+cloud, size
-// the server fleet, and show the allocation slot by slot.
+// the server fleet, and show the allocation one server class at a time.
 //
 //   $ ./apiary_orchestration hives=500 parallel=35 policy=balanced
 //
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   if (losses) fleet.loss = core::LossConfig::only_saturation();
   core::LargeScaleSimulator sim(fleet);
   const auto result = sim.simulate_ideal_cycle(hives);
-  const auto alloc =
-      core::allocate(hives, sim.effective_server(), policy);
+  core::CompactLayout layout;
+  core::allocate_compact_into(hives, sim.effective_server(), policy, layout);
 
   std::printf("if deployed edge+cloud:\n");
   std::printf("  servers needed: %d (capacity %d hives each)\n",
@@ -87,16 +87,22 @@ int main(int argc, char** argv) {
               util::format_joules(result.edge_energy).c_str(),
               util::format_joules(result.cloud_energy).c_str());
 
-  util::AsciiTable table({"Server", "Hives", "Slot occupancy"});
-  for (std::size_t s = 0; s < alloc.servers.size(); ++s) {
+  // One row per server class: servers with the same slot occupancy,
+  // each band of equal slots shown as "slots x hives".
+  util::AsciiTable table(
+      {"Servers", "Hives each", "Slot occupancy (slots x hives)"});
+  for (int c = 0; c < layout.class_count; ++c) {
+    int hives_each = 0;
     std::string occupancy;
-    for (int k : alloc.servers[s].slot_clients) {
-      occupancy += std::to_string(k);
-      occupancy += ' ';
+    for (int b = 0; b < layout.band_count[c]; ++b) {
+      const int k = layout.band_clients[c][b];
+      hives_each += k * layout.band_slots[c][b];
+      if (b > 0) occupancy += ", ";
+      occupancy += std::to_string(layout.band_slots[c][b]) + " x " +
+                   std::to_string(k);
     }
-    if (occupancy.size() > 60) occupancy = occupancy.substr(0, 57) + "...";
-    table.add_row({std::to_string(s + 1),
-                   std::to_string(alloc.servers[s].total()), occupancy});
+    table.add_row({std::to_string(layout.servers[c]),
+                   std::to_string(hives_each), occupancy});
   }
   std::printf("%s", table.render().c_str());
 

@@ -55,13 +55,18 @@
 #               machine, medians and spreads) as one JSON line to
 #               BENCH_history.jsonl at the repo root (perf trajectory
 #               across commits); fails if a run fails or reports failed
-#               operations.
+#               operations, or if an end_to_end median of BENCHMARK.json
+#               is worse than the last line from the same workload, seed,
+#               length, run kind and machine (nproc, ISA, compiler) by
+#               more than that metric's bound (a fraction of the previous
+#               value). The record is appended either way.
 #   --sanitize  configure a second build tree (<build-dir>-san) with
 #               -DBEESIM_SANITIZE=address,undefined and run the
 #               sim/fault/net/checkpoint/simd/precision/placement-search,
-#               serving, core-simulation and obs test binaries under
-#               ASan+UBSan; then a third tree (<build-dir>-tsan)
-#               with -DBEESIM_SANITIZE=thread and run the task-pool and
+#               serving, core-simulation, obs, allocator, orchestrator
+#               and property-fuzz test binaries under ASan+UBSan; then a
+#               third tree (<build-dir>-tsan) with
+#               -DBEESIM_SANITIZE=thread and run the task-pool and
 #               serving test binaries under ThreadSanitizer (the two
 #               suites that exercise the work-stealing executor and the
 #               lock-free submission rings).
@@ -264,6 +269,47 @@ else
   fail=1
 fi
 
+# Compares run record $1 with the last BENCH_history.jsonl line of the
+# same workload, seed, length, run kind and machine. Exits 1 when an
+# end_to_end metric of BENCHMARK.json is worse than that line's by more
+# than its bound, a fraction of the previous value taken in the metric's
+# `better` direction. With no matching line there is nothing to compare.
+bench_gate() {
+  python3 - "$1" "$repo/BENCH_history.jsonl" "$repo/BENCHMARK.json" <<'PY'
+import json, sys
+
+record_path, history_path, spec_path = sys.argv[1:]
+new = json.load(open(record_path))
+keys = ("workload", "seed", "seconds", "run", "nproc", "isa", "compiler")
+previous = None
+for line in open(history_path):
+    if line.strip():
+        old = json.loads(line)
+        if all(old["record"].get(k) == new["record"].get(k) for k in keys):
+            previous = old
+workload = new["record"]["workload"]
+if previous is None:
+    print(f"  gate  {workload}: no earlier run on this machine, not compared")
+    sys.exit(0)
+before = {m["name"]: m["value"] for m in previous["metrics"]}
+after = {m["name"]: m["value"] for m in new["metrics"]}
+worse = False
+for metric in json.load(open(spec_path))["end_to_end"]:
+    name, bound = metric["name"], metric["bound"]
+    if name not in before or name not in after:
+        continue
+    if metric["better"] == "higher":
+        regressed = after[name] < before[name] * (1 - bound)
+    else:
+        regressed = after[name] > before[name] * (1 + bound)
+    if regressed:
+        print(f"  REGRESSION  {workload} {name}: {after[name]:.6g} now vs "
+              f"{before[name]:.6g} before, bound {bound:g}")
+        worse = True
+sys.exit(1 if worse else 0)
+PY
+}
+
 if [ "$run_bench" -eq 1 ]; then
   echo
   echo "== bench (--bench): perfbench run records -> BENCH_history.jsonl =="
@@ -272,7 +318,6 @@ if [ "$run_bench" -eq 1 ]; then
     rm -f "$record"
     if CARGO_TARGET_DIR="$perfbench_dir" python3 "$repo/perfbench/run.py" \
          --workload "$w" > "$tmp/bench_$w.txt" 2>> "$tmp/pb_build.log" \
-       && jq -c . "$record" >> "$repo/BENCH_history.jsonl" \
        && jq -e '.failed == 0' "$record" > /dev/null; then
       echo "  ok  $w: $(jq -r '.metrics[]
         | select(.name == "throughput_per_s")
@@ -281,6 +326,11 @@ if [ "$run_bench" -eq 1 ]; then
       echo "  FAILED  perfbench $w run or record:"
       tail -20 "$tmp/bench_$w.txt" 2> /dev/null || true
       fail=1
+    fi
+    # Gate on the previous matching run, then append this one either way.
+    if [ -f "$record" ]; then
+      bench_gate "$record" || fail=1
+      jq -c . "$record" >> "$repo/BENCH_history.jsonl" || fail=1
     fi
   done
 fi
@@ -293,11 +343,17 @@ if [ "$run_sanitize" -eq 1 ]; then
   cmake --build "$repo/$build-san" -j \
     --target test_sim test_fault test_net test_checkpoint \
              test_simd test_precision test_placement_search \
-             test_serve test_core_simulation test_obs > /dev/null
+             test_serve test_core_simulation test_obs \
+             test_core_allocator test_orchestrator test_property_fuzz \
+    > /dev/null
+  # UBSan reports and carries on by default; halt_on_error turns a report
+  # (a signed overflow, say) into a failing exit status.
   for t in test_sim test_fault test_net test_checkpoint \
            test_simd test_precision test_placement_search \
-           test_serve test_core_simulation test_obs; do
-    if "$repo/$build-san/tests/$t" --gtest_brief=1 > "$tmp/$t.san.log" 2>&1
+           test_serve test_core_simulation test_obs \
+           test_core_allocator test_orchestrator test_property_fuzz; do
+    if UBSAN_OPTIONS=halt_on_error=1 "$repo/$build-san/tests/$t" \
+         --gtest_brief=1 > "$tmp/$t.san.log" 2>&1
     then
       echo "  ok  $t clean under address,undefined"
     else

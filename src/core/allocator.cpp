@@ -1,7 +1,6 @@
 #include "core/allocator.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <initializer_list>
 #include <stdexcept>
 
 #include "obs/catalog.hpp"
@@ -17,94 +16,22 @@ const char* to_string(FillPolicy policy) noexcept {
   return "?";
 }
 
-int Allocation::ServerLoad::total() const noexcept {
-  return std::accumulate(slot_clients.begin(), slot_clients.end(), 0);
-}
-
-int Allocation::ServerLoad::active_slots() const noexcept {
-  return static_cast<int>(
-      std::count_if(slot_clients.begin(), slot_clients.end(),
-                    [](int c) { return c > 0; }));
-}
-
-int Allocation::total_clients() const noexcept {
-  int total = 0;
-  for (const auto& s : servers) total += s.total();
-  return total;
-}
-
 namespace {
 
-Allocation fill_first(int clients, const ServerSpec& spec) {
-  Allocation alloc;
-  const int slots = spec.slots_per_cycle();
-  int remaining = clients;
-  while (remaining > 0) {
-    Allocation::ServerLoad server;
-    for (int s = 0; s < slots && remaining > 0; ++s) {
-      const int take = std::min(remaining, spec.max_parallel);
-      server.slot_clients.push_back(take);
-      remaining -= take;
-    }
-    alloc.servers.push_back(std::move(server));
-  }
-  return alloc;
-}
-
-/// Both spread policies land on the same occupancy: slot j (in
-/// server-major order) holds base+1 clients if j < extra, else base.
-/// kBalanced assigns that directly; kRoundRobin deals one client at a
-/// time, which after `base` full passes leaves the first `extra` slots
-/// one ahead — the identical layout. So one arithmetic fill serves both,
-/// replacing the old O(clients × slots) dealing loop.
-Allocation spread(int clients, const ServerSpec& spec) {
-  Allocation alloc;
-  const int slots = spec.slots_per_cycle();
-  const int capacity = slots * spec.max_parallel;
-  const int servers = (clients + capacity - 1) / capacity;
-  const auto total_slots =
-      static_cast<std::int64_t>(servers) * static_cast<std::int64_t>(slots);
-  const int base = static_cast<int>(clients / total_slots);
-  const auto extra = clients % total_slots;
-  if (base + (extra > 0 ? 1 : 0) > spec.max_parallel)
-    throw std::logic_error("allocate: balanced overflow");
-  alloc.servers.resize(static_cast<std::size_t>(servers));
-  std::int64_t index = 0;
-  for (auto& server : alloc.servers) {
-    server.slot_clients.resize(static_cast<std::size_t>(slots));
-    for (auto& slot : server.slot_clients) {
-      slot = base + (index < extra ? 1 : 0);
-      ++index;
-    }
-  }
-  return alloc;
-}
-
-void record_allocation(const Allocation& alloc, int clients) {
-  if (!obs::enabled()) return;
-  static auto& calls = obs::registry().counter(obs::metric::kAllocatorCalls);
-  static auto& placed =
-      obs::registry().counter(obs::metric::kAllocatorClientsPlaced);
-  static auto& occupancy = obs::registry().histogram(
-      obs::metric::kAllocatorSlotOccupancy, obs::slot_occupancy_bounds());
-  calls.inc();
-  placed.inc(static_cast<std::uint64_t>(clients));
-  for (const auto& server : alloc.servers)
-    for (int k : server.slot_clients)
-      if (k > 0) occupancy.observe(static_cast<double>(k));
-}
+/// `slots` consecutive slots each holding `clients_per_slot` clients.
+struct Band {
+  int clients_per_slot = 0;
+  int slots = 0;
+};
 
 void record_allocation(const CompactLayout& layout, int clients) {
   if (!obs::enabled()) return;
   static auto& calls = obs::registry().counter(obs::metric::kAllocatorCalls);
-  static auto& fast_path =
-      obs::registry().counter(obs::metric::kAllocatorCompactCalls);
   static auto& placed =
       obs::registry().counter(obs::metric::kAllocatorClientsPlaced);
   static auto& occupancy = obs::registry().histogram(
       obs::metric::kAllocatorSlotOccupancy, obs::slot_occupancy_bounds());
   calls.inc();
-  fast_path.inc();
   placed.inc(static_cast<std::uint64_t>(clients));
   for (int c = 0; c < layout.class_count; ++c)
     for (int b = 0; b < layout.band_count[c]; ++b)
@@ -114,86 +41,9 @@ void record_allocation(const CompactLayout& layout, int clients) {
                               static_cast<std::uint64_t>(layout.servers[c]));
 }
 
-}  // namespace
-
-Allocation allocate(int clients, const ServerSpec& spec, FillPolicy policy) {
-  if (clients < 0) throw std::invalid_argument("allocate: negative clients");
-  if (clients == 0) return {};
-  Allocation alloc;
-  switch (policy) {
-    case FillPolicy::kFillFirst:
-      alloc = fill_first(clients, spec);
-      break;
-    case FillPolicy::kBalanced:
-    case FillPolicy::kRoundRobin:
-      alloc = spread(clients, spec);
-      break;
-    default:
-      throw std::invalid_argument("allocate: unknown policy");
-  }
-  record_allocation(alloc, clients);
-  return alloc;
-}
-
-// ------------------------------------------------------ CompactAllocation
-
-int CompactAllocation::ServerClass::active_slots_per_server() const noexcept {
-  int active = 0;
-  for (const auto& band : bands)
-    if (band.clients_per_slot > 0) active += band.slots;
-  return active;
-}
-
-std::int64_t CompactAllocation::ServerClass::clients_per_server()
-    const noexcept {
-  std::int64_t total = 0;
-  for (const auto& band : bands)
-    total += static_cast<std::int64_t>(band.clients_per_slot) * band.slots;
-  return total;
-}
-
-std::int64_t CompactAllocation::servers_used() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& cls : classes) total += cls.servers;
-  return total;
-}
-
-std::int64_t CompactAllocation::total_clients() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& cls : classes)
-    total += cls.servers * cls.clients_per_server();
-  return total;
-}
-
-std::int64_t CompactAllocation::active_slots() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& cls : classes)
-    total += cls.servers * cls.active_slots_per_server();
-  return total;
-}
-
-Allocation CompactAllocation::expand() const {
-  Allocation out;
-  out.servers.reserve(static_cast<std::size_t>(servers_used()));
-  for (const auto& cls : classes) {
-    for (std::int64_t s = 0; s < cls.servers; ++s) {
-      Allocation::ServerLoad load;
-      for (const auto& band : cls.bands)
-        load.slot_clients.insert(load.slot_clients.end(),
-                                 static_cast<std::size_t>(band.slots),
-                                 band.clients_per_slot);
-      out.servers.push_back(std::move(load));
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// Appends one class as flat columns; bands with zero width are skipped
-/// so the layout matches the vector builders' pushed bands exactly.
+/// Appends one class as flat columns; bands with zero width are skipped.
 void push_class(CompactLayout& out, std::int64_t servers,
-                std::initializer_list<CompactAllocation::Band> bands) {
+                std::initializer_list<Band> bands) {
   const int c = out.class_count++;
   out.servers[c] = servers;
   int b = 0;
@@ -219,13 +69,20 @@ void compact_fill_first(int clients, const ServerSpec& spec,
                         {remainder % m, remainder % m > 0 ? 1 : 0}});
 }
 
+/// Both spread policies land on the same occupancy: slot j (in
+/// server-major order) holds base+1 clients if j < extra, else base.
+/// kBalanced assigns that directly; kRoundRobin deals one client at a
+/// time, which after `base` full passes leaves the first `extra` slots
+/// one ahead — the identical layout.
 void compact_spread(int clients, const ServerSpec& spec,
                     CompactLayout& out) {
   const int slots = spec.slots_per_cycle();
   const int capacity = slots * spec.max_parallel;
-  const int servers = (clients + capacity - 1) / capacity;
-  const auto total_slots =
-      static_cast<std::int64_t>(servers) * static_cast<std::int64_t>(slots);
+  // In 64 bits: within one server's capacity of INT_MAX, clients +
+  // capacity - 1 overflows int.
+  const std::int64_t servers =
+      (static_cast<std::int64_t>(clients) + capacity - 1) / capacity;
+  const std::int64_t total_slots = servers * slots;
   const int base = static_cast<int>(clients / total_slots);
   const auto extra = clients % total_slots;
   if (base + (extra > 0 ? 1 : 0) > spec.max_parallel)
@@ -240,7 +97,7 @@ void compact_spread(int clients, const ServerSpec& spec,
   if (extra_full > 0) push_class(out, extra_full, {{base + 1, slots}});
   if (extra_rem > 0)
     push_class(out, 1, {{base + 1, extra_rem}, {base, slots - extra_rem}});
-  const int rest = servers - extra_full - (extra_rem > 0 ? 1 : 0);
+  const std::int64_t rest = servers - extra_full - (extra_rem > 0 ? 1 : 0);
   if (rest > 0) push_class(out, rest, {{base, slots}});
 }
 
@@ -275,19 +132,6 @@ std::int64_t CompactLayout::active_slots() const noexcept {
   return total;
 }
 
-CompactAllocation CompactLayout::to_compact() const {
-  CompactAllocation alloc;
-  alloc.classes.reserve(static_cast<std::size_t>(class_count));
-  for (int c = 0; c < class_count; ++c) {
-    CompactAllocation::ServerClass cls;
-    cls.servers = servers[c];
-    for (int b = 0; b < band_count[c]; ++b)
-      cls.bands.push_back({band_clients[c][b], band_slots[c][b]});
-    alloc.classes.push_back(std::move(cls));
-  }
-  return alloc;
-}
-
 void allocate_compact_into(int clients, const ServerSpec& spec,
                            FillPolicy policy, CompactLayout& out) {
   out = CompactLayout{};
@@ -305,13 +149,6 @@ void allocate_compact_into(int clients, const ServerSpec& spec,
       throw std::invalid_argument("allocate: unknown policy");
   }
   record_allocation(out, clients);
-}
-
-CompactAllocation allocate_compact(int clients, const ServerSpec& spec,
-                                   FillPolicy policy) {
-  CompactLayout layout;
-  allocate_compact_into(clients, spec, policy, layout);
-  return layout.to_compact();
 }
 
 }  // namespace beesim::core

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/server.hpp"
 
@@ -25,84 +24,21 @@ enum class FillPolicy {
 
 const char* to_string(FillPolicy policy) noexcept;
 
-/// Result of allocating a fleet of clients onto servers: per server, the
-/// number of clients assigned to each of its time slots.
-struct Allocation {
-  struct ServerLoad {
-    std::vector<int> slot_clients;  // size <= slots_per_cycle
-
-    int total() const noexcept;
-    int active_slots() const noexcept;
-  };
-
-  std::vector<ServerLoad> servers;
-
-  int servers_used() const noexcept {
-    return static_cast<int>(servers.size());
-  }
-  int total_clients() const noexcept;
-};
-
-/// Allocates `clients` onto as many servers of type `spec` as required
-/// ("creates servers based on their features ... allocates every client to
-/// one server, and links them to a wake-up time slot"). No slot ever
-/// exceeds spec.max_parallel and every client is placed (invariants
-/// property-tested).
-Allocation allocate(int clients, const ServerSpec& spec, FillPolicy policy);
-
-/// Occupancy-histogram form of an allocation. Instead of one per-slot
-/// vector per server, servers with identical slot layouts are grouped
-/// into classes, and each class stores its layout as bands of
-/// consecutive slots holding the same number of clients. For all three
-/// FillPolicy variants the layout is analytically computable, so
-/// building this is O(1) in the fleet size — the fast path that lets the
-/// Section VI simulator scale to millions of hives — while `expand()`
-/// recovers the exact per-slot vectors `allocate()` would produce.
-struct CompactAllocation {
-  /// `slots` consecutive slots each holding `clients_per_slot` clients.
-  /// Zero-occupancy bands are kept where the vector form materializes
-  /// empty slots (the spread policies), so expansion is exact.
-  struct Band {
-    int clients_per_slot = 0;
-    int slots = 0;
-  };
-  /// A run of `servers` identical servers sharing one slot layout.
-  struct ServerClass {
-    std::int64_t servers = 0;
-    std::vector<Band> bands;  // in slot order
-
-    int active_slots_per_server() const noexcept;
-    std::int64_t clients_per_server() const noexcept;
-  };
-
-  std::vector<ServerClass> classes;  // <= 3 for the built-in policies
-
-  std::int64_t servers_used() const noexcept;
-  std::int64_t total_clients() const noexcept;
-  std::int64_t active_slots() const noexcept;
-
-  /// Materializes the per-slot vector form — O(servers × slots), for
-  /// tests and small fleets. Bit-for-bit equal to what `allocate()`
-  /// returns for the same inputs (equivalence-tested per policy).
-  Allocation expand() const;
-};
-
-/// O(1)-per-cycle equivalent of `allocate()`: same invariants, same
-/// layouts, but the result stays in histogram form and never touches
-/// memory proportional to the fleet.
-CompactAllocation allocate_compact(int clients, const ServerSpec& spec,
-                                   FillPolicy policy);
-
-/// Flat, fixed-capacity, trivially-copyable form of CompactAllocation —
-/// the columnar occupancy histogram of the fleet hot loop. Each field
-/// lives in its own small array (servers per class, bands per class, band
-/// occupancy, band width), so building one touches no heap and reading
-/// one is a branch-light linear pass: LargeScaleSimulator::simulate_cycle
-/// fills a stack-resident layout every cycle instead of materializing the
-/// vector-of-vectors CompactAllocation. All three built-in policies
-/// produce at most 3 classes of at most 2 bands (proved by the
-/// construction in allocator.cpp; equivalence fuzz-tested against
-/// allocate()).
+/// The allocation of a fleet of clients onto servers, as a flat,
+/// fixed-capacity, trivially-copyable occupancy histogram. Servers with
+/// identical slot layouts are grouped into classes, and each class
+/// stores its layout as bands of consecutive slots holding the same
+/// number of clients. Each field lives in its own small array (servers
+/// per class, bands per class, band occupancy, band width), so building
+/// one touches no heap and reading one is a branch-light linear pass:
+/// LargeScaleSimulator::simulate_cycle fills a stack-resident layout
+/// every cycle. Classes are in server order, and bands in slot order.
+/// Zero-occupancy bands are kept where the spread policies leave a
+/// server's trailing slots empty. All three built-in policies produce at
+/// most 3 classes of at most 2 bands (proved by the construction in
+/// allocator.cpp). The per-slot vector form is the test oracle
+/// `oracle::allocate` in tests/fleet_oracle.hpp, and
+/// `oracle::expand(layout)` must equal it slot for slot (fuzz-tested).
 struct CompactLayout {
   static constexpr int kMaxClasses = 3;
   static constexpr int kMaxBands = 2;
@@ -120,16 +56,16 @@ struct CompactLayout {
   std::int64_t servers_used() const noexcept;
   std::int64_t total_clients() const noexcept;
   std::int64_t active_slots() const noexcept;
-
-  /// Materializes the vector form (identical to what allocate_compact
-  /// returns for the same inputs — the flat path is the single source of
-  /// truth for both).
-  CompactAllocation to_compact() const;
 };
 
-/// Allocation-free core of allocate_compact: fills `out` in place.
-/// Same invariants, same layouts, zero heap traffic — the per-cycle fast
-/// path of the columnar fleet state (docs/CHECKPOINT.md).
+/// Allocates `clients` onto as many servers of type `spec` as required
+/// ("creates servers based on their features ... allocates every client to
+/// one server, and links them to a wake-up time slot") and writes the
+/// result into `out`. No slot ever exceeds spec.max_parallel, every
+/// client is placed and no server is empty (invariants property-tested).
+/// O(1) in the fleet size and free of heap traffic: the per-cycle fast
+/// path of the columnar fleet state (docs/CHECKPOINT.md). Throws
+/// std::invalid_argument for negative `clients` or an unknown policy.
 void allocate_compact_into(int clients, const ServerSpec& spec,
                            FillPolicy policy, CompactLayout& out);
 

@@ -25,11 +25,15 @@ DesCheckResult des_replay_cycle(ServiceModel service, int clients,
     throw std::invalid_argument(
         "des_replay_cycle: clients exceed one server's capacity");
 
-  const Allocation alloc =
-      allocate(clients, spec, FillPolicy::kFillFirst);
-  if (alloc.servers_used() != 1)
+  CompactLayout layout;
+  allocate_compact_into(clients, spec, FillPolicy::kFillFirst, layout);
+  if (layout.servers_used() != 1)
     throw std::logic_error("des_replay_cycle: expected a single server");
-  const auto& slots = alloc.servers.front().slot_clients;
+  std::vector<int> slots;
+  for (int b = 0; b < layout.band_count[0]; ++b)
+    slots.insert(slots.end(),
+                 static_cast<std::size_t>(layout.band_slots[0][b]),
+                 layout.band_clients[0][b]);
 
   // Slot s transfers at: lead-in (collection) + s * slot_duration.
   const util::Seconds lead_in = cal::kWakeCollectTime;

@@ -170,11 +170,10 @@ class LargeScaleSimulator {
   /// `memo` as a cycle may use it: null while obs::enabled(); throws
   /// std::invalid_argument when it is bound to another simulator.
   CycleMemo* usable(CycleMemo* memo) const;
-  /// Per-server energy of class `cls` of a flat columnar layout; the
-  /// class multiplicity is read from the layout for exact metric
-  /// accounting. Agrees to rounding with pricing every slot of the
-  /// materialized allocate() vectors (the oracle in
-  /// tests/fleet_oracle.hpp).
+  /// Per-server energy of class `cls` of an allocation layout; the class
+  /// multiplicity is read from the layout for exact metric accounting.
+  /// Agrees to rounding with pricing every slot of the per-slot vector
+  /// form (oracle::vector_cycle in tests/fleet_oracle.hpp).
   util::Joules server_energy(const CompactLayout& layout, int cls) const;
 
   FleetParams params_;

@@ -132,20 +132,29 @@ OrchestrationCosts ServiceOrchestrator::evaluate(
     return costs;
   }
 
-  const Allocation alloc =
-      allocate(options_.clients, worst, options_.policy);
-  costs.servers_used = alloc.servers_used();
+  CompactLayout layout;
+  allocate_compact_into(options_.clients, worst, options_.policy, layout);
+  costs.servers_used = static_cast<int>(layout.servers_used());
 
   // Average-cycle slot energetics.
   const util::Joules slot_active_avg =
       cal::kCloudReceivePower * upload_time_avg + cloud_process_energy_avg;
   const util::Seconds slot_time_avg = upload_time_avg + cloud_process_avg;
+  // Summed server by server: each class's per-server term is added
+  // `servers[c]` times, in class order, which is server order. That is
+  // the same sequence of additions as pricing every server of the
+  // per-slot vector form, so the total is bit-identical to it.
   util::Joules cloud_total = 0.0;
-  for (const auto& server : alloc.servers) {
-    const int active = server.active_slots();
+  for (int c = 0; c < layout.class_count; ++c) {
+    int active = 0;
+    for (int b = 0; b < layout.band_count[c]; ++b)
+      if (layout.band_clients[c][b] > 0) active += layout.band_slots[c][b];
     const util::Seconds busy = slot_time_avg * active;
-    cloud_total += cal::kCloudIdlePower * (options_.cycle - busy) +
-                   slot_active_avg * static_cast<double>(active);
+    const util::Joules per_server =
+        cal::kCloudIdlePower * (options_.cycle - busy) +
+        slot_active_avg * static_cast<double>(active);
+    for (std::int64_t s = 0; s < layout.servers[c]; ++s)
+      cloud_total += per_server;
   }
   costs.cloud_per_client =
       cloud_total / static_cast<double>(options_.clients);

@@ -17,8 +17,7 @@ void register_catalog(Registry& reg) {
         m::kEngineEventsCancelled, m::kEnginePoolReuses,
         m::kEnginePoolSpills, m::kEnginePoolRearms,
         m::kEnginePoolCompactions, m::kAllocatorCalls,
-        m::kAllocatorClientsPlaced, m::kAllocatorCompactCalls,
-        m::kOrchestratorEvaluations,
+        m::kAllocatorClientsPlaced, m::kOrchestratorEvaluations,
         m::kOrchestratorInfeasible, m::kOrchestratorPlacementsEdge,
         m::kOrchestratorPlacementsCloud, m::kFleetCycles,
         m::kFleetRequestsEdge, m::kFleetRequestsCloud,

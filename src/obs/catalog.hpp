@@ -37,14 +37,13 @@ inline constexpr const char* kPoolTasks = "util.pool.tasks";
 inline constexpr const char* kPoolSteals = "util.pool.steals";
 inline constexpr const char* kPoolParks = "util.pool.parks";
 
-// core::allocate — client -> server/slot assignment.
+// core::allocate_compact_into — client -> server/slot assignment; every
+// allocation counts once in `calls`.
 inline constexpr const char* kAllocatorCalls = "core.allocator.calls";
 inline constexpr const char* kAllocatorClientsPlaced =
     "core.allocator.clients_placed";
 inline constexpr const char* kAllocatorSlotOccupancy =
     "core.allocator.slot_occupancy";
-inline constexpr const char* kAllocatorCompactCalls =
-    "core.allocator.compact_calls";
 
 // core::ServiceOrchestrator — multi-service placement search.
 inline constexpr const char* kOrchestratorEvaluations =
@@ -220,7 +219,7 @@ inline constexpr const char* kMeterStateChanges =
 std::vector<double> slot_occupancy_bounds();
 
 /// Bucket layout of the serving batch-width histogram: requests per
-/// dispatched batch, 1..32 covers the default max_batch.
+/// dispatched batch, 1..32 covers SimulationService::kMaxBatch.
 std::vector<double> serve_batch_bounds();
 
 /// Registers every catalog instrument (at zero) so a run-report always

@@ -123,7 +123,6 @@ SimulationService::SimulationService() : SimulationService(Config()) {}
 
 SimulationService::SimulationService(Config config)
     : config_(config), cache_(16, config.cache_capacity) {
-  if (config_.max_batch < 1) config_.max_batch = 1;
   if (config_.max_in_flight < 1) config_.max_in_flight = 1;
   // With workers = 0 (manual mode) one queue still exists so submit/drain
   // have somewhere to meet.
@@ -222,7 +221,7 @@ SimulationService::Ticket SimulationService::submit(Request request) {
 
 void SimulationService::worker_loop(Worker& worker) {
   std::vector<Pending*> batch;
-  batch.reserve(config_.max_batch);
+  batch.reserve(kMaxBatch);
   for (;;) {
     // The epoch is read before the ring is popped: a push that lands
     // after an empty pop has bumped it, so the wait returns at once.
@@ -235,7 +234,7 @@ void SimulationService::worker_loop(Worker& worker) {
 
 void SimulationService::drain_queue(Worker& worker) {
   std::vector<Pending*> batch;
-  batch.reserve(config_.max_batch);
+  batch.reserve(kMaxBatch);
   while (run_batch(worker, batch)) {
   }
 }
@@ -244,7 +243,7 @@ bool SimulationService::run_batch(Worker& worker,
                                   std::vector<Pending*>& batch) {
   batch.clear();
   Pending* pending = nullptr;
-  while (batch.size() < config_.max_batch && worker.queue.try_pop(pending))
+  while (batch.size() < kMaxBatch && worker.queue.try_pop(pending))
     batch.push_back(pending);
   if (batch.empty()) return false;
   process_batch(batch);

@@ -54,8 +54,6 @@ class SimulationService {
     /// Exceeding it rejects with kRejectedOverloaded. Every request,
     /// fully cached or not, reserves a slot while submit() runs.
     std::int64_t max_in_flight = 4096;
-    /// Most requests one worker coalesces into a single dispatch.
-    std::size_t max_batch = 32;
     /// Total PointCache entry bound (0 = unbounded). At the bound the
     /// cache evicts CLOCK victims instead of growing — the fix for the
     /// long-lived-service leak where every distinct scenario stayed
@@ -141,7 +139,9 @@ class SimulationService {
 
   void worker_loop(Worker& worker);
   void drain_queue(Worker& worker);
-  /// Pops up to max_batch requests off `worker`'s ring into `batch` and
+  /// Most requests one worker coalesces into a single dispatch.
+  static constexpr std::size_t kMaxBatch = 32;
+  /// Pops up to kMaxBatch requests off `worker`'s ring into `batch` and
   /// processes them; false when the ring was empty.
   bool run_batch(Worker& worker, std::vector<Pending*>& batch);
   void process_batch(std::vector<Pending*>& batch);

@@ -11,14 +11,17 @@
 // loop; its oracle is the scalar resilient loop that ran before that —
 // plain simulate_cycle / simulate_ideal_cycle, one RunningStats::add per
 // statistic per cycle — rebuilt here from the fleet's public accessors
-// alone. The simulator prices a cycle on the compact occupancy layout
-// only; vector_cycle is the materialized per-slot pricing it is checked
-// against.
+// alone. The allocator's one production form is the compact occupancy
+// layout (core::allocate_compact_into). Its oracle is the per-slot vector
+// allocator `allocate`; `expand` turns a layout back into that vector
+// form, and vector_cycle prices a cycle on it slot by slot.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <numeric>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -34,6 +37,86 @@
 
 namespace beesim::oracle {
 
+/// An allocation in per-slot vector form: per server, the number of
+/// clients in each of its time slots.
+struct Allocation {
+  struct ServerLoad {
+    std::vector<int> slot_clients;  // size <= slots_per_cycle
+
+    int total() const {
+      return std::accumulate(slot_clients.begin(), slot_clients.end(), 0);
+    }
+    int active_slots() const {
+      return static_cast<int>(
+          std::count_if(slot_clients.begin(), slot_clients.end(),
+                        [](int c) { return c > 0; }));
+    }
+  };
+
+  std::vector<ServerLoad> servers;
+
+  int servers_used() const { return static_cast<int>(servers.size()); }
+};
+
+/// The vector allocator, one server and one slot at a time. Fill-first
+/// fills each slot to max_parallel in turn and stops at the last
+/// occupied slot. Both spread policies give slot j (in server-major
+/// order) base+1 clients if j < extra, else base, over every slot of the
+/// minimum number of servers.
+inline Allocation allocate(int clients, const core::ServerSpec& spec,
+                           core::FillPolicy policy) {
+  if (clients < 0) throw std::invalid_argument("allocate: negative clients");
+  Allocation alloc;
+  if (clients == 0) return alloc;
+  const int slots = spec.slots_per_cycle();
+  if (policy == core::FillPolicy::kFillFirst) {
+    int remaining = clients;
+    while (remaining > 0) {
+      Allocation::ServerLoad server;
+      for (int s = 0; s < slots && remaining > 0; ++s) {
+        const int take = std::min(remaining, spec.max_parallel);
+        server.slot_clients.push_back(take);
+        remaining -= take;
+      }
+      alloc.servers.push_back(std::move(server));
+    }
+    return alloc;
+  }
+  const int capacity = slots * spec.max_parallel;
+  const std::int64_t servers =
+      (static_cast<std::int64_t>(clients) + capacity - 1) / capacity;
+  const std::int64_t total_slots = servers * slots;
+  const int base = static_cast<int>(clients / total_slots);
+  const std::int64_t extra = clients % total_slots;
+  alloc.servers.resize(static_cast<std::size_t>(servers));
+  std::int64_t index = 0;
+  for (auto& server : alloc.servers) {
+    server.slot_clients.resize(static_cast<std::size_t>(slots));
+    for (auto& slot : server.slot_clients) {
+      slot = base + (index < extra ? 1 : 0);
+      ++index;
+    }
+  }
+  return alloc;
+}
+
+/// Materializes a layout's per-slot vectors: each class's bands, in slot
+/// order, repeated once per server of the class.
+inline Allocation expand(const core::CompactLayout& layout) {
+  Allocation out;
+  for (int c = 0; c < layout.class_count; ++c) {
+    Allocation::ServerLoad load;
+    for (int b = 0; b < layout.band_count[c]; ++b)
+      load.slot_clients.insert(
+          load.slot_clients.end(),
+          static_cast<std::size_t>(layout.band_slots[c][b]),
+          layout.band_clients[c][b]);
+    out.servers.insert(out.servers.end(),
+                       static_cast<std::size_t>(layout.servers[c]), load);
+  }
+  return out;
+}
+
 /// One cycle with `lost` of `clients` asleep, priced the long way:
 /// allocate() materializes every server's per-slot vector, and each
 /// occupied slot adds its duration and its (saturation-scaled) active
@@ -44,8 +127,7 @@ inline core::CycleResult vector_cycle(const core::LargeScaleSimulator& sim,
   const core::FleetParams& params = sim.params();
   const core::ServerSpec& server = sim.effective_server();
   const int surviving = clients - lost;
-  const core::Allocation alloc =
-      core::allocate(surviving, server, params.policy);
+  const Allocation alloc = allocate(surviving, server, params.policy);
   core::CycleResult r;
   r.initial_clients = clients;
   r.lost_clients = lost;

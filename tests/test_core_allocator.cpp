@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+
 #include "core/allocator.hpp"
+#include "core/network_sim.hpp"
 #include "core/server.hpp"
+#include "fleet_oracle.hpp"
 
 namespace core = beesim::core;
 using core::FillPolicy;
@@ -11,6 +16,19 @@ namespace {
 
 core::ServerSpec cnn_server(int parallel = 10) {
   return core::ServerSpec::cloud_server(ServiceModel::kCnn, parallel);
+}
+
+core::CompactLayout layout_of(int clients, const core::ServerSpec& spec,
+                              FillPolicy policy) {
+  core::CompactLayout layout;
+  core::allocate_compact_into(clients, spec, policy, layout);
+  return layout;
+}
+
+/// The layout's per-slot vectors (oracle::expand).
+beesim::oracle::Allocation expanded(int clients, const core::ServerSpec& spec,
+                                    FillPolicy policy) {
+  return beesim::oracle::expand(layout_of(clients, spec, policy));
 }
 
 }  // namespace
@@ -77,12 +95,13 @@ class AllocatorPolicies : public ::testing::TestWithParam<FillPolicy> {};
 TEST_P(AllocatorPolicies, InvariantsHoldAcrossFleetSizes) {
   const auto spec = cnn_server(10);
   for (int n : {1, 5, 10, 11, 179, 180, 181, 360, 361, 999}) {
-    const auto alloc = core::allocate(n, spec, GetParam());
-    EXPECT_EQ(alloc.total_clients(), n) << "policy "
-                                        << core::to_string(GetParam())
-                                        << " n=" << n;
+    const auto layout = layout_of(n, spec, GetParam());
+    EXPECT_EQ(layout.total_clients(), n) << "policy "
+                                         << core::to_string(GetParam())
+                                         << " n=" << n;
     const int expected_servers = (n + spec.capacity() - 1) / spec.capacity();
-    EXPECT_EQ(alloc.servers_used(), expected_servers);
+    EXPECT_EQ(layout.servers_used(), expected_servers);
+    const auto alloc = beesim::oracle::expand(layout);
     for (const auto& server : alloc.servers) {
       EXPECT_GT(server.total(), 0) << "empty server allocated";
       EXPECT_LE(static_cast<int>(server.slot_clients.size()),
@@ -96,9 +115,31 @@ TEST_P(AllocatorPolicies, InvariantsHoldAcrossFleetSizes) {
 }
 
 TEST_P(AllocatorPolicies, ZeroClientsNeedNoServers) {
-  const auto alloc = core::allocate(0, cnn_server(), GetParam());
-  EXPECT_EQ(alloc.servers_used(), 0);
-  EXPECT_EQ(alloc.total_clients(), 0);
+  const auto layout = layout_of(0, cnn_server(), GetParam());
+  EXPECT_EQ(layout.servers_used(), 0);
+  EXPECT_EQ(layout.total_clients(), 0);
+  EXPECT_TRUE(beesim::oracle::allocate(0, cnn_server(), GetParam())
+                  .servers.empty());
+}
+
+/// The server count is ceil(n / capacity) in 64 bits: within one
+/// server's capacity of INT_MAX, n + capacity - 1 overflows int.
+TEST_P(AllocatorPolicies, ServerCountHoldsNearIntMax) {
+  const auto spec = cnn_server(10);
+  const int capacity = spec.capacity();
+  for (int n : {INT_MAX, INT_MAX - capacity + 2}) {
+    const auto layout = layout_of(n, spec, GetParam());
+    EXPECT_EQ(layout.total_clients(), n) << "n=" << n;
+    EXPECT_EQ(layout.servers_used(),
+              (static_cast<std::int64_t>(n) + capacity - 1) / capacity)
+        << "n=" << n;
+  }
+  core::FleetParams params = core::FleetParams::paper_default();
+  params.policy = GetParam();
+  EXPECT_EQ(core::LargeScaleSimulator(params)
+                .simulate_ideal_cycle(INT_MAX)
+                .servers_used,
+            11930465);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, AllocatorPolicies,
@@ -107,8 +148,7 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, AllocatorPolicies,
                                            FillPolicy::kRoundRobin));
 
 TEST(Allocator, FillFirstPacksSlotsToTheMax) {
-  const auto alloc =
-      core::allocate(25, cnn_server(10), FillPolicy::kFillFirst);
+  const auto alloc = expanded(25, cnn_server(10), FillPolicy::kFillFirst);
   ASSERT_EQ(alloc.servers_used(), 1);
   const auto& slots = alloc.servers.front().slot_clients;
   ASSERT_GE(slots.size(), 3u);
@@ -118,8 +158,7 @@ TEST(Allocator, FillFirstPacksSlotsToTheMax) {
 }
 
 TEST(Allocator, BalancedSpreadsEvenly) {
-  const auto alloc =
-      core::allocate(36, cnn_server(10), FillPolicy::kBalanced);
+  const auto alloc = expanded(36, cnn_server(10), FillPolicy::kBalanced);
   ASSERT_EQ(alloc.servers_used(), 1);
   const auto& slots = alloc.servers.front().slot_clients;
   ASSERT_EQ(slots.size(), 18u);
@@ -127,10 +166,8 @@ TEST(Allocator, BalancedSpreadsEvenly) {
 }
 
 TEST(Allocator, RoundRobinMatchesBalancedOccupancyWithinOne) {
-  const auto rr =
-      core::allocate(100, cnn_server(10), FillPolicy::kRoundRobin);
-  const auto bal =
-      core::allocate(100, cnn_server(10), FillPolicy::kBalanced);
+  const auto rr = expanded(100, cnn_server(10), FillPolicy::kRoundRobin);
+  const auto bal = expanded(100, cnn_server(10), FillPolicy::kBalanced);
   ASSERT_EQ(rr.servers_used(), bal.servers_used());
   for (std::size_t s = 0; s < rr.servers.size(); ++s) {
     for (std::size_t i = 0; i < rr.servers[s].slot_clients.size(); ++i) {
@@ -141,23 +178,24 @@ TEST(Allocator, RoundRobinMatchesBalancedOccupancyWithinOne) {
 }
 
 TEST(Allocator, FillFirstActiveSlotsAreMinimal) {
-  const auto alloc =
-      core::allocate(45, cnn_server(10), FillPolicy::kFillFirst);
-  EXPECT_EQ(alloc.servers.front().active_slots(), 5);  // ceil(45/10)
+  const auto layout = layout_of(45, cnn_server(10), FillPolicy::kFillFirst);
+  EXPECT_EQ(layout.active_slots(), 5);  // ceil(45/10)
 }
 
 TEST(Allocator, ExactCapacityFitsOneServer) {
   const auto spec = cnn_server(10);
-  const auto alloc =
-      core::allocate(spec.capacity(), spec, FillPolicy::kFillFirst);
-  EXPECT_EQ(alloc.servers_used(), 1);
-  const auto alloc2 =
-      core::allocate(spec.capacity() + 1, spec, FillPolicy::kFillFirst);
-  EXPECT_EQ(alloc2.servers_used(), 2);
+  EXPECT_EQ(layout_of(spec.capacity(), spec, FillPolicy::kFillFirst)
+                .servers_used(),
+            1);
+  EXPECT_EQ(layout_of(spec.capacity() + 1, spec, FillPolicy::kFillFirst)
+                .servers_used(),
+            2);
 }
 
 TEST(Allocator, RejectsNegativeClients) {
-  EXPECT_THROW(core::allocate(-1, cnn_server(), FillPolicy::kFillFirst),
+  core::CompactLayout layout;
+  EXPECT_THROW(core::allocate_compact_into(-1, cnn_server(),
+                                           FillPolicy::kFillFirst, layout),
                std::invalid_argument);
 }
 
@@ -172,29 +210,30 @@ TEST(Allocator, PolicyNames) {
 class CompactAllocatorPolicies
     : public ::testing::TestWithParam<FillPolicy> {};
 
-/// The tentpole equivalence: for every policy and fleet size, the O(1)
-/// histogram form expands to exactly the per-slot vectors the O(n)
-/// allocator builds — same servers, same slots, same occupancies.
+/// The production layout against the vector oracle: for every policy and
+/// fleet size, the O(1) histogram form expands to exactly the per-slot
+/// vectors oracle::allocate builds — same servers, same slots, same
+/// occupancies.
 TEST_P(CompactAllocatorPolicies, ExpandsToExactVectorAllocation) {
   const auto spec = cnn_server(10);
   const int cap = spec.capacity();
   for (int n : {0, 1, 5, 9, 10, 11, 90, 179, 180, 181, 360, 361, 999,
                 cap, cap + 1, 7 * cap, 7 * cap + 13}) {
-    const auto compact = core::allocate_compact(n, spec, GetParam());
-    const auto vec = core::allocate(n, spec, GetParam());
+    const auto layout = layout_of(n, spec, GetParam());
+    const auto vec = beesim::oracle::allocate(n, spec, GetParam());
     SCOPED_TRACE(std::string("policy ") + core::to_string(GetParam()) +
                  " n=" + std::to_string(n));
 
     // Aggregates agree without expansion.
-    EXPECT_EQ(compact.total_clients(), n);
-    EXPECT_EQ(compact.servers_used(), vec.servers_used());
+    EXPECT_EQ(layout.total_clients(), n);
+    EXPECT_EQ(layout.servers_used(), vec.servers_used());
     std::int64_t vec_slots = 0;
     for (const auto& s : vec.servers) vec_slots += s.active_slots();
-    EXPECT_EQ(compact.active_slots(), vec_slots);
-    EXPECT_LE(compact.classes.size(), 3u);
+    EXPECT_EQ(layout.active_slots(), vec_slots);
+    EXPECT_LE(layout.class_count, core::CompactLayout::kMaxClasses);
 
     // Expansion is bit-for-bit identical.
-    const auto expanded = compact.expand();
+    const auto expanded = beesim::oracle::expand(layout);
     ASSERT_EQ(expanded.servers.size(), vec.servers.size());
     for (std::size_t s = 0; s < vec.servers.size(); ++s)
       EXPECT_EQ(expanded.servers[s].slot_clients,
@@ -203,29 +242,34 @@ TEST_P(CompactAllocatorPolicies, ExpandsToExactVectorAllocation) {
 }
 
 TEST_P(CompactAllocatorPolicies, ZeroClientsYieldNoClasses) {
-  const auto compact = core::allocate_compact(0, cnn_server(), GetParam());
-  EXPECT_EQ(compact.servers_used(), 0);
-  EXPECT_EQ(compact.total_clients(), 0);
-  EXPECT_EQ(compact.active_slots(), 0);
-  EXPECT_TRUE(compact.expand().servers.empty());
+  const auto layout = layout_of(0, cnn_server(), GetParam());
+  EXPECT_EQ(layout.class_count, 0);
+  EXPECT_EQ(layout.servers_used(), 0);
+  EXPECT_EQ(layout.total_clients(), 0);
+  EXPECT_EQ(layout.active_slots(), 0);
+  EXPECT_TRUE(beesim::oracle::expand(layout).servers.empty());
 }
 
 TEST_P(CompactAllocatorPolicies, MillionHiveFleetStaysTiny) {
   // The point of the histogram form: a million clients is still at most
-  // three classes of a handful of bands each.
+  // three classes of at most two bands each.
   const auto spec = cnn_server(10);
   const int n = 1000000;
-  const auto compact = core::allocate_compact(n, spec, GetParam());
-  EXPECT_EQ(compact.total_clients(), n);
-  EXPECT_EQ(compact.servers_used(),
+  const auto layout = layout_of(n, spec, GetParam());
+  EXPECT_EQ(layout.total_clients(), n);
+  EXPECT_EQ(layout.servers_used(),
             (n + spec.capacity() - 1) / spec.capacity());
-  EXPECT_LE(compact.classes.size(), 3u);
-  for (const auto& cls : compact.classes)
-    EXPECT_LE(cls.bands.size(), 3u);
+  EXPECT_LE(layout.class_count, core::CompactLayout::kMaxClasses);
+  for (int c = 0; c < layout.class_count; ++c)
+    EXPECT_LE(layout.band_count[c], core::CompactLayout::kMaxBands);
 }
 
 TEST_P(CompactAllocatorPolicies, RejectsNegativeClients) {
-  EXPECT_THROW(core::allocate_compact(-1, cnn_server(), GetParam()),
+  core::CompactLayout layout;
+  EXPECT_THROW(core::allocate_compact_into(-1, cnn_server(), GetParam(),
+                                           layout),
+               std::invalid_argument);
+  EXPECT_THROW(beesim::oracle::allocate(-1, cnn_server(), GetParam()),
                std::invalid_argument);
 }
 
@@ -237,26 +281,21 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, CompactAllocatorPolicies,
 TEST(CompactAllocator, FillFirstRemainderBandsMatchHandComputation) {
   // 25 clients, 10 per slot: two full slots and a 5-client slot on one
   // server.
-  const auto compact =
-      core::allocate_compact(25, cnn_server(10), FillPolicy::kFillFirst);
-  ASSERT_EQ(compact.classes.size(), 1u);
-  const auto& cls = compact.classes.front();
-  EXPECT_EQ(cls.servers, 1);
-  ASSERT_EQ(cls.bands.size(), 2u);
-  EXPECT_EQ(cls.bands[0].clients_per_slot, 10);
-  EXPECT_EQ(cls.bands[0].slots, 2);
-  EXPECT_EQ(cls.bands[1].clients_per_slot, 5);
-  EXPECT_EQ(cls.bands[1].slots, 1);
+  const auto layout = layout_of(25, cnn_server(10), FillPolicy::kFillFirst);
+  ASSERT_EQ(layout.class_count, 1);
+  EXPECT_EQ(layout.servers[0], 1);
+  ASSERT_EQ(layout.band_count[0], 2);
+  EXPECT_EQ(layout.band_clients[0][0], 10);
+  EXPECT_EQ(layout.band_slots[0][0], 2);
+  EXPECT_EQ(layout.band_clients[0][1], 5);
+  EXPECT_EQ(layout.band_slots[0][1], 1);
 }
 
 TEST(CompactAllocator, BalancedKeepsZeroBandsForEmptySlots) {
-  // 4 clients spread over 18 slots: 4 slots of 1 plus 14 materialized
-  // empty slots, matching allocate()'s padded vectors.
-  const auto compact =
-      core::allocate_compact(4, cnn_server(10), FillPolicy::kBalanced);
-  ASSERT_EQ(compact.servers_used(), 1);
-  const auto expanded = compact.expand();
-  ASSERT_EQ(expanded.servers.size(), 1u);
-  EXPECT_EQ(expanded.servers.front().slot_clients.size(), 18u);
-  EXPECT_EQ(expanded.servers.front().active_slots(), 4);
+  // 4 clients spread over 18 slots: 4 slots of 1 plus 14 empty slots,
+  // matching oracle::allocate's padded vectors.
+  const auto alloc = expanded(4, cnn_server(10), FillPolicy::kBalanced);
+  ASSERT_EQ(alloc.servers.size(), 1u);
+  EXPECT_EQ(alloc.servers.front().slot_clients.size(), 18u);
+  EXPECT_EQ(alloc.servers.front().active_slots(), 4);
 }

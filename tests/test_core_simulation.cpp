@@ -404,9 +404,9 @@ TEST(CycleMemo, RejectsAMemoBoundToAnotherSimulator) {
 
 /// The scaling tentpole: the simulator's O(1) histogram pricing must
 /// report the same fleet physics as pricing every slot of the
-/// materialized allocate() vectors (tests/fleet_oracle.hpp). Energies go
-/// through a different summation order (slots × E vs repeated addition),
-/// so they agree to rounding, not bitwise.
+/// materialized oracle::allocate vectors (tests/fleet_oracle.hpp).
+/// Energies go through a different summation order (slots × E vs
+/// repeated addition), so they agree to rounding, not bitwise.
 class CompactPathEquivalence
     : public ::testing::TestWithParam<FillPolicy> {};
 

@@ -496,7 +496,7 @@ TEST(ResilientFleetOracle, ObsCountsEveryCycleAsThePlainLoopDid) {
   beesim::obs::set_enabled(was_enabled);
   namespace metric = beesim::obs::metric;
   EXPECT_EQ(counters.at(metric::kFleetCycles), 391u);
-  EXPECT_EQ(counters.at(metric::kAllocatorCompactCalls), 372u);
+  EXPECT_EQ(counters.at(metric::kAllocatorCalls), 372u);
   EXPECT_EQ(counters.at(metric::kLossSaturatedSlots), 7250977u);
   EXPECT_EQ(counters.at(metric::kFleetDegradedCycles), 217u);
   const auto reference = beesim::oracle::reference_resilient_sweep(

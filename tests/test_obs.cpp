@@ -422,7 +422,7 @@ TEST(ObsDeterminism, EnablingMetricsDoesNotChangeLossyFleetSweep) {
     // per-cycle path while obs is on.
     EXPECT_EQ(snap.counters.at(obs::metric::kFleetCycles),
               counts.size() * kCycles);
-    EXPECT_EQ(snap.counters.at(obs::metric::kAllocatorCompactCalls),
+    EXPECT_EQ(snap.counters.at(obs::metric::kAllocatorCalls),
               counts.size() * kCycles);
     on_resilient = resilient.sweep(counts, 17, kCycles);
     EXPECT_GT(obs::registry().snapshot().counters.at(

@@ -64,6 +64,49 @@ TEST(Orchestrator, AgreesWithLargeScaleSimulatorAcrossFleetSizes) {
   }
 }
 
+TEST(Orchestrator, EvaluateMatchesGoldenValuesPerFillPolicy) {
+  // Recorded when evaluate() priced the per-slot vector allocation server
+  // by server; summing each layout class's per-server term once per
+  // server must reproduce them bit for bit. At 397 and 2000 clients the
+  // spread policies fill three server classes.
+  struct Golden {
+    core::FillPolicy policy;
+    int clients;
+    int servers_used;
+    double cloud_per_client;
+  };
+  using core::FillPolicy;
+  const Golden golden[] = {
+      {FillPolicy::kFillFirst, 100, 1, 0x1.60e113863ed14p+7},
+      {FillPolicy::kFillFirst, 397, 3, 0x1.202403f9867e7p+7},
+      {FillPolicy::kFillFirst, 2000, 12, 0x1.ebae059411f2cp+6},
+      {FillPolicy::kBalanced, 100, 1, 0x1.a51a9b4605626p+7},
+      {FillPolicy::kBalanced, 397, 3, 0x1.3e36ed4652bd2p+7},
+      {FillPolicy::kBalanced, 2000, 12, 0x1.f95320ba6cdcap+6},
+      {FillPolicy::kRoundRobin, 100, 1, 0x1.a51a9b4605626p+7},
+      {FillPolicy::kRoundRobin, 397, 3, 0x1.3e36ed4652bd2p+7},
+      {FillPolicy::kRoundRobin, 2000, 12, 0x1.f95320ba6cdcap+6},
+  };
+  for (const auto& g : golden) {
+    OrchestratorOptions opt = options(g.clients, 10);
+    opt.policy = g.policy;
+    const auto costs = ServiceOrchestrator(opt).evaluate(
+        {{svc::queen_detection_cnn(), Placement::kEdgeCloud}});
+    ASSERT_TRUE(costs.feasible);
+    EXPECT_EQ(costs.servers_used, g.servers_used)
+        << core::to_string(g.policy) << " clients=" << g.clients;
+    EXPECT_EQ(costs.cloud_per_client, g.cloud_per_client)
+        << core::to_string(g.policy) << " clients=" << g.clients;
+  }
+  for (int clients : {397, 2000}) {
+    core::CompactLayout layout;
+    core::allocate_compact_into(
+        clients, core::ServerSpec::cloud_server(core::ServiceModel::kCnn, 10),
+        FillPolicy::kBalanced, layout);
+    EXPECT_EQ(layout.class_count, 3) << "clients=" << clients;
+  }
+}
+
 // -------------------------------------------------------------- Evaluation
 
 TEST(Orchestrator, MultipleEdgeServicesShareOneResultsUpload) {

@@ -7,6 +7,7 @@
 #include "core/des_check.hpp"
 #include "core/network_sim.hpp"
 #include "core/scenario.hpp"
+#include "fleet_oracle.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -106,13 +107,15 @@ TEST(FuzzAllocator, InvariantsHoldForRandomSpecs) {
 
     const int clients = static_cast<int>(rng.uniform_int(0, 2000));
     const auto policy = policies[rng.uniform_int(0, 2)];
-    const auto alloc = core::allocate(clients, spec, policy);
+    core::CompactLayout layout;
+    core::allocate_compact_into(clients, spec, policy, layout);
+    const auto alloc = beesim::oracle::expand(layout);
 
-    EXPECT_EQ(alloc.total_clients(), clients);
+    EXPECT_EQ(layout.total_clients(), clients);
     const int capacity = spec.capacity();
     const int expected_servers =
         clients == 0 ? 0 : (clients + capacity - 1) / capacity;
-    EXPECT_EQ(alloc.servers_used(), expected_servers)
+    EXPECT_EQ(layout.servers_used(), expected_servers)
         << "trial " << trial << " policy " << core::to_string(policy);
     for (const auto& server : alloc.servers) {
       EXPECT_GT(server.total(), 0);
@@ -128,7 +131,7 @@ TEST(FuzzAllocator, InvariantsHoldForRandomSpecs) {
 TEST(FuzzAllocator, CompactExpandsToVectorForRandomSpecs) {
   // Property form of the compact-allocator equivalence: for random
   // geometries, fleet sizes, and policies, the O(1) histogram form must
-  // expand to exactly the vectors allocate() builds.
+  // expand to exactly the vectors oracle::allocate builds.
   beesim::util::Rng rng(107);
   const core::FillPolicy policies[] = {core::FillPolicy::kFillFirst,
                                        core::FillPolicy::kBalanced,
@@ -146,13 +149,14 @@ TEST(FuzzAllocator, CompactExpandsToVectorForRandomSpecs) {
 
     const int clients = static_cast<int>(rng.uniform_int(0, 5000));
     const auto policy = policies[rng.uniform_int(0, 2)];
-    const auto compact = core::allocate_compact(clients, spec, policy);
-    const auto vec = core::allocate(clients, spec, policy);
+    core::CompactLayout layout;
+    core::allocate_compact_into(clients, spec, policy, layout);
+    const auto vec = beesim::oracle::allocate(clients, spec, policy);
 
-    EXPECT_EQ(compact.total_clients(), clients) << "trial " << trial;
-    EXPECT_EQ(compact.servers_used(), vec.servers_used());
-    EXPECT_LE(compact.classes.size(), 3u);
-    const auto expanded = compact.expand();
+    EXPECT_EQ(layout.total_clients(), clients) << "trial " << trial;
+    EXPECT_EQ(layout.servers_used(), vec.servers_used());
+    EXPECT_LE(layout.class_count, core::CompactLayout::kMaxClasses);
+    const auto expanded = beesim::oracle::expand(layout);
     ASSERT_EQ(expanded.servers.size(), vec.servers.size())
         << "trial " << trial << " policy " << core::to_string(policy)
         << " clients " << clients;
