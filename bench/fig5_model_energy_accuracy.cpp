@@ -195,15 +195,15 @@ int main(int argc, char** argv) {
                 "f32, dispatch %s):\n\n",
                 ml::precision_name(precision), scale,
                 dsp::isa_name(dsp::active_isa()));
-    ml::set_inference_precision(precision);
     util::AsciiTable ptable({"Image side (px)", "Edge energy (J)",
                              "Accuracy", "Delta vs f32"});
     double pacc_at_100 = -1.0;
     double max_abs_delta = 0.0;
     for (std::size_t idx = 0; idx < sides.size(); ++idx) {
       const std::size_t side = sides[idx];
-      const double pacc = ml::evaluate_classifier(nets[idx], test_sets[idx],
-                                                  test_label_sets[idx]);
+      const double pacc = ml::evaluate_classifier(
+          nets[idx], test_sets[idx], test_label_sets[idx],
+          /*batch_size=*/32, precision);
       const double delta = pacc - accuracy[idx];
       max_abs_delta = std::max(max_abs_delta, std::fabs(delta));
       if (side == 100) pacc_at_100 = pacc;
@@ -214,7 +214,6 @@ int main(int argc, char** argv) {
                       util::AsciiTable::num(pacc, 3),
                       util::AsciiTable::num(delta, 3)});
     }
-    ml::set_inference_precision(ml::Precision::kF32);
     std::printf("%s", ptable.render().c_str());
 
     std::printf("\nPrecision anchors:\n");

@@ -66,10 +66,11 @@
 #               serving, core-simulation, obs, allocator, orchestrator
 #               and property-fuzz test binaries under ASan+UBSan; then a
 #               third tree (<build-dir>-tsan) with
-#               -DBEESIM_SANITIZE=thread and run the task-pool and
-#               serving test binaries under ThreadSanitizer (the two
-#               suites that exercise the work-stealing executor and the
-#               lock-free submission rings).
+#               -DBEESIM_SANITIZE=thread and run the task-pool, serving
+#               and precision test binaries under ThreadSanitizer (the
+#               suites that exercise the work-stealing executor, the
+#               lock-free submission rings, and f32 and int8 inference
+#               running side by side in one process).
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -364,12 +365,12 @@ if [ "$run_sanitize" -eq 1 ]; then
   done
 
   echo
-  echo "== sanitize (--sanitize): pool + serving tests under TSan =="
+  echo "== sanitize (--sanitize): pool, serving + precision tests under TSan =="
   cmake -B "$repo/$build-tsan" -S "$repo" \
     -DBEESIM_SANITIZE=thread > /dev/null
   cmake --build "$repo/$build-tsan" -j \
-    --target test_task_pool test_serve > /dev/null
-  for t in test_task_pool test_serve; do
+    --target test_task_pool test_serve test_precision > /dev/null
+  for t in test_task_pool test_serve test_precision; do
     if "$repo/$build-tsan/tests/$t" --gtest_brief=1 > "$tmp/$t.tsan.log" 2>&1
     then
       echo "  ok  $t clean under thread"

@@ -23,7 +23,6 @@
 #include "energy/solar.hpp"
 #include "net/link.hpp"
 #include "net/payload.hpp"
-#include "net/retransmit.hpp"
 
 // Devices calibrated to the paper.
 #include "device/autonomy.hpp"
@@ -54,7 +53,6 @@
 // The paper's contribution: orchestration at the edge and in the cloud.
 #include "core/allocator.hpp"
 #include "core/client.hpp"
-#include "core/des_check.hpp"
 #include "core/loss.hpp"
 #include "core/network_sim.hpp"
 #include "core/orchestrator.hpp"

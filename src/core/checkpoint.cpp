@@ -16,7 +16,6 @@ const char* to_string(CheckpointKind kind) noexcept {
   switch (kind) {
     case CheckpointKind::kSweep: return "sweep";
     case CheckpointKind::kResilience: return "resilience";
-    case CheckpointKind::kFarm: return "farm";
   }
   return "?";
 }
@@ -60,7 +59,7 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 /// order-sensitive within and across lanes (a swapped or moved word
 /// lands in a different lane or a different chain position), while the
 /// independent lanes break the serial multiply dependency that made a
-/// single chain latency-bound on 100 MB-class farm images.
+/// single chain latency-bound on multi-megabyte campaign images.
 std::uint64_t checksum(const std::uint8_t* data, std::size_t size) {
   std::uint64_t lane[4];
   for (std::uint64_t l = 0; l < 4; ++l)
@@ -119,7 +118,7 @@ class Writer {
   template <typename T>
   void column(const std::vector<T>& v) {
     const std::size_t bytes = v.size() * sizeof(T);
-    if (p_ + bytes > end_)
+    if (bytes > static_cast<std::size_t>(end_ - p_))
       throw std::logic_error("checkpoint: payload overflow");
     if (bytes > 0) std::memcpy(p_, v.data(), bytes);
     p_ += bytes;
@@ -138,9 +137,11 @@ class Reader {
 
   template <typename T>
   void column(std::vector<T>& v, std::size_t count) {
-    const std::size_t bytes = count * sizeof(T);
-    if (p_ + bytes > end_)
+    // Compared by division so that no count, however large, forms a
+    // pointer past the mapping.
+    if (count > static_cast<std::size_t>(end_ - p_) / sizeof(T))
       throw std::logic_error("checkpoint: payload underflow");
+    const std::size_t bytes = count * sizeof(T);
     v.resize(count);
     if (bytes > 0) std::memcpy(v.data(), p_, bytes);
     p_ += bytes;
@@ -160,7 +161,6 @@ constexpr std::size_t kSweepRowBytes =
     3 * 4 + 4 * 8 + 8 + 1 + 5 * kStatRowBytes;
 constexpr std::size_t kResilienceRowBytes =
     4 + 1 + 3 * 4 + 4 * 8 + 4 * kStatRowBytes + 6 * 8;
-constexpr std::size_t kFarmRowBytes = 8 + 3 * 8 + 3 * 8 + 4 + 3 * 8;
 
 void stat_columns_out(Writer& w, const StatColumns& s) {
   w.column(s.n);
@@ -258,7 +258,8 @@ class FileBuilder {
 };
 
 /// Maps `path` and validates everything shared between kinds: magic,
-/// version, size arithmetic, and the whole-file checksum.
+/// version, kind, size arithmetic, the whole-file checksum, and the
+/// point count against the payload size.
 struct LoadedFile {
   util::MappedFile file;
   Header header;
@@ -289,7 +290,7 @@ LoadedFile open_checkpoint(const std::string& path) {
     reject(path, "unsupported version " + std::to_string(version));
   Header& h = loaded.header;
   const std::uint32_t kind = get_u32(base, kOffKind);
-  if (kind < 1 || kind > 3)
+  if (kind < 1 || kind > 2)
     reject(path, "unknown kind " + std::to_string(kind));
   h.kind = static_cast<CheckpointKind>(kind);
   h.points = get_u64(base, kOffPoints);
@@ -303,6 +304,14 @@ LoadedFile open_checkpoint(const std::string& path) {
   const std::uint64_t stored = get_u64(base, kOffChecksum);
   if (stored != checksum(base, file.size()))
     reject(path, "checksum mismatch (corrupted file)");
+  // By division: both row widths are odd, so in 64-bit multiplication
+  // every payload size equals points * row_bytes for some wrapped count.
+  const std::size_t row_bytes = h.kind == CheckpointKind::kSweep
+                                    ? kSweepRowBytes
+                                    : kResilienceRowBytes;
+  if (h.payload_bytes % row_bytes != 0 ||
+      h.payload_bytes / row_bytes != h.points)
+    reject(path, "payload size does not match point count");
   if (obs::enabled()) {
     static auto& restores =
         obs::registry().counter(obs::metric::kCkptRestores);
@@ -314,13 +323,10 @@ LoadedFile open_checkpoint(const std::string& path) {
 }
 
 void require_kind(const std::string& path, const LoadedFile& loaded,
-                  CheckpointKind want, std::size_t row_bytes) {
-  const Header& h = loaded.header;
-  if (h.kind != want)
-    reject(path, std::string("kind is ") + to_string(h.kind) + ", wanted " +
-                     to_string(want));
-  if (h.payload_bytes != h.points * row_bytes)
-    reject(path, "payload size does not match point count");
+                  CheckpointKind want) {
+  if (loaded.header.kind != want)
+    reject(path, std::string("kind is ") + to_string(loaded.header.kind) +
+                     ", wanted " + to_string(want));
 }
 
 void require_hash(const std::string& path, const LoadedFile& loaded,
@@ -370,7 +376,7 @@ FleetColumns load_fleet_checkpoint(const std::string& path,
                                    const Hash128& params_hash) {
   obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
   LoadedFile loaded = open_checkpoint(path);
-  require_kind(path, loaded, CheckpointKind::kSweep, kSweepRowBytes);
+  require_kind(path, loaded, CheckpointKind::kSweep);
   require_hash(path, loaded, params_hash);
   FleetColumns columns;
   columns.seed = loaded.header.seed;
@@ -438,8 +444,7 @@ ResilienceColumns load_resilience_checkpoint(const std::string& path,
                                              const Hash128& params_hash) {
   obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
   LoadedFile loaded = open_checkpoint(path);
-  require_kind(path, loaded, CheckpointKind::kResilience,
-               kResilienceRowBytes);
+  require_kind(path, loaded, CheckpointKind::kResilience);
   require_hash(path, loaded, params_hash);
   ResilienceColumns columns;
   columns.seed = loaded.header.seed;
@@ -467,56 +472,6 @@ ResilienceColumns load_resilience_checkpoint(const std::string& path,
   r.column(columns.bytes_lost, count);
   if (!r.drained())
     throw std::logic_error("checkpoint: resilience payload long");
-  return columns;
-}
-
-// ------------------------------------------------------------------ farm
-
-void save_checkpoint(const std::string& path, const FarmColumns& columns) {
-  obs::ScopedTimer timer(obs::metric::kCkptSaveTime);
-  Header h;
-  h.kind = CheckpointKind::kFarm;
-  h.points = columns.size();
-  h.seed = 0;
-  h.params_hash = {};
-  h.cycles_target = 0;
-  h.payload_bytes = columns.size() * kFarmRowBytes;
-  FileBuilder builder(path, h);
-  Writer w = builder.payload();
-  w.column(columns.battery_level);
-  w.column(columns.wakeups_attempted);
-  w.column(columns.wakeups_completed);
-  w.column(columns.wakeups_skipped);
-  w.column(columns.outage_time);
-  w.column(columns.harvested);
-  w.column(columns.consumed);
-  w.column(columns.regime_transitions);
-  w.column(columns.wakeups_degraded);
-  w.column(columns.wakeups_muted);
-  w.column(columns.events_executed);
-  if (!w.full()) throw std::logic_error("checkpoint: farm payload short");
-  builder.seal();
-}
-
-FarmColumns load_farm_checkpoint(const std::string& path) {
-  obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
-  LoadedFile loaded = open_checkpoint(path);
-  require_kind(path, loaded, CheckpointKind::kFarm, kFarmRowBytes);
-  FarmColumns columns;
-  const auto count = static_cast<std::size_t>(loaded.header.points);
-  Reader r = loaded.payload();
-  r.column(columns.battery_level, count);
-  r.column(columns.wakeups_attempted, count);
-  r.column(columns.wakeups_completed, count);
-  r.column(columns.wakeups_skipped, count);
-  r.column(columns.outage_time, count);
-  r.column(columns.harvested, count);
-  r.column(columns.consumed, count);
-  r.column(columns.regime_transitions, count);
-  r.column(columns.wakeups_degraded, count);
-  r.column(columns.wakeups_muted, count);
-  r.column(columns.events_executed, count);
-  if (!r.drained()) throw std::logic_error("checkpoint: farm payload long");
   return columns;
 }
 

@@ -13,7 +13,6 @@ namespace beesim::core {
 enum class CheckpointKind : std::uint32_t {
   kSweep = 1,       ///< FleetColumns — a LargeScaleSimulator campaign
   kResilience = 2,  ///< ResilienceColumns — a ResilientFleet campaign
-  kFarm = 3,        ///< FarmColumns — a DES farm's per-hive state
 };
 
 const char* to_string(CheckpointKind kind) noexcept;
@@ -24,9 +23,9 @@ struct CheckpointInfo {
   std::uint32_t version = 0;
   CheckpointKind kind = CheckpointKind::kSweep;
   std::uint64_t points = 0;        ///< rows in every column
-  std::uint64_t seed = 0;          ///< campaign seed (0 for farm)
+  std::uint64_t seed = 0;          ///< campaign seed
   Hash128 params_hash;             ///< scenario identity (canonical.hpp)
-  std::int32_t cycles_target = 0;  ///< per-point cycle goal (0 for farm)
+  std::int32_t cycles_target = 0;  ///< per-point cycle goal
   std::uint64_t payload_bytes = 0;
 };
 
@@ -36,8 +35,8 @@ struct CheckpointInfo {
 /// file, restoring maps the file and bulk-copies the columns back out —
 /// nothing is parsed row by row. Every load validates magic, version,
 /// kind, exact size, a 64-bit whole-file checksum (truncated or bit-
-/// flipped files are rejected with std::runtime_error), and — for sweep
-/// and resilience kinds — that the stored params hash matches the
+/// flipped files are rejected with std::runtime_error), the point count
+/// against the payload size, and that the stored params hash matches the
 /// scenario the caller is about to resume, so a checkpoint can never be
 /// silently resumed under different physics.
 ///
@@ -51,7 +50,6 @@ void save_checkpoint(const std::string& path, const FleetColumns& columns,
 void save_checkpoint(const std::string& path,
                      const ResilienceColumns& columns,
                      const Hash128& params_hash);
-void save_checkpoint(const std::string& path, const FarmColumns& columns);
 
 /// Loaders throw std::runtime_error on any validation failure (missing
 /// file, wrong kind, corruption, foreign params hash).
@@ -59,7 +57,6 @@ FleetColumns load_fleet_checkpoint(const std::string& path,
                                    const Hash128& params_hash);
 ResilienceColumns load_resilience_checkpoint(const std::string& path,
                                              const Hash128& params_hash);
-FarmColumns load_farm_checkpoint(const std::string& path);
 
 /// Header-only read (still checksum-validated): what is in this file?
 CheckpointInfo inspect_checkpoint(const std::string& path);

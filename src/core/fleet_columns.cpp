@@ -415,59 +415,4 @@ bool ResilientFleet::advance(ResilienceColumns& columns, int max_points,
   return columns.complete();
 }
 
-// ------------------------------------------------------------ FarmColumns
-
-void FarmColumns::resize(std::size_t count) {
-  battery_level.assign(count, 0.0);
-  wakeups_attempted.assign(count, 0);
-  wakeups_completed.assign(count, 0);
-  wakeups_skipped.assign(count, 0);
-  outage_time.assign(count, 0.0);
-  harvested.assign(count, 0.0);
-  consumed.assign(count, 0.0);
-  regime_transitions.assign(count, 0);
-  wakeups_degraded.assign(count, 0);
-  wakeups_muted.assign(count, 0);
-  events_executed.assign(count, 0);
-}
-
-FarmColumns FarmColumns::from_runs(const std::vector<hive::HiveRun>& runs) {
-  FarmColumns c;
-  c.resize(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const hive::HiveRun& run = runs[i];
-    c.battery_level[i] = run.battery_level;
-    c.wakeups_attempted[i] = run.stats.wakeups_attempted;
-    c.wakeups_completed[i] = run.stats.wakeups_completed;
-    c.wakeups_skipped[i] = run.stats.wakeups_skipped;
-    c.outage_time[i] = run.stats.outage_time;
-    c.harvested[i] = run.stats.harvested;
-    c.consumed[i] = run.stats.consumed;
-    c.regime_transitions[i] = run.stats.regime_transitions;
-    c.wakeups_degraded[i] = run.stats.wakeups_degraded;
-    c.wakeups_muted[i] = run.stats.wakeups_muted;
-    c.events_executed[i] = run.events_executed;
-  }
-  return c;
-}
-
-std::vector<hive::HiveRun> FarmColumns::to_runs() const {
-  std::vector<hive::HiveRun> runs(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    hive::HiveRun& run = runs[i];
-    run.battery_level = battery_level[i];
-    run.stats.wakeups_attempted = wakeups_attempted[i];
-    run.stats.wakeups_completed = wakeups_completed[i];
-    run.stats.wakeups_skipped = wakeups_skipped[i];
-    run.stats.outage_time = outage_time[i];
-    run.stats.harvested = harvested[i];
-    run.stats.consumed = consumed[i];
-    run.stats.regime_transitions = regime_transitions[i];
-    run.stats.wakeups_degraded = wakeups_degraded[i];
-    run.stats.wakeups_muted = wakeups_muted[i];
-    run.events_executed = events_executed[i];
-  }
-  return runs;
-}
-
 }  // namespace beesim::core

@@ -7,7 +7,6 @@
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
 #include "dsp/simd_kernels.hpp"
-#include "hive/farm.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -186,31 +185,6 @@ struct ResilienceColumns {
   /// point beats a pending one, two done points must agree on nothing —
   /// the first side wins (streams make both sides identical anyway).
   void merge_from(const ResilienceColumns& other);
-};
-
-/// Columnar image of a DES farm run (hive::run_hives_parallel) — one
-/// contiguous array per per-hive field (final battery level, wake-up
-/// counters, outage time, energy ledger). This is the million-hive state
-/// the checkpoint layer snapshots and restores in bulk; to_runs() and
-/// from_runs() are exact representation transfers.
-struct FarmColumns {
-  std::vector<double> battery_level;
-  std::vector<std::uint64_t> wakeups_attempted;
-  std::vector<std::uint64_t> wakeups_completed;
-  std::vector<std::uint64_t> wakeups_skipped;
-  std::vector<double> outage_time;
-  std::vector<double> harvested;
-  std::vector<double> consumed;
-  std::vector<std::int32_t> regime_transitions;
-  std::vector<std::uint64_t> wakeups_degraded;
-  std::vector<std::uint64_t> wakeups_muted;
-  std::vector<std::uint64_t> events_executed;
-
-  static FarmColumns from_runs(const std::vector<hive::HiveRun>& runs);
-  std::vector<hive::HiveRun> to_runs() const;
-
-  std::size_t size() const noexcept { return battery_level.size(); }
-  void resize(std::size_t count);
 };
 
 }  // namespace beesim::core

@@ -203,9 +203,7 @@ CycleResult LargeScaleSimulator::price_cycle(int clients, int lost,
     entry = {surviving, 0, 0, 0.0,
              static_cast<double>(surviving) * params_.client.cycle_energy()};
     // Stack-resident columnar layout: the whole per-cycle allocation is a
-    // few fixed arrays, no heap traffic (the SoA fast path that
-    // bench/checkpoint_bench measures against its heap-allocating
-    // replica of the old per-cycle loop).
+    // few fixed arrays, no heap traffic.
     CompactLayout layout;
     allocate_compact_into(surviving, server_, params_.policy, layout);
     entry.servers_used = static_cast<int>(layout.servers_used());

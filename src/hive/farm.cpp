@@ -26,7 +26,6 @@ std::vector<HiveRun> run_hives_parallel(
         beehive.settle();
         runs[i].stats = beehive.stats();
         runs[i].events_executed = engine.executed();
-        runs[i].battery_level = beehive.energy_node().battery().level();
       },
       threads);
   return runs;

@@ -13,9 +13,6 @@ struct HiveRun {
   SmartBeehive::Stats stats;
   /// DES events the hive's private engine executed.
   std::uint64_t events_executed = 0;
-  /// Battery charge left when the horizon was reached — the per-hive
-  /// state column the farm checkpoint persists (core::FarmColumns).
-  util::Joules battery_level = 0.0;
 };
 
 /// Aggregate over per-hive runs; field-for-field the same sums as

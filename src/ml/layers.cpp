@@ -41,7 +41,8 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
     weights_[i] = static_cast<float>(rng.normal(0.0, scale));
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool train) {
+Tensor Conv2d::forward(const Tensor& input, bool train,
+                       Precision precision) {
   if (input.dims() != 4 || input.dim(1) != in_ch_)
     throw std::invalid_argument("Conv2d: bad input shape");
   const std::size_t n = input.dim(0);
@@ -57,7 +58,7 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   // in_ch*k*k) matrix; the lowered image supplies the (in_ch*k*k, h*w)
   // right-hand side. Inference may run the GEMM in int8; training always
   // stays f32 for exact gradients.
-  const Precision prec = train ? Precision::kF32 : inference_precision();
+  const Precision prec = train ? Precision::kF32 : precision;
   const std::size_t cols = h * w;
   const std::size_t kdim = in_ch_ * k_ * k_;
   if (prec == Precision::kInt8 && quant_dirty_) {
@@ -160,7 +161,7 @@ void Conv2d::load_parameters(const float*& cursor) {
 
 // ------------------------------------------------------------------- ReLU
 
-Tensor ReLU::forward(const Tensor& input, bool train) {
+Tensor ReLU::forward(const Tensor& input, bool train, Precision) {
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i)
     if (out[i] < 0.0f) out[i] = 0.0f;
@@ -179,7 +180,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 // --------------------------------------------------------------- MaxPool2
 
-Tensor MaxPool2::forward(const Tensor& input, bool train) {
+Tensor MaxPool2::forward(const Tensor& input, bool train, Precision) {
   if (input.dims() != 4)
     throw std::invalid_argument("MaxPool2: expects 4-D input");
   const std::size_t n = input.dim(0);
@@ -234,7 +235,7 @@ Tensor MaxPool2::backward(const Tensor& grad_output) {
 
 // ------------------------------------------------------------- TimeAvgPool
 
-Tensor TimeAvgPool::forward(const Tensor& input, bool train) {
+Tensor TimeAvgPool::forward(const Tensor& input, bool train, Precision) {
   if (input.dims() != 4)
     throw std::invalid_argument("TimeAvgPool: expects 4-D input");
   const std::size_t n = input.dim(0);
@@ -280,7 +281,7 @@ Tensor TimeAvgPool::backward(const Tensor& grad_output) {
 
 // ----------------------------------------------------------- GlobalAvgPool
 
-Tensor GlobalAvgPool::forward(const Tensor& input, bool train) {
+Tensor GlobalAvgPool::forward(const Tensor& input, bool train, Precision) {
   if (input.dims() != 4)
     throw std::invalid_argument("GlobalAvgPool: expects 4-D input");
   const std::size_t n = input.dim(0);
@@ -332,12 +333,13 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
     weights_[i] = static_cast<float>(rng.normal(0.0, scale));
 }
 
-Tensor Linear::forward(const Tensor& input, bool train) {
+Tensor Linear::forward(const Tensor& input, bool train,
+                       Precision precision) {
   if (input.dims() != 2 || input.dim(1) != in_)
     throw std::invalid_argument("Linear: bad input shape");
   const std::size_t n = input.dim(0);
   Tensor out({n, out_});
-  const Precision prec = train ? Precision::kF32 : inference_precision();
+  const Precision prec = train ? Precision::kF32 : precision;
   if (prec == Precision::kInt8) {
     // Transpose the batch to (in, n) so the GEMM contract applies with
     // the (out, in) weight matrix on the left; the (out, n) product is

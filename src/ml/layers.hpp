@@ -13,12 +13,15 @@ namespace beesim::ml {
 /// Base class for trainable layers. forward caches whatever backward
 /// needs; backward returns the gradient w.r.t. the layer input and
 /// accumulates parameter gradients, which sgd_step then applies with
-/// momentum.
+/// momentum. `precision` is the numeric type of an inference pass
+/// (train = false); training passes are always f32, and layers without
+/// a GEMM ignore it.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  virtual Tensor forward(const Tensor& input, bool train) = 0;
+  virtual Tensor forward(const Tensor& input, bool train,
+                         Precision precision) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
   /// Applies accumulated gradients (no-op for stateless layers).
   virtual void sgd_step(float lr, float momentum) { (void)lr; (void)momentum; }
@@ -38,16 +41,16 @@ class Layer {
 /// The forward pass is im2col + the dispatched register-blocked GEMM
 /// (the weight matrix (out, in*k*k) times the lowered image); the naive
 /// 6-deep loop nest it is checked against is the test oracle in
-/// tests/dsp_oracle.hpp. Inference-only forward passes honor
-/// ml::inference_precision(): int8 swaps in symmetric-int8 operands
-/// (weights quantized once and cached until the next
-/// sgd_step/load_parameters, activations per call).
+/// tests/dsp_oracle.hpp. An inference pass at Precision::kInt8 swaps in
+/// symmetric-int8 operands (weights quantized once and cached until the
+/// next sgd_step/load_parameters, activations per call).
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, util::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor forward(const Tensor& input, bool train,
+                 Precision precision) override;
   Tensor backward(const Tensor& grad_output) override;
   void sgd_step(float lr, float momentum) override;
   std::string name() const override { return "conv2d"; }
@@ -81,7 +84,8 @@ class Conv2d final : public Layer {
 /// Element-wise ReLU.
 class ReLU final : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor forward(const Tensor& input, bool train,
+                 Precision precision) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "relu"; }
 
@@ -92,7 +96,8 @@ class ReLU final : public Layer {
 /// 2x2 max pooling, stride 2. Odd trailing rows/cols are dropped.
 class MaxPool2 final : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor forward(const Tensor& input, bool train,
+                 Precision precision) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "maxpool2"; }
 
@@ -109,7 +114,8 @@ class MaxPool2 final : public Layer {
 /// it.
 class TimeAvgPool final : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor forward(const Tensor& input, bool train,
+                 Precision precision) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "timeavgpool"; }
 
@@ -121,7 +127,8 @@ class TimeAvgPool final : public Layer {
 /// independent (used where translation invariance is wanted).
 class GlobalAvgPool final : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor forward(const Tensor& input, bool train,
+                 Precision precision) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "gap"; }
 
@@ -130,15 +137,15 @@ class GlobalAvgPool final : public Layer {
 };
 
 /// Fully connected layer: (N, D) -> (N, M). Xavier initialization.
-/// Inference-only forward passes honor ml::inference_precision() like
-/// Conv2d: under int8 the batch is transposed to (D, N) so the
-/// dispatched GEMM kernel applies, with weights as the quantized left
-/// operand.
+/// An inference pass at Precision::kInt8 quantizes like Conv2d: the
+/// batch is transposed to (D, N) so the dispatched GEMM kernel applies,
+/// with weights as the quantized left operand.
 class Linear final : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool train) override;
+  Tensor forward(const Tensor& input, bool train,
+                 Precision precision) override;
   Tensor backward(const Tensor& grad_output) override;
   void sgd_step(float lr, float momentum) override;
   std::string name() const override { return "linear"; }

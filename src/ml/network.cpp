@@ -11,10 +11,11 @@ void Network::add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
-Tensor Network::forward(const Tensor& input, bool train) {
+Tensor Network::forward(const Tensor& input, bool train,
+                        Precision precision) {
   if (layers_.empty()) throw std::logic_error("Network: no layers");
   Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, train);
+  for (auto& layer : layers_) x = layer->forward(x, train, precision);
   return x;
 }
 
@@ -138,7 +139,7 @@ TrainReport train_classifier(Network& net,
 
 std::vector<std::size_t> predict_classifier(
     Network& net, const std::vector<dsp::Matrix>& images,
-    std::size_t batch_size) {
+    std::size_t batch_size, Precision precision) {
   if (images.empty() || batch_size == 0)
     throw std::invalid_argument("predict_classifier: bad arguments");
   std::vector<std::size_t> out;
@@ -149,7 +150,8 @@ std::vector<std::size_t> predict_classifier(
                                        static_cast<std::ptrdiff_t>(start),
                                    images.begin() +
                                        static_cast<std::ptrdiff_t>(end));
-    const Tensor logits = net.forward(images_to_tensor(batch), false);
+    const Tensor logits =
+        net.forward(images_to_tensor(batch), false, precision);
     const auto preds = SoftmaxCrossEntropy::predict(logits);
     out.insert(out.end(), preds.begin(), preds.end());
   }
@@ -159,10 +161,10 @@ std::vector<std::size_t> predict_classifier(
 double evaluate_classifier(Network& net,
                            const std::vector<dsp::Matrix>& images,
                            const std::vector<std::size_t>& labels,
-                           std::size_t batch_size) {
+                           std::size_t batch_size, Precision precision) {
   if (images.size() != labels.size() || images.empty())
     throw std::invalid_argument("evaluate_classifier: bad dataset");
-  const auto preds = predict_classifier(net, images, batch_size);
+  const auto preds = predict_classifier(net, images, batch_size, precision);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < preds.size(); ++i)
     if (preds[i] == labels[i]) ++correct;

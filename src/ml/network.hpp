@@ -19,8 +19,10 @@ class Network {
 
   void add(std::unique_ptr<Layer> layer);
 
-  /// Forward pass; train=true caches activations for backward.
-  Tensor forward(const Tensor& input, bool train = false);
+  /// Forward pass; train=true caches activations for backward (and is
+  /// always f32), an inference pass runs at `precision`.
+  Tensor forward(const Tensor& input, bool train = false,
+                 Precision precision = Precision::kF32);
 
   /// Backward pass from the loss gradient; call after forward(train=true).
   void backward(const Tensor& grad);
@@ -73,18 +75,18 @@ TrainReport train_classifier(Network& net,
                              const std::vector<std::size_t>& labels,
                              const TrainOptions& options = TrainOptions{});
 
-/// Batched multi-clip inference: predicted class per image, running
-/// `batch_size` clips through each forward pass so the dispatched GEMM
-/// kernels see wide (out, batch*h*w) panels. Honors the process-global
-/// ml::inference_precision().
+/// Batched multi-clip inference at `precision`: predicted class per
+/// image, running `batch_size` clips through each forward pass so the
+/// dispatched GEMM kernels see wide (out, batch*h*w) panels.
 std::vector<std::size_t> predict_classifier(
     Network& net, const std::vector<dsp::Matrix>& images,
-    std::size_t batch_size = 32);
+    std::size_t batch_size = 32, Precision precision = Precision::kF32);
 
-/// Accuracy of `net` on a labeled set (batched inference).
+/// Accuracy of `net` on a labeled set (batched inference at `precision`).
 double evaluate_classifier(Network& net,
                            const std::vector<dsp::Matrix>& images,
                            const std::vector<std::size_t>& labels,
-                           std::size_t batch_size = 32);
+                           std::size_t batch_size = 32,
+                           Precision precision = Precision::kF32);
 
 }  // namespace beesim::ml

@@ -5,11 +5,6 @@
 #include <stdexcept>
 
 namespace beesim::ml {
-namespace {
-
-Precision g_precision = Precision::kF32;
-
-}  // namespace
 
 Precision precision_from_name(const std::string& name) {
   if (name == "f32") return Precision::kF32;
@@ -25,10 +20,6 @@ const char* precision_name(Precision p) noexcept {
   }
   return "f32";
 }
-
-Precision inference_precision() noexcept { return g_precision; }
-
-void set_inference_precision(Precision p) noexcept { g_precision = p; }
 
 QuantizedRows quantize_rows_s8(const float* data, std::size_t rows,
                                std::size_t cols) {

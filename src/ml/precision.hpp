@@ -6,7 +6,8 @@
 
 namespace beesim::ml {
 
-/// Numeric storage/compute type for inference. Training is always f32;
+/// Numeric storage/compute type for inference, passed with each forward
+/// call (Layer::forward, Network::forward). Training is always f32;
 /// kInt8 applies to Conv2d/Linear forward passes when gradients are not
 /// required (layers.cpp), modelling the quantized deployments the
 /// paper's Raspberry Pi edge node would actually run: symmetric per-row
@@ -19,12 +20,6 @@ enum class Precision { kF32, kInt8 };
 Precision precision_from_name(const std::string& name);
 
 const char* precision_name(Precision p) noexcept;
-
-/// Process-global inference precision, defaulting to kF32. Set once at
-/// startup; flipping it concurrently with running forward passes is not
-/// supported.
-Precision inference_precision() noexcept;
-void set_inference_precision(Precision p) noexcept;
 
 /// Quantized view of a row-major f32 matrix: one symmetric scale per row
 /// (scale = max|row| / 127, zero-point 0), int8 values rounded to

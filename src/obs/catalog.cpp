@@ -26,10 +26,7 @@ void register_catalog(Registry& reg) {
         m::kMlConvGemmFlops, m::kLossSaturatedSlots,
         m::kLossDropoutDraws, m::kLossDropoutClients, m::kServerSlotPlans,
         m::kClientSpecsBuilt, m::kClientCycleEvaluations, m::kLinkTransfers,
-        m::kLinkBytes, m::kRetransmitTransfers, m::kRetransmitChunks,
-        m::kRetransmitRetransmissions, m::kRetransmitFailures,
-        m::kRetransmitBytes, m::kRetransmitTimeouts, m::kBackoffWaits,
-        m::kFaultWindowsScheduled, m::kFaultCyclesFaulted,
+        m::kLinkBytes, m::kFaultWindowsScheduled, m::kFaultCyclesFaulted,
         m::kFaultBufferEnqueuedBytes, m::kFaultBufferDroppedBytes,
         m::kFleetDegradedCycles, m::kFleetShedClients,
         m::kFleetEdgeFallbackCycles, m::kOrchestratorDegradedPlans,
@@ -54,9 +51,8 @@ void register_catalog(Registry& reg) {
         m::kFleetMaxServersUsed,
         m::kFleetSweepThreads, m::kDspMelBandNnz, m::kDspDispatchIsa,
         m::kServerMaxSlotsPerCycle, m::kBatteryChargeJoules,
-        m::kBatteryDischargeJoules, m::kBackoffWaitSeconds,
-        m::kFaultBufferPeakBytes, m::kServeQueuePeakDepth,
-        m::kPlacementFrontierSize})
+        m::kBatteryDischargeJoules, m::kFaultBufferPeakBytes,
+        m::kServeQueuePeakDepth, m::kPlacementFrontierSize})
     reg.gauge(name);
   reg.histogram(metric::kAllocatorSlotOccupancy, slot_occupancy_bounds());
   reg.histogram(metric::kServeBatchWidth, serve_batch_bounds());

@@ -140,24 +140,9 @@ inline constexpr const char* kDspDispatchIsa = "dsp.dispatch.isa";
 // ml::Conv2d — GEMM convolution fast path.
 inline constexpr const char* kMlConvGemmFlops = "ml.conv.gemm_flops";
 
-// net::Link / net::RetransmittingLink.
+// net::Link.
 inline constexpr const char* kLinkTransfers = "net.link.transfers";
 inline constexpr const char* kLinkBytes = "net.link.bytes";
-inline constexpr const char* kRetransmitTransfers =
-    "net.retransmit.transfers";
-inline constexpr const char* kRetransmitChunks = "net.retransmit.chunks";
-inline constexpr const char* kRetransmitRetransmissions =
-    "net.retransmit.retransmissions";
-inline constexpr const char* kRetransmitFailures =
-    "net.retransmit.failures";
-inline constexpr const char* kRetransmitBytes = "net.retransmit.bytes";
-inline constexpr const char* kRetransmitTimeouts =
-    "net.retransmit.timeouts";
-
-// net::RetransmittingLink — exponential backoff between retries.
-inline constexpr const char* kBackoffWaits = "net.backoff.waits";
-inline constexpr const char* kBackoffWaitSeconds =
-    "net.backoff.wait_seconds";
 
 // fault::FaultInjector / fault::StoreAndForwardBuffer — the
 // fault-injection and graceful-degradation layer (docs/RESILIENCE.md).

@@ -30,7 +30,6 @@
 #include "crash_campaign.hpp"
 #include "fault/injector.hpp"
 #include "fleet_oracle.hpp"
-#include "hive/farm.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -241,6 +240,54 @@ TEST(Checkpoint, InspectReportsHeaderFields) {
 
 // ---- Corruption and identity rejection --------------------------------
 
+constexpr std::size_t kHeaderBytes = 80;
+
+/// What a load throws, or "accepted" when it does not throw.
+template <typename Load>
+std::string refusal(Load load) {
+  try {
+    load();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Stamps the checksum of a hand-edited image, so the edit has to be
+/// caught by a check other than the checksum. A copy of the file format's
+/// four-lane word checksum (core/checkpoint.cpp), with the checksum field
+/// at byte 64 read as zero.
+void reseal(std::vector<char>& image) {
+  constexpr std::size_t kChecksumAt = 64;
+  const std::size_t size = image.size();
+  std::uint64_t lane[4];
+  for (std::uint64_t l = 0; l < 4; ++l) lane[l] = mix64(size + l);
+  std::size_t i = 0;
+  std::size_t word = 0;
+  for (; i + 8 <= size; i += 8, ++word) {
+    std::uint64_t w = 0;
+    if (i != kChecksumAt) std::memcpy(&w, image.data() + i, 8);
+    lane[word & 3] = mix64(lane[word & 3] ^ w);
+  }
+  if (i < size) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, image.data() + i, size - i);
+    lane[word & 3] = mix64(lane[word & 3] ^ w);
+  }
+  std::uint64_t h = mix64(lane[0]);
+  h = mix64(h ^ lane[1]);
+  h = mix64(h ^ lane[2]);
+  h = mix64(h ^ lane[3]);
+  std::memcpy(image.data() + kChecksumAt, &h, sizeof h);
+}
+
 class CheckpointCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -315,7 +362,43 @@ TEST_F(CheckpointCorruption, ForeignParamsHashIsRejected) {
 TEST_F(CheckpointCorruption, WrongKindIsRejected) {
   EXPECT_THROW(core::load_resilience_checkpoint(path_, hash_),
                std::runtime_error);
-  EXPECT_THROW(core::load_farm_checkpoint(path_), std::runtime_error);
+  // Only kinds 1 and 2 exist: a sweep file relabelled 3 is refused as an
+  // unknown kind. The kind check precedes the checksum, so the rewritten
+  // file needs no re-sealing.
+  std::vector<char> relabelled = image_;
+  const std::uint32_t kind3 = 3;
+  std::memcpy(relabelled.data() + 12, &kind3, sizeof kind3);
+  spit(path_, relabelled);
+  for (const std::string& why :
+       {refusal([&] { core::load_fleet_checkpoint(path_, hash_); }),
+        refusal([&] { core::inspect_checkpoint(path_); })})
+    EXPECT_NE(why.find("unknown kind 3"), std::string::npos) << why;
+}
+
+TEST_F(CheckpointCorruption, WrappedPointCountIsRejected) {
+  // The row width is odd, so it has an inverse mod 2^64 and every payload
+  // size matches *some* point count by wrap-around. A re-sealed file with
+  // a 100-byte payload and that point count must be refused at
+  // validation, before any column is read.
+  std::vector<char> pristine = image_;
+  reseal(pristine);
+  ASSERT_EQ(pristine, image_) << "reseal() disagrees with the format";
+  const std::uint64_t row_bytes = (image_.size() - kHeaderBytes) / 2;
+  ASSERT_EQ(row_bytes % 2, 1u);
+  std::uint64_t inverse = row_bytes;  // Newton: 3 -> 6 -> ... -> 96 bits
+  for (int i = 0; i < 5; ++i) inverse *= 2 - row_bytes * inverse;
+  const std::uint64_t payload = 100;
+  const std::uint64_t points = payload * inverse;
+  ASSERT_EQ(points * row_bytes, payload);  // matches only mod 2^64
+  std::vector<char> wrapped(image_.begin(),
+                            image_.begin() + kHeaderBytes + payload);
+  std::memcpy(wrapped.data() + 16, &points, sizeof points);
+  std::memcpy(wrapped.data() + 56, &payload, sizeof payload);
+  reseal(wrapped);
+  spit(path_, wrapped);
+  EXPECT_NE(refusal([&] { core::inspect_checkpoint(path_); }), "accepted");
+  EXPECT_THROW(core::load_fleet_checkpoint(path_, hash_),
+               std::runtime_error);
 }
 
 TEST_F(CheckpointCorruption, VersionOneFileIsRefusedForItsIdentity) {
@@ -327,14 +410,6 @@ TEST_F(CheckpointCorruption, VersionOneFileIsRefusedForItsIdentity) {
   const std::uint32_t v1 = 1;
   std::memcpy(old.data() + 8, &v1, sizeof v1);
   spit(path_, old);
-  const auto refusal = [](auto load) {
-    try {
-      load();
-    } catch (const std::runtime_error& e) {
-      return std::string(e.what());
-    }
-    return std::string("accepted");
-  };
   for (const std::string& why :
        {refusal([&] { core::load_fleet_checkpoint(path_, hash_); }),
         refusal([&] { core::inspect_checkpoint(path_); })}) {
@@ -505,67 +580,6 @@ TEST_F(ResilienceCheckpoint, CampaignHashIsPinned) {
                                            fleet_.plan(), fleet_.policy())
                 .to_string(),
             "e656c1ce29e016dc.b95e3734a8544364");
-}
-
-// ---- Farm columns -----------------------------------------------------
-
-TEST(FarmColumns, RunsRoundtripThroughColumnsAndDisk) {
-  std::vector<hive::HiveRun> runs(5);
-  util::Rng rng(31);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    auto& r = runs[i];
-    r.stats.wakeups_attempted = 100 + i;
-    r.stats.wakeups_completed = 90 + i;
-    r.stats.wakeups_skipped = 10;
-    r.stats.outage_time = rng.uniform(0.0, 500.0);
-    r.stats.harvested = rng.uniform(0.0, 4000.0);
-    r.stats.consumed = rng.uniform(0.0, 4000.0);
-    r.stats.regime_transitions = static_cast<int>(i);
-    r.stats.wakeups_degraded = i * 2;
-    r.stats.wakeups_muted = i * 3;
-    r.events_executed = 1000 + i;
-    r.battery_level = rng.uniform(0.0, 26640.0);
-  }
-  const core::FarmColumns columns = core::FarmColumns::from_runs(runs);
-  ASSERT_EQ(columns.size(), runs.size());
-
-  const std::string path = temp_path("ckpt_farm.ck");
-  core::save_checkpoint(path, columns);
-  const core::FarmColumns restored = core::load_farm_checkpoint(path);
-  const std::vector<hive::HiveRun> back = restored.to_runs();
-  ASSERT_EQ(back.size(), runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(back[i].stats.wakeups_attempted,
-              runs[i].stats.wakeups_attempted);
-    EXPECT_EQ(back[i].stats.wakeups_completed,
-              runs[i].stats.wakeups_completed);
-    EXPECT_EQ(back[i].stats.wakeups_skipped, runs[i].stats.wakeups_skipped);
-    EXPECT_EQ(back[i].stats.outage_time, runs[i].stats.outage_time);
-    EXPECT_EQ(back[i].stats.harvested, runs[i].stats.harvested);
-    EXPECT_EQ(back[i].stats.consumed, runs[i].stats.consumed);
-    EXPECT_EQ(back[i].stats.regime_transitions,
-              runs[i].stats.regime_transitions);
-    EXPECT_EQ(back[i].stats.wakeups_degraded,
-              runs[i].stats.wakeups_degraded);
-    EXPECT_EQ(back[i].stats.wakeups_muted, runs[i].stats.wakeups_muted);
-    EXPECT_EQ(back[i].events_executed, runs[i].events_executed);
-    EXPECT_EQ(back[i].battery_level, runs[i].battery_level);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FarmColumns, RealFarmRunSurvivesTheColumns) {
-  // A tiny real DES farm: columns must carry the exact per-hive results.
-  hive::SmartBeehive::Config hive_template;
-  const auto configs = hive::farm_configs(hive_template, 3);
-  const auto runs = hive::run_hives_parallel(configs, 3600.0, 1);
-  const auto back = core::FarmColumns::from_runs(runs).to_runs();
-  ASSERT_EQ(back.size(), runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(back[i].battery_level, runs[i].battery_level);
-    EXPECT_EQ(back[i].stats.consumed, runs[i].stats.consumed);
-    EXPECT_EQ(back[i].events_executed, runs[i].events_executed);
-  }
 }
 
 }  // namespace

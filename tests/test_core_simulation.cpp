@@ -4,15 +4,16 @@
 #include <cmath>
 #include <limits>
 
-#include "core/des_check.hpp"
 #include "core/fleet_columns.hpp"
 #include "core/loss.hpp"
 #include "core/network_sim.hpp"
 #include "core/resilience.hpp"
+#include "des_oracle.hpp"
 #include "fault/fault.hpp"
 #include "fleet_oracle.hpp"
 
 namespace core = beesim::core;
+using beesim::oracle::des_replay_cycle;
 using beesim::oracle::expect_same_point;
 using beesim::oracle::reference_sweep;
 using core::FillPolicy;
@@ -532,7 +533,7 @@ class DesCrossCheck
 
 TEST_P(DesCrossCheck, AnalyticModelMatchesEventDrivenReplay) {
   const auto [service, clients] = GetParam();
-  const auto des = core::des_replay_cycle(service, clients, 10);
+  const auto des = des_replay_cycle(service, clients, 10);
   core::LargeScaleSimulator sim(
       core::FleetParams::paper_default(service, 10));
   const auto ana = sim.simulate_ideal_cycle(clients);
@@ -548,6 +549,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 10, 25, 60)));
 
 TEST(DesCrossCheck, RejectsOverCapacity) {
-  EXPECT_THROW(core::des_replay_cycle(ServiceModel::kCnn, 100000, 10),
+  EXPECT_THROW(des_replay_cycle(ServiceModel::kCnn, 100000, 10),
                std::invalid_argument);
 }

@@ -241,7 +241,7 @@ TEST(ConvGemm, ForwardMatchesNaive) {
     for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
                             dsp::IsaRequest::kAuto}) {
       dsp::set_active_isa(tier);
-      const auto fast = conv.forward(input, false);
+      const auto fast = conv.forward(input, false, ml::Precision::kF32);
       ASSERT_TRUE(fast.same_shape(reference));
       for (std::size_t i = 0; i < reference.size(); ++i)
         ASSERT_NEAR(fast[i], reference[i], 1e-5f * scale)
@@ -277,12 +277,15 @@ TEST(ConvGemm, QueenCnnLogitsMatchNaive) {
   ml::ReLU relu;
   ml::MaxPool2 pool;
   ml::TimeAvgPool time_pool;
-  auto x = pool.forward(relu.forward(oracle::conv2d_forward(conv1, input),
-                                     false),
-                        false);
-  x = pool.forward(relu.forward(oracle::conv2d_forward(conv2, x), false),
-                   false);
-  const auto reference = head.forward(time_pool.forward(x, false), false);
+  constexpr ml::Precision kF32 = ml::Precision::kF32;
+  auto x = pool.forward(
+      relu.forward(oracle::conv2d_forward(conv1, input), false, kF32),
+      false, kF32);
+  x = pool.forward(
+      relu.forward(oracle::conv2d_forward(conv2, x), false, kF32), false,
+      kF32);
+  const auto reference =
+      head.forward(time_pool.forward(x, false, kF32), false, kF32);
 
   for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
                           dsp::IsaRequest::kAuto}) {

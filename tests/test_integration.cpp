@@ -3,9 +3,9 @@
 #include <cmath>
 
 #include "audio/dataset.hpp"
-#include "core/des_check.hpp"
 #include "core/placement.hpp"
 #include "core/scenario.hpp"
+#include "des_oracle.hpp"
 #include "device/calibration.hpp"
 #include "device/routine.hpp"
 #include "hive/beehive.hpp"
@@ -136,7 +136,7 @@ TEST(CrossCheck, ThreeWaysToComputeTheEdgeCycleAgree) {
     const double client = beesim::core::ClientSpec::smart_beehive(
                               Placement::kEdgeCloud, service)
                               .cycle_energy();
-    const auto des = beesim::core::des_replay_cycle(service, 1, 10);
+    const auto des = beesim::oracle::des_replay_cycle(service, 1, 10);
     EXPECT_NEAR(table, client, 1e-9);
     EXPECT_NEAR(des.edge_energy, client, 0.5);
   }

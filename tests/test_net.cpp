@@ -102,196 +102,3 @@ TEST(Link, PresetsAreOrdered) {
   EXPECT_GT(net::Link::wifi_far().expected_transfer_time(bytes),
             net::Link::wifi_80211n().expected_transfer_time(bytes));
 }
-
-// ------------------------------------------------------ RetransmittingLink
-
-#include "net/retransmit.hpp"
-
-namespace {
-
-net::RetransmittingLink make_retx_link() {
-  return net::RetransmittingLink(net::Link(), net::RetransmittingLink::Params{});
-}
-
-}  // namespace
-
-TEST(RetransmittingLink, SingleClientRoughlyMatchesPlainLink) {
-  const auto retx = make_retx_link();
-  u::Rng rng(31);
-  u::RunningStats durations;
-  const double bytes = 500000.0;
-  for (int i = 0; i < 200; ++i)
-    durations.add(retx.transfer(bytes, 1, rng).duration);
-  // ~1% chunk loss: within a few percent of the lossless expectation.
-  const double lossless = net::Link().expected_transfer_time(bytes);
-  EXPECT_NEAR(durations.mean(), lossless, lossless * 0.12);
-}
-
-TEST(RetransmittingLink, ConcurrencyStretchesTransfers) {
-  // On the deployed ~0.8 Mbps uplink, 35 synchronized clients push the
-  // chunk loss toward ~0.7 and transfers stretch by several x.
-  net::Link::Params lp;
-  lp.throughput_mean_mbps = 0.805;
-  lp.throughput_stddev_mbps = 0.0;
-  const net::RetransmittingLink retx(net::Link(lp),
-                                     net::RetransmittingLink::Params{});
-  u::Rng rng(32);
-  const double bytes = 500000.0;
-  u::RunningStats solo;
-  u::RunningStats crowded;
-  for (int i = 0; i < 100; ++i) {
-    solo.add(retx.transfer(bytes, 1, rng).duration);
-    crowded.add(retx.transfer(bytes, 35, rng).duration);
-  }
-  EXPECT_GT(crowded.mean(), solo.mean() * 1.5);
-}
-
-TEST(RetransmittingLink, RetransmissionsScaleWithLoss) {
-  net::RetransmittingLink::Params p;
-  p.base_loss = 0.2;
-  const net::RetransmittingLink retx(net::Link(), p);
-  u::Rng rng(33);
-  int total_retx = 0;
-  for (int i = 0; i < 50; ++i)
-    total_retx += retx.transfer(400000.0, 1, rng).retransmissions;
-  // ~25 chunks per transfer at 20% loss -> about 6 retries per transfer.
-  EXPECT_GT(total_retx, 100);
-}
-
-TEST(RetransmittingLink, GivesUpAfterMaxAttempts) {
-  net::RetransmittingLink::Params p;
-  p.base_loss = 0.9;
-  p.max_attempts_per_chunk = 2;
-  const net::RetransmittingLink retx(net::Link(), p);
-  u::Rng rng(34);
-  int failures = 0;
-  for (int i = 0; i < 50; ++i)
-    if (!retx.transfer(100000.0, 1, rng).completed) ++failures;
-  EXPECT_GT(failures, 40);  // 90% loss with 2 attempts almost always fails
-}
-
-TEST(RetransmittingLink, ExpectedStretchIsPositiveAndModest) {
-  // The paper uses 1.5 s/client for the full ~1.4 MB routine upload; the
-  // collision model on the deployed ~0.8 Mbps uplink lands in the same
-  // order of magnitude (the linearized estimate undershoots the true
-  // compounding effect at high concurrency).
-  net::Link::Params lp;
-  lp.throughput_mean_mbps = 0.805;
-  const net::RetransmittingLink retx(net::Link(lp),
-                                     net::RetransmittingLink::Params{});
-  const double stretch = retx.expected_stretch_per_client(1400000.0);
-  EXPECT_GT(stretch, 0.05);
-  EXPECT_LT(stretch, 5.0);
-}
-
-TEST(RetransmittingLink, RejectsInvalidUse) {
-  const auto retx = make_retx_link();
-  u::Rng rng(35);
-  EXPECT_THROW(retx.transfer(-1.0, 1, rng), std::invalid_argument);
-  EXPECT_THROW(retx.transfer(100.0, 0, rng), std::invalid_argument);
-  net::RetransmittingLink::Params bad;
-  bad.base_loss = 1.5;
-  EXPECT_THROW(net::RetransmittingLink(net::Link(), bad),
-               std::invalid_argument);
-  net::RetransmittingLink::Params bad_backoff;
-  bad_backoff.backoff_multiplier = 0.5;
-  EXPECT_THROW(net::RetransmittingLink(net::Link(), bad_backoff),
-               std::invalid_argument);
-  net::RetransmittingLink::Params bad_jitter;
-  bad_jitter.backoff_jitter = 1.5;
-  EXPECT_THROW(net::RetransmittingLink(net::Link(), bad_jitter),
-               std::invalid_argument);
-}
-
-TEST(RetransmittingLink, ZeroByteTransferCompletes) {
-  const auto retx = make_retx_link();
-  u::Rng rng(36);
-  const auto r = retx.transfer(0.0, 1, rng);
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.outcome, net::TransferOutcome::kCompleted);
-  EXPECT_EQ(r.chunks, 1);  // the empty payload still costs one exchange
-  EXPECT_GT(r.duration, 0.0);
-  EXPECT_DOUBLE_EQ(r.backoff_wait, 0.0);
-}
-
-TEST(RetransmittingLink, ExhaustionUnderMaxLossAborts) {
-  net::RetransmittingLink::Params p;
-  p.base_loss = 0.95;  // the chunk-loss cap: worst representable channel
-  p.max_attempts_per_chunk = 3;
-  const net::RetransmittingLink retx(net::Link(), p);
-  u::Rng rng(37);
-  int aborted = 0;
-  for (int i = 0; i < 100; ++i) {
-    const auto r = retx.transfer(200000.0, 1, rng);
-    if (!r.completed) {
-      EXPECT_EQ(r.outcome, net::TransferOutcome::kAborted);
-      EXPECT_FALSE(r.timed_out());
-      ++aborted;
-    }
-  }
-  EXPECT_GT(aborted, 90);  // 0.95^3 per chunk over ~13 chunks: near-certain
-}
-
-TEST(RetransmittingLink, BackoffDeterministicAcrossIdenticalSeeds) {
-  net::RetransmittingLink::Params p =
-      net::RetransmittingLink::Params::resilient();
-  p.base_loss = 0.3;
-  const net::RetransmittingLink retx(net::Link(), p);
-  u::Rng a(40);
-  u::Rng b(40);
-  for (int i = 0; i < 20; ++i) {
-    const auto ra = retx.transfer(300000.0, 5, a);
-    const auto rb = retx.transfer(300000.0, 5, b);
-    EXPECT_DOUBLE_EQ(ra.duration, rb.duration);
-    EXPECT_DOUBLE_EQ(ra.backoff_wait, rb.backoff_wait);
-    EXPECT_EQ(ra.retransmissions, rb.retransmissions);
-    EXPECT_EQ(ra.outcome, rb.outcome);
-  }
-}
-
-TEST(RetransmittingLink, BackoffDelaysGrowThenTruncate) {
-  const net::RetransmittingLink retx(
-      net::Link(), net::RetransmittingLink::Params::resilient());
-  EXPECT_DOUBLE_EQ(retx.backoff_delay(1), 0.05);
-  EXPECT_DOUBLE_EQ(retx.backoff_delay(2), 0.10);
-  EXPECT_DOUBLE_EQ(retx.backoff_delay(3), 0.20);
-  EXPECT_DOUBLE_EQ(retx.backoff_delay(20), 5.0);  // capped at backoff_max
-  EXPECT_DOUBLE_EQ(retx.backoff_delay(0), 0.0);
-}
-
-TEST(RetransmittingLink, DefaultParamsNeverBackOff) {
-  // The seed contract: without opting into Params::resilient(), retries
-  // cost no extra wall-clock and draw no extra randomness.
-  net::RetransmittingLink::Params p;
-  p.base_loss = 0.4;
-  const net::RetransmittingLink retx(net::Link(), p);
-  u::Rng rng(41);
-  for (int i = 0; i < 30; ++i)
-    EXPECT_DOUBLE_EQ(retx.transfer(200000.0, 1, rng).backoff_wait, 0.0);
-  EXPECT_DOUBLE_EQ(retx.backoff_delay(3), 0.0);
-}
-
-TEST(RetransmittingLink, TimeoutBudgetReportsTimedOut) {
-  net::RetransmittingLink::Params p;
-  p.timeout_budget = 0.5;  // far below a 10 MB transfer at ~8 Mbps
-  const net::RetransmittingLink retx(net::Link(), p);
-  u::Rng rng(42);
-  const auto r = retx.transfer(1.0e7, 1, rng);
-  EXPECT_FALSE(r.completed);
-  EXPECT_TRUE(r.timed_out());
-  EXPECT_EQ(r.outcome, net::TransferOutcome::kTimedOut);
-  EXPECT_STREQ(net::to_string(r.outcome), "timed_out");
-}
-
-TEST(RetransmittingLink, DegradedBandwidthStretchesDuration) {
-  const auto retx = make_retx_link();
-  u::Rng a(43);
-  u::Rng b(43);  // same stream: identical chunk outcomes, scaled timing
-  const auto full = retx.transfer(500000.0, 1, 1.0, a);
-  const auto half = retx.transfer(500000.0, 1, 0.5, b);
-  EXPECT_GT(half.duration, full.duration);
-  EXPECT_EQ(half.retransmissions, full.retransmissions);
-  u::Rng rng(44);
-  EXPECT_THROW(retx.transfer(100.0, 1, 0.0, rng), std::invalid_argument);
-  EXPECT_THROW(retx.transfer(100.0, 1, 1.5, rng), std::invalid_argument);
-}

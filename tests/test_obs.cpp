@@ -207,7 +207,7 @@ TEST(ObsRegistry, CatalogRegistersEveryBuiltinMetric) {
   EXPECT_EQ(snap.counters.at(obs::metric::kEngineEventsExecuted), 0u);
   EXPECT_EQ(snap.counters.at(obs::metric::kAllocatorCalls), 0u);
   EXPECT_EQ(snap.counters.at(obs::metric::kFleetRequestsEdge), 0u);
-  EXPECT_EQ(snap.counters.at(obs::metric::kRetransmitRetransmissions), 0u);
+  EXPECT_EQ(snap.counters.at(obs::metric::kLinkTransfers), 0u);
   EXPECT_EQ(snap.counters.at(obs::metric::kBatteryDepletions), 0u);
   EXPECT_TRUE(snap.gauges.count(obs::metric::kEngineMaxQueueDepth));
   EXPECT_TRUE(

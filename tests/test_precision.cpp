@@ -1,31 +1,55 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <thread>
 #include <vector>
 
+#include "dsp/dispatch.hpp"
 #include "ml/gemm.hpp"
 #include "ml/layers.hpp"
+#include "ml/network.hpp"
 #include "ml/precision.hpp"
 #include "ml/tensor.hpp"
 #include "util/rng.hpp"
 
 // Properties of the int8 inference type: symmetric quantization with
 // bounded roundtrip error, and the layer forward paths that consume it.
+// The precision is an argument of each forward call, so networks at
+// different precisions can run side by side in one process.
 
 namespace ml = beesim::ml;
+namespace dsp = beesim::dsp;
 using beesim::util::Rng;
 
 namespace {
 
-/// Restores the process-global inference precision on scope exit.
-class PrecisionGuard {
- public:
-  PrecisionGuard() : saved_(ml::inference_precision()) {}
-  ~PrecisionGuard() { ml::set_inference_precision(saved_); }
+/// A small queen CNN and a fixed two-clip input for it.
+ml::Network queen_net() {
+  Rng rng(5);
+  return ml::make_queen_cnn(rng, 4, 20);
+}
 
- private:
-  ml::Precision saved_;
-};
+ml::Tensor queen_input() {
+  ml::Tensor input({2, 1, 20, 20});
+  Rng rng(11);
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  return input;
+}
+
+// queen_net()'s logits on queen_input(), (clip, class) row-major. The
+// int8 GEMM is exact integer arithmetic and the f32 kernels are
+// bit-identical across dispatch tiers, so both hold on every tier.
+const std::vector<float> kF32Logits = {0x1.5c09c6p+1f, 0x1.0fdab4p+2f,
+                                       0x1.9f2782p+1f, 0x1.20476ep+2f};
+const std::vector<float> kInt8Logits = {0x1.581be8p+1f, 0x1.0f2746p+2f,
+                                        0x1.9901bp+1f, 0x1.20244ep+2f};
+
+std::vector<float> logits(ml::Network& net, ml::Precision precision) {
+  const ml::Tensor out = net.forward(queen_input(), false, precision);
+  return {out.data(), out.data() + out.size()};
+}
 
 }  // namespace
 
@@ -36,13 +60,6 @@ TEST(Precision, Names) {
   EXPECT_THROW(ml::precision_from_name("bf16"), std::invalid_argument);
   EXPECT_STREQ(ml::precision_name(ml::Precision::kF32), "f32");
   EXPECT_STREQ(ml::precision_name(ml::Precision::kInt8), "int8");
-}
-
-TEST(Precision, GlobalDefaultsToF32) {
-  EXPECT_EQ(ml::inference_precision(), ml::Precision::kF32);
-  PrecisionGuard guard;
-  ml::set_inference_precision(ml::Precision::kInt8);
-  EXPECT_EQ(ml::inference_precision(), ml::Precision::kInt8);
 }
 
 TEST(Int8, RowQuantizationRoundTripBounded) {
@@ -127,18 +144,15 @@ TEST(Int8, QuantizedGemmTracksF32) {
 }
 
 TEST(Precision, LinearForwardTracksF32) {
-  PrecisionGuard guard;
   Rng rng(100);
   ml::Linear layer(24, 10, rng);
   ml::Tensor input({5, 24});
   for (std::size_t i = 0; i < input.size(); ++i)
     input[i] = static_cast<float>(rng.normal(0.0, 1.0));
 
-  ml::set_inference_precision(ml::Precision::kF32);
-  const ml::Tensor f32_out = layer.forward(input, /*train=*/false);
-
-  ml::set_inference_precision(ml::Precision::kInt8);
-  const ml::Tensor s8_out = layer.forward(input, false);
+  const ml::Tensor f32_out =
+      layer.forward(input, /*train=*/false, ml::Precision::kF32);
+  const ml::Tensor s8_out = layer.forward(input, false, ml::Precision::kInt8);
   ASSERT_TRUE(f32_out.same_shape(s8_out));
   for (std::size_t i = 0; i < f32_out.size(); ++i)
     EXPECT_NEAR(s8_out[i], f32_out[i],
@@ -146,18 +160,14 @@ TEST(Precision, LinearForwardTracksF32) {
 }
 
 TEST(Precision, Conv2dForwardTracksF32) {
-  PrecisionGuard guard;
   Rng rng(200);
   ml::Conv2d layer(2, 4, 3, rng);
   ml::Tensor input({2, 2, 9, 9});
   for (std::size_t i = 0; i < input.size(); ++i)
     input[i] = static_cast<float>(rng.normal(0.0, 1.0));
 
-  ml::set_inference_precision(ml::Precision::kF32);
-  const ml::Tensor f32_out = layer.forward(input, false);
-
-  ml::set_inference_precision(ml::Precision::kInt8);
-  const ml::Tensor s8_out = layer.forward(input, false);
+  const ml::Tensor f32_out = layer.forward(input, false, ml::Precision::kF32);
+  const ml::Tensor s8_out = layer.forward(input, false, ml::Precision::kInt8);
   ASSERT_TRUE(f32_out.same_shape(s8_out));
   for (std::size_t i = 0; i < f32_out.size(); ++i)
     EXPECT_NEAR(s8_out[i], f32_out[i],
@@ -165,18 +175,61 @@ TEST(Precision, Conv2dForwardTracksF32) {
 }
 
 TEST(Precision, TrainingIgnoresInferencePrecision) {
-  // train=true must take the f32 path regardless of the global setting —
+  // train=true must take the f32 path whatever precision is passed —
   // gradients are always f32.
-  PrecisionGuard guard;
   Rng rng(300);
   ml::Linear layer(8, 4, rng);
   ml::Tensor input({3, 8});
   for (std::size_t i = 0; i < input.size(); ++i)
     input[i] = static_cast<float>(rng.normal(0.0, 1.0));
-  ml::set_inference_precision(ml::Precision::kF32);
-  const ml::Tensor want = layer.forward(input, /*train=*/true);
-  ml::set_inference_precision(ml::Precision::kInt8);
-  const ml::Tensor got = layer.forward(input, /*train=*/true);
+  const ml::Tensor want =
+      layer.forward(input, /*train=*/true, ml::Precision::kF32);
+  const ml::Tensor got =
+      layer.forward(input, /*train=*/true, ml::Precision::kInt8);
   for (std::size_t i = 0; i < want.size(); ++i)
     EXPECT_EQ(want[i], got[i]);
+}
+
+TEST(Precision, QueenCnnLogitsArePinned) {
+  // Golden logits in both precisions: an int8 pass that silently fell
+  // back to f32 (or an f32 pass that quantized) would still track f32
+  // within the tolerances above, but not reproduce these bits.
+  for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
+                          dsp::IsaRequest::kAuto}) {
+    dsp::set_active_isa(tier);
+    SCOPED_TRACE(dsp::isa_name(dsp::active_isa()));
+    ml::Network net = queen_net();
+    EXPECT_EQ(logits(net, ml::Precision::kF32), kF32Logits);
+    EXPECT_EQ(logits(net, ml::Precision::kInt8), kInt8Logits);
+    EXPECT_EQ(logits(net, ml::Precision::kF32), kF32Logits);
+  }
+  dsp::set_active_isa(dsp::IsaRequest::kAuto);
+}
+
+TEST(Precision, ConcurrentTenantsKeepTheirOwnPrecision) {
+  // Two tenants in one process, each with its own network, run f32 and
+  // int8 inference at the same time. Each must reproduce its
+  // single-thread logits bit for bit on every pass.
+  ml::Network single = queen_net();
+  const std::vector<float> want_f32 = logits(single, ml::Precision::kF32);
+  const std::vector<float> want_int8 = logits(single, ml::Precision::kInt8);
+  constexpr int kPasses = 25;
+  const auto tenant = [](ml::Precision precision,
+                         std::vector<std::vector<float>>& out) {
+    ml::Network net = queen_net();
+    for (int i = 0; i < kPasses; ++i) out.push_back(logits(net, precision));
+  };
+  std::vector<std::vector<float>> f32_runs;
+  std::vector<std::vector<float>> int8_runs;
+  {
+    std::jthread f32_tenant(tenant, ml::Precision::kF32, std::ref(f32_runs));
+    std::jthread int8_tenant(tenant, ml::Precision::kInt8,
+                             std::ref(int8_runs));
+  }  // both joined here
+  ASSERT_EQ(f32_runs.size(), static_cast<std::size_t>(kPasses));
+  ASSERT_EQ(int8_runs.size(), static_cast<std::size_t>(kPasses));
+  for (int i = 0; i < kPasses; ++i) {
+    EXPECT_EQ(f32_runs[i], want_f32) << "pass " << i;
+    EXPECT_EQ(int8_runs[i], want_int8) << "pass " << i;
+  }
 }

@@ -4,9 +4,9 @@
 #include <map>
 #include <vector>
 
-#include "core/des_check.hpp"
 #include "core/network_sim.hpp"
 #include "core/scenario.hpp"
+#include "des_oracle.hpp"
 #include "fleet_oracle.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -276,7 +276,8 @@ TEST(FuzzDesCheck, AnalyticMatchesEventDrivenForRandomConfigs) {
     const int slots = (clients + parallel - 1) / parallel;
     if (64.0 + slots * spec.planning_slot_duration() + 9.9 > 300.0)
       continue;
-    const auto des = core::des_replay_cycle(service, clients, parallel);
+    const auto des =
+        beesim::oracle::des_replay_cycle(service, clients, parallel);
     const auto ana = simulator.simulate_ideal_cycle(clients);
     EXPECT_NEAR(des.edge_energy, ana.edge_energy, 0.5)
         << "service " << static_cast<int>(service) << " clients "
