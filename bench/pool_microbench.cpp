@@ -1,5 +1,5 @@
 // Task-pool microbench: dispatch overhead of the persistent
-// work-stealing executor (util::TaskPool) versus the spawn-per-call
+// executor (util::TaskPool) versus the spawn-per-call
 // strategy parallel_for used before the pool existed. Three probes:
 //
 //   dispatch  — small-grain fork/join regions (`tasks` indices, near-empty

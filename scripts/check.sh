@@ -68,9 +68,12 @@
 #               third tree (<build-dir>-tsan) with
 #               -DBEESIM_SANITIZE=thread and run the task-pool, serving
 #               and precision test binaries under ThreadSanitizer (the
-#               suites that exercise the work-stealing executor, the
-#               lock-free submission rings, and f32 and int8 inference
-#               running side by side in one process).
+#               suites that exercise the task pool's shared queue, the
+#               serving layer's submission lanes racing shutdown(), and
+#               f32 and int8 inference running side by side in one
+#               process). Each tree is built through one goal of
+#               tests/CMakeLists.txt (sanitize_address_tests,
+#               sanitize_thread_tests) with one job per CPU.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -339,14 +342,13 @@ fi
 if [ "$run_sanitize" -eq 1 ]; then
   echo
   echo "== sanitize (--sanitize): sim/fault/net/serve tests under ASan+UBSan =="
+  # One goal per tree (tests/CMakeLists.txt lists the same binaries), so
+  # -j compiles the test sources in parallel; one job per CPU.
+  jobs="$(nproc 2> /dev/null || echo 1)"
   cmake -B "$repo/$build-san" -S "$repo" \
     -DBEESIM_SANITIZE=address,undefined > /dev/null
-  cmake --build "$repo/$build-san" -j \
-    --target test_sim test_fault test_net test_checkpoint \
-             test_simd test_precision test_placement_search \
-             test_serve test_core_simulation test_obs \
-             test_core_allocator test_orchestrator test_property_fuzz \
-    > /dev/null
+  cmake --build "$repo/$build-san" -j "$jobs" \
+    --target sanitize_address_tests > /dev/null
   # UBSan reports and carries on by default; halt_on_error turns a report
   # (a signed overflow, say) into a failing exit status.
   for t in test_sim test_fault test_net test_checkpoint \
@@ -368,8 +370,8 @@ if [ "$run_sanitize" -eq 1 ]; then
   echo "== sanitize (--sanitize): pool, serving + precision tests under TSan =="
   cmake -B "$repo/$build-tsan" -S "$repo" \
     -DBEESIM_SANITIZE=thread > /dev/null
-  cmake --build "$repo/$build-tsan" -j \
-    --target test_task_pool test_serve test_precision > /dev/null
+  cmake --build "$repo/$build-tsan" -j "$jobs" \
+    --target sanitize_thread_tests > /dev/null
   for t in test_task_pool test_serve test_precision; do
     if "$repo/$build-tsan/tests/$t" --gtest_brief=1 > "$tmp/$t.tsan.log" 2>&1
     then

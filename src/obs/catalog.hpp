@@ -29,10 +29,12 @@ inline constexpr const char* kEnginePoolRearms = "sim.engine.pool_rearms";
 inline constexpr const char* kEnginePoolCompactions =
     "sim.engine.pool_compactions";
 
-// util::TaskPool — the persistent work-stealing executor behind
-// util::parallel_for (docs/ARCHITECTURE.md "Threading model"). Totals
-// are kept pool-side as plain atomics and published from issuing
-// threads when a region completes, so workers never touch the registry.
+// util::TaskPool — the persistent executor behind util::parallel_for,
+// one mutex-guarded queue of helper tasks (docs/ARCHITECTURE.md
+// "Threading model"). Totals are kept pool-side as plain atomics and
+// published from issuing threads when a region completes, so workers
+// never touch the registry. A steal is a nested region's helper run by
+// a sibling of the issuing worker.
 inline constexpr const char* kPoolTasks = "util.pool.tasks";
 inline constexpr const char* kPoolSteals = "util.pool.steals";
 inline constexpr const char* kPoolParks = "util.pool.parks";

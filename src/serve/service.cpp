@@ -124,15 +124,15 @@ SimulationService::SimulationService() : SimulationService(Config()) {}
 SimulationService::SimulationService(Config config)
     : config_(config), cache_(16, config.cache_capacity) {
   if (config_.max_in_flight < 1) config_.max_in_flight = 1;
-  // With workers = 0 (manual mode) one queue still exists so submit/drain
+  // With workers = 0 (manual mode) one lane still exists so submit/drain
   // have somewhere to meet.
-  const unsigned queues = std::max(1u, config_.workers);
-  workers_.reserve(queues);
-  for (unsigned i = 0; i < queues; ++i)
-    workers_.push_back(std::make_unique<Worker>(config_.queue_capacity));
+  const unsigned lanes = std::max(1u, config_.workers);
+  lanes_.reserve(lanes);
+  for (unsigned i = 0; i < lanes; ++i)
+    lanes_.push_back(std::make_unique<Lane>());
   for (unsigned i = 0; i < config_.workers; ++i) {
-    Worker& w = *workers_[i];
-    w.thread = std::thread([this, &w] { worker_loop(w); });
+    Lane& lane = *lanes_[i];
+    lane.thread = std::thread([this, &lane] { worker_loop(lane); });
   }
 }
 
@@ -167,7 +167,7 @@ SimulationService::Ticket SimulationService::submit(Request request) {
   const core::Hash128 group = scenario_group(request);
 
   // Resolve against the cache on the caller's thread: a request whose
-  // every point is cached is answered here, without a ring slot, a worker
+  // every point is cached is answered here, without a lane slot, a worker
   // or a wake-up. The peeks are uncounted, so a request that falls
   // through is counted once, by the worker's lookups.
   Response response;
@@ -195,23 +195,38 @@ SimulationService::Ticket SimulationService::submit(Request request) {
     return ticket;
   }
 
-  Worker& w = *workers_[group.lo % workers_.size()];
+  Lane& lane = *lanes_[group.lo % lanes_.size()];
 
   auto pending = std::make_unique<Pending>();
   pending->request = std::move(request);
   pending->group = group;
   std::future<Response> future = pending->promise.get_future();
 
-  if (!w.queue.try_push(pending.get())) {
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    return reject(Admission::kRejectedQueueFull);
+  // The flag is read again under the lane mutex: shutdown() takes every
+  // lane's mutex after raising it, so a push either lands before
+  // shutdown() drains this lane or sees the flag and is refused.
+  Admission admission = Admission::kAdmitted;
+  std::size_t depth = 0;
+  {
+    const std::lock_guard<std::mutex> lock(lane.mutex);
+    if (stopping_.load(std::memory_order_relaxed)) {
+      admission = Admission::kRejectedShutdown;
+    } else if (lane.queue.size() >= config_.queue_capacity) {
+      admission = Admission::kRejectedQueueFull;
+    } else {
+      lane.queue.push_back(pending.get());
+      pending.release();  // owned by the lane (freed after fan-out)
+      depth = lane.queue.size();
+      admitted_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  pending.release();  // owned by the queue (freed after fan-out)
-  admitted_.fetch_add(1, std::memory_order_relaxed);
+  if (admission != Admission::kAdmitted) {
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    return reject(admission);
+  }
+  lane.wake.notify_one();
   metrics().admitted.inc();
-  metrics().queue_peak_depth.update_max(
-      static_cast<double>(w.queue.size_approx()));
-  w.wake.notify_all();
+  metrics().queue_peak_depth.update_max(static_cast<double>(depth));
 
   Ticket ticket;
   ticket.admission = Admission::kAdmitted;
@@ -219,49 +234,58 @@ SimulationService::Ticket SimulationService::submit(Request request) {
   return ticket;
 }
 
-void SimulationService::worker_loop(Worker& worker) {
+void SimulationService::Lane::take(std::vector<Pending*>& batch) {
+  const auto end = queue.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(kMaxBatch, queue.size()));
+  batch.assign(queue.begin(), end);
+  queue.erase(queue.begin(), end);
+}
+
+void SimulationService::worker_loop(Lane& lane) {
   std::vector<Pending*> batch;
   batch.reserve(kMaxBatch);
   for (;;) {
-    // The epoch is read before the ring is popped: a push that lands
-    // after an empty pop has bumped it, so the wait returns at once.
-    const std::uint64_t epoch = worker.wake.prepare();
-    if (run_batch(worker, batch)) continue;
-    if (stopping_.load(std::memory_order_acquire)) break;
-    worker.wake.wait(epoch);
+    {
+      std::unique_lock<std::mutex> lock(lane.mutex);
+      lane.wake.wait(lock, [&] {
+        return !lane.queue.empty() ||
+               stopping_.load(std::memory_order_relaxed);
+      });
+      if (lane.queue.empty()) return;  // stopping, and nothing left
+      lane.take(batch);
+    }
+    process_batch(batch);
   }
-}
-
-void SimulationService::drain_queue(Worker& worker) {
-  std::vector<Pending*> batch;
-  batch.reserve(kMaxBatch);
-  while (run_batch(worker, batch)) {
-  }
-}
-
-bool SimulationService::run_batch(Worker& worker,
-                                  std::vector<Pending*>& batch) {
-  batch.clear();
-  Pending* pending = nullptr;
-  while (batch.size() < kMaxBatch && worker.queue.try_pop(pending))
-    batch.push_back(pending);
-  if (batch.empty()) return false;
-  process_batch(batch);
-  return true;
 }
 
 void SimulationService::drain() {
-  for (auto& worker : workers_) drain_queue(*worker);
+  std::vector<Pending*> batch;
+  batch.reserve(kMaxBatch);
+  for (auto& lane : lanes_)
+    for (;;) {
+      {
+        const std::lock_guard<std::mutex> lock(lane->mutex);
+        lane->take(batch);
+      }
+      if (batch.empty()) break;
+      process_batch(batch);
+    }
 }
 
 void SimulationService::shutdown() {
   stopping_.store(true, std::memory_order_release);
-  for (auto& worker : workers_) worker->wake.notify_all();
-  for (auto& worker : workers_)
-    if (worker->thread.joinable()) worker->thread.join();
-  // Final inline sweep: covers manual mode (workers = 0) and the race
-  // where a submit won its push just as a worker observed stopping_ and
-  // exited. After this, every admitted request has completed.
+  // Taking each lane's mutex orders the flag against every push: a
+  // submit() inside its critical section finishes its push first, every
+  // later one is refused. The notify under the lock cannot fall between
+  // an event loop's empty check and its wait.
+  for (auto& lane : lanes_) {
+    const std::lock_guard<std::mutex> lock(lane->mutex);
+    lane->wake.notify_all();
+  }
+  for (auto& lane : lanes_)
+    if (lane->thread.joinable()) lane->thread.join();
+  // Final inline sweep: covers manual mode (workers = 0). After this,
+  // every admitted request has completed.
   drain();
 }
 

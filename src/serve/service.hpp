@@ -1,16 +1,17 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "serve/cache.hpp"
-#include "serve/mpsc_queue.hpp"
 #include "serve/request.hpp"
-#include "util/event_count.hpp"
 
 namespace beesim::serve {
 
@@ -21,7 +22,7 @@ namespace beesim::serve {
 /// with typed rejects) and is resolved against the content-addressed
 /// PointCache right there: a request whose every point is cached is
 /// answered on the caller's thread. Any other request lands on a worker
-/// event loop via a lock-free submission ring, is coalesced with
+/// event loop via its mutex-guarded submission lane, is coalesced with
 /// overlapping requests from other tenants, checked against the cache
 /// again, and only the genuinely new points reach
 /// LargeScaleSimulator::sweep / ResilientFleet::sweep. Responses are
@@ -46,9 +47,9 @@ class SimulationService {
     /// tests use. Fully cached requests are answered by submit() in
     /// either mode.
     unsigned workers = 2;
-    /// Capacity of each worker's lock-free submission ring (rounded up
-    /// to a power of two). A full ring rejects with kRejectedQueueFull;
-    /// a request answered by submit() never takes a slot.
+    /// Requests each worker's submission lane holds at most. A full
+    /// lane rejects with kRejectedQueueFull; a request answered by
+    /// submit() never takes a slot.
     std::size_t queue_capacity = 1024;
     /// Service-wide bound on admitted-but-not-completed requests.
     /// Exceeding it rejects with kRejectedOverloaded. Every request,
@@ -108,14 +109,15 @@ class SimulationService {
   Ticket submit(Request request);
 
   /// Stops accepting new work, drains every queued request (all admitted
-  /// futures are fulfilled) and joins the workers. Idempotent; the
-  /// destructor calls it.
+  /// futures are fulfilled) and joins the workers. A submit() racing it
+  /// is either admitted and fulfilled before it returns or rejected with
+  /// kRejectedShutdown. Idempotent; the destructor calls it.
   void shutdown();
 
   /// Processes every queued request on the calling thread. The manual
   /// processing mode for `workers = 0` configurations; safe (but
-  /// normally pointless) alongside running workers, since the rings
-  /// support concurrent consumers.
+  /// normally pointless) alongside running workers, since every lane
+  /// is popped under its mutex.
   void drain();
 
   Ledger ledger() const noexcept;
@@ -128,27 +130,30 @@ class SimulationService {
     std::promise<Response> promise;
     core::Hash128 group;
   };
-  struct Worker {
-    explicit Worker(std::size_t queue_capacity) : queue(queue_capacity) {}
-    MpscRing<Pending*> queue;
-    /// Bumped after every push and by shutdown(); the event loop reads it
-    /// before popping and sleeps on it only while the ring is empty.
-    util::EventCount wake;
-    std::thread thread;
-  };
-
-  void worker_loop(Worker& worker);
-  void drain_queue(Worker& worker);
   /// Most requests one worker coalesces into a single dispatch.
   static constexpr std::size_t kMaxBatch = 32;
-  /// Pops up to kMaxBatch requests off `worker`'s ring into `batch` and
-  /// processes them; false when the ring was empty.
-  bool run_batch(Worker& worker, std::vector<Pending*>& batch);
+  /// One worker's submission lane: tenants push under the mutex, the
+  /// worker's event loop (or drain()) pops under it and sleeps on `wake`
+  /// while the queue is empty.
+  struct Lane {
+    std::mutex mutex;
+    std::condition_variable wake;
+    std::deque<Pending*> queue;  // guarded by mutex
+    std::thread thread;  // not started in manual mode
+
+    /// Moves up to kMaxBatch requests off the front of the queue into
+    /// `batch`; the caller holds `mutex`.
+    void take(std::vector<Pending*>& batch);
+  };
+
+  void worker_loop(Lane& lane);
   void process_batch(std::vector<Pending*>& batch);
 
   Config config_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   PointCache cache_;
+  /// Set once by shutdown(); submit() re-reads it under the lane mutex
+  /// before pushing.
   std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> submitted_{0};

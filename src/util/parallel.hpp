@@ -13,9 +13,10 @@ namespace beesim::util {
 /// order.
 ///
 /// Dispatch goes through the process-wide persistent util::TaskPool
-/// (task_pool.hpp): no threads are spawned per call, and a parallel_for
-/// issued from inside another parallel_for composes as a task tree —
-/// nested regions run wide on the same bounded worker set instead of
+/// (task_pool.hpp): no threads are spawned per call, every region's
+/// helper tasks go on the pool's one queue, and a parallel_for issued
+/// from inside another parallel_for composes as a task tree — nested
+/// regions run wide on the same bounded worker set instead of
 /// serializing (docs/ARCHITECTURE.md "Threading model").
 ///
 /// Exceptions thrown by fn are captured; the first one (lowest index) is

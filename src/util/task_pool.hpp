@@ -15,23 +15,22 @@ namespace beesim::util {
 /// thread count). TaskPool replaces that with one lazily-started,
 /// process-wide set of workers:
 ///
-///  - each worker owns a Chase–Lev work-stealing deque (lock-free
-///    owner push/pop at the bottom, lock-free thief steal at the top);
-///  - non-worker threads submit through a small mutex-guarded injection
-///    queue that idle workers drain alongside stealing;
-///  - idle workers park on an eventcount (epoch-checked sleep, so a
-///    submit racing a park can never lose its wakeup) and are unparked
-///    only when work arrives;
+///  - every helper task goes on one mutex-guarded queue, whichever
+///    thread (external or a worker) issued its region; workers pop it
+///    under the mutex;
+///  - idle workers spin briefly on the queue's size, then park on a
+///    condition variable bound to that mutex (a push and a park are
+///    ordered by the lock, so no wakeup is lost) and are woken only when
+///    work arrives;
 ///  - the pool starts on first use and shuts down cleanly from the
 ///    static destructor: workers are joined only when no region is in
 ///    flight (parallel regions are fully synchronous, so none can be).
 ///
 /// Nesting composes instead of serializing: a parallel_for issued from
-/// inside a worker pushes its helper tasks onto that worker's own deque,
-/// where sibling workers steal them — the clip-parallel dataset
-/// featurizer's inner frame-parallel STFT runs wide without ever
-/// exceeding the pool's worker count (docs/ARCHITECTURE.md "Threading
-/// model").
+/// inside a worker queues its helper tasks like any other region, where
+/// sibling workers pick them up — the clip-parallel dataset featurizer's
+/// inner frame-parallel STFT runs wide without ever exceeding the pool's
+/// worker count (docs/ARCHITECTURE.md "Threading model").
 ///
 /// Determinism contract (inherited by parallel_for): each index owns its
 /// data and RNG stream, so however chunks land on workers the results
@@ -69,7 +68,7 @@ class TaskPool {
   /// the issuing thread (docs/OBSERVABILITY.md).
   struct Stats {
     std::uint64_t tasks = 0;   ///< helper tasks executed by workers
-    std::uint64_t steals = 0;  ///< successful steals from sibling deques
+    std::uint64_t steals = 0;  ///< worker-issued helpers run by a sibling
     std::uint64_t parks = 0;   ///< times an idle worker went to sleep
   };
   Stats stats() const noexcept;

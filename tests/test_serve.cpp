@@ -14,7 +14,6 @@
 #include "fault/fault.hpp"
 #include "obs/catalog.hpp"
 #include "serve/cache.hpp"
-#include "serve/mpsc_queue.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 #include "util/rng.hpp"
@@ -358,45 +357,6 @@ TEST(ScenarioGroup, ResilienceFoldsPlanAndPolicy) {
             serve::scenario_group(Request::make_resilience(r3)));
 }
 
-// ------------------------------------------------------------------ MpscRing
-
-TEST(MpscRing, FifoAndBounded) {
-  serve::MpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full fails, never blocks
-  int out = -1;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-  // Freed cells are reusable in the next epoch.
-  EXPECT_TRUE(ring.try_push(5));
-  EXPECT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 5);
-}
-
-TEST(MpscRing, ConcurrentProducersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 2000;
-  serve::MpscRing<int> ring(8192);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i)
-        while (!ring.try_push(p * kPerProducer + i)) std::this_thread::yield();
-    });
-  for (auto& t : producers) t.join();
-
-  std::vector<int> seen;
-  int out = -1;
-  while (ring.try_pop(out)) seen.push_back(out);
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-  std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) EXPECT_EQ(seen[i], i);
-}
-
 // ------------------------------------------------------------------- service
 
 TEST(SimulationService, SweepMatchesDirectSimulator) {
@@ -711,6 +671,77 @@ TEST(SimulationService, ShutdownRejectsNewWorkButFulfilsQueued) {
   auto late = service.submit(sweep_request({130}, 1));
   EXPECT_EQ(late.admission, Admission::kRejectedShutdown);
   expect_balanced_and_drained(service);
+}
+
+TEST(SimulationService, ShutdownRacingSubmitsLeavesNothingInFlight) {
+  // Tenants submit misses while shutdown() runs. Each request's fault
+  // plan has 20,000 windows, which scenario_group hashes one by one, so a
+  // submit spends most of its time between its first look at the
+  // shutdown flag and its push; the requests are built up front, so that
+  // is nearly all a tenant does. shutdown() starts once the worker has
+  // answered every pushed request, so it returns at once, and a request
+  // admitted in that window must still be answered by it. All requests
+  // share one scenario group with distinct fleet sizes: each one misses,
+  // and the worker builds one fleet per batch.
+  constexpr int kWindows = 20000;
+  constexpr int kTenants = 3;
+  constexpr int kPerTenant = 16;
+  constexpr int kRounds = 4;
+  serve::ResilienceRequest slow;
+  slow.params = core::FleetParams::paper_default();
+  for (int i = 0; i < kWindows; ++i)
+    slow.plan.add({fault::FaultKind::kCloudOutage, 0, 0, 1.0});
+  slow.cycles_per_point = 1;
+  slow.seed = 5;
+
+  for (int round = 0; round < kRounds && !HasFailure(); ++round) {
+    SCOPED_TRACE(round);
+    std::vector<std::vector<Request>> requests(kTenants);
+    for (int t = 0; t < kTenants; ++t)
+      for (int i = 0; i < kPerTenant; ++i) {
+        serve::ResilienceRequest r = slow;
+        r.client_counts = {10 + i * kTenants + t};
+        requests[t].push_back(Request::make_resilience(
+            std::move(r), static_cast<std::uint64_t>(t)));
+      }
+    SimulationService::Config config;
+    config.workers = 1;
+    SimulationService service(config);
+    std::vector<std::vector<SimulationService::Ticket>> tickets(kTenants);
+    std::vector<std::thread> tenants;
+    for (int t = 0; t < kTenants; ++t)
+      tenants.emplace_back([&service, &requests, &tickets, t] {
+        for (Request& request : requests[t]) {
+          tickets[t].push_back(service.submit(std::move(request)));
+          if (tickets[t].back().admission == Admission::kRejectedShutdown)
+            return;
+        }
+      });
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while ((service.ledger().submitted < 3 * kTenants ||
+            service.ledger().in_flight() != 0) &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    service.shutdown();
+    for (auto& tenant : tenants) tenant.join();
+
+    // Bounded: a request stranded in a lane nobody reads fails here, not
+    // in the destructor's second shutdown().
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    int admitted = 0, unanswered = 0;
+    for (auto& row : tickets)
+      for (auto& ticket : row) {
+        if (!ticket.admitted()) continue;
+        ++admitted;
+        if (ticket.response.wait_until(deadline) != std::future_status::ready)
+          ++unanswered;
+      }
+    EXPECT_GT(admitted, 0);
+    EXPECT_EQ(unanswered, 0);
+    expect_balanced_and_drained(service);
+  }
 }
 
 TEST(SimulationService, DeterministicAcrossWorkerCounts) {

@@ -249,3 +249,55 @@ TEST(TaskPool, InlineFastPathDispatchesNoTasks) {
   const auto after = pool.stats();
   EXPECT_EQ(after.tasks, before.tasks);
 }
+
+TEST(TaskPool, NestedHelpersReachSiblingWorkers) {
+  // The nested tests above check results only, which would hold even if
+  // a nested region's helpers never left its issuer: the issuer runs
+  // every chunk nobody claims. Here index 0 of each region waits
+  // (bounded) until another thread has run one of its indices.
+  auto& pool = u::TaskPool::instance();
+  if (pool.worker_count() < 2) GTEST_SKIP() << "needs two pool workers";
+  const auto wait_for_help = [](const std::atomic<bool>& helped) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!helped.load() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  };
+
+  // Issued from the test thread: helpers run, none of them is a steal.
+  const auto before = pool.stats();
+  const std::thread::id test_thread = std::this_thread::get_id();
+  std::atomic<bool> external_helped{false};
+  u::parallel_for(64, [&](std::size_t i) {
+    if (std::this_thread::get_id() != test_thread) external_helped = true;
+    if (i == 0) wait_for_help(external_helped);
+  });
+  ASSERT_TRUE(external_helped.load());
+  const auto external = pool.stats();
+  EXPECT_GT(external.tasks, before.tasks);
+  EXPECT_EQ(external.steals, before.steals);
+
+  // Issued from a pool worker: the test thread's outer index waits until
+  // a worker has taken the other one, which issues the nested region;
+  // only a sibling worker can then run a nested index.
+  std::atomic<bool> on_worker{false};
+  std::atomic<bool> nested_helped{false};
+  u::parallel_for(
+      2,
+      [&](std::size_t) {
+        if (std::this_thread::get_id() == test_thread) {
+          wait_for_help(on_worker);
+          return;
+        }
+        on_worker = true;
+        const std::thread::id issuer = std::this_thread::get_id();
+        u::parallel_for(64, [&](std::size_t j) {
+          if (std::this_thread::get_id() != issuer) nested_helped = true;
+          if (j == 0) wait_for_help(nested_helped);
+        });
+      },
+      2);
+  ASSERT_TRUE(on_worker.load());
+  EXPECT_TRUE(nested_helped.load());
+  EXPECT_GT(pool.stats().steals, external.steals);
+}
