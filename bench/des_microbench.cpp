@@ -1,19 +1,17 @@
-// DES core microbenchmark: events/sec of the event-pool engine across
-// four workload shapes:
+// DES core microbenchmark: events/sec of sim::Engine across four
+// workload shapes:
 //
 //   schedule  — schedule N one-shot events at random times, drain.
-//   cancel    — schedule N, cancel every other id, drain (tombstone path).
+//   cancel    — schedule N, cancel every other id, drain (stale heap
+//               entries are dropped as they reach the top).
 //   periodic  — K periodic wake-up tasks over a horizon, each firing
 //               spawning a `chain`-step one-shot task sequence (the
 //               paper's wake-up routine: sample → process → infer →
 //               uplink). Each chain closure carries 32 bytes of sequence
-//               state — the size the device layer's step closures
-//               actually have (task list + completion callback), which
-//               overflows std::function's 16-byte inline buffer but fits
-//               EventFn's 48-byte buffer. This mode also *asserts* zero
-//               steady-state allocations via the counting global operator
-//               new below: after warm-up, the hot loop must not touch the
-//               allocator at all (exit 1 otherwise).
+//               state, more than std::function's 16-byte inline buffer,
+//               so every step is boxed on the heap. The production step
+//               closures (SimDevice::step, the hive's periodic tasks)
+//               capture only `this` and stay inline.
 //   multihive — H independent engines, each running the periodic shape,
 //               fanned out over util::parallel_for worker threads.
 //
@@ -30,12 +28,9 @@
 // the standard throughput-microbench estimator: the best rep is the one
 // least perturbed by scheduler noise).
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -43,33 +38,6 @@
 #include "sim/engine.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-
-// ------------------------------------------------- counting allocator
-// Every global allocation in this binary bumps g_alloc_count; the
-// periodic mode snapshots it around the steady-state run to prove the
-// engine hot path is allocation-free. Relaxed atomics: the multihive
-// mode allocates from worker threads.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-void* counted_alloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-std::uint64_t alloc_count() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -83,10 +51,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 // ------------------------------------------------------- wake-up chain
-// Per-step sequence state carried inside each chained closure. 32 bytes:
-// deliberately sized like the device layer's real step closures (task
-// list + index + completion callback), which a std::function boxes on
-// the heap but EventFn stores inline.
+// Per-step sequence state carried inside each chained closure: 32 bytes,
+// a synthetic payload (SimDevice's step closures capture only `this`),
+// which std::function boxes on the heap.
 struct ChainState {
   std::uint64_t* fired;
   double step_delay;
@@ -133,8 +100,8 @@ double bench_schedule(std::uint64_t events) {
   return static_cast<double>(fired) / seconds_since(start);
 }
 
-/// N events, every other one cancelled before the drain: exercises the
-/// tombstone + compaction path.
+/// N events, every other one cancelled before the drain: half the heap
+/// entries go stale and are skipped as they reach the top.
 double bench_cancel(std::uint64_t events) {
   sim::Engine engine;
   std::uint64_t fired = 0;
@@ -152,10 +119,9 @@ double bench_cancel(std::uint64_t events) {
 
 /// K periodic wake-up tasks (staggered starts, ~unit periods), each
 /// firing spawning a `chain`-step task sequence, `events` executed
-/// events in total — the per-hive wake-up shape. Writes the
-/// steady-state allocation count to `steady_allocs`.
-double bench_periodic(std::uint64_t events, int tasks, int chain,
-                      std::uint64_t* steady_allocs) {
+/// events in total — the per-hive wake-up shape. Timed after a warm-up
+/// tenth of the horizon.
+double bench_periodic(std::uint64_t events, int tasks, int chain) {
   // Each cycle executes 1 wake-up + `chain` sequence steps.
   const double horizon = static_cast<double>(events) /
                          static_cast<double>(tasks * (1 + chain));
@@ -171,16 +137,13 @@ double bench_periodic(std::uint64_t events, int tasks, int chain,
           ++fired;
           start_chain(eng, &fired, chain);
         }));
-  // Warm-up: grows the slab, the heap and every amortized buffer to the
+  // Warm-up: grows the slots, the heap and the free list to the
   // workload's high-water mark.
   engine.run_until(horizon * 0.1);
-  const std::uint64_t allocs_before = alloc_count();
   const std::uint64_t fired_before = fired;
   const auto start = std::chrono::steady_clock::now();
   engine.run_until(horizon);
-  const double elapsed = seconds_since(start);
-  *steady_allocs = alloc_count() - allocs_before;
-  return static_cast<double>(fired - fired_before) / elapsed;
+  return static_cast<double>(fired - fired_before) / seconds_since(start);
 }
 
 /// H independent engines, each running the periodic wake-up shape,
@@ -244,7 +207,7 @@ int main(int argc, char** argv) {
   const auto threads = beesim::bench::threads_arg(args);
   const int reps = static_cast<int>(args.config().get_int("reps", 3));
 
-  beesim::bench::banner("DES microbench", "event-pool engine, events/sec");
+  beesim::bench::banner("DES microbench", "sim::Engine, events/sec");
   std::printf(
       "\nWorkload: %llu events, %d periodic tasks, %d-step wake-up "
       "chains, %d hives\n\n",
@@ -256,36 +219,14 @@ int main(int argc, char** argv) {
                  best_of(reps, [&] { return bench_schedule(events); }));
   if (all || mode == "cancel")
     print_result("cancel", best_of(reps, [&] { return bench_cancel(events); }));
-  // steady_allocs accumulates over reps: any rep that allocates in the
-  // hot loop fails the zero-allocation gate.
-  std::uint64_t steady_allocs = 0;
-  const bool ran_periodic = all || mode == "periodic";
-  if (ran_periodic)
+  if (all || mode == "periodic")
     print_result("periodic", best_of(reps, [&] {
-                   std::uint64_t rep_allocs = 0;
-                   const double eps =
-                       bench_periodic(events, tasks, chain, &rep_allocs);
-                   steady_allocs += rep_allocs;
-                   return eps;
+                   return bench_periodic(events, tasks, chain);
                  }));
   if (all || mode == "multihive")
     print_result("multihive", best_of(reps, [&] {
                    return bench_multihive(events / 4, tasks, chain, hives,
                                           threads);
                  }));
-
-  if (ran_periodic) {
-    std::printf("\n  periodic steady-state allocations: %llu %s\n",
-                static_cast<unsigned long long>(steady_allocs),
-                steady_allocs == 0 ? "(zero-allocation hot path ok)"
-                                   : "(REGRESSION: hot path allocates!)");
-    if (steady_allocs != 0) {
-      std::fprintf(stderr,
-                   "error: pool engine allocated %llu time(s) in the "
-                   "steady-state periodic loop\n",
-                   static_cast<unsigned long long>(steady_allocs));
-      return 1;
-    }
-  }
   return 0;
 }

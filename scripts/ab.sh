@@ -2,8 +2,9 @@
 # Paired A/B runs of the repo benchmark: a base revision against the
 # working tree.
 #
-# Usage: scripts/ab.sh <base-rev> [workload ...] [--pairs N] [--seed S]
-#        (workloads default to all four; N defaults to 10; S to 1)
+# Usage: scripts/ab.sh <base-rev> [workload ...] [--pairs N] [--seed S[,S...]]
+#        (workloads default to all four; N defaults to 10; S to 1; a
+#        comma list such as --seed 1,97 runs every seed in one call)
 #
 # 1. Exports <base-rev> with `git archive` into build/ab/base-src (the
 #    repository's .git is left untouched) and builds each side's beebench
@@ -23,15 +24,20 @@
 #                    runs cannot resolve a change of that size, unless
 #                    every change run reads better than every base run;
 #      within bound  anything else.
-#    Then each side's runs in pair order, and one JSON summary line last.
+#    Then each side's runs in pair order. With several seeds, each seed
+#    gets its own header, tables and verdicts, in the order given.
+# 4. Prints one JSON summary line last. With one seed it carries that
+#    seed's verdicts at the top level; with several, "seeds" lists them
+#    and "per_seed" holds each seed's regressions, unresolved metrics,
+#    failed runs and ok flag, and the top-level "ok" is their conjunction.
 #
-# Exits 1 on any regression, on a run that fails or reports failed
-# operations, and 2 on bad arguments.
+# Exits 1 on any regression or on a run that fails or reports failed
+# operations, under any seed, and 2 on bad arguments.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 usage() {
-  echo "usage: scripts/ab.sh <base-rev> [workload ...] [--pairs N] [--seed S]" >&2
+  echo "usage: scripts/ab.sh <base-rev> [workload ...] [--pairs N] [--seed S[,S...]]" >&2
   exit 2
 }
 
@@ -52,7 +58,8 @@ while [ $# -gt 0 ]; do
 done
 [ -n "$base_rev" ] || usage
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
-[[ "$seed" =~ ^[0-9]+$ ]] || usage
+[[ "$seed" =~ ^[0-9]+(,[0-9]+)*$ ]] || usage
+IFS=, read -r -a seeds <<< "$seed"
 if [ ${#workloads[@]} -eq 0 ]; then
   workloads=(fleet_campaign serve_hot serve_cold queen_detect)
 fi
@@ -99,29 +106,35 @@ echo "== building base ${base_sha:0:12} and the working tree ==" >&2
 build_side "$base_src" "$ab/base"
 build_side "$repo" "$ab/change"
 
-# One run: appends run.py's JSON result line to runs/<side>.<workload>.
+# One run: appends run.py's JSON result line to
+# runs/<side>.<workload>.seed<seed>.
 run_side() {
-  local side="$1" src="$2" workload="$3" out
+  local side="$1" src="$2" workload="$3" s="$4" out
+  local file="$runs/$side.$workload.seed$s"
   if out="$(CARGO_TARGET_DIR="$ab/$side" python3 "$src/perfbench/run.py" \
-              --workload "$workload" --seed "$seed" --seconds "$seconds" \
-              --trace 0 2> "$runs/$side.$workload.log")"; then
-    printf '%s\n' "$out" | tail -n 1 >> "$runs/$side.$workload"
+              --workload "$workload" --seed "$s" --seconds "$seconds" \
+              --trace 0 2> "$file.log")"; then
+    printf '%s\n' "$out" | tail -n 1 >> "$file"
   else
     echo '{"correct": false, "failed": -1, "attempted": 0, "metrics": {}}' \
-      >> "$runs/$side.$workload"
+      >> "$file"
   fi
 }
 
-for workload in "${workloads[@]}"; do
-  for ((pair = 1; pair <= pairs; ++pair)); do
-    echo "== $workload pair $pair/$pairs ==" >&2
-    if ((pair % 2 == 1)); then
-      run_side base "$base_src" "$workload"
-      run_side change "$repo" "$workload"
-    else
-      run_side change "$repo" "$workload"
-      run_side base "$base_src" "$workload"
-    fi
+for s in "${seeds[@]}"; do
+  label=""
+  [ ${#seeds[@]} -eq 1 ] || label=" seed $s"
+  for workload in "${workloads[@]}"; do
+    for ((pair = 1; pair <= pairs; ++pair)); do
+      echo "== $workload$label pair $pair/$pairs ==" >&2
+      if ((pair % 2 == 1)); then
+        run_side base "$base_src" "$workload" "$s"
+        run_side change "$repo" "$workload" "$s"
+      else
+        run_side change "$repo" "$workload" "$s"
+        run_side base "$base_src" "$workload" "$s"
+      fi
+    done
   done
 done
 
@@ -135,13 +148,14 @@ import json
 import statistics
 import sys
 
-bench_path, runs, base_sha, head, pairs, seed, seconds = sys.argv[1:8]
+bench_path, runs, base_sha, head, pairs, seed_list, seconds = sys.argv[1:8]
+seeds = [int(s) for s in seed_list.split(",")]
 workloads = sys.argv[8:]
 end_to_end = json.load(open(bench_path))["end_to_end"]
 
 
-def load(side, workload):
-    with open(f"{runs}/{side}.{workload}") as f:
+def load(side, workload, seed):
+    with open(f"{runs}/{side}.{workload}.seed{seed}") as f:
         return [json.loads(line) for line in f if line.strip()]
 
 
@@ -158,69 +172,84 @@ def fmt(v):
     return f"{v:.4g}"
 
 
-rows, series, regressions, unresolved, failed_runs = [], [], [], [], []
-for workload in workloads:
-    sides = {side: load(side, workload) for side in ("base", "change")}
-    for side, results in sides.items():
-        for pair, r in enumerate(results, 1):
-            if not r.get("correct") or r.get("failed") != 0:
-                failed_runs.append(f"{workload} {side} pair {pair}")
-    for metric in end_to_end:
-        name, bound = metric["name"], metric["bound"]
-        lower = metric["better"] == "lower"
-        values = {}
+def report(seed):
+    """Prints one seed's tables and returns its verdicts."""
+    rows, series, regressions, unresolved, failed_runs = [], [], [], [], []
+    for workload in workloads:
+        sides = {side: load(side, workload, seed)
+                 for side in ("base", "change")}
         for side, results in sides.items():
-            values[side] = [r["metrics"][name]["value"] for r in results
-                            if name in r.get("metrics", {})]
-        base, change = values["base"], values["change"]
-        if len(base) < 2 or len(change) < 2:
-            rows.append(f"| {workload} | {name} | - | - | - | - | "
-                        f"{bound:.0%} | no data |")
-            continue
-        bq1, bmed, bq3 = quartiles(base)
-        cq1, cmed, cq3 = quartiles(change)
-        delta = (cmed - bmed) / bmed
-        worse = delta if lower else -delta
-        iqr = (bq3 - bq1) / bmed
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
-        all_better = (max(change) < min(base)) if lower else \
-            (min(change) > max(base))
-        if iqr > bound and not all_better:
-            verdict = f"unresolved (base IQR {iqr:.1%})"
-            unresolved.append(f"{workload} {name}")
-        elif worse > bound:
-            verdict = "regression"
-            regressions.append(f"{workload} {name}")
-        else:
-            verdict = "within bound"
-        rows.append(
-            f"| {workload} | {name} | {fmt(bmed)} [{fmt(bq1)}, {fmt(bq3)}] | "
-            f"{fmt(cmed)} [{fmt(cq1)}, {fmt(cq3)}] | {delta:+.1%} | "
-            f"{wins}/{min(len(base), len(change))} | {bound:.0%} | {verdict} |")
-        series.append(f"| {workload} | {name} | {' '.join(map(fmt, base))} | "
-                      f"{' '.join(map(fmt, change))} |")
+            for pair, r in enumerate(results, 1):
+                if not r.get("correct") or r.get("failed") != 0:
+                    failed_runs.append(f"{workload} {side} pair {pair}")
+        for metric in end_to_end:
+            name, bound = metric["name"], metric["bound"]
+            lower = metric["better"] == "lower"
+            values = {}
+            for side, results in sides.items():
+                values[side] = [r["metrics"][name]["value"] for r in results
+                                if name in r.get("metrics", {})]
+            base, change = values["base"], values["change"]
+            if len(base) < 2 or len(change) < 2:
+                rows.append(f"| {workload} | {name} | - | - | - | - | "
+                            f"{bound:.0%} | no data |")
+                continue
+            bq1, bmed, bq3 = quartiles(base)
+            cq1, cmed, cq3 = quartiles(change)
+            delta = (cmed - bmed) / bmed
+            worse = delta if lower else -delta
+            iqr = (bq3 - bq1) / bmed
+            wins = sum((c < b) if lower else (c > b)
+                       for b, c in zip(base, change))
+            all_better = (max(change) < min(base)) if lower else \
+                (min(change) > max(base))
+            if iqr > bound and not all_better:
+                verdict = f"unresolved (base IQR {iqr:.1%})"
+                unresolved.append(f"{workload} {name}")
+            elif worse > bound:
+                verdict = "regression"
+                regressions.append(f"{workload} {name}")
+            else:
+                verdict = "within bound"
+            rows.append(
+                f"| {workload} | {name} | {fmt(bmed)} [{fmt(bq1)}, "
+                f"{fmt(bq3)}] | {fmt(cmed)} [{fmt(cq1)}, {fmt(cq3)}] | "
+                f"{delta:+.1%} | {wins}/{min(len(base), len(change))} | "
+                f"{bound:.0%} | {verdict} |")
+            series.append(f"| {workload} | {name} | "
+                          f"{' '.join(map(fmt, base))} | "
+                          f"{' '.join(map(fmt, change))} |")
 
-print(f"Base {base_sha[:12]} vs the working tree at {head}: "
-      f"{pairs} alternating pairs, seed {seed}, {seconds} s runs.")
-print()
-print("| Workload | Metric | Base median [Q1, Q3] | Change median [Q1, Q3] "
-      "| Δ median | Change better | Bound | Verdict |")
-print("|---|---|---|---|---|---|---|---|")
-print("\n".join(rows))
-print()
-print("| Workload | Metric | Base runs (pair order) | Change runs (pair order) |")
-print("|---|---|---|---|")
-print("\n".join(series))
-print()
-for run in failed_runs:
-    print(f"FAILED RUN {run}")
-for r in regressions:
-    print(f"REGRESSION {r}")
-ok = not regressions and not failed_runs
-print(json.dumps({
-    "base": base_sha, "head": head, "pairs": int(pairs), "seed": int(seed),
-    "seconds": float(seconds), "workloads": workloads,
-    "regressions": regressions, "unresolved": unresolved,
-    "failed_runs": failed_runs, "ok": ok}))
+    print(f"Base {base_sha[:12]} vs the working tree at {head}: "
+          f"{pairs} alternating pairs, seed {seed}, {seconds} s runs.")
+    print()
+    print("| Workload | Metric | Base median [Q1, Q3] | Change median [Q1, Q3] "
+          "| Δ median | Change better | Bound | Verdict |")
+    print("|---|---|---|---|---|---|---|---|")
+    print("\n".join(rows))
+    print()
+    print("| Workload | Metric | Base runs (pair order) | Change runs (pair order) |")
+    print("|---|---|---|---|")
+    print("\n".join(series))
+    print()
+    for run in failed_runs:
+        print(f"FAILED RUN {run}")
+    for r in regressions:
+        print(f"REGRESSION {r}")
+    return {"regressions": regressions, "unresolved": unresolved,
+            "failed_runs": failed_runs,
+            "ok": not regressions and not failed_runs}
+
+
+verdicts = {seed: report(seed) for seed in seeds}
+ok = all(v["ok"] for v in verdicts.values())
+summary = {"base": base_sha, "head": head, "pairs": int(pairs)}
+if len(seeds) == 1:
+    summary.update(seed=seeds[0], seconds=float(seconds),
+                   workloads=workloads, **verdicts[seeds[0]])
+else:
+    summary.update(seeds=seeds, seconds=float(seconds), workloads=workloads,
+                   per_seed={str(s): v for s, v in verdicts.items()}, ok=ok)
+print(json.dumps(summary))
 sys.exit(0 if ok else 1)
 EOF

@@ -18,8 +18,13 @@
 #    resilience sweeps (kind = mix, brownout, degraded, battery, sensor
 #    at outage rate 0.2) must reproduce scripts/anchors/resilience_*.csv.
 # 4. DES anchors: the fig2 farm run must be byte-identical to
-#    scripts/anchors/fig2.txt for threads=1 and threads=4 (the pool
-#    engine + parallel apiary must not move a single digit).
+#    scripts/anchors/fig2.txt for threads=1 and threads=4 (the engine's
+#    (time, seq) order and the parallel apiary must not move a single
+#    digit), and fig3_wakeup_frequency and `ablation_adaptive_wakeup
+#    days=1` must reproduce scripts/anchors/fig3.txt and
+#    scripts/anchors/ablation_adaptive_wakeup.txt. fig2 never changes a
+#    PeriodicTask's period: the adaptive ablation calls set_period on
+#    every regime change, and fig3 runs the wake-up task at six periods.
 # 5. Checkpoint resume parity: a fig6 campaign sharded across two
 #    processes and merged must write a CSV byte-identical to the
 #    committed scripts/anchors/fig6.csv (same bytes as the straight
@@ -186,7 +191,7 @@ for kind in mix brownout degraded battery sensor; do
 done
 
 echo
-echo "== fig2 farm: byte-identical to anchor for any thread count =="
+echo "== DES anchors: fig2 farm (any thread count), fig3, adaptive wake-up =="
 "$repo/$build/bench/fig2_weekly_trace" days=2 hives=3 threads=1 \
   > "$tmp/fig2_t1.txt"
 check_anchor "fig2 threads=1" "$repo/scripts/anchors/fig2.txt" \
@@ -195,6 +200,11 @@ check_anchor "fig2 threads=1" "$repo/scripts/anchors/fig2.txt" \
   > "$tmp/fig2_t4.txt"
 check_anchor "fig2 threads=4" "$repo/scripts/anchors/fig2.txt" \
   "$tmp/fig2_t4.txt"
+"$repo/$build/bench/fig3_wakeup_frequency" > "$tmp/fig3.txt"
+check_anchor "fig3" "$repo/scripts/anchors/fig3.txt" "$tmp/fig3.txt"
+"$repo/$build/bench/ablation_adaptive_wakeup" days=1 > "$tmp/adaptive.txt"
+check_anchor "ablation_adaptive_wakeup days=1" \
+  "$repo/scripts/anchors/ablation_adaptive_wakeup.txt" "$tmp/adaptive.txt"
 
 echo
 echo "== checkpoints: sharded + interrupted campaigns match straight runs =="

@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace beesim::fault {
@@ -37,7 +38,9 @@ bool severity_valid(const FaultWindow& w) {
 }  // namespace
 
 FaultPlan& FaultPlan::add(const FaultWindow& window) {
-  if (window.first_cycle < 0 || window.last_cycle < window.first_cycle)
+  // horizon_cycles() is last_cycle + 1, so INT_MAX has no horizon.
+  if (window.first_cycle < 0 || window.last_cycle < window.first_cycle ||
+      window.last_cycle == std::numeric_limits<int>::max())
     throw std::invalid_argument("FaultPlan: bad window cycle range");
   if (!severity_valid(window))
     throw std::invalid_argument("FaultPlan: severity out of range for kind");

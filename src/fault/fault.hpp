@@ -62,7 +62,8 @@ class FaultPlan {
   FaultPlan() = default;
 
   /// Appends a window after validating it (throws std::invalid_argument
-  /// on negative cycles, inverted ranges, or out-of-range severities).
+  /// on negative cycles, inverted ranges, a last cycle of INT_MAX, or
+  /// out-of-range severities).
   FaultPlan& add(const FaultWindow& window);
 
   /// All scheduled windows, in insertion order.

@@ -14,9 +14,7 @@ void register_catalog(Registry& reg) {
   namespace m = metric;
   for (const char* name :
        {m::kEngineEventsScheduled, m::kEngineEventsExecuted,
-        m::kEngineEventsCancelled, m::kEnginePoolReuses,
-        m::kEnginePoolSpills, m::kEnginePoolRearms,
-        m::kEnginePoolCompactions, m::kAllocatorCalls,
+        m::kEngineEventsCancelled, m::kAllocatorCalls,
         m::kAllocatorClientsPlaced, m::kOrchestratorEvaluations,
         m::kOrchestratorInfeasible, m::kOrchestratorPlacementsEdge,
         m::kOrchestratorPlacementsCloud, m::kFleetCycles,
@@ -47,8 +45,7 @@ void register_catalog(Registry& reg) {
         m::kCkptRejected})
     reg.counter(name);
   for (const char* name :
-       {m::kEngineMaxQueueDepth, m::kEnginePoolSlots,
-        m::kFleetMaxServersUsed,
+       {m::kEngineMaxQueueDepth, m::kFleetMaxServersUsed,
         m::kFleetSweepThreads, m::kDspMelBandNnz, m::kDspDispatchIsa,
         m::kServerMaxSlotsPerCycle, m::kBatteryChargeJoules,
         m::kBatteryDischargeJoules, m::kFaultBufferPeakBytes,

@@ -21,14 +21,6 @@ inline constexpr const char* kEngineEventsCancelled =
 inline constexpr const char* kEngineMaxQueueDepth =
     "sim.engine.max_queue_depth";
 
-// sim::Engine — slab/free-list event pool (the zero-allocation hot path).
-inline constexpr const char* kEnginePoolSlots = "sim.engine.pool_slots";
-inline constexpr const char* kEnginePoolReuses = "sim.engine.pool_reuses";
-inline constexpr const char* kEnginePoolSpills = "sim.engine.pool_spills";
-inline constexpr const char* kEnginePoolRearms = "sim.engine.pool_rearms";
-inline constexpr const char* kEnginePoolCompactions =
-    "sim.engine.pool_compactions";
-
 // util::TaskPool — the persistent executor behind util::parallel_for,
 // one mutex-guarded queue of helper tasks (docs/ARCHITECTURE.md
 // "Threading model"). Totals are kept pool-side as plain atomics and

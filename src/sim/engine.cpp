@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/catalog.hpp"
 
@@ -12,8 +13,8 @@ namespace beesim::sim {
 // its own plain counters on the hot path and flushes deltas here at the
 // end of each run()/run_until() call (and on destruction): with
 // observability disabled the event loop performs zero instrument calls,
-// and with it enabled the flushed totals match the seed engine's
-// per-event increments exactly.
+// and with it enabled the flushed totals match per-event increments
+// exactly.
 namespace {
 
 struct EngineMetrics {
@@ -25,22 +26,22 @@ struct EngineMetrics {
       obs::registry().counter(obs::metric::kEngineEventsCancelled);
   obs::Gauge& max_queue_depth =
       obs::registry().gauge(obs::metric::kEngineMaxQueueDepth);
-  obs::Gauge& pool_slots =
-      obs::registry().gauge(obs::metric::kEnginePoolSlots);
-  obs::Counter& pool_reuses =
-      obs::registry().counter(obs::metric::kEnginePoolReuses);
-  obs::Counter& pool_spills =
-      obs::registry().counter(obs::metric::kEnginePoolSpills);
-  obs::Counter& pool_rearms =
-      obs::registry().counter(obs::metric::kEnginePoolRearms);
-  obs::Counter& pool_compactions =
-      obs::registry().counter(obs::metric::kEnginePoolCompactions);
 
   static EngineMetrics& get() {
     static EngineMetrics m;
     return m;
   }
 };
+
+/// Heap order: std::push_heap/pop_heap keep the greatest element on top,
+/// so "greater" means later in (at, seq) order.
+constexpr auto later = [](const auto& a, const auto& b) noexcept {
+  return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+};
+
+EventId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
+  return (static_cast<EventId>(gen) << 32) | static_cast<EventId>(slot + 1);
+}
 
 }  // namespace
 
@@ -52,90 +53,31 @@ void Engine::flush_metrics() noexcept {
   m.scheduled.inc(scheduled_total_ - flushed_scheduled_);
   m.executed.inc(executed_ - flushed_executed_);
   m.cancelled.inc(cancelled_total_ - flushed_cancelled_);
-  m.pool_reuses.inc(reuses_ - flushed_reuses_);
-  m.pool_spills.inc(spills_ - flushed_spills_);
-  m.pool_rearms.inc(rearms_ - flushed_rearms_);
-  m.pool_compactions.inc(compactions_ - flushed_compactions_);
   flushed_scheduled_ = scheduled_total_;
   flushed_executed_ = executed_;
   flushed_cancelled_ = cancelled_total_;
-  flushed_reuses_ = reuses_;
-  flushed_spills_ = spills_;
-  flushed_rearms_ = rearms_;
-  flushed_compactions_ = compactions_;
   m.max_queue_depth.update_max(static_cast<double>(max_live_));
-  m.pool_slots.update_max(static_cast<double>(slot_count_));
-}
-
-void Engine::release_slot(std::uint32_t s) noexcept {
-  Slot& sl = slot(s);
-  sl.next_free = free_head_;
-  free_head_ = s;
-  ++free_count_;
-}
-
-bool Engine::entry_live(const HeapEntry& e) const noexcept {
-  const Slot& s = slot(e.slot);
-  return s.armed && s.gen == e.gen;
-}
-
-// 4-ary implicit heap: children of i are 4i+1..4i+4. Same O(log n) as a
-// binary heap but half the sift depth on pops, which dominate the run
-// loop; the four children of a node sit in 96 contiguous bytes.
-
-void Engine::heap_push(const HeapEntry& e) {
-  std::size_t i = heap_.size();
-  heap_.push_back(e);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-void Engine::heap_sift_down(std::size_t i) noexcept {
-  const std::size_t n = heap_.size();
-  const HeapEntry e = heap_[i];
-  for (;;) {
-    const std::size_t first = (i << 2) + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = first + 4 < n ? first + 4 : n;
-    for (std::size_t c = first + 1; c < last; ++c)
-      if (earlier(heap_[c], heap_[best])) best = c;
-    if (!earlier(heap_[best], e)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = e;
-}
-
-void Engine::heap_pop() {
-  heap_[0] = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) heap_sift_down(0);
-}
-
-// queue_push (front-slot fast path) and arm_slot are defined inline in
-// the header so the schedule templates fold them into call sites.
-
-void Engine::queue_pop_top() noexcept {
-  if (front_valid_)
-    front_valid_ = false;
-  else
-    heap_pop();
 }
 
 EventId Engine::schedule_at(SimTime at, Callback fn) {
   if (at < now_)
     throw std::invalid_argument("Engine::schedule_at: time in the past");
   if (!fn) throw std::invalid_argument("Engine::schedule_at: null callback");
-  Slot* sp = nullptr;
-  const std::uint32_t idx = acquire_slot(&sp);
-  sp->fn = std::move(fn);
-  return arm_slot(at, idx, *sp);
+  std::uint32_t idx;
+  if (free_slots_.empty()) {
+    idx = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    idx = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[idx];
+  s.fn = std::move(fn);
+  queue_.push_back({at, next_seq_++, idx, s.gen});
+  std::push_heap(queue_.begin(), queue_.end(), later);
+  ++scheduled_total_;
+  if (++live_ > max_live_) max_live_ = live_;
+  return make_id(idx, s.gen);
 }
 
 EventId Engine::schedule_after(SimTime delay, Callback fn) {
@@ -144,130 +86,48 @@ EventId Engine::schedule_after(SimTime delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
+void Engine::free_slot(std::uint32_t slot) {
+  ++slots_[slot].gen;  // the slot's heap entry and EventId go stale
+  free_slots_.push_back(slot);
+}
+
 bool Engine::cancel(EventId id) {
-  if (id == 0) return false;
-  const std::uint32_t idx = slot_of(id);
-  if (idx >= slot_count_) return false;
-  Slot& s = slot(idx);
-  if (s.gen != gen_of(id) || !s.armed) return false;
-  s.fn.reset();
-  s.armed = false;
-  ++s.gen;  // tombstones the heap entry and invalidates the id in O(1)
-  release_slot(idx);
+  // Id 0 ("none") decodes to slot 0xffffffff and fails the bounds check.
+  const auto idx = static_cast<std::uint32_t>(id) - 1;
+  if (idx >= slots_.size() || slots_[idx].gen != id >> 32) return false;
+  slots_[idx].fn = nullptr;
+  free_slot(idx);
   --live_;
-  ++tombstones_;
   ++cancelled_total_;
-  compact_if_stale();
   return true;
 }
 
-void Engine::compact_if_stale() {
-  // Sweep when dead entries dominate: a cancel-heavy run keeps the heap
-  // proportional to the live event count instead of the cancel count.
-  if (tombstones_ < 64 || tombstones_ * 2 < heap_.size()) return;
-  std::erase_if(heap_,
-                [this](const HeapEntry& e) { return !entry_live(e); });
-  for (std::size_t i = heap_.size() / 4 + 1; i-- > 0;)
-    if (i < heap_.size()) heap_sift_down(i);
-  tombstones_ = 0;
-  ++compactions_;
-}
-
-EventId Engine::reschedule_current(SimTime at) {
-  if (exec_slot_ == kNilSlot)
-    throw std::logic_error(
-        "Engine::reschedule_current: no event is executing");
-  if (at < now_)
-    throw std::invalid_argument(
-        "Engine::reschedule_current: time in the past");
-  rearm_requested_ = true;
-  rearm_at_ = at;
-  return make_id(exec_slot_, exec_gen_);
-}
-
-void Engine::execute_event(Slot& s, const HeapEntry& e) {
-  // The callback runs in place inside the pool: chunk addresses never
-  // move, so even a callback that grows the slab cannot invalidate its
-  // own storage. The slot stays off the free list while the callback
-  // runs — reschedule_current() may re-arm it, and a cancel() of the
-  // executing id correctly fails (armed is already false).
-  s.armed = false;
+void Engine::execute_top() {
+  std::pop_heap(queue_.begin(), queue_.end(), later);
+  const Entry e = queue_.back();
+  queue_.pop_back();
+  if (slots_[e.slot].gen != e.gen) return;  // cancelled
+  // The slot is freed before the callback runs: the callback may grow
+  // slots_, and its own id no longer cancels anything.
+  Callback fn = std::move(slots_[e.slot].fn);
+  free_slot(e.slot);
   --live_;
   now_ = e.at;
   ++executed_;
-  exec_slot_ = e.slot;
-  exec_gen_ = e.gen;
-  rearm_requested_ = false;
-  try {
-    s.fn(*this);
-  } catch (...) {
-    exec_slot_ = kNilSlot;
-    s.fn.reset();
-    ++s.gen;
-    release_slot(e.slot);
-    throw;
-  }
-  exec_slot_ = kNilSlot;
-  if (rearm_requested_) {
-    // Periodic fast path: callback, slot, and id all stay put; the only
-    // work is one queue push. live_ returns to its pre-pop value, so the
-    // max_live_ watermark cannot move here.
-    s.armed = true;
-    queue_push({rearm_at_, next_seq_++, e.slot, e.gen});
-    ++live_;
-    ++rearms_;
-    ++scheduled_total_;
-  } else {
-    s.fn.reset();
-    ++s.gen;
-    release_slot(e.slot);
-  }
+  fn(*this);
 }
 
 void Engine::run_until(SimTime until) {
   if (until < now_)
     throw std::invalid_argument("Engine::run_until: horizon in the past");
-  while (front_valid_ || !heap_.empty()) {
-    const HeapEntry e = front_valid_ ? front_ : heap_[0];
-    Slot& s = slot(e.slot);
-    if (s.gen != e.gen || !s.armed) {
-      queue_pop_top();
-      --tombstones_;
-      continue;
-    }
-    if (e.at > until) break;
-    queue_pop_top();
-    execute_event(s, e);
-  }
+  while (!queue_.empty() && queue_.front().at <= until) execute_top();
   now_ = until;
   flush_metrics();
 }
 
 void Engine::run() {
-  while (front_valid_ || !heap_.empty()) {
-    const HeapEntry e = front_valid_ ? front_ : heap_[0];
-    Slot& s = slot(e.slot);
-    if (s.gen != e.gen || !s.armed) {
-      queue_pop_top();
-      --tombstones_;
-      continue;
-    }
-    queue_pop_top();
-    execute_event(s, e);
-  }
+  while (!queue_.empty()) execute_top();
   flush_metrics();
-}
-
-Engine::PoolStats Engine::pool_stats() const noexcept {
-  PoolStats stats;
-  stats.slots = slot_count_;
-  stats.free_slots = free_count_;
-  stats.tombstones = tombstones_;
-  stats.reuses = reuses_;
-  stats.spills = spills_;
-  stats.rearms = rearms_;
-  stats.compactions = compactions_;
-  return stats;
 }
 
 PeriodicTask::PeriodicTask(Engine& engine, SimTime start, SimTime period,
@@ -294,17 +154,13 @@ void PeriodicTask::set_period(SimTime period) {
 }
 
 void PeriodicTask::arm(Engine& engine, SimTime at) {
-  // One closure for the task's whole lifetime: each firing re-arms the
-  // same pool slot in place (same EventId), so the steady state performs
-  // no allocation and no free-list traffic. stop() from inside the
-  // callback is safe — the executing event cannot be cancelled, and the
-  // re-arm is skipped.
+  // The next firing is scheduled after the callback returns, so it takes
+  // a later sequence number than anything the callback schedules. stop()
+  // from inside the callback cancels nothing (the executing event is no
+  // longer pending) and skips the re-arm.
   pending_ = engine.schedule_at(at, [this](Engine& eng) {
     fn_(eng, *this);
-    if (!stopped_)
-      pending_ = eng.reschedule_current(eng.now() + period_);
-    else
-      pending_ = 0;
+    if (!stopped_) arm(eng, eng.now() + period_);
   });
 }
 

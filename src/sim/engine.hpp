@@ -2,13 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <stdexcept>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "sim/event_fn.hpp"
 #include "util/units.hpp"
 
 namespace beesim::sim {
@@ -16,11 +11,11 @@ namespace beesim::sim {
 /// Simulated time in seconds since the start of the simulation.
 using SimTime = beesim::util::Seconds;
 
-/// Handle used to cancel a scheduled event. Packs the event-pool slot
-/// index (low 32 bits, biased by one so 0 is never a valid id) with the
-/// slot's generation counter (high 32 bits). Recycling a slot bumps its
+/// Handle used to cancel a scheduled event. Packs the callback slot index
+/// (low 32 bits, biased by one so 0 is never a valid id) with the slot's
+/// generation counter (high 32 bits). Freeing a slot bumps its
 /// generation, so a stale handle fails the O(1) validity check instead of
-/// cancelling whatever event happens to occupy the slot now.
+/// cancelling whatever event occupies the slot now.
 using EventId = std::uint64_t;
 
 /// Discrete-event simulation engine.
@@ -28,28 +23,15 @@ using EventId = std::uint64_t;
 /// Events are callbacks ordered by (time, insertion sequence); the
 /// sequence tie-break makes runs deterministic regardless of container
 /// internals, which the property tests rely on (same seed => identical
-/// traces). That (time, seq) contract is the engine's ABI: the pool
-/// rewrite below reproduces the seed engine's execution order
-/// byte-for-byte (guarded by EngineDeterminism.MatchesSeedEngineOrder).
+/// traces). That (time, seq) order is the engine's contract, guarded by
+/// EngineDeterminism.MatchesSeedEngineOrder.
 ///
-/// Storage is a chunked slab of pool slots threaded on a free list. Each
-/// slot embeds a small-buffer-optimized EventFn (heap only for oversized
-/// captures) and a generation counter; the run queue is a 4-ary min-heap
-/// of 24-byte (time, seq, slot, gen) entries (half the sift depth of a
-/// binary heap, and each level's four children share a cache line pair).
-/// Scheduling, cancelling and popping are all O(log n) heap traffic plus
-/// O(1) slab access — no hashing, no per-event allocation once the slab
-/// and heap have grown to the workload's high-water mark. A one-entry
-/// "front slot" caches the global minimum: scheduling an event earlier
-/// than everything pending bypasses the heap, and popping it is free, so
-/// the wake-up-then-task-chain shape every hive generates (each step
-/// scheduled a few milliseconds out, far before the next wake-up) does
-/// almost no sift work at all. Slots live in fixed-size chunks whose
-/// addresses never move, so callbacks execute in place — no relocation
-/// out of the pool per event, even when the callback grows the slab. Cancellation just bumps the slot generation
-/// (the heap entry becomes a tombstone, skipped when popped); when
-/// tombstones start to dominate the heap a compaction pass sweeps them
-/// out, so cancel-heavy runs cannot bloat the queue.
+/// Callbacks live in a vector of slots (callback + generation) recycled
+/// through a free list; the queue is a binary heap of (time, seq, slot,
+/// gen) entries. Cancelling bumps the slot's generation and frees it, so
+/// the heap entry goes stale and is dropped when it reaches the top. No
+/// DES run in the repo holds more than three pending events at once
+/// (sim.engine.max_queue_depth), so nothing here is tuned for deep queues.
 ///
 /// The engine is single-threaded by design: every experiment in the paper
 /// is a closed-form or per-entity computation, and fleet-level parallelism
@@ -58,7 +40,7 @@ using EventId = std::uint64_t;
 /// synchronization is needed on the hot path.
 class Engine {
  public:
-  using Callback = EventFn;
+  using Callback = std::function<void(Engine&)>;
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -68,52 +50,14 @@ class Engine {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `fn` at absolute time `at` (must be >= now()).
-  ///
-  /// The template overload is what every lambda call site resolves to:
-  /// the callable is emplaced directly into its pool slot — no EventFn
-  /// temporary is built in the caller's frame and no buffer relocation
-  /// happens at the call boundary. The Callback overload (engine.cpp)
-  /// remains for pre-built EventFn values.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_v<std::decay_t<F>&, Engine&>>>
-  EventId schedule_at(SimTime at, F&& fn) {
-    if (at < now_)
-      throw std::invalid_argument("Engine::schedule_at: time in the past");
-    Slot* sp = nullptr;
-    const std::uint32_t idx = acquire_slot(&sp);
-    sp->fn.emplace(std::forward<F>(fn));
-    return arm_slot(at, idx, *sp);
-  }
   EventId schedule_at(SimTime at, Callback fn);
 
   /// Schedules `fn` after a relative delay (must be >= 0).
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_v<std::decay_t<F>&, Engine&>>>
-  EventId schedule_after(SimTime delay, F&& fn) {
-    if (delay < 0.0)
-      throw std::invalid_argument(
-          "Engine::schedule_after: negative delay");
-    return schedule_at(now_ + delay, std::forward<F>(fn));
-  }
   EventId schedule_after(SimTime delay, Callback fn);
 
   /// Cancels a pending event; returns false if it already ran, was
-  /// cancelled, or is the event currently executing. Cancellation is O(1)
-  /// (generation bump tombstones the heap entry); cleanup is lazy with
-  /// periodic compaction.
+  /// cancelled, or is the event currently executing. O(1).
   bool cancel(EventId id);
-
-  /// Re-arms the currently executing event's pool slot at absolute time
-  /// `at` (must be >= now()), keeping its callback and EventId: no new
-  /// closure is constructed and no pool traffic happens — the fast path
-  /// PeriodicTask uses every cycle. Only valid from inside an event
-  /// callback; throws std::logic_error otherwise. Returns the (unchanged)
-  /// id of the re-armed event.
-  EventId reschedule_current(SimTime at);
 
   /// Runs until the queue drains or `until` is reached, whichever is first.
   /// Advances now() to `until` even if the queue drains earlier, so energy
@@ -129,127 +73,21 @@ class Engine {
   /// Total number of events executed so far.
   std::uint64_t executed() const noexcept { return executed_; }
 
-  /// Event-pool health counters, always maintained (independent of the
-  /// obs toggle) so tests and benches can assert on reuse behaviour.
-  struct PoolStats {
-    std::size_t slots = 0;          ///< slab capacity (high-water mark)
-    std::size_t free_slots = 0;     ///< slots currently on the free list
-    std::size_t tombstones = 0;     ///< dead heap entries awaiting sweep
-    std::uint64_t reuses = 0;       ///< schedules served from the free list
-    std::uint64_t spills = 0;       ///< callbacks too big for inline storage
-    std::uint64_t rearms = 0;       ///< in-place re-arms (periodic fast path)
-    std::uint64_t compactions = 0;  ///< tombstone sweeps of the heap
-  };
-  PoolStats pool_stats() const noexcept;
-
  private:
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  /// Slots are allocated in fixed 256-slot chunks so their addresses stay
-  /// stable for the engine's lifetime — the run loop invokes callbacks in
-  /// place inside the pool, which is only safe because growing the slab
-  /// never relocates existing slots.
-  static constexpr std::uint32_t kChunkShift = 8;
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-  static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
-
   struct Slot {
-    EventFn fn;
+    Callback fn;
     std::uint32_t gen = 1;
-    std::uint32_t next_free = kNilSlot;
-    bool armed = false;
   };
 
-  struct HeapEntry {
+  struct Entry {
     SimTime at;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
   };
 
-  /// Min-heap order on (at, seq). The heap shape (4-ary) never affects
-  /// execution order — extraction order is the total order (at, seq) —
-  /// so the determinism contract is independent of the queue layout.
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-  }
-
-  static EventId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
-    return (static_cast<EventId>(gen) << 32) |
-           static_cast<EventId>(slot + 1);
-  }
-  static std::uint32_t slot_of(EventId id) noexcept {
-    return static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
-  }
-  static std::uint32_t gen_of(EventId id) noexcept {
-    return static_cast<std::uint32_t>(id >> 32);
-  }
-
-  Slot& slot(std::uint32_t s) noexcept {
-    return chunks_[s >> kChunkShift][s & kChunkMask];
-  }
-  const Slot& slot(std::uint32_t s) const noexcept {
-    return chunks_[s >> kChunkShift][s & kChunkMask];
-  }
-
-  /// Pops a slot from the free list, growing the slab by one chunk when
-  /// it is empty. Inline: in steady state this is a six-op free-list pop
-  /// folded into the schedule fast path.
-  std::uint32_t acquire_slot(Slot** out) {
-    if (free_head_ != kNilSlot) {
-      const std::uint32_t s = free_head_;
-      Slot& sl = slot(s);
-      free_head_ = sl.next_free;
-      --free_count_;
-      ++reuses_;
-      *out = &sl;
-      return s;
-    }
-    if ((slot_count_ & kChunkMask) == 0)
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    *out = &slot(slot_count_);
-    return slot_count_++;
-  }
-
-  void release_slot(std::uint32_t slot) noexcept;
-  bool entry_live(const HeapEntry& e) const noexcept;
-  void heap_push(const HeapEntry& e);
-  void heap_pop();
-  void heap_sift_down(std::size_t i) noexcept;
-
-  /// Queue insert with the front-slot fast path (see the class comment):
-  /// defined inline so the schedule templates above compile the common
-  /// park-in-front case down to a 24-byte store with no call.
-  void queue_push(const HeapEntry& e) {
-    if (front_valid_) {
-      if (earlier(e, front_)) {
-        heap_push(front_);
-        front_ = e;
-      } else {
-        heap_push(e);
-      }
-    } else if (heap_.empty() || earlier(e, heap_[0])) {
-      front_ = e;
-      front_valid_ = true;
-    } else {
-      heap_push(e);
-    }
-  }
-
-  /// Books a freshly filled slot into the queue; shared tail of both
-  /// schedule_at overloads.
-  EventId arm_slot(SimTime at, std::uint32_t idx, Slot& s) {
-    if (!s.fn.inline_stored()) ++spills_;
-    s.armed = true;
-    queue_push({at, next_seq_++, idx, s.gen});
-    ++live_;
-    ++scheduled_total_;
-    if (live_ > max_live_) max_live_ = live_;
-    return make_id(idx, s.gen);
-  }
-
-  void queue_pop_top() noexcept;
-  void compact_if_stale();
-  void execute_event(Slot& s, const HeapEntry& e);
+  void execute_top();
+  void free_slot(std::uint32_t slot);
   void flush_metrics() noexcept;
 
   SimTime now_ = 0.0;
@@ -257,49 +95,27 @@ class Engine {
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::uint32_t slot_count_ = 0;
-  // Invariant: when front_valid_, front_ is (time, seq)-earlier than
-  // every entry in heap_ — it is always the global minimum.
-  HeapEntry front_{};
-  bool front_valid_ = false;
-  std::vector<HeapEntry> heap_;
-  std::uint32_t free_head_ = kNilSlot;
-  std::size_t free_count_ = 0;
-  std::size_t tombstones_ = 0;
-
-  // Executing-event context consumed by reschedule_current().
-  std::uint32_t exec_slot_ = kNilSlot;
-  std::uint32_t exec_gen_ = 0;
-  bool rearm_requested_ = false;
-  SimTime rearm_at_ = 0.0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Entry> queue_;  ///< binary heap, earliest (at, seq) on top
 
   // Lifetime counters, plain members (no atomics) so the hot loop stays
   // free of instrumentation; deltas are flushed to the obs registry at
   // the end of each run()/run_until() call and on destruction.
   std::uint64_t scheduled_total_ = 0;
   std::uint64_t cancelled_total_ = 0;
-  std::uint64_t reuses_ = 0;
-  std::uint64_t spills_ = 0;
-  std::uint64_t rearms_ = 0;
-  std::uint64_t compactions_ = 0;
   std::size_t max_live_ = 0;
   std::uint64_t flushed_scheduled_ = 0;
   std::uint64_t flushed_executed_ = 0;
   std::uint64_t flushed_cancelled_ = 0;
-  std::uint64_t flushed_reuses_ = 0;
-  std::uint64_t flushed_spills_ = 0;
-  std::uint64_t flushed_rearms_ = 0;
-  std::uint64_t flushed_compactions_ = 0;
 };
 
 /// Repeats a callback every `period` seconds starting at `start`. The
 /// callback may stop the repetition by calling stop().
 ///
-/// The task owns one pool slot for its whole lifetime: each firing
-/// re-arms the slot in place via Engine::reschedule_current, so the
-/// steady state constructs no closures and touches no free list — the
-/// event id stays stable across firings and stop() still cancels in O(1).
+/// Each firing schedules the next one after the callback returns, so an
+/// event the callback schedules for the same instant as the next firing
+/// runs first, and stop() from inside the callback leaves nothing behind.
 class PeriodicTask {
  public:
   using Callback = std::function<void(Engine&, PeriodicTask&)>;

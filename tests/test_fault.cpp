@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,21 @@ TEST(FaultPlan, ValidatesWindows) {
   EXPECT_FALSE(plan.empty());
   EXPECT_TRUE(FaultPlan::none().empty());
   EXPECT_EQ(FaultPlan::none().horizon_cycles(), 0);
+}
+
+TEST(FaultPlan, RejectsWindowEndingAtIntMax) {
+  // One past INT_MAX is no horizon: the window is refused at add(), so
+  // horizon_cycles() cannot overflow and no injector sizes a timeline
+  // from it.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  FaultPlan plan;
+  EXPECT_THROW(plan.add({FaultKind::kCloudBrownout, 0, kMax, 0.5}),
+               std::invalid_argument);
+  EXPECT_THROW(plan.add({FaultKind::kLinkOutage, kMax, kMax}),
+               std::invalid_argument);
+  EXPECT_TRUE(plan.empty());
+  plan.add({FaultKind::kLinkOutage, kMax - 1, kMax - 1});
+  EXPECT_EQ(plan.horizon_cycles(), kMax);
 }
 
 TEST(FaultPlan, RandomOutagesDeterministicAndEmptyAtRateZero) {
