@@ -35,11 +35,13 @@
 #    reproduce those seeds' rows of perfbench/reference_digests.tsv (the
 #    fleet_campaign digests cover every raw Welford field of the lossy
 #    and resilient sweeps, 10^6-hive rung included), and one-second
-#    fleet_campaign, serve_hot and serve_cold runs must report
-#    "correct": true with 0 failed operations (serve_hot's requests are
-#    all answered inside submit(), serve_cold's all go to a worker; both
-#    must balance the service's admission ledger and return responses
-#    equal to a direct sweep field for field).
+#    fleet_campaign, serve_hot, serve_cold and queen_detect runs must
+#    report "correct": true with 0 failed operations (serve_hot's
+#    requests are all answered inside submit(), serve_cold's all go to a
+#    worker; both must balance the service's admission ledger and return
+#    responses equal to a direct sweep field for field; every timed
+#    queen_detect clip — mel image, tensor, CNN forward — must reproduce
+#    its reference logits bit for bit).
 # 7. Docs link-check:
 #    a. every local markdown link in README.md, DESIGN.md,
 #       EXPERIMENTS.md and docs/*.md resolves to an existing file;
@@ -68,8 +70,10 @@
 #   --sanitize  configure a second build tree (<build-dir>-san) with
 #               -DBEESIM_SANITIZE=address,undefined and run the
 #               sim/fault/net/checkpoint/simd/precision/placement-search,
-#               serving, core-simulation, obs, allocator, orchestrator
-#               and property-fuzz test binaries under ASan+UBSan; then a
+#               serving, core-simulation, obs, allocator, orchestrator,
+#               property-fuzz and DSP-kernel test binaries under
+#               ASan+UBSan (the last runs the STFT's reflect-mapped edge
+#               frames and the row-chunked dB pass); then a
 #               third tree (<build-dir>-tsan) with
 #               -DBEESIM_SANITIZE=thread and run the task-pool, serving
 #               and precision test binaries under ThreadSanitizer (the
@@ -248,7 +252,7 @@ else
 fi
 
 echo
-echo "== perfbench: recorded digests + fleet/serve output checks =="
+echo "== perfbench: recorded digests + fleet/serve/queen output checks =="
 # The repo benchmark is its own CMake package compiled from src/; run.py
 # builds it wherever CARGO_TARGET_DIR points, here inside the check tree.
 perfbench_dir="$repo/$build/perfbench"
@@ -261,7 +265,7 @@ perfbench_ok() {
 r = json.loads(sys.stdin.read())
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 }
-for w in fleet_campaign serve_hot serve_cold; do
+for w in fleet_campaign serve_hot serve_cold queen_detect; do
   if perfbench_run "$w" && perfbench_ok "$w"; then
     echo "  ok  perfbench $w: correct, 0 failed operations"
   else
@@ -351,7 +355,7 @@ fi
 
 if [ "$run_sanitize" -eq 1 ]; then
   echo
-  echo "== sanitize (--sanitize): sim/fault/net/serve tests under ASan+UBSan =="
+  echo "== sanitize (--sanitize): sim/fault/net/serve/dsp tests under ASan+UBSan =="
   # One goal per tree (tests/CMakeLists.txt lists the same binaries), so
   # -j compiles the test sources in parallel; one job per CPU.
   jobs="$(nproc 2> /dev/null || echo 1)"
@@ -364,7 +368,8 @@ if [ "$run_sanitize" -eq 1 ]; then
   for t in test_sim test_fault test_net test_checkpoint \
            test_simd test_precision test_placement_search \
            test_serve test_core_simulation test_obs \
-           test_core_allocator test_orchestrator test_property_fuzz; do
+           test_core_allocator test_orchestrator test_property_fuzz \
+           test_dsp_kernels; do
     if UBSAN_OPTIONS=halt_on_error=1 "$repo/$build-san/tests/$t" \
          --gtest_brief=1 > "$tmp/$t.san.log" 2>&1
     then

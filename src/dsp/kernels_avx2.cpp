@@ -298,16 +298,6 @@ void fft_stage_avx2(Complex* data, std::size_t n, std::size_t len,
   }
 }
 
-void axpy_avx2(double w, const double* in, double* out, std::size_t n) {
-  const __m256d wv = _mm256_set1_pd(w);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(
-        out + i, _mm256_add_pd(_mm256_loadu_pd(out + i),
-                               _mm256_mul_pd(wv, _mm256_loadu_pd(in + i))));
-  for (; i < n; ++i) out[i] += w * in[i];
-}
-
 namespace {
 
 /// std::min/std::max semantics per lane: select x only on a strict
@@ -376,10 +366,6 @@ void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
 void fft_stage_avx2(std::complex<double>* data, std::size_t n,
                     std::size_t len, const std::complex<double>* tw) {
   fft_stage_scalar(data, n, len, tw);
-}
-
-void axpy_avx2(double w, const double* in, double* out, std::size_t n) {
-  axpy_scalar(w, in, out, n);
 }
 
 void welford5_add_avx2(Welford5* s, const double* xs, std::size_t count) {

@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "dsp/simd_kernels.hpp"
 #include "obs/catalog.hpp"
+#include "util/parallel.hpp"
 
 namespace beesim::dsp {
 
@@ -86,30 +86,22 @@ BandedFilterbank::BandedFilterbank(const Matrix& dense) : bins_(dense.cols()) {
   }
 }
 
-Matrix BandedFilterbank::apply(const Matrix& power) const {
-  if (bins_ != power.rows())
-    throw std::invalid_argument(
-        "BandedFilterbank::apply: filterbank bins != spectrum bins");
-  Matrix out(bands(), power.cols());
-  const std::size_t frames = power.cols();
-  const KernelTable& kernels = kernel_table();
+void BandedFilterbank::apply(const double* power, double* out,
+                             std::size_t stride) const noexcept {
   for (std::size_t m = 0; m < bands(); ++m) {
-    const std::size_t first = first_[m];
-    const std::size_t count = offset_[m + 1] - offset_[m];
     const double* w = weights_.data() + offset_[m];
-    double* out_row = out.data() + m * frames;
+    const double* bin = power + first_[m];
+    const std::size_t count = offset_[m + 1] - offset_[m];
+    double acc = 0.0;
     for (std::size_t j = 0; j < count; ++j) {
       // Triangular bands have no interior zeros, but skip them anyway so
-      // the accumulation order matches the dense apply (skip zero
-      // weights, bins ascending) bit for bit on any input matrix. The row
-      // update dispatches to the SIMD axpy kernel — same per-element
-      // mul/add order under every tier.
+      // the accumulation matches the dense apply (skip zero weights,
+      // bins ascending) bit for bit on any input.
       if (w[j] == 0.0) continue;
-      const double* in_row = power.data() + (first + j) * frames;
-      kernels.axpy(w[j], in_row, out_row, frames);
+      acc += w[j] * bin[j];
     }
+    out[m * stride] = acc;
   }
-  return out;
 }
 
 Matrix power_to_db(const Matrix& power, double top_db) {
@@ -118,16 +110,28 @@ Matrix power_to_db(const Matrix& power, double top_db) {
   constexpr double kAmin = 1e-10;
   const double ref = std::max(power.max(), kAmin);
   // The max element maps to 10*log10(ref/ref) = 0 dB exactly, so the dB
-  // peak is always 0 and the clamp floor is -top_db; one fused pass
-  // replaces the old compute-then-rescan-for-peak-then-clamp sequence
-  // (equivalence-tested against it in test_dsp_kernels).
-  Matrix out(power.rows(), power.cols());
-  for (std::size_t r = 0; r < power.rows(); ++r)
-    for (std::size_t c = 0; c < power.cols(); ++c) {
-      const double db =
-          10.0 * std::log10(std::max(power(r, c), kAmin) / ref);
-      out(r, c) = std::max(db, -top_db);
-    }
+  // peak is always 0 and the clamp floor is -top_db, and one elementwise
+  // pass suffices. Each element depends only on itself and ref, so
+  // coarse row chunks (at least kMinChunk elements) across the pool give
+  // the serial bits.
+  constexpr std::size_t kMinChunk = 4096;
+  const std::size_t rows = power.rows();
+  const std::size_t cols = power.cols();
+  const std::size_t chunks = std::clamp<std::size_t>(
+      std::min<std::size_t>(util::default_thread_count(),
+                            rows * cols / kMinChunk),
+      1, rows);
+  const std::size_t per_chunk = (rows + chunks - 1) / chunks;
+  Matrix out(rows, cols);
+  util::parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t begin = std::min(c * per_chunk, rows) * cols;
+    const std::size_t end = std::min((c + 1) * per_chunk, rows) * cols;
+    const double* in = power.data();
+    double* db = out.data();
+    for (std::size_t i = begin; i < end; ++i)
+      db[i] = std::max(10.0 * std::log10(std::max(in[i], kAmin) / ref),
+                       -top_db);
+  });
   return out;
 }
 

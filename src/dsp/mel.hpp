@@ -21,12 +21,12 @@ Matrix mel_filterbank(std::size_t n_mels, std::size_t n_fft,
 
 /// Sparse (banded) form of a triangular filterbank: per band, the first
 /// nonzero bin and the packed weights up to the last nonzero bin. Built
-/// once per MelSpectrogram; apply() maps a power spectrogram (bins x
-/// frames) onto a (bands x frames) mel spectrogram, touching only the
-/// nonzero bins. Each triangular band is nonzero on a narrow bin range,
-/// so the dense matrix is >90% zeros. apply() is bit-identical to the
-/// dense bin-by-bin apply (the oracle in tests/dsp_oracle.hpp): same
-/// accumulation order, zero weights skipped in both.
+/// once per MelSpectrogram; apply() maps one frame's power bins onto its
+/// mel bands, touching only the nonzero bins. Each triangular band is
+/// nonzero on a narrow bin range, so the dense matrix is >90% zeros.
+/// apply() is bit-identical to the dense bin-by-bin apply (the oracle in
+/// tests/dsp_oracle.hpp): per band, zero weights skipped, bins ascending,
+/// a separate multiply and add into an accumulator that starts at 0.
 class BandedFilterbank {
  public:
   explicit BandedFilterbank(const Matrix& dense);
@@ -36,7 +36,11 @@ class BandedFilterbank {
   /// Stored (nonzero-range) weight count across all bands.
   std::size_t nonzeros() const noexcept { return weights_.size(); }
 
-  Matrix apply(const Matrix& power) const;
+  /// out[m * stride] = band m of the frame power[0..bins()), for
+  /// m < bands(). A stride of the frame count writes one column of a
+  /// (bands x frames) row-major matrix.
+  void apply(const double* power, double* out,
+             std::size_t stride) const noexcept;
 
  private:
   std::size_t bins_ = 0;
@@ -47,8 +51,10 @@ class BandedFilterbank {
 
 /// Converts a power matrix to decibels relative to its maximum, with an
 /// 80 dB floor (librosa.power_to_db defaults). Since the reference is the
-/// matrix maximum, the dB peak is exactly 0 and the floor is -top_db;
-/// computed in a single fused pass.
+/// matrix maximum, the dB peak is exactly 0 and the floor is -top_db.
+/// The peak is one serial max; the elementwise log/clamp pass then runs
+/// in row chunks across util::parallel_for, so any chunking gives the
+/// same bits.
 Matrix power_to_db(const Matrix& power, double top_db = 80.0);
 
 }  // namespace beesim::dsp

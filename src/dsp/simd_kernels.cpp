@@ -105,10 +105,6 @@ void fft_stage_scalar(Complex* data, std::size_t n, std::size_t len,
   }
 }
 
-void axpy_scalar(double w, const double* in, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] += w * in[i];
-}
-
 void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count) {
   for (std::size_t r = 0; r < count; ++r) {
     const double* x = xs + r * 5;
@@ -234,15 +230,6 @@ void fft_stage_sse2(Complex* data, std::size_t n, std::size_t len,
   }
 }
 
-void axpy_sse2(double w, const double* in, double* out, std::size_t n) {
-  const __m128d wv = _mm_set1_pd(w);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    _mm_storeu_pd(out + i, _mm_add_pd(_mm_loadu_pd(out + i),
-                                      _mm_mul_pd(wv, _mm_loadu_pd(in + i))));
-  for (; i < n; ++i) out[i] += w * in[i];
-}
-
 /// std::min(cur, x) selects x only on strict x < cur; cmplt + and/andnot
 /// reproduces that exactly (including the first-argument tie-break on
 /// equal values and signed zeros).
@@ -312,8 +299,7 @@ namespace {
 
 constexpr KernelTable kScalarTable = {
     detail::sgemm_bias_f32_scalar, detail::sgemm_bias_s8_scalar,
-    detail::fft_stage_scalar,      detail::axpy_scalar,
-    detail::welford5_add_scalar,
+    detail::fft_stage_scalar,      detail::welford5_add_scalar,
 };
 
 #if defined(__SSE2__)
@@ -322,8 +308,7 @@ constexpr KernelTable kScalarTable = {
 // already autovectorizes (results are identical either way).
 constexpr KernelTable kSse2Table = {
     detail::sgemm_bias_f32_sse2, detail::sgemm_bias_s8_scalar,
-    detail::fft_stage_sse2,      detail::axpy_sse2,
-    detail::welford5_add_sse2,
+    detail::fft_stage_sse2,      detail::welford5_add_sse2,
 };
 #else
 constexpr KernelTable kSse2Table = kScalarTable;
@@ -331,8 +316,7 @@ constexpr KernelTable kSse2Table = kScalarTable;
 
 constexpr KernelTable kAvx2Table = {
     detail::sgemm_bias_f32_avx2, detail::sgemm_bias_s8_avx2,
-    detail::fft_stage_avx2,      detail::axpy_avx2,
-    detail::welford5_add_avx2,
+    detail::fft_stage_avx2,      detail::welford5_add_avx2,
 };
 
 }  // namespace

@@ -56,9 +56,6 @@ struct KernelTable {
   void (*fft_stage)(std::complex<double>* data, std::size_t n,
                     std::size_t len, const std::complex<double>* tw);
 
-  /// out[i] += w * in[i] — the banded mel filterbank row update.
-  void (*axpy)(double w, const double* in, double* out, std::size_t n);
-
   /// Feeds `count` samples of five values each (xs row-major, stride 5)
   /// into the lockstep accumulators.
   void (*welford5_add)(Welford5* s, const double* xs, std::size_t count);

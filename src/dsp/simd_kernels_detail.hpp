@@ -23,7 +23,6 @@ void sgemm_bias_s8_scalar(std::size_t m, std::size_t n, std::size_t k,
                           const float* bias, float* c);
 void fft_stage_scalar(std::complex<double>* data, std::size_t n,
                       std::size_t len, const std::complex<double>* tw);
-void axpy_scalar(double w, const double* in, double* out, std::size_t n);
 void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count);
 
 // AVX2 tier (kernels_avx2.cpp; forwards to the scalar tier when that TU
@@ -37,7 +36,6 @@ void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
                         const float* bias, float* c);
 void fft_stage_avx2(std::complex<double>* data, std::size_t n,
                     std::size_t len, const std::complex<double>* tw);
-void axpy_avx2(double w, const double* in, double* out, std::size_t n);
 void welford5_add_avx2(Welford5* s, const double* xs, std::size_t count);
 
 }  // namespace beesim::dsp::detail

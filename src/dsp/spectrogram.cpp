@@ -6,18 +6,32 @@
 
 namespace beesim::dsp {
 
+namespace {
+
+StftParams stft_params(const MelSpectrogram::Params& params) {
+  StftParams sp;
+  sp.n_fft = params.n_fft;
+  sp.hop = params.hop;
+  return sp;
+}
+
+}  // namespace
+
 MelSpectrogram::MelSpectrogram() : MelSpectrogram(Params{}) {}
 
 MelSpectrogram::MelSpectrogram(const Params& params)
     : params_(params),
+      stft_(stft_params(params)),
       banded_(mel_filterbank(params.n_mels, params.n_fft, params.sample_rate,
                              params.fmin, params.fmax)) {}
 
 Matrix MelSpectrogram::compute(const std::vector<double>& signal) const {
-  StftParams sp;
-  sp.n_fft = params_.n_fft;
-  sp.hop = params_.hop;
-  return banded_.apply(stft_power(signal, sp));
+  const std::size_t frames = stft_.frames(signal.size());
+  Matrix mel(banded_.bands(), frames);
+  stft_.for_each_frame(signal, [&](std::size_t f, const double* power) {
+    banded_.apply(power, mel.data() + f, frames);
+  });
+  return mel;
 }
 
 Matrix MelSpectrogram::compute_image(const std::vector<double>& signal,

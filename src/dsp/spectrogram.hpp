@@ -10,8 +10,8 @@ namespace beesim::dsp {
 
 /// End-to-end mel-spectrogram pipeline with the paper's parameters
 /// (Section V): sample rate 22050 Hz, FFT window 2048, hop 512, 128 mel
-/// bands. Construct once (the filterbank is precomputed, nonzero spans
-/// only), then call for each audio sample.
+/// bands. Construct once (the FFT plan, Hann window and nonzero spans of
+/// the filterbank are built here), then call for each audio sample.
 class MelSpectrogram {
  public:
   struct Params {
@@ -24,9 +24,15 @@ class MelSpectrogram {
   };
 
   MelSpectrogram();  // paper defaults
+  /// Throws std::invalid_argument on hop == 0, a non-power-of-two n_fft
+  /// or filterbank parameters mel_filterbank rejects.
   explicit MelSpectrogram(const Params& params);
 
-  /// (n_mels x frames) mel power spectrogram.
+  /// (n_mels x frames) mel power spectrogram in one pass per frame: the
+  /// StftPlan frame loop hands each frame's power bins to the banded
+  /// filterbank, which writes that frame's column. No bins x frames
+  /// power matrix is built. Throws std::invalid_argument on a signal of
+  /// n_fft/2 samples or fewer, before any frame runs.
   Matrix compute(const std::vector<double>& signal) const;
 
   /// Mel spectrogram in dB, resized to a side x side image and scaled to
@@ -43,6 +49,8 @@ class MelSpectrogram {
 
  private:
   Params params_;
+  /// n_fft, hop and center=true, with their RealFftPlan and Hann window.
+  StftPlan stft_;
   /// The mel_filterbank(...) of params_, nonzero spans only.
   BandedFilterbank banded_;
 };

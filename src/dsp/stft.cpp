@@ -1,9 +1,9 @@
 #include "dsp/stft.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
-#include "dsp/fft.hpp"
 #include "dsp/window.hpp"
 #include "obs/catalog.hpp"
 #include "util/parallel.hpp"
@@ -11,21 +11,11 @@
 namespace beesim::dsp {
 namespace {
 
-/// Reflect-pads the signal by pad samples on each side. Librosa-style
-/// reflection mirrors around the end samples without repeating them, so
-/// it needs pad <= signal.size() - 1; shorter signals cannot be padded
-/// (the old modulo indexing silently wrapped to a non-reflect padding).
-std::vector<double> reflect_pad(const std::vector<double>& x,
-                                std::size_t pad) {
-  if (x.size() < 2 || pad > x.size() - 1)
-    throw std::invalid_argument(
-        "stft: signal too short to reflect-pad (need length > n_fft/2)");
-  std::vector<double> out;
-  out.reserve(x.size() + 2 * pad);
-  for (std::size_t i = pad; i > 0; --i) out.push_back(x[i]);
-  out.insert(out.end(), x.begin(), x.end());
-  for (std::size_t i = 0; i < pad; ++i) out.push_back(x[x.size() - 2 - i]);
-  return out;
+const StftParams& checked(const StftParams& params) {
+  if (!is_power_of_two(params.n_fft))
+    throw std::invalid_argument("stft: n_fft must be a power of two");
+  if (params.hop == 0) throw std::invalid_argument("stft: hop must be > 0");
+  return params;
 }
 
 void count_frames(std::size_t frames) {
@@ -36,43 +26,78 @@ void count_frames(std::size_t frames) {
   }
 }
 
-/// The frame loop: one RealFftPlan shared by all frames, frames split
-/// into contiguous chunks across util::parallel_for, per-chunk scratch
-/// buffers and no per-frame heap allocation. Every frame's output is
-/// independent, so the result is bit-identical for any chunk count.
-/// Runs chunk-parallel even when nested inside another parallel region
-/// (e.g. the clip-parallel dataset featurizer): the task pool composes
-/// nested regions on one bounded worker set, so going wide here can no
-/// longer oversubscribe the machine.
-void stft_frames(const std::vector<double>& padded,
-                 const std::vector<double>& window,
-                 const StftParams& params, std::size_t frames,
-                 std::size_t bins, Matrix& out) {
-  const RealFftPlan plan(params.n_fft);
-  // Keep chunks coarse: at least 8 frames per chunk so scratch setup and
-  // scheduling stay negligible against the FFT work.
-  const std::size_t chunks = std::clamp<std::size_t>(
-      std::min<std::size_t>(util::default_thread_count(), frames / 8), 1,
-      frames);
-  const std::size_t per_chunk = (frames + chunks - 1) / chunks;
-
-  util::parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(begin + per_chunk, frames);
-    std::vector<double> frame(params.n_fft);
-    std::vector<Complex> scratch(plan.scratch_size());
-    std::vector<double> power(bins);
-    for (std::size_t f = begin; f < end; ++f) {
-      const std::size_t start = f * params.hop;
-      for (std::size_t i = 0; i < params.n_fft; ++i)
-        frame[i] = padded[start + i] * window[i];
-      plan.power(frame.data(), power.data(), scratch.data());
-      for (std::size_t b = 0; b < bins; ++b) out(b, f) = power[b];
-    }
-  });
+/// out[i] = padded[f * hop + i] * window[i], where padded is the signal
+/// reflect-padded by n_fft/2 on each side when p.center (else the signal
+/// itself). A frame inside the signal reads it in place; a frame that
+/// overlaps the pad maps each index back into the signal the librosa
+/// way, mirrored around the end samples without repeating them (index
+/// -s reads x[s], index len - 1 + s reads x[len - 1 - s]).
+void window_frame(const std::vector<double>& x, const StftParams& p,
+                  const double* window, std::size_t f, double* out) {
+  const std::size_t n = p.n_fft;
+  const std::size_t pad = p.center ? n / 2 : 0;
+  const std::size_t start = f * p.hop;
+  if (start >= pad && start - pad + n <= x.size()) {
+    const double* in = x.data() + (start - pad);
+    for (std::size_t i = 0; i < n; ++i) out[i] = in[i] * window[i];
+    return;
+  }
+  const auto len = static_cast<std::ptrdiff_t>(x.size());
+  const auto first = static_cast<std::ptrdiff_t>(start) -
+                     static_cast<std::ptrdiff_t>(pad);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::ptrdiff_t s = first + static_cast<std::ptrdiff_t>(i);
+    if (s < 0) s = -s;
+    else if (s >= len) s = 2 * len - 2 - s;
+    out[i] = x[static_cast<std::size_t>(s)] * window[i];
+  }
 }
 
 }  // namespace
+
+StftPlan::StftPlan(const StftParams& params)
+    : params_(checked(params)),
+      plan_(params.n_fft),
+      window_(hann_window(params.n_fft)) {}
+
+std::size_t StftPlan::frames(std::size_t signal_len) const {
+  // Reflection needs n_fft/2 <= len - 1; a shorter signal would wrap
+  // around instead of mirroring.
+  if (params_.center &&
+      (signal_len < 2 || params_.n_fft / 2 > signal_len - 1))
+    throw std::invalid_argument(
+        "stft: signal too short to reflect-pad (need length > n_fft/2)");
+  const std::size_t count = stft_frame_count(signal_len, params_);
+  if (count == 0) throw std::invalid_argument("stft: signal too short");
+  return count;
+}
+
+void StftPlan::for_each_frame(const std::vector<double>& signal,
+                              const FrameSink& sink) const {
+  const std::size_t count = frames(signal.size());
+  // Keep chunks coarse: at least 8 frames per chunk so scratch setup and
+  // scheduling stay negligible against the FFT work. Nested inside
+  // another parallel region (the clip-parallel dataset featurizer) the
+  // loop still goes wide: the task pool composes nested regions on one
+  // bounded worker set.
+  const std::size_t chunks = std::clamp<std::size_t>(
+      std::min<std::size_t>(util::default_thread_count(), count / 8), 1,
+      count);
+  const std::size_t per_chunk = (count + chunks - 1) / chunks;
+  util::parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t begin = c * per_chunk;
+    const std::size_t end = std::min(begin + per_chunk, count);
+    std::vector<double> frame(params_.n_fft);
+    std::vector<Complex> scratch(plan_.scratch_size());
+    std::vector<double> power(bins());
+    for (std::size_t f = begin; f < end; ++f) {
+      window_frame(signal, params_, window_.data(), f, frame.data());
+      plan_.power(frame.data(), power.data(), scratch.data());
+      sink(f, power.data());
+    }
+  });
+  count_frames(count);
+}
 
 std::size_t stft_frame_count(std::size_t signal_len, const StftParams& p) {
   const std::size_t padded =
@@ -83,20 +108,11 @@ std::size_t stft_frame_count(std::size_t signal_len, const StftParams& p) {
 
 Matrix stft_power(const std::vector<double>& signal,
                   const StftParams& params) {
-  if (!is_power_of_two(params.n_fft))
-    throw std::invalid_argument("stft: n_fft must be a power of two");
-  if (params.hop == 0) throw std::invalid_argument("stft: hop must be > 0");
-
-  const std::vector<double> padded =
-      params.center ? reflect_pad(signal, params.n_fft / 2) : signal;
-  const std::size_t frames = stft_frame_count(signal.size(), params);
-  const std::size_t bins = params.n_fft / 2 + 1;
-  if (frames == 0) throw std::invalid_argument("stft: signal too short");
-
-  const std::vector<double> window = hann_window(params.n_fft);
-  Matrix out(bins, frames);
-  stft_frames(padded, window, params, frames, bins, out);
-  count_frames(frames);
+  const StftPlan plan(params);
+  Matrix out(plan.bins(), plan.frames(signal.size()));
+  plan.for_each_frame(signal, [&](std::size_t f, const double* power) {
+    for (std::size_t b = 0; b < out.rows(); ++b) out(b, f) = power[b];
+  });
   return out;
 }
 

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <functional>
 #include <vector>
 
+#include "dsp/fft.hpp"
 #include "dsp/matrix.hpp"
 
 namespace beesim::dsp {
@@ -14,16 +16,52 @@ struct StftParams {
   bool center = true;  // reflect-pad by n_fft/2 like librosa
 };
 
+/// A checked StftParams with its RealFftPlan and periodic Hann window,
+/// built once. for_each_frame() is the one STFT frame loop in src/:
+/// stft_power writes its frames into columns, MelSpectrogram maps each
+/// frame straight onto its mel bands. Immutable after construction, so
+/// one StftPlan serves concurrent calls.
+class StftPlan {
+ public:
+  /// Throws std::invalid_argument on hop == 0 or a non-power-of-two
+  /// n_fft.
+  explicit StftPlan(const StftParams& params);
+
+  const StftParams& params() const noexcept { return params_; }
+  /// Power bins per frame: n_fft/2 + 1.
+  std::size_t bins() const noexcept { return plan_.bins(); }
+
+  /// Frames a signal of this length yields. Throws std::invalid_argument
+  /// when it yields none: with center=true the signal must be longer than
+  /// n_fft/2 (shorter ones cannot be reflect-padded), without it at
+  /// least n_fft long.
+  std::size_t frames(std::size_t signal_len) const;
+
+  /// Receives frame f's bins() power values. Called once per frame,
+  /// concurrently for different frames.
+  using FrameSink = std::function<void(std::size_t f, const double* power)>;
+
+  /// |STFT|^2 of every frame of the signal, handed to sink. Frames run in
+  /// contiguous chunks across util::parallel_for with per-chunk scratch
+  /// and no per-frame allocation. Each frame is windowed straight from
+  /// the signal; only frames that overlap the n_fft/2 reflect pad map
+  /// their indices, so no padded copy is made. Every frame's values are
+  /// independent of the chunking, hence bit-identical to the serial
+  /// frame loop (tests/dsp_oracle.hpp). Adds the frame count to
+  /// dsp.stft.frames once. Throws as frames() does, before any frame
+  /// runs.
+  void for_each_frame(const std::vector<double>& signal,
+                      const FrameSink& sink) const;
+
+ private:
+  StftParams params_;
+  RealFftPlan plan_;
+  std::vector<double> window_;
+};
+
 /// Power spectrogram |STFT|^2 with a periodic Hann window.
-/// Rows: n_fft/2 + 1 frequency bins. Cols: frames.
-///
-/// One RealFftPlan serves every frame; frames run in contiguous chunks
-/// across util::parallel_for with per-chunk scratch and no per-frame
-/// allocation, and the result is bit-identical for any chunk count
-/// (tests/dsp_oracle.hpp holds the serial frame loop and the naive
-/// complex-FFT loop it is checked against). With center=true the signal
-/// must be longer than n_fft/2 — shorter signals cannot be reflect-padded
-/// and throw std::invalid_argument.
+/// Rows: n_fft/2 + 1 frequency bins. Cols: frames. Builds an StftPlan per
+/// call and writes its frames into columns; throws as StftPlan does.
 Matrix stft_power(const std::vector<double>& signal,
                   const StftParams& params = StftParams{});
 

@@ -146,8 +146,9 @@ struct Response {
 enum class Admission {
   /// Accepted; the ticket's future will be fulfilled.
   kAdmitted,
-  /// The target worker's submission ring was full (instantaneous burst
-  /// exceeded queue_capacity).
+  /// The target worker's lane already held `Config::queue_capacity`
+  /// requests waiting for a worker (an instantaneous burst past the
+  /// bound; a request answered inside submit() never takes a lane slot).
   kRejectedQueueFull,
   /// The service-wide in-flight bound (max_in_flight) was reached.
   kRejectedOverloaded,

@@ -3,12 +3,15 @@
 // The naive DSP/ML kernels, and exact and near matrix comparisons
 // against them. Each kernel of the queen-detection front end has one
 // production path: the planned FFT (dsp::FftPlan / dsp::RealFftPlan),
-// the chunk-parallel STFT, the banded mel filterbank and the im2col +
-// GEMM convolution. Their oracles are the loops they replaced — a
-// radix-2 FFT whose twiddles drift by repeated multiplication, one
-// complex transform per STFT frame, the dense bin-by-bin filterbank
-// apply and the 6-deep convolution loop nest — plus the serial planned
-// frame loop that the chunked STFT must equal bit for bit.
+// the chunk-parallel STFT frame loop (dsp::StftPlan), the per-frame
+// banded mel filterbank, the row-chunked dB pass and the im2col + GEMM
+// convolution. Their oracles are the loops they replaced — a radix-2
+// FFT whose twiddles drift by repeated multiplication, one complex
+// transform per STFT frame over a reflect-padded copy, the dense
+// bin-by-bin filterbank apply over a whole bins x frames matrix and the
+// 6-deep convolution loop nest — plus the serial planned frame loop,
+// the serial dB loop and their composition into the CNN image, which
+// the fused mel front end must equal bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -22,6 +25,8 @@
 
 #include "dsp/fft.hpp"
 #include "dsp/matrix.hpp"
+#include "dsp/mel.hpp"
+#include "dsp/spectrogram.hpp"
 #include "dsp/stft.hpp"
 #include "dsp/window.hpp"
 #include "ml/layers.hpp"
@@ -156,6 +161,50 @@ inline dsp::Matrix stft_power_serial(const std::vector<double>& x,
                              std::vector<double>& column) {
     plan.power(frame.data(), column.data(), scratch.data());
   });
+}
+
+/// librosa.power_to_db (ref = the maximum, amin 1e-10, floor at
+/// -top_db) one element at a time on the calling thread: the loop
+/// dsp::power_to_db splits into row chunks across the task pool.
+inline dsp::Matrix power_to_db_serial(const dsp::Matrix& power,
+                                      double top_db = 80.0) {
+  constexpr double kAmin = 1e-10;
+  const double ref = std::max(power.max(), kAmin);
+  dsp::Matrix out(power.rows(), power.cols());
+  for (std::size_t r = 0; r < power.rows(); ++r)
+    for (std::size_t c = 0; c < power.cols(); ++c)
+      out(r, c) = std::max(
+          10.0 * std::log10(std::max(power(r, c), kAmin) / ref), -top_db);
+  return out;
+}
+
+/// The (n_mels x frames) mel power spectrogram the long way round: the
+/// whole serial planned STFT matrix (center=true), then the dense
+/// filterbank apply over it.
+inline dsp::Matrix mel_power_serial(const std::vector<double>& x,
+                                    const dsp::MelSpectrogram::Params& mp) {
+  dsp::StftParams sp;
+  sp.n_fft = mp.n_fft;
+  sp.hop = mp.hop;
+  return apply_filterbank(dsp::mel_filterbank(mp.n_mels, mp.n_fft,
+                                              mp.sample_rate, mp.fmin,
+                                              mp.fmax),
+                          stft_power_serial(x, sp));
+}
+
+/// The CNN input image of a mel power spectrogram: serial dB, bilinear
+/// resize to side x side, then scaled to [0, 1] by the image's own min
+/// and max.
+inline dsp::Matrix mel_image(const dsp::Matrix& mel, std::size_t side) {
+  dsp::Matrix img =
+      dsp::resize_bilinear(power_to_db_serial(mel), side, side);
+  const double lo = img.min();
+  const double hi = img.max();
+  const double span = hi > lo ? hi - lo : 1.0;
+  for (std::size_t r = 0; r < img.rows(); ++r)
+    for (std::size_t c = 0; c < img.cols(); ++c)
+      img(r, c) = (img(r, c) - lo) / span;
+  return img;
 }
 
 /// The 6-deep convolution loop nest (stride 1, "same" zero padding) over

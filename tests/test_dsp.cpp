@@ -248,12 +248,18 @@ TEST(Mel, FilterbankPeaksMoveUpward) {
 
 TEST(Mel, ApplyFilterbankDimensions) {
   const dsp::BandedFilterbank fb(dsp::mel_filterbank(16, 256, 22050.0));
-  dsp::Matrix power(129, 10, 1.0);
-  const auto mel = fb.apply(power);
-  EXPECT_EQ(mel.rows(), 16u);
-  EXPECT_EQ(mel.cols(), 10u);
-  dsp::Matrix wrong(100, 10, 1.0);
-  EXPECT_THROW(fb.apply(wrong), std::invalid_argument);
+  EXPECT_EQ(fb.bands(), 16u);
+  EXPECT_EQ(fb.bins(), 129u);
+  // One frame of 129 bins fills column 3 of a 16 x 10 mel matrix (stride
+  // 10) and leaves every other column alone.
+  const std::vector<double> power(fb.bins(), 1.0);
+  dsp::Matrix mel(16, 10, -1.0);
+  fb.apply(power.data(), mel.data() + 3, mel.cols());
+  for (std::size_t m = 0; m < mel.rows(); ++m)
+    for (std::size_t f = 0; f < mel.cols(); ++f) {
+      if (f == 3) EXPECT_GT(mel(m, f), 0.0) << "band " << m;
+      else EXPECT_EQ(mel(m, f), -1.0) << "band " << m << " frame " << f;
+    }
 }
 
 TEST(Mel, PowerToDbRangeAndFloor) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "dsp/dispatch.hpp"
@@ -14,13 +15,17 @@
 #include "ml/layers.hpp"
 #include "ml/network.hpp"
 #include "obs/catalog.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/task_pool.hpp"
 
 // Each DSP/ML kernel's one production path against its oracle in
 // dsp_oracle.hpp: bit-identical where the accumulation order is
-// unchanged (banded filterbank, fused power_to_db, STFT chunking),
-// <= 1e-9 relative where the FFT algorithm differs (planned real FFT vs
-// full complex FFT), and float tolerance for the GEMM convolution.
+// unchanged (per-frame banded filterbank, row-chunked power_to_db, the
+// STFT frame loop with in-place and reflect-mapped frames, and the
+// fused mel front end they make up), <= 1e-9 relative where the FFT
+// algorithm differs (planned real FFT vs full complex FFT), and float
+// tolerance for the GEMM convolution.
 
 namespace dsp = beesim::dsp;
 namespace ml = beesim::ml;
@@ -142,6 +147,23 @@ TEST(StftKernels, ReflectPadShortSignalThrows) {
 
 // ------------------------------------------------------------- Filterbank
 
+namespace {
+
+/// Applies the banded form frame by frame, each frame's bins into its
+/// column of the (bands x frames) result.
+dsp::Matrix apply_per_frame(const dsp::BandedFilterbank& banded,
+                            const dsp::Matrix& power) {
+  dsp::Matrix mel(banded.bands(), power.cols());
+  std::vector<double> frame(power.rows());
+  for (std::size_t f = 0; f < power.cols(); ++f) {
+    for (std::size_t b = 0; b < power.rows(); ++b) frame[b] = power(b, f);
+    banded.apply(frame.data(), mel.data() + f, mel.cols());
+  }
+  return mel;
+}
+
+}  // namespace
+
 TEST(BandedFilterbank, MatchesDenseBitIdentical) {
   beesim::util::Rng rng(16);
   for (std::size_t n_mels : {16u, 128u}) {
@@ -151,9 +173,23 @@ TEST(BandedFilterbank, MatchesDenseBitIdentical) {
       for (std::size_t c = 0; c < power.cols(); ++c)
         power(r, c) = rng.uniform(0.0, 10.0);
     const dsp::BandedFilterbank banded(fb);
-    expect_matrices_identical(banded.apply(power),
+    expect_matrices_identical(apply_per_frame(banded, power),
                               oracle::apply_filterbank(fb, power));
   }
+  // A non-triangular bank with interior zeros (both signs) and negative
+  // weights: the banded span keeps the zeros, and both sides skip them.
+  dsp::Matrix bank(6, 40);
+  for (std::size_t m = 0; m < bank.rows(); ++m)
+    for (std::size_t b = 3 * m; b < 3 * m + 12; ++b) {
+      const double u = rng.uniform();
+      bank(m, b) = u < 0.2 ? 0.0 : u < 0.3 ? -0.0 : rng.normal();
+    }
+  dsp::Matrix power(bank.cols(), 9);
+  for (std::size_t r = 0; r < power.rows(); ++r)
+    for (std::size_t c = 0; c < power.cols(); ++c)
+      power(r, c) = rng.normal();
+  expect_matrices_identical(apply_per_frame(dsp::BandedFilterbank(bank), power),
+                            oracle::apply_filterbank(bank, power));
 }
 
 TEST(BandedFilterbank, StoresOnlyTheNonzeroBands) {
@@ -166,19 +202,12 @@ TEST(BandedFilterbank, StoresOnlyTheNonzeroBands) {
   EXPECT_GT(banded.nonzeros(), 0u);
 }
 
-TEST(BandedFilterbank, RejectsBinMismatch) {
-  const auto fb = dsp::mel_filterbank(16, 256, 22050.0);
-  const dsp::BandedFilterbank banded(fb);
-  dsp::Matrix wrong(100, 4, 1.0);
-  EXPECT_THROW(banded.apply(wrong), std::invalid_argument);
-}
-
 // ------------------------------------------------------------- power_to_db
 
 TEST(PowerToDb, MatchesLegacyTwoPassBitIdentical) {
   // The pre-optimization implementation: dB conversion, a second pass
   // tracking the peak, then a clamp at peak - top_db. Kept inline here as
-  // the oracle for the fused single-pass version.
+  // the oracle for the single, row-chunked pass.
   const auto legacy = [](const dsp::Matrix& power, double top_db) {
     constexpr double kAmin = 1e-10;
     const double ref = std::max(power.max(), kAmin);
@@ -204,7 +233,20 @@ TEST(PowerToDb, MatchesLegacyTwoPassBitIdentical) {
       random(r, c) = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.0, 1e4);
   dsp::Matrix zeros(5, 5, 0.0);
   dsp::Matrix tiny(4, 4, 1e-13);  // everything below the 1e-10 floor
-  for (const auto* m : {&random, &zeros, &tiny})
+  // Shapes the row-chunked pass splits into several chunks (the 10 s
+  // clip's 128 x 431 mel matrix among them) and one it cannot split.
+  std::vector<dsp::Matrix> large;
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{128, 431}, {7, 5000},
+        {3, 1366}, {1, 20000}}) {
+    large.emplace_back(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < cols; ++c)
+        large.back()(r, c) =
+            rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 1e3);
+  }
+  for (const auto* m : {&random, &zeros, &tiny, &large[0], &large[1],
+                        &large[2], &large[3]})
     for (double top_db : {80.0, 30.0})
       expect_matrices_identical(dsp::power_to_db(*m, top_db),
                                 legacy(*m, top_db));
@@ -323,6 +365,156 @@ TEST(MelPipeline, FastMatchesReference) {
     ASSERT_NEAR(fast_features[i], ref_features[i], 1e-6);
 }
 
+namespace {
+
+/// Signal lengths that reach reflect-mapped frames at both ends: the
+/// shortest signal that can be padded, one sample short of a frame, one
+/// frame, one frame and a hop, then 1 s and 10 s at 22050 Hz.
+std::vector<std::size_t> edge_lengths(const dsp::MelSpectrogram::Params& mp) {
+  return {mp.n_fft / 2 + 1, mp.n_fft - 1, mp.n_fft, mp.n_fft + mp.hop + 1,
+          22050, 220500};
+}
+
+constexpr std::size_t kImageSide = 100;
+
+/// Everything the mel front end produces for one signal.
+struct FrontEnd {
+  dsp::Matrix mel;
+  dsp::Matrix image;
+  dsp::Matrix stft_centered;
+  dsp::Matrix stft_plain;  // center = false; empty when too short
+};
+
+dsp::StftParams stft_of(const dsp::MelSpectrogram::Params& mp, bool center) {
+  dsp::StftParams sp;
+  sp.n_fft = mp.n_fft;
+  sp.hop = mp.hop;
+  sp.center = center;
+  return sp;
+}
+
+FrontEnd production(const dsp::MelSpectrogram& mel,
+                    const std::vector<double>& x) {
+  const auto& mp = mel.params();
+  FrontEnd out{mel.compute(x), mel.compute_image(x, kImageSide),
+               dsp::stft_power(x, stft_of(mp, true)), {}};
+  if (x.size() >= mp.n_fft)
+    out.stft_plain = dsp::stft_power(x, stft_of(mp, false));
+  return out;
+}
+
+FrontEnd oracles(const dsp::MelSpectrogram::Params& mp,
+                 const std::vector<double>& x) {
+  FrontEnd out;
+  out.mel = oracle::mel_power_serial(x, mp);
+  out.image = oracle::mel_image(out.mel, kImageSide);
+  out.stft_centered = oracle::stft_power_serial(x, stft_of(mp, true));
+  if (x.size() >= mp.n_fft)
+    out.stft_plain = oracle::stft_power_serial(x, stft_of(mp, false));
+  return out;
+}
+
+void expect_identical(const FrontEnd& got, const FrontEnd& want) {
+  expect_matrices_identical(got.mel, want.mel);
+  expect_matrices_identical(got.image, want.image);
+  expect_matrices_identical(got.stft_centered, want.stft_centered);
+  expect_matrices_identical(got.stft_plain, want.stft_plain);
+}
+
+}  // namespace
+
+TEST(MelPipeline, BitIdenticalToSerialOracleOnEveryTier) {
+  // The oracles run once under the scalar tier; every tier's fused front
+  // end must reproduce them bit for bit.
+  beesim::util::Rng rng(25);
+  const dsp::MelSpectrogram mel;
+  const auto& mp = mel.params();
+  for (const std::size_t len : edge_lengths(mp)) {
+    const auto x = random_signal(len, rng);
+    dsp::set_active_isa(dsp::IsaRequest::kScalar);
+    const FrontEnd want = oracles(mp, x);
+    EXPECT_EQ(want.mel.cols(), dsp::stft_frame_count(len, stft_of(mp, true)));
+    for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
+                            dsp::IsaRequest::kAuto}) {
+      dsp::set_active_isa(tier);
+      SCOPED_TRACE(testing::Message()
+                   << dsp::isa_name(dsp::active_isa()) << " length " << len);
+      expect_identical(production(mel, x), want);
+    }
+    if (len < mp.n_fft) {
+      EXPECT_THROW(dsp::stft_power(x, stft_of(mp, false)),
+                   std::invalid_argument);
+    }
+  }
+}
+
+TEST(MelPipeline, BitIdenticalToSerialOracleInsideAnOuterRegion) {
+  // Every length's front end at once, each inside one index of an outer
+  // parallel_for (the clip-parallel featurizer's shape), so the frame
+  // loop and the dB pass run as nested regions.
+  beesim::util::Rng rng(26);
+  const dsp::MelSpectrogram mel;
+  const auto& mp = mel.params();
+  const auto lengths = edge_lengths(mp);
+  std::vector<std::vector<double>> signals;
+  for (const std::size_t len : lengths)
+    signals.push_back(random_signal(len, rng));
+  std::vector<FrontEnd> got(signals.size());
+  beesim::util::parallel_for(signals.size(), [&](std::size_t i) {
+    got[i] = production(mel, signals[i]);
+  });
+  for (std::size_t i = 0; i < signals.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "length " << lengths[i]);
+    expect_identical(got[i], oracles(mp, signals[i]));
+  }
+}
+
+TEST(MelPipeline, ConstructorRejectsBadStftParams) {
+  dsp::MelSpectrogram::Params p;
+  p.hop = 0;
+  EXPECT_THROW(dsp::MelSpectrogram{p}, std::invalid_argument);
+  for (const std::size_t n_fft : {0u, 1000u, 2047u, 3072u}) {
+    p = {};
+    p.n_fft = n_fft;
+    EXPECT_THROW(dsp::MelSpectrogram{p}, std::invalid_argument)
+        << "n_fft " << n_fft;
+  }
+  p = {};
+  p.n_fft = 1024;
+  p.hop = 1;
+  EXPECT_NO_THROW(dsp::MelSpectrogram{p});
+}
+
+TEST(MelPipeline, ShortSignalThrowsBeforeAnyFrameRuns) {
+  // A signal of n_fft/2 samples or fewer cannot be reflect-padded. The
+  // throw comes before the frame loop: no FFT runs, no frame is counted
+  // and no pool task starts.
+  auto& frames =
+      beesim::obs::registry().counter(beesim::obs::metric::kDspStftFrames);
+  auto& reuses = beesim::obs::registry().counter(
+      beesim::obs::metric::kDspFftPlanReuses);
+  const dsp::MelSpectrogram mel;
+  const std::size_t half = mel.params().n_fft / 2;
+  beesim::util::Rng rng(27);
+  const auto& pool = beesim::util::TaskPool::instance();
+  beesim::obs::set_enabled(true);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, half - 1,
+                                half}) {
+    const auto x = random_signal(len, rng);
+    const auto frames_before = frames.value();
+    const auto reuses_before = reuses.value();
+    const auto tasks_before = pool.stats().tasks;
+    EXPECT_THROW(mel.compute(x), std::invalid_argument) << "length " << len;
+    EXPECT_THROW(mel.compute_image(x, kImageSide), std::invalid_argument);
+    EXPECT_THROW(mel.compute_features(x), std::invalid_argument);
+    EXPECT_EQ(frames.value(), frames_before) << "length " << len;
+    EXPECT_EQ(reuses.value(), reuses_before) << "length " << len;
+    EXPECT_EQ(pool.stats().tasks, tasks_before) << "length " << len;
+  }
+  beesim::obs::set_enabled(false);
+  EXPECT_NO_THROW(mel.compute(random_signal(half + 1, rng)));
+}
+
 // ------------------------------------------------------------ Obs metrics
 
 TEST(KernelMetrics, StftCountsFramesAndPlanReuses) {
@@ -340,11 +532,24 @@ TEST(KernelMetrics, StftCountsFramesAndPlanReuses) {
   p.n_fft = 1024;
   p.hop = 512;
   const auto power = dsp::stft_power(signal, p);
-  beesim::obs::set_enabled(false);
-
   EXPECT_EQ(frames.value() - frames_before, power.cols());
   // One planned (half-size) FFT execution per frame.
   EXPECT_EQ(reuses.value() - reuses_before, power.cols());
+
+  // MelSpectrogram::compute runs the same frame loop, which counts each
+  // of its frames once.
+  dsp::MelSpectrogram::Params mp;
+  mp.n_fft = p.n_fft;
+  mp.hop = p.hop;
+  const dsp::MelSpectrogram mel(mp);
+  const auto mel_frames_before = frames.value();
+  const auto mel_reuses_before = reuses.value();
+  const auto m = mel.compute(signal);
+  beesim::obs::set_enabled(false);
+
+  EXPECT_EQ(m.cols(), power.cols());
+  EXPECT_EQ(frames.value() - mel_frames_before, power.cols());
+  EXPECT_EQ(reuses.value() - mel_reuses_before, power.cols());
 }
 
 // ---------------------------------------------------------- Property fuzz

@@ -198,32 +198,6 @@ TEST(SimdFft, FullPlanMatchesScalarTier) {
   }
 }
 
-TEST(SimdAxpy, BitIdenticalFuzzed) {
-  Rng rng(31);
-  const dsp::KernelTable& scalar = dsp::kernel_table(dsp::IsaTier::kScalar);
-  for (int round = 0; round < 25; ++round) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 99));
-    const std::size_t offset = static_cast<std::size_t>(rng.uniform_int(0, 3));
-    const double w = rng.normal(0.0, 2.0);
-    std::vector<double> in(n), out0(n);
-    for (auto& x : in) x = rng.normal(0.0, 1.0);
-    for (auto& x : out0) x = rng.normal(0.0, 1.0);
-    auto want = out0;
-    scalar.axpy(w, in.data(), want.data(), n);
-    for (dsp::IsaTier tier : kTiers) {
-      auto ino = offset_copy(in, offset);
-      auto got = offset_copy(out0, offset);
-      dsp::kernel_table(tier).axpy(w, ino.data() + offset,
-                                   got.data() + offset, n);
-      ASSERT_EQ(std::memcmp(want.data(), got.data() + offset,
-                            n * sizeof(double)),
-                0)
-          << "tier " << dsp::isa_name(tier) << " n=" << n
-          << " offset=" << offset;
-    }
-  }
-}
-
 namespace {
 
 dsp::Welford5 fresh_welford() {
