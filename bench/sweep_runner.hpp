@@ -97,9 +97,9 @@ template <typename Columns>
 void require_campaign(const Columns& columns, const std::string& path,
                       const std::vector<int>& counts, std::uint64_t seed,
                       int cycles) {
-  bool range_ok = columns.clients.size() == counts.size();
+  bool range_ok = columns.size() == counts.size();
   for (std::size_t i = 0; range_ok && i < counts.size(); ++i)
-    range_ok = columns.clients[i] == counts[i];
+    range_ok = columns.rows[i].initial_clients == counts[i];
   if (!range_ok || columns.seed != seed || columns.cycles_target != cycles)
     throw std::runtime_error("checkpoint '" + path +
                              "' holds a different campaign (seed, cycles or "

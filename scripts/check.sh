@@ -28,8 +28,11 @@
 # 5. Checkpoint resume parity: a fig6 campaign sharded across two
 #    processes and merged must write a CSV byte-identical to the
 #    committed scripts/anchors/fig6.csv (same bytes as the straight
-#    run), and a scale_fleet campaign killed mid-point (stop_after) and
-#    resumed must match its uninterrupted run (docs/CHECKPOINT.md).
+#    run), a scale_fleet campaign killed mid-point (stop_after) and
+#    resumed must match its uninterrupted run, and a faulted
+#    resilience_sweep campaign stopped after two points and resumed, and
+#    one sharded across two processes and merged, must both reproduce
+#    scripts/anchors/resilience_mix.csv (docs/CHECKPOINT.md).
 # 6. Repo benchmark digest contract: perfbench/ builds into
 #    <build-dir>/perfbench, `beebench --record-digests 0 15` must
 #    reproduce those seeds' rows of perfbench/reference_digests.tsv (the
@@ -49,7 +52,7 @@
 #       docs/ARCHITECTURE.md (the paper↔code map must stay complete);
 #    c. every public class/struct in the src/fault and src/serve headers,
 #       the checkpoint-layer headers (core/fleet_columns.hpp,
-#       core/checkpoint.hpp, util/mmap.hpp) and the orchestration headers
+#       core/checkpoint.hpp, util/file.hpp) and the orchestration headers
 #       (core/orchestrator.hpp, core/placement.hpp,
 #       core/placement_search.hpp) carries a /// doc comment (the
 #       resilience, serving, resumability and placement stories must stay
@@ -250,6 +253,28 @@ else
   diff "$tmp/sf_straight.csv" "$tmp/sf_resumed.csv" | head -10 || true
   fail=1
 fi
+# resilience_sweep (point-granular): stop after two whole points and
+# resume, then shard the same campaign across two processes and merge.
+# Both must land on the faulted anchor the straight run reproduces above.
+rs_args="lo=10 hi=2010 step=400 cycles=300 rates=0.2 kind=mix threads=4"
+# shellcheck disable=SC2086
+"$repo/$build/bench/resilience_sweep" $rs_args \
+  stop_after=2 checkpoint="$tmp/rs.ck" > /dev/null
+# shellcheck disable=SC2086
+"$repo/$build/bench/resilience_sweep" $rs_args \
+  resume=1 checkpoint="$tmp/rs.ck" csv="$tmp/rs_resumed.csv" > /dev/null
+check_anchor "resilience_sweep stopped+resumed csv" \
+  "$repo/scripts/anchors/resilience_mix.csv" "$tmp/rs_resumed.csv"
+for shard in 0 1; do
+  # shellcheck disable=SC2086
+  "$repo/$build/bench/resilience_sweep" $rs_args \
+    shards=2 shard="$shard" checkpoint="$tmp/rs.s$shard.ck" > /dev/null
+done
+# shellcheck disable=SC2086
+"$repo/$build/bench/resilience_sweep" $rs_args \
+  merge="$tmp/rs.s0.ck,$tmp/rs.s1.ck" csv="$tmp/rs_merged.csv" > /dev/null
+check_anchor "resilience_sweep sharded+merged csv" \
+  "$repo/scripts/anchors/resilience_mix.csv" "$tmp/rs_merged.csv"
 
 echo
 echo "== perfbench: recorded digests + fleet/serve/queen output checks =="
@@ -407,7 +432,7 @@ for hdr in "$repo"/src/fault/*.hpp "$repo"/src/serve/*.hpp \
            "$repo"/src/core/orchestrator.hpp \
            "$repo"/src/core/placement.hpp \
            "$repo"/src/core/placement_search.hpp \
-           "$repo"/src/util/mmap.hpp; do
+           "$repo"/src/util/file.hpp; do
   # Every class/struct declared at column 0 must be directly preceded by
   # a Doxygen-style /// line (possibly via other /// lines above it; a
   # template<...> header line between the two is allowed).

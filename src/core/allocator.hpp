@@ -64,7 +64,7 @@ struct CompactLayout {
 /// result into `out`. No slot ever exceeds spec.max_parallel, every
 /// client is placed and no server is empty (invariants property-tested).
 /// O(1) in the fleet size and free of heap traffic: the per-cycle fast
-/// path of the columnar fleet state (docs/CHECKPOINT.md). Throws
+/// path of every fleet sweep (docs/ARCHITECTURE.md). Throws
 /// std::invalid_argument for negative `clients` or an unknown policy.
 void allocate_compact_into(int clients, const ServerSpec& spec,
                            FillPolicy policy, CompactLayout& out);

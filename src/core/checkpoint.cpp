@@ -4,11 +4,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "obs/catalog.hpp"
-#include "util/mmap.hpp"
+#include "util/file.hpp"
 
 namespace beesim::core {
 
@@ -109,76 +111,133 @@ std::uint64_t get_u64(const std::uint8_t* base, std::size_t off) {
   throw std::runtime_error("checkpoint '" + path + "': " + why);
 }
 
-/// Sequential column writer/reader over the payload region; every column
-/// is one memcpy of count * sizeof(T) bytes in a fixed order.
-class Writer {
- public:
-  Writer(std::uint8_t* p, std::size_t size) : p_(p), end_(p + size) {}
-
-  template <typename T>
-  void column(const std::vector<T>& v) {
-    const std::size_t bytes = v.size() * sizeof(T);
-    if (bytes > static_cast<std::size_t>(end_ - p_))
-      throw std::logic_error("checkpoint: payload overflow");
-    if (bytes > 0) std::memcpy(p_, v.data(), bytes);
-    p_ += bytes;
-  }
-
-  bool full() const noexcept { return p_ == end_; }
-
- private:
-  std::uint8_t* p_;
-  std::uint8_t* end_;
-};
-
-class Reader {
- public:
-  Reader(const std::uint8_t* p, std::size_t size) : p_(p), end_(p + size) {}
-
-  template <typename T>
-  void column(std::vector<T>& v, std::size_t count) {
-    // Compared by division so that no count, however large, forms a
-    // pointer past the mapping.
-    if (count > static_cast<std::size_t>(end_ - p_) / sizeof(T))
-      throw std::logic_error("checkpoint: payload underflow");
-    const std::size_t bytes = count * sizeof(T);
-    v.resize(count);
-    if (bytes > 0) std::memcpy(v.data(), p_, bytes);
-    p_ += bytes;
-  }
-
-  bool drained() const noexcept { return p_ == end_; }
-
- private:
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
-};
-
 // Per-row payload widths: every column's element size summed, in the
-// exact serialization order of the write_/read_ functions below.
+// order of the kind listings below (sweep_payload, resilience_payload).
 constexpr std::size_t kStatRowBytes = 8 + 5 * 8;  // n + mean/m2/sum/min/max
 constexpr std::size_t kSweepRowBytes =
     3 * 4 + 4 * 8 + 8 + 1 + 5 * kStatRowBytes;
 constexpr std::size_t kResilienceRowBytes =
     4 + 1 + 3 * 4 + 4 * 8 + 4 * kStatRowBytes + 6 * 8;
+static_assert(sizeof(int) == 4, "point fields are stored as 32-bit ints");
 
-void stat_columns_out(Writer& w, const StatColumns& s) {
-  w.column(s.n);
-  w.column(s.mean);
-  w.column(s.m2);
-  w.column(s.sum);
-  w.column(s.min);
-  w.column(s.max);
+/// The six columns of one statistic, in RunningStats::Raw field order.
+template <typename IO, typename Raws>
+void raw_columns(IO& io, Raws& raws) {
+  using Raw = util::RunningStats::Raw;
+  io.column(raws, &Raw::n);
+  io.column(raws, &Raw::mean);
+  io.column(raws, &Raw::m2);
+  io.column(raws, &Raw::sum);
+  io.column(raws, &Raw::min);
+  io.column(raws, &Raw::max);
 }
 
-void stat_columns_in(Reader& r, StatColumns& s, std::size_t count) {
-  r.column(s.n, count);
-  r.column(s.mean, count);
-  r.column(s.m2, count);
-  r.column(s.sum, count);
-  r.column(s.min, count);
-  r.column(s.max, count);
-}
+/// Runs a kind listing on save: lays each column out row after row into
+/// the payload region of a file image. A bool is stored as one byte.
+class Writer {
+ public:
+  Writer(std::uint8_t* p, std::size_t size) : p_(p), end_(p + size) {}
+
+  /// `field` of every row; `field` is a data-member pointer or a callable
+  /// returning a reference.
+  template <typename Rows, typename Field>
+  void column(const Rows& rows, Field field) {
+    for (const auto& row : rows) put(std::invoke(field, row));
+  }
+
+  /// The six columns of a statistic, from RunningStats::raw().
+  template <typename Rows, typename Field>
+  void stats(const Rows& rows, Field field) {
+    std::vector<util::RunningStats::Raw> raws;
+    raws.reserve(rows.size());
+    for (const auto& row : rows) raws.push_back(std::invoke(field, row).raw());
+    raw_columns(*this, raws);
+  }
+
+  /// A resilience row's done byte: 1 once it has run the target's cycles.
+  template <typename Rows>
+  void done(const Rows& rows, std::int32_t cycles_target) {
+    for (const auto& row : rows) put(row.cycles == cycles_target);
+  }
+
+  bool full() const noexcept { return p_ == end_; }
+
+ private:
+  template <typename T>
+  void put(T v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      put(static_cast<std::uint8_t>(v));
+    } else {
+      if (sizeof v > static_cast<std::size_t>(end_ - p_))
+        throw std::logic_error("checkpoint: payload overflow");
+      std::memcpy(p_, &v, sizeof v);
+      p_ += sizeof v;
+    }
+  }
+
+  std::uint8_t* p_;
+  std::uint8_t* end_;
+};
+
+/// Runs a kind listing on load: fills the rows of a campaign sized to the
+/// header's point count, column by column, refusing values no campaign
+/// can hold.
+class Reader {
+ public:
+  Reader(const std::string& path, const std::uint8_t* p, std::size_t size)
+      : path_(path), p_(p), end_(p + size) {}
+
+  template <typename Rows, typename Field>
+  void column(Rows& rows, Field field) {
+    for (auto& row : rows) get(std::invoke(field, row));
+  }
+
+  /// The six columns of a statistic, back through RunningStats::from_raw.
+  /// Refuses a statistic whose count is not its row's cycles (each
+  /// listing reads the cycles first).
+  template <typename Rows, typename Field>
+  void stats(Rows& rows, Field field) {
+    std::vector<util::RunningStats::Raw> raws(rows.size());
+    raw_columns(*this, raws);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (raws[i].n != static_cast<std::uint64_t>(rows[i].cycles))
+        reject(path_, "a statistic does not count its row's cycles");
+      std::invoke(field, rows[i]) = util::RunningStats::from_raw(raws[i]);
+    }
+  }
+
+  /// A resilience row's done byte, as the row's cycles: 0 or the target.
+  template <typename Rows>
+  void done(Rows& rows, std::int32_t cycles_target) {
+    for (auto& row : rows) {
+      bool finished = false;
+      get(finished);
+      row.cycles = finished ? cycles_target : 0;
+    }
+  }
+
+  bool drained() const noexcept { return p_ == end_; }
+
+ private:
+  template <typename T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t byte = 0;
+      get(byte);
+      if (byte > 1) reject(path_, "a flag byte is neither 0 nor 1");
+      v = byte != 0;
+    } else {
+      if (sizeof v > static_cast<std::size_t>(end_ - p_))
+        throw std::logic_error("checkpoint: payload underflow");
+      std::memcpy(&v, p_, sizeof v);
+      p_ += sizeof v;
+    }
+  }
+
+  const std::string& path_;
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+};
 
 struct Header {
   CheckpointKind kind = CheckpointKind::kSweep;
@@ -189,94 +248,67 @@ struct Header {
   std::uint64_t payload_bytes = 0;
 };
 
-/// Maps `<path>.tmp.<pid>`, sizes it for `payload_bytes`, and writes the
-/// header; the caller fills the payload and then calls seal() to stamp
-/// the checksum and move the file over `path`. Until seal() returns the
-/// previous file at `path` is untouched, so a save that crashes or throws
-/// never costs the last good checkpoint; an unsealed builder unlinks its
-/// temporary file.
-class FileBuilder {
- public:
-  FileBuilder(const std::string& path, const Header& h)
-      : path_(path), temp_(path + ".tmp." + std::to_string(::getpid())) {
-    try {
-      file_ = util::MappedFile::create(temp_, kHeaderBytes + h.payload_bytes);
-    } catch (...) {
-      std::remove(temp_.c_str());
-      throw;
-    }
-    std::uint8_t* base = file_.mutable_data();
-    std::memcpy(base + kOffMagic, kMagic, sizeof kMagic);
-    put_u32(base, kOffVersion, kVersion);
-    put_u32(base, kOffKind, static_cast<std::uint32_t>(h.kind));
-    put_u64(base, kOffPoints, h.points);
-    put_u64(base, kOffSeed, h.seed);
-    put_u64(base, kOffHashHi, h.params_hash.hi);
-    put_u64(base, kOffHashLo, h.params_hash.lo);
-    put_u32(base, kOffCyclesTarget,
-            static_cast<std::uint32_t>(h.cycles_target));
-    put_u32(base, kOffCyclesTarget + 4, 0);  // reserved
-    put_u64(base, kOffPayloadBytes, h.payload_bytes);
-    put_u64(base, kOffChecksum, 0);
-    put_u64(base, kOffChecksum + 8, 0);  // reserved
+/// Saves campaign `c` of `kind`: builds the whole file image in memory
+/// (header, the payload `write` lays out, checksum), writes it to
+/// `<path>.tmp.<pid>` and moves that over `path` with util::replace_file.
+/// Until the move the previous file at `path` is untouched, so a save
+/// that crashes or throws never costs the last good checkpoint; a failed
+/// save unlinks its temporary file.
+template <typename Campaign, typename Write>
+void save_image(const std::string& path, CheckpointKind kind,
+                std::size_t row_bytes, const Campaign& c,
+                const Hash128& params_hash, Write write) {
+  obs::ScopedTimer timer(obs::metric::kCkptSaveTime);
+  const std::size_t payload_bytes = c.size() * row_bytes;
+  std::vector<std::uint8_t> image(kHeaderBytes + payload_bytes);
+  std::uint8_t* base = image.data();
+  std::memcpy(base + kOffMagic, kMagic, sizeof kMagic);
+  put_u32(base, kOffVersion, kVersion);
+  put_u32(base, kOffKind, static_cast<std::uint32_t>(kind));
+  put_u64(base, kOffPoints, c.size());
+  put_u64(base, kOffSeed, c.seed);
+  put_u64(base, kOffHashHi, params_hash.hi);
+  put_u64(base, kOffHashLo, params_hash.lo);
+  put_u32(base, kOffCyclesTarget, static_cast<std::uint32_t>(c.cycles_target));
+  put_u64(base, kOffPayloadBytes, payload_bytes);
+  Writer w(base + kHeaderBytes, payload_bytes);
+  write(w);
+  if (!w.full()) throw std::logic_error("checkpoint: payload short");
+  put_u64(base, kOffChecksum, checksum(base, image.size()));
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  try {
+    util::write_file(temp, image);
+    util::replace_file(temp, path);
+  } catch (...) {
+    std::remove(temp.c_str());
+    throw;
   }
-
-  Writer payload() {
-    return Writer(file_.mutable_data() + kHeaderBytes,
-                  file_.size() - kHeaderBytes);
+  if (obs::enabled()) {
+    static auto& saves = obs::registry().counter(obs::metric::kCkptSaves);
+    static auto& bytes =
+        obs::registry().counter(obs::metric::kCkptBytesWritten);
+    saves.inc();
+    bytes.inc(image.size());
   }
+}
 
-  void seal() {
-    std::uint8_t* base = file_.mutable_data();
-    put_u64(base, kOffChecksum, checksum(base, file_.size()));
-    if (obs::enabled()) {
-      static auto& saves = obs::registry().counter(obs::metric::kCkptSaves);
-      static auto& bytes =
-          obs::registry().counter(obs::metric::kCkptBytesWritten);
-      saves.inc();
-      bytes.inc(file_.size());
-    }
-    file_.reset();
-    util::replace_file(temp_, path_);
-    sealed_ = true;
-  }
-
-  ~FileBuilder() {
-    if (sealed_) return;
-    file_.reset();
-    std::remove(temp_.c_str());
-  }
-
-  FileBuilder(const FileBuilder&) = delete;
-  FileBuilder& operator=(const FileBuilder&) = delete;
-
- private:
-  std::string path_;
-  std::string temp_;
-  util::MappedFile file_;
-  bool sealed_ = false;
-};
-
-/// Maps `path` and validates everything shared between kinds: magic,
-/// version, kind, size arithmetic, the whole-file checksum, and the
-/// point count against the payload size.
+/// A checkpoint file read into memory, with its parsed header.
 struct LoadedFile {
-  util::MappedFile file;
+  std::vector<std::uint8_t> image;
   Header header;
-
-  Reader payload() const {
-    return Reader(file.data() + kHeaderBytes, file.size() - kHeaderBytes);
-  }
 };
 
+/// Reads `path` and validates everything shared between kinds: magic,
+/// version, kind, size arithmetic, the whole-file checksum, the point
+/// count against the payload size, and the cycle target.
 LoadedFile open_checkpoint(const std::string& path) {
   LoadedFile loaded;
   try {
-    loaded.file = util::MappedFile::open_readonly(path);
+    loaded.image = util::read_file(path);
   } catch (const std::runtime_error& e) {
     reject(path, e.what());
   }
-  const util::MappedFile& file = loaded.file;
+  const std::vector<std::uint8_t>& file = loaded.image;
   if (file.size() < kHeaderBytes) reject(path, "truncated header");
   const std::uint8_t* base = file.data();
   if (std::memcmp(base + kOffMagic, kMagic, sizeof kMagic) != 0)
@@ -312,6 +344,7 @@ LoadedFile open_checkpoint(const std::string& path) {
   if (h.payload_bytes % row_bytes != 0 ||
       h.payload_bytes / row_bytes != h.points)
     reject(path, "payload size does not match point count");
+  if (h.cycles_target < 1) reject(path, "cycle target below 1");
   if (obs::enabled()) {
     static auto& restores =
         obs::registry().counter(obs::metric::kCkptRestores);
@@ -338,141 +371,106 @@ void require_hash(const std::string& path, const LoadedFile& loaded,
                      ") — refusing to resume under different physics");
 }
 
-}  // namespace
+/// Loads one campaign of `kind`: validates the file and its identity,
+/// sizes the rows to the header's point count, fills them through `read`
+/// (the kind listing run by a Reader) and refuses rows no campaign with
+/// this cycle target can hold.
+template <typename Campaign, typename Read>
+Campaign restore(const std::string& path, CheckpointKind kind,
+                 const Hash128& params_hash, Read read) {
+  obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
+  const LoadedFile loaded = open_checkpoint(path);
+  require_kind(path, loaded, kind);
+  require_hash(path, loaded, params_hash);
+  Campaign c;
+  c.seed = loaded.header.seed;
+  c.cycles_target = loaded.header.cycles_target;
+  c.rows.resize(static_cast<std::size_t>(loaded.header.points));
+  Reader r(path, loaded.image.data() + kHeaderBytes,
+           loaded.image.size() - kHeaderBytes);
+  read(r, c);
+  if (!r.drained()) throw std::logic_error("checkpoint: payload long");
+  for (const auto& p : c.rows) {
+    if (p.initial_clients < 0) reject(path, "a row has a negative fleet size");
+    if (p.cycles < 0 || p.cycles > c.cycles_target)
+      reject(path, "a row's cycles lie outside [0, cycle target]");
+  }
+  return c;
+}
 
-// ----------------------------------------------------------------- sweep
+/// The sweep kind's payload in v2 column order, one listing for both
+/// directions: fleet size, cycles done, servers used, the four xoshiro
+/// lanes, the Box-Muller cache and its flag, then six columns for each of
+/// the five statistics.
+void sweep_payload(auto& io, auto& c) {
+  io.column(c.rows, &SweepPoint::initial_clients);
+  io.column(c.rows, &SweepPoint::cycles);
+  io.column(c.rows, &SweepPoint::servers_used);
+  for (int k = 0; k < 4; ++k)
+    io.column(c.rng, [k](auto& s) -> auto& { return s.s[k]; });
+  io.column(c.rng, &util::Rng::State::cached_normal);
+  io.column(c.rng, &util::Rng::State::has_cached_normal);
+  io.stats(c.rows, &SweepPoint::lost_clients);
+  io.stats(c.rows, &SweepPoint::active_slots);
+  io.stats(c.rows, &SweepPoint::edge_energy);
+  io.stats(c.rows, &SweepPoint::cloud_energy);
+  io.stats(c.rows, &SweepPoint::total_energy);
+}
+
+/// The resilience kind's payload in v2 column order: fleet size, the done
+/// byte, the degradation counters, six columns for each of the four
+/// statistics, then the bytes ledger.
+void resilience_payload(auto& io, auto& c) {
+  io.column(c.rows, &ResiliencePoint::initial_clients);
+  io.done(c.rows, c.cycles_target);
+  io.column(c.rows, &ResiliencePoint::servers_used);
+  io.column(c.rows, &ResiliencePoint::degraded_cycles);
+  io.column(c.rows, &ResiliencePoint::edge_fallback_cycles);
+  io.column(c.rows, &ResiliencePoint::fallback_client_cycles);
+  io.column(c.rows, &ResiliencePoint::shed_client_cycles);
+  io.column(c.rows, &ResiliencePoint::browned_client_cycles);
+  io.column(c.rows, &ResiliencePoint::sensor_mute_client_cycles);
+  io.stats(c.rows, &ResiliencePoint::lost_clients);
+  io.stats(c.rows, &ResiliencePoint::edge_energy);
+  io.stats(c.rows, &ResiliencePoint::cloud_energy);
+  io.stats(c.rows, &ResiliencePoint::total_energy);
+  io.column(c.rows, &ResiliencePoint::bytes_generated);
+  io.column(c.rows, &ResiliencePoint::bytes_served);
+  io.column(c.rows, &ResiliencePoint::bytes_recovered);
+  io.column(c.rows, &ResiliencePoint::bytes_dropped);
+  io.column(c.rows, &ResiliencePoint::bytes_pending);
+  io.column(c.rows, &ResiliencePoint::bytes_lost);
+}
+
+}  // namespace
 
 void save_checkpoint(const std::string& path, const FleetColumns& columns,
                      const Hash128& params_hash) {
-  obs::ScopedTimer timer(obs::metric::kCkptSaveTime);
-  Header h;
-  h.kind = CheckpointKind::kSweep;
-  h.points = columns.size();
-  h.seed = columns.seed;
-  h.params_hash = params_hash;
-  h.cycles_target = columns.cycles_target;
-  h.payload_bytes = columns.size() * kSweepRowBytes;
-  FileBuilder builder(path, h);
-  Writer w = builder.payload();
-  w.column(columns.clients);
-  w.column(columns.cycles_done);
-  w.column(columns.servers_used);
-  w.column(columns.rng_s0);
-  w.column(columns.rng_s1);
-  w.column(columns.rng_s2);
-  w.column(columns.rng_s3);
-  w.column(columns.rng_cached_normal);
-  w.column(columns.rng_has_cached);
-  stat_columns_out(w, columns.lost_clients);
-  stat_columns_out(w, columns.active_slots);
-  stat_columns_out(w, columns.edge_energy);
-  stat_columns_out(w, columns.cloud_energy);
-  stat_columns_out(w, columns.total_energy);
-  if (!w.full()) throw std::logic_error("checkpoint: sweep payload short");
-  builder.seal();
+  save_image(path, CheckpointKind::kSweep, kSweepRowBytes, columns,
+             params_hash, [&](Writer& w) { sweep_payload(w, columns); });
 }
 
 FleetColumns load_fleet_checkpoint(const std::string& path,
                                    const Hash128& params_hash) {
-  obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
-  LoadedFile loaded = open_checkpoint(path);
-  require_kind(path, loaded, CheckpointKind::kSweep);
-  require_hash(path, loaded, params_hash);
-  FleetColumns columns;
-  columns.seed = loaded.header.seed;
-  columns.cycles_target = loaded.header.cycles_target;
-  const auto count = static_cast<std::size_t>(loaded.header.points);
-  Reader r = loaded.payload();
-  r.column(columns.clients, count);
-  r.column(columns.cycles_done, count);
-  r.column(columns.servers_used, count);
-  r.column(columns.rng_s0, count);
-  r.column(columns.rng_s1, count);
-  r.column(columns.rng_s2, count);
-  r.column(columns.rng_s3, count);
-  r.column(columns.rng_cached_normal, count);
-  r.column(columns.rng_has_cached, count);
-  stat_columns_in(r, columns.lost_clients, count);
-  stat_columns_in(r, columns.active_slots, count);
-  stat_columns_in(r, columns.edge_energy, count);
-  stat_columns_in(r, columns.cloud_energy, count);
-  stat_columns_in(r, columns.total_energy, count);
-  if (!r.drained()) throw std::logic_error("checkpoint: sweep payload long");
-  return columns;
+  return restore<FleetColumns>(path, CheckpointKind::kSweep, params_hash,
+                               [](Reader& r, FleetColumns& c) {
+                                 c.rng.resize(c.rows.size());
+                                 sweep_payload(r, c);
+                               });
 }
-
-// ------------------------------------------------------------ resilience
 
 void save_checkpoint(const std::string& path,
                      const ResilienceColumns& columns,
                      const Hash128& params_hash) {
-  obs::ScopedTimer timer(obs::metric::kCkptSaveTime);
-  Header h;
-  h.kind = CheckpointKind::kResilience;
-  h.points = columns.size();
-  h.seed = columns.seed;
-  h.params_hash = params_hash;
-  h.cycles_target = columns.cycles_target;
-  h.payload_bytes = columns.size() * kResilienceRowBytes;
-  FileBuilder builder(path, h);
-  Writer w = builder.payload();
-  w.column(columns.clients);
-  w.column(columns.done);
-  w.column(columns.servers_used);
-  w.column(columns.degraded_cycles);
-  w.column(columns.edge_fallback_cycles);
-  w.column(columns.fallback_client_cycles);
-  w.column(columns.shed_client_cycles);
-  w.column(columns.browned_client_cycles);
-  w.column(columns.sensor_mute_client_cycles);
-  stat_columns_out(w, columns.lost_clients);
-  stat_columns_out(w, columns.edge_energy);
-  stat_columns_out(w, columns.cloud_energy);
-  stat_columns_out(w, columns.total_energy);
-  w.column(columns.bytes_generated);
-  w.column(columns.bytes_served);
-  w.column(columns.bytes_recovered);
-  w.column(columns.bytes_dropped);
-  w.column(columns.bytes_pending);
-  w.column(columns.bytes_lost);
-  if (!w.full())
-    throw std::logic_error("checkpoint: resilience payload short");
-  builder.seal();
+  save_image(path, CheckpointKind::kResilience, kResilienceRowBytes, columns,
+             params_hash, [&](Writer& w) { resilience_payload(w, columns); });
 }
 
 ResilienceColumns load_resilience_checkpoint(const std::string& path,
                                              const Hash128& params_hash) {
-  obs::ScopedTimer timer(obs::metric::kCkptRestoreTime);
-  LoadedFile loaded = open_checkpoint(path);
-  require_kind(path, loaded, CheckpointKind::kResilience);
-  require_hash(path, loaded, params_hash);
-  ResilienceColumns columns;
-  columns.seed = loaded.header.seed;
-  columns.cycles_target = loaded.header.cycles_target;
-  const auto count = static_cast<std::size_t>(loaded.header.points);
-  Reader r = loaded.payload();
-  r.column(columns.clients, count);
-  r.column(columns.done, count);
-  r.column(columns.servers_used, count);
-  r.column(columns.degraded_cycles, count);
-  r.column(columns.edge_fallback_cycles, count);
-  r.column(columns.fallback_client_cycles, count);
-  r.column(columns.shed_client_cycles, count);
-  r.column(columns.browned_client_cycles, count);
-  r.column(columns.sensor_mute_client_cycles, count);
-  stat_columns_in(r, columns.lost_clients, count);
-  stat_columns_in(r, columns.edge_energy, count);
-  stat_columns_in(r, columns.cloud_energy, count);
-  stat_columns_in(r, columns.total_energy, count);
-  r.column(columns.bytes_generated, count);
-  r.column(columns.bytes_served, count);
-  r.column(columns.bytes_recovered, count);
-  r.column(columns.bytes_dropped, count);
-  r.column(columns.bytes_pending, count);
-  r.column(columns.bytes_lost, count);
-  if (!r.drained())
-    throw std::logic_error("checkpoint: resilience payload long");
-  return columns;
+  return restore<ResilienceColumns>(
+      path, CheckpointKind::kResilience, params_hash,
+      [](Reader& r, ResilienceColumns& c) { resilience_payload(r, c); });
 }
 
 // --------------------------------------------------------------- helpers

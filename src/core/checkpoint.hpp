@@ -29,16 +29,21 @@ struct CheckpointInfo {
   std::uint64_t payload_bytes = 0;
 };
 
-/// Versioned, checksummed, memory-mapped snapshots of columnar campaign
-/// state (docs/CHECKPOINT.md). The file is the columns verbatim behind an
-/// 80-byte header: saving memcpy's each column into a freshly mapped
-/// file, restoring maps the file and bulk-copies the columns back out —
-/// nothing is parsed row by row. Every load validates magic, version,
-/// kind, exact size, a 64-bit whole-file checksum (truncated or bit-
-/// flipped files are rejected with std::runtime_error), the point count
-/// against the payload size, and that the stored params hash matches the
-/// scenario the caller is about to resume, so a checkpoint can never be
-/// silently resumed under different physics.
+/// Versioned, checksummed snapshots of sweep campaign state
+/// (docs/CHECKPOINT.md). Behind an 80-byte header the file stores each
+/// point field as one column, row after row; one listing per kind names
+/// the columns, and both directions run it. Saving builds the file image
+/// in memory and moves it into place atomically; loading reads the file
+/// and fills the campaign's points back from the columns. Every load
+/// validates magic, version, kind, exact size, a 64-bit whole-file
+/// checksum (truncated or bit-flipped files are rejected with
+/// std::runtime_error), the point count against the payload size, a
+/// cycle target of at least 1, and that the stored params hash matches
+/// the scenario the caller is about to resume, so a checkpoint can never
+/// be silently resumed under different physics. Rows that no campaign
+/// can hold (a negative fleet size, cycles outside [0, target], a
+/// statistic that does not count the row's cycles, a flag byte other
+/// than 0 or 1) are refused too.
 ///
 /// The determinism contract: restore(save(c)) reproduces `c` exactly, so
 /// a campaign advanced, saved, restored (even in another process), and

@@ -1,7 +1,6 @@
 #include "core/fleet_columns.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -10,38 +9,6 @@
 #include "util/parallel.hpp"
 
 namespace beesim::core {
-
-// ------------------------------------------------------------ StatColumns
-
-void StatColumns::reset(std::size_t count) {
-  n.assign(count, 0);
-  mean.assign(count, 0.0);
-  m2.assign(count, 0.0);
-  sum.assign(count, 0.0);
-  min.assign(count, std::numeric_limits<double>::infinity());
-  max.assign(count, -std::numeric_limits<double>::infinity());
-}
-
-util::RunningStats StatColumns::stats(std::size_t i) const {
-  util::RunningStats::Raw raw;
-  raw.n = n[i];
-  raw.mean = mean[i];
-  raw.m2 = m2[i];
-  raw.sum = sum[i];
-  raw.min = min[i];
-  raw.max = max[i];
-  return util::RunningStats::from_raw(raw);
-}
-
-void StatColumns::set(std::size_t i, const util::RunningStats& s) {
-  const util::RunningStats::Raw raw = s.raw();
-  n[i] = raw.n;
-  mean[i] = raw.mean;
-  m2[i] = raw.m2;
-  sum[i] = raw.sum;
-  min[i] = raw.min;
-  max[i] = raw.max;
-}
 
 util::RunningStats welford_lane(const dsp::Welford5& st, int lane) {
   util::RunningStats::Raw raw;
@@ -65,106 +32,46 @@ void set_welford_lane(dsp::Welford5& st, int lane,
   st.max[lane] = raw.max;
 }
 
-// ----------------------------------------------------------- FleetColumns
-
-FleetColumns FleetColumns::start(const std::vector<int>& client_counts,
-                                 std::uint64_t seed, int cycles_per_point) {
-  if (cycles_per_point < 1)
-    throw std::invalid_argument("FleetColumns: cycles_per_point < 1");
-  FleetColumns c;
-  c.seed = seed;
-  c.cycles_target = cycles_per_point;
-  const std::size_t count = client_counts.size();
-  c.clients.resize(count);
-  c.cycles_done.assign(count, 0);
-  c.servers_used.assign(count, 0);
-  c.rng_s0.resize(count);
-  c.rng_s1.resize(count);
-  c.rng_s2.resize(count);
-  c.rng_s3.resize(count);
-  c.rng_cached_normal.assign(count, 0.0);
-  c.rng_has_cached.assign(count, 0);
-  c.lost_clients.reset(count);
-  c.active_slots.reset(count);
-  c.edge_energy.reset(count);
-  c.cloud_energy.reset(count);
-  c.total_energy.reset(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (client_counts[i] < 0)
-      throw std::invalid_argument("FleetColumns: negative clients");
-    c.clients[i] = client_counts[i];
-    // Cursor parked at the head of the point's addressed stream — the
-    // exact generator sweep() would construct.
-    c.set_rng_state(i, util::Rng::for_stream(
-                           seed, static_cast<std::uint64_t>(client_counts[i]))
-                           .state());
-  }
-  return c;
-}
-
-bool FleetColumns::complete() const noexcept {
-  return points_done() == size();
-}
-
-std::size_t FleetColumns::points_done() const noexcept {
-  std::size_t done = 0;
-  for (std::size_t i = 0; i < size(); ++i)
-    if (cycles_done[i] >= cycles_target) ++done;
-  return done;
-}
-
-std::int64_t FleetColumns::cycles_total() const noexcept {
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < size(); ++i) total += cycles_done[i];
-  return total;
-}
-
-util::Rng::State FleetColumns::rng_state(std::size_t i) const noexcept {
-  util::Rng::State s;
-  s.s[0] = rng_s0[i];
-  s.s[1] = rng_s1[i];
-  s.s[2] = rng_s2[i];
-  s.s[3] = rng_s3[i];
-  s.cached_normal = rng_cached_normal[i];
-  s.has_cached_normal = rng_has_cached[i] != 0;
-  return s;
-}
-
-void FleetColumns::set_rng_state(std::size_t i,
-                                 const util::Rng::State& s) noexcept {
-  rng_s0[i] = s.s[0];
-  rng_s1[i] = s.s[1];
-  rng_s2[i] = s.s[2];
-  rng_s3[i] = s.s[3];
-  rng_cached_normal[i] = s.cached_normal;
-  rng_has_cached[i] = s.has_cached_normal ? 1 : 0;
-}
-
-SweepPoint FleetColumns::point(std::size_t i) const {
-  SweepPoint p;
-  p.initial_clients = clients[i];
-  p.cycles = cycles_done[i];
-  p.servers_used = servers_used[i];
-  p.lost_clients = lost_clients.stats(i);
-  p.active_slots = active_slots.stats(i);
-  p.edge_energy = edge_energy.stats(i);
-  p.cloud_energy = cloud_energy.stats(i);
-  p.total_energy = total_energy.stats(i);
-  return p;
-}
-
-std::vector<SweepPoint> FleetColumns::points() const {
-  std::vector<SweepPoint> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(point(i));
-  return out;
-}
-
 namespace {
+
+/// One row per fleet size, each at zero cycles.
+template <typename Point>
+std::vector<Point> fresh_rows(const std::vector<int>& client_counts,
+                              int cycles_per_point, const char* what) {
+  if (cycles_per_point < 1)
+    throw std::invalid_argument(std::string(what) + ": cycles_per_point < 1");
+  std::vector<Point> rows(client_counts.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (client_counts[i] < 0)
+      throw std::invalid_argument(std::string(what) + ": negative clients");
+    rows[i].initial_clients = client_counts[i];
+  }
+  return rows;
+}
+
+template <typename Point>
+std::size_t count_done(const std::vector<Point>& rows, int cycles_target) {
+  return static_cast<std::size_t>(
+      std::count_if(rows.begin(), rows.end(), [&](const Point& p) {
+        return p.cycles >= cycles_target;
+      }));
+}
 
 [[noreturn]] void merge_mismatch(const char* what) {
   throw std::invalid_argument(std::string("merge_from: campaigns differ: ") +
                               what);
+}
+
+/// Throws unless `a` and `b` describe the same campaign.
+template <typename Campaign>
+void require_same_campaign(const Campaign& a, const Campaign& b) {
+  if (a.seed != b.seed) merge_mismatch("seed");
+  if (a.cycles_target != b.cycles_target) merge_mismatch("cycle target");
+  if (!std::equal(a.rows.begin(), a.rows.end(), b.rows.begin(),
+                  b.rows.end(), [](const auto& x, const auto& y) {
+                    return x.initial_clients == y.initial_clients;
+                  }))
+    merge_mismatch("client counts");
 }
 
 /// Validates an advance call's budget, cycle target and shard spec.
@@ -185,23 +92,43 @@ bool in_shard(std::size_t i, int shard_index, int shard_count) {
 
 }  // namespace
 
+// ----------------------------------------------------------- FleetColumns
+
+FleetColumns FleetColumns::start(const std::vector<int>& client_counts,
+                                 std::uint64_t seed, int cycles_per_point) {
+  FleetColumns c;
+  c.seed = seed;
+  c.cycles_target = cycles_per_point;
+  c.rows = fresh_rows<SweepPoint>(client_counts, cycles_per_point,
+                                  "FleetColumns");
+  // Each cursor parked at the head of the point's addressed stream — the
+  // exact generator sweep() would construct.
+  c.rng.reserve(client_counts.size());
+  for (const int n : client_counts)
+    c.rng.push_back(
+        util::Rng::for_stream(seed, static_cast<std::uint64_t>(n)).state());
+  return c;
+}
+
+std::size_t FleetColumns::points_done() const noexcept {
+  return count_done(rows, cycles_target);
+}
+
+std::int64_t FleetColumns::cycles_total() const noexcept {
+  std::int64_t total = 0;
+  for (const SweepPoint& p : rows) total += p.cycles;
+  return total;
+}
+
 void FleetColumns::merge_from(const FleetColumns& other) {
-  if (seed != other.seed) merge_mismatch("seed");
-  if (cycles_target != other.cycles_target) merge_mismatch("cycle target");
-  if (clients != other.clients) merge_mismatch("client counts");
+  require_same_campaign(*this, other);
   for (std::size_t i = 0; i < size(); ++i) {
     // Points are independent (seed, clients)-addressed streams, so the
     // side that has simulated further holds exactly the state one
     // uninterrupted run would hold — take it wholesale.
-    if (other.cycles_done[i] <= cycles_done[i]) continue;
-    cycles_done[i] = other.cycles_done[i];
-    servers_used[i] = other.servers_used[i];
-    set_rng_state(i, other.rng_state(i));
-    lost_clients.set(i, other.lost_clients.stats(i));
-    active_slots.set(i, other.active_slots.stats(i));
-    edge_energy.set(i, other.edge_energy.stats(i));
-    cloud_energy.set(i, other.cloud_energy.stats(i));
-    total_energy.set(i, other.total_energy.stats(i));
+    if (other.rows[i].cycles <= rows[i].cycles) continue;
+    rows[i] = other.rows[i];
+    rng[i] = other.rng[i];
   }
 }
 
@@ -222,7 +149,7 @@ std::vector<SweepPoint> LargeScaleSimulator::sweep(
         std::max<std::size_t>(client_counts.size(), 1));
     sweep_threads.set(static_cast<double>(used));
   }
-  return columns.points();
+  return std::move(columns.rows);
 }
 
 bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
@@ -233,8 +160,9 @@ bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
       columns.size(),
       [&](std::size_t i) {
         if (!in_shard(i, shard_index, shard_count)) return;
+        SweepPoint& point = columns.rows[i];
         const int target = columns.cycles_target;
-        const int done = columns.cycles_done[i];
+        const int done = point.cycles;
         if (done >= target) return;
         const int budget =
             max_cycles == 0 ? target - done
@@ -243,17 +171,17 @@ bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
         // at start() that is the head of Rng::for_stream(seed, n), later
         // it is wherever the previous advance stopped, so the draw
         // sequence across advances is the one uninterrupted sweep() draws.
-        util::Rng rng = util::Rng::from_state(columns.rng_state(i));
+        util::Rng rng = util::Rng::from_state(columns.rng[i]);
         CycleMemo memo(*this);
-        const int n = columns.clients[i];
-        int servers = columns.servers_used[i];
+        const int n = point.initial_clients;
+        int servers = point.servers_used;
         // Every statistic sees every cycle, so all five share one n and
         // advance in lockstep through the shared chunked Welford loop.
-        StatColumns* cols[5] = {&columns.lost_clients, &columns.active_slots,
-                                &columns.edge_energy, &columns.cloud_energy,
-                                &columns.total_energy};
+        util::RunningStats* stats[5] = {
+            &point.lost_clients, &point.active_slots, &point.edge_energy,
+            &point.cloud_energy, &point.total_energy};
         dsp::Welford5 st;
-        for (int l = 0; l < 5; ++l) set_welford_lane(st, l, cols[l]->stats(i));
+        for (int l = 0; l < 5; ++l) set_welford_lane(st, l, *stats[l]);
         accumulate_cycles(st, budget, [&](int, double* row) {
           const CycleResult r = simulate_cycle(n, rng, &memo);
           servers = std::max(servers, r.servers_used);
@@ -263,10 +191,10 @@ bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
           row[3] = r.cloud_energy;
           row[4] = r.edge_energy + r.cloud_energy;
         });
-        for (int l = 0; l < 5; ++l) cols[l]->set(i, welford_lane(st, l));
-        columns.servers_used[i] = servers;
-        columns.cycles_done[i] = done + budget;
-        columns.set_rng_state(i, rng.state());
+        for (int l = 0; l < 5; ++l) *stats[l] = welford_lane(st, l);
+        point.servers_used = servers;
+        point.cycles = done + budget;
+        columns.rng[i] = rng.state();
       },
       threads);
   return columns.complete();
@@ -277,110 +205,22 @@ bool LargeScaleSimulator::advance(FleetColumns& columns, int max_cycles,
 ResilienceColumns ResilienceColumns::start(
     const std::vector<int>& client_counts, std::uint64_t seed,
     int cycles_per_point) {
-  if (cycles_per_point < 1)
-    throw std::invalid_argument("ResilienceColumns: cycles_per_point < 1");
   ResilienceColumns c;
   c.seed = seed;
   c.cycles_target = cycles_per_point;
-  const std::size_t count = client_counts.size();
-  c.clients.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (client_counts[i] < 0)
-      throw std::invalid_argument("ResilienceColumns: negative clients");
-    c.clients[i] = client_counts[i];
-  }
-  c.done.assign(count, 0);
-  c.servers_used.assign(count, 0);
-  c.degraded_cycles.assign(count, 0);
-  c.edge_fallback_cycles.assign(count, 0);
-  c.fallback_client_cycles.assign(count, 0);
-  c.shed_client_cycles.assign(count, 0);
-  c.browned_client_cycles.assign(count, 0);
-  c.sensor_mute_client_cycles.assign(count, 0);
-  c.lost_clients.reset(count);
-  c.edge_energy.reset(count);
-  c.cloud_energy.reset(count);
-  c.total_energy.reset(count);
-  c.bytes_generated.assign(count, 0.0);
-  c.bytes_served.assign(count, 0.0);
-  c.bytes_recovered.assign(count, 0.0);
-  c.bytes_dropped.assign(count, 0.0);
-  c.bytes_pending.assign(count, 0.0);
-  c.bytes_lost.assign(count, 0.0);
+  c.rows = fresh_rows<ResiliencePoint>(client_counts, cycles_per_point,
+                                       "ResilienceColumns");
   return c;
 }
 
-bool ResilienceColumns::complete() const noexcept {
-  return points_done() == size();
-}
-
 std::size_t ResilienceColumns::points_done() const noexcept {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < size(); ++i)
-    if (done[i] != 0) ++count;
-  return count;
-}
-
-ResiliencePoint ResilienceColumns::point(std::size_t i) const {
-  ResiliencePoint p;
-  p.initial_clients = clients[i];
-  p.cycles = done[i] != 0 ? cycles_target : 0;
-  p.servers_used = servers_used[i];
-  p.degraded_cycles = degraded_cycles[i];
-  p.edge_fallback_cycles = edge_fallback_cycles[i];
-  p.fallback_client_cycles = fallback_client_cycles[i];
-  p.shed_client_cycles = shed_client_cycles[i];
-  p.browned_client_cycles = browned_client_cycles[i];
-  p.sensor_mute_client_cycles = sensor_mute_client_cycles[i];
-  p.lost_clients = lost_clients.stats(i);
-  p.edge_energy = edge_energy.stats(i);
-  p.cloud_energy = cloud_energy.stats(i);
-  p.total_energy = total_energy.stats(i);
-  p.bytes_generated = bytes_generated[i];
-  p.bytes_served = bytes_served[i];
-  p.bytes_recovered = bytes_recovered[i];
-  p.bytes_dropped = bytes_dropped[i];
-  p.bytes_pending = bytes_pending[i];
-  p.bytes_lost = bytes_lost[i];
-  return p;
-}
-
-std::vector<ResiliencePoint> ResilienceColumns::points() const {
-  std::vector<ResiliencePoint> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(point(i));
-  return out;
-}
-
-void ResilienceColumns::set_point(std::size_t i, const ResiliencePoint& p) {
-  servers_used[i] = p.servers_used;
-  degraded_cycles[i] = p.degraded_cycles;
-  edge_fallback_cycles[i] = p.edge_fallback_cycles;
-  fallback_client_cycles[i] = p.fallback_client_cycles;
-  shed_client_cycles[i] = p.shed_client_cycles;
-  browned_client_cycles[i] = p.browned_client_cycles;
-  sensor_mute_client_cycles[i] = p.sensor_mute_client_cycles;
-  lost_clients.set(i, p.lost_clients);
-  edge_energy.set(i, p.edge_energy);
-  cloud_energy.set(i, p.cloud_energy);
-  total_energy.set(i, p.total_energy);
-  bytes_generated[i] = p.bytes_generated;
-  bytes_served[i] = p.bytes_served;
-  bytes_recovered[i] = p.bytes_recovered;
-  bytes_dropped[i] = p.bytes_dropped;
-  bytes_pending[i] = p.bytes_pending;
-  bytes_lost[i] = p.bytes_lost;
-  done[i] = 1;
+  return count_done(rows, cycles_target);
 }
 
 void ResilienceColumns::merge_from(const ResilienceColumns& other) {
-  if (seed != other.seed) merge_mismatch("seed");
-  if (cycles_target != other.cycles_target) merge_mismatch("cycle target");
-  if (clients != other.clients) merge_mismatch("client counts");
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (done[i] != 0 || other.done[i] == 0) continue;
-    set_point(i, other.point(i));
-  }
+  require_same_campaign(*this, other);
+  for (std::size_t i = 0; i < size(); ++i)
+    if (other.rows[i].cycles > rows[i].cycles) rows[i] = other.rows[i];
 }
 
 std::vector<ResiliencePoint> ResilientFleet::sweep(
@@ -389,7 +229,7 @@ std::vector<ResiliencePoint> ResilientFleet::sweep(
   ResilienceColumns columns =
       ResilienceColumns::start(client_counts, seed, cycles_per_point);
   advance(columns, 0, threads);
-  return columns.points();
+  return std::move(columns.rows);
 }
 
 bool ResilientFleet::advance(ResilienceColumns& columns, int max_points,
@@ -398,18 +238,19 @@ bool ResilientFleet::advance(ResilienceColumns& columns, int max_points,
   check_advance(max_points, columns.cycles_target, shard_index, shard_count);
   std::vector<std::size_t> todo;
   for (std::size_t i = 0; i < columns.size(); ++i)
-    if (columns.done[i] == 0 && in_shard(i, shard_index, shard_count))
+    if (columns.rows[i].cycles < columns.cycles_target &&
+        in_shard(i, shard_index, shard_count))
       todo.push_back(i);
   if (max_points > 0 && todo.size() > static_cast<std::size_t>(max_points))
     todo.resize(static_cast<std::size_t>(max_points));
   util::parallel_for(
       todo.size(),
       [&](std::size_t t) {
-        const std::size_t i = todo[t];
-        const int n = columns.clients[i];
+        ResiliencePoint& point = columns.rows[todo[t]];
+        const int n = point.initial_clients;
         util::Rng rng =
             util::Rng::for_stream(columns.seed, static_cast<std::uint64_t>(n));
-        columns.set_point(i, run_point(n, columns.cycles_target, rng));
+        point = run_point(n, columns.cycles_target, rng);
       },
       threads);
   return columns.complete();

@@ -145,17 +145,17 @@ class LargeScaleSimulator {
 
   /// The lossy cycle loop: runs up to `max_cycles` further memoised
   /// cycles on every incomplete point of `columns` (0 = run each point to
-  /// completion), updating the per-point statistic and RNG-cursor columns
-  /// in place. Because the columns carry the exact accumulator
-  /// representation and the generator state, any interleaving of advance
-  /// calls — including stopping mid-point, checkpointing to disk, and
-  /// resuming in another process — lands on results bit-identical to one
-  /// uninterrupted run (tested against the scalar oracle in
-  /// tests/test_checkpoint.cpp, enforced on fig6 CSVs by check.sh). With
-  /// `shard_count` > 1 only points whose index is congruent to
-  /// `shard_index` advance — the fan-out used to split one campaign
-  /// across processes, each checkpointing its own shard file for a later
-  /// merge. Returns whether the whole campaign (all shards) is complete.
+  /// completion), updating each point and its RNG cursor in place.
+  /// Because the points carry the exact accumulators and the cursors the
+  /// generator state, any interleaving of advance calls — including
+  /// stopping mid-point, checkpointing to disk, and resuming in another
+  /// process — lands on results bit-identical to one uninterrupted run
+  /// (tested against the scalar oracle in tests/test_checkpoint.cpp,
+  /// enforced on fig6 CSVs by check.sh). With `shard_count` > 1 only
+  /// points whose index is congruent to `shard_index` advance — the
+  /// fan-out used to split one campaign across processes, each
+  /// checkpointing its own shard file for a later merge. Returns whether
+  /// the whole campaign (all shards) is complete.
   bool advance(FleetColumns& columns, int max_cycles = 0,
                unsigned threads = 0, int shard_index = 0,
                int shard_count = 1) const;

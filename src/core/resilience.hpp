@@ -152,12 +152,12 @@ class ResilientFleet {
                                      int cycles_per_point = 1,
                                      unsigned threads = 0) const;
 
-  /// Resumable, columnar form of sweep(): completes up to `max_points`
-  /// not-yet-done points of `columns` (0 = all of them) and stores their
-  /// results in the per-point columns. Resilience points are advanced
-  /// whole — the store-and-forward buffer threads state across a point's
-  /// cycles, so the checkpoint granularity is one point, not one cycle
-  /// (docs/CHECKPOINT.md). Each point draws from its own
+  /// Resumable form of sweep(): completes up to `max_points` not-yet-done
+  /// points of `columns` (0 = all of them) and stores each result as its
+  /// point. Resilience points are advanced whole — the store-and-forward
+  /// buffer threads state across a point's cycles, so the checkpoint
+  /// granularity is one point, not one cycle (docs/CHECKPOINT.md). Each
+  /// point draws from its own
   /// Rng::for_stream(seed, n) stream, so any subset order lands on
   /// results bit-identical to one uninterrupted sweep(). With
   /// `shard_count` > 1 only points congruent to `shard_index` run (the

@@ -112,7 +112,7 @@ void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count) {
     const double dn = static_cast<double>(s->n);
     for (std::size_t l = 0; l < 5; ++l) {
       // util::RunningStats::add, verbatim (the same operations in the
-      // same order — the columnar checkpoint state depends on it).
+      // same order — resumed checkpoints depend on it).
       const double v = x[l];
       s->sum[l] += v;
       const double delta = v - s->mean[l];

@@ -93,7 +93,7 @@ inline constexpr const char* kFleetShedClients =
 inline constexpr const char* kFleetEdgeFallbackCycles =
     "core.fleet.edge_fallback_cycles";
 
-// core::Checkpoint — mmap snapshot/restore of columnar campaign state
+// core::Checkpoint — snapshot/restore of sweep campaign state
 // (docs/CHECKPOINT.md).
 inline constexpr const char* kCkptSaves = "core.ckpt.saves";
 inline constexpr const char* kCkptRestores = "core.ckpt.restores";

@@ -360,7 +360,7 @@ void SimulationService::process_batch(std::vector<Pending*>& batch) {
 
   // Pass 2 — one compute dispatch per scenario group over its missing
   // fleet sizes: a pool-parallel sweep (threads = 0 → the task pool's
-  // worker set), which is one columnar campaign (start → advance →
+  // worker set), which is one sweep campaign (start → advance →
   // points). Every point draws from its own (seed, size) RNG stream, so
   // cache entries and responses are bit-identical to a direct sweep of
   // any subset — the grouping only moves wall-clock time.

@@ -13,10 +13,10 @@ class RunningStats {
  public:
   /// The accumulator fields as a flat trivially-copyable record, in the
   /// exact representation `add`/`merge` maintain (min/max keep their
-  /// +/-infinity empty-state sentinels). This is the unit the columnar
-  /// fleet state (core::FleetColumns) stores per column and the
-  /// checkpoint layer persists — from_raw(raw()) is the identity, so a
-  /// restored accumulator continues the exact Welford recurrence.
+  /// +/-infinity empty-state sentinels). The checkpoint layer
+  /// (core/checkpoint.hpp) persists a statistic as these six fields —
+  /// from_raw(raw()) is the identity, so a restored accumulator continues
+  /// the exact Welford recurrence.
   struct Raw {
     std::uint64_t n = 0;
     double mean = 0.0;

@@ -1,15 +1,17 @@
-// Tests for the columnar fleet state (core/fleet_columns.hpp) and the
-// mmap checkpoint layer (core/checkpoint.hpp): Welford-column parity,
-// advance bit-identity against the scalar sweep oracle
-// (tests/fleet_oracle.hpp; including mid-point stops, sharding and
-// merging), save->restore->save byte stability, and rejection of
-// truncated, bit-flipped, mis-kinded or foreign-scenario files.
+// Tests for the sweep campaign state (core/fleet_columns.hpp) and the
+// checkpoint layer (core/checkpoint.hpp): advance bit-identity against
+// the scalar sweep oracle (tests/fleet_oracle.hpp; including mid-point
+// stops, sharding and merging), a statistic's exact trip through its six
+// checkpoint columns, save->restore->save byte stability, the
+// pinned bytes of version-2 files, and rejection of truncated,
+// bit-flipped, mis-kinded, foreign-scenario or impossible-row files.
 
 #include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "crash_campaign.hpp"
 #include "fault/injector.hpp"
 #include "fleet_oracle.hpp"
+#include "obs/catalog.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -42,7 +46,6 @@ using beesim::oracle::reference_resilient_sweep;
 using beesim::oracle::reference_sweep;
 using core::FleetColumns;
 using core::ResilienceColumns;
-using core::StatColumns;
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
@@ -66,23 +69,46 @@ void spit(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// ---- StatColumns ------------------------------------------------------
+// ---- Stat columns: a statistic's six checkpoint columns ---------------
+
+constexpr util::RunningStats core::SweepPoint::*kSweepStats[] = {
+    &core::SweepPoint::lost_clients, &core::SweepPoint::active_slots,
+    &core::SweepPoint::edge_energy, &core::SweepPoint::cloud_energy,
+    &core::SweepPoint::total_energy};
+
+/// `row` saved as the one point of a sweep checkpoint and loaded back, so
+/// each statistic goes out through raw() and back through from_raw().
+core::SweepPoint through_stat_columns(const core::SweepPoint& row,
+                                      const char* name) {
+  const core::Hash128 hash =
+      core::canonical_hash(core::FleetParams::paper_default());
+  FleetColumns columns = FleetColumns::start({row.initial_clients}, 5, 40);
+  columns.rows[0] = row;
+  const std::string path = temp_path(name);
+  core::save_checkpoint(path, columns, hash);
+  const core::SweepPoint restored =
+      core::load_fleet_checkpoint(path, hash).point(0);
+  std::remove(path.c_str());
+  return restored;
+}
 
 TEST(StatColumns, SetIsExactRepresentationTransfer) {
-  util::RunningStats s;
   util::Rng rng(5);
-  for (int i = 0; i < 37; ++i) s.add(rng.uniform(-3.0, 9.0));
-  StatColumns cols;
-  cols.reset(1);
-  cols.set(0, s);
-  expect_same_raw(cols.stats(0), s);
+  core::SweepPoint row = FleetColumns::start({100}, 5, 40).point(0);
+  row.cycles = 37;
+  for (auto field : kSweepStats)
+    for (int i = 0; i < 37; ++i) (row.*field).add(rng.uniform(-3.0, 9.0));
+  const core::SweepPoint restored =
+      through_stat_columns(row, "ckpt_stats_filled.ck");
+  for (auto field : kSweepStats) expect_same_raw(restored.*field, row.*field);
 }
 
 TEST(StatColumns, EmptyAccumulatorRoundtrips) {
-  StatColumns cols;
-  cols.reset(1);
+  // A fresh point's statistics hold the empty-state sentinels.
+  const core::SweepPoint restored = through_stat_columns(
+      FleetColumns::start({100}, 5, 40).point(0), "ckpt_stats_empty.ck");
   const util::RunningStats empty;
-  expect_same_raw(cols.stats(0), empty);
+  for (auto field : kSweepStats) expect_same_raw(restored.*field, empty);
 }
 
 // ---- FleetColumns advance vs the scalar sweep oracle ------------------
@@ -109,7 +135,7 @@ TEST(FleetColumns, MidPointStopsStillLandBitIdentical) {
   const auto reference = reference_sweep(sim, counts, 3, 10);
 
   // 10 cycles per point, delivered 3 + 3 + 4 — each advance stops every
-  // point mid-accumulation, exercising the RNG-cursor columns.
+  // point mid-accumulation, exercising the RNG cursors.
   FleetColumns columns = FleetColumns::start(counts, 3, 10);
   EXPECT_FALSE(sim.advance(columns, 3, 1));
   EXPECT_EQ(columns.cycles_total(), 6);
@@ -219,6 +245,50 @@ TEST(Checkpoint, MergeFleetCheckpointsFansShardsBackIn) {
   for (std::size_t i = 0; i < reference.size(); ++i)
     expect_same_point(points[i], reference[i]);
   for (const auto& p : paths) std::remove(p.c_str());
+}
+
+/// FNV-1a over a file's bytes, prefixed by its size.
+std::string digest(const std::vector<char>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h));
+  return std::to_string(bytes.size()) + ":" + hex;
+}
+
+TEST(Checkpoint, FileBytesArePinned) {
+  // Files saved by the layout BEESIMCK version 2 was defined with. A change
+  // to the header, the column order or any value's representation moves a
+  // digest, and would orphan every checkpoint already on disk.
+  const std::string path = temp_path("ckpt_pinned.ck");
+  const auto saved = [&](const auto& columns, const core::Hash128& hash) {
+    core::save_checkpoint(path, columns, hash);
+    return digest(slurp(path));
+  };
+  const core::LargeScaleSimulator sim(lossy_params());
+  const core::Hash128 hash = core::canonical_hash(sim.params());
+  FleetColumns sweep = FleetColumns::start({60, 90, 1000, 250000}, 23, 5);
+  EXPECT_EQ(saved(sweep, hash), "1252:0af1914a22d3ad79") << "fresh";
+  sim.advance(sweep, 2, 1);
+  EXPECT_EQ(saved(sweep, hash), "1252:2d2e9a3e185486d8") << "mid-point";
+  sim.advance(sweep, 0, 1);
+  EXPECT_EQ(saved(sweep, hash), "1252:1ae5bb994dd0eed3") << "complete";
+
+  const core::ResilientFleet fleet(
+      lossy_params(), fault::FaultPlan::random_outages(
+                          9, 12, 0.25, 2, fault::FaultKind::kCloudOutage));
+  ResilienceColumns faulted = ResilienceColumns::start({40, 80, 120}, 9, 12);
+  fleet.advance(faulted, 2, 1);
+  EXPECT_EQ(saved(faulted, core::resilience_campaign_hash(
+                               fleet.base().params(), fleet.plan(),
+                               fleet.policy())),
+            "947:b4691573470378f9")
+      << "two of three resilience points";
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, InspectReportsHeaderFields) {
@@ -424,20 +494,79 @@ TEST_F(CheckpointCorruption, MissingFileIsRejected) {
                std::runtime_error);
 }
 
-// ---- Crash safety -----------------------------------------------------
-
-bool same_stats(const StatColumns& a, const StatColumns& b) {
-  return a.n == b.n && a.mean == b.mean && a.m2 == b.m2 && a.sum == b.sum &&
-         a.min == b.min && a.max == b.max;
+/// `image` with the value `v` written at byte `at`, re-sealed.
+template <typename T>
+std::vector<char> edited(std::vector<char> image, std::size_t at, T v) {
+  std::memcpy(image.data() + at, &v, sizeof v);
+  reseal(image);
+  return image;
 }
 
-bool same_columns(const FleetColumns& a, const FleetColumns& b) {
-  return a.seed == b.seed && a.cycles_target == b.cycles_target &&
-         a.clients == b.clients && a.cycles_done == b.cycles_done &&
-         a.servers_used == b.servers_used && a.rng_s0 == b.rng_s0 &&
-         a.rng_s1 == b.rng_s1 && a.rng_s2 == b.rng_s2 &&
-         a.rng_s3 == b.rng_s3 && a.rng_cached_normal == b.rng_cached_normal &&
-         a.rng_has_cached == b.rng_has_cached &&
+TEST_F(CheckpointCorruption, ResealedRowsOutsideTheCampaignAreRejected) {
+  // Each file below passes the checksum, but holds a value no campaign
+  // can: every load must refuse it with std::runtime_error and count the
+  // refusal. The sweep payload of the two-row fixture (cycle target 5,
+  // two cycles done) starts with the fleet sizes at byte 80, the cycles
+  // at 88, the Box-Muller flags at 184 and the first statistic's counts
+  // at 186.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::register_catalog(obs::registry());
+  obs::Counter& rejected = obs::registry().counter(obs::metric::kCkptRejected);
+  const auto expect_refused = [&](const std::vector<char>& image,
+                                  const char* what, auto load) {
+    spit(path_, image);
+    const std::uint64_t before = rejected.value();
+    EXPECT_THROW(load(), std::runtime_error) << what;
+    EXPECT_EQ(rejected.value(), before + 1) << what;
+  };
+  const auto load_sweep = [&] { core::load_fleet_checkpoint(path_, hash_); };
+  expect_refused(edited(image_, 48, std::int32_t{0}), "cycle target 0",
+                 load_sweep);
+  EXPECT_THROW(core::inspect_checkpoint(path_), std::runtime_error);
+  expect_refused(edited(image_, 80, std::int32_t{-5}), "clients -5",
+                 load_sweep);
+  expect_refused(edited(image_, 88, std::int32_t{-1}), "cycles -1",
+                 load_sweep);
+  expect_refused(edited(image_, 88, std::int32_t{6}), "cycles 6 of 5",
+                 load_sweep);
+  expect_refused(edited(image_, 184, std::uint8_t{2}), "flag byte 2",
+                 load_sweep);
+  expect_refused(edited(image_, 186, std::uint64_t{3}), "3 samples in 2",
+                 load_sweep);
+
+  // A resilience row is pending or done: its done byte (byte 88 of this
+  // two-row file) is 0 or 1, and a pending row holds no samples (its
+  // first statistic's count is at byte 186).
+  const core::ResilientFleet fleet(lossy_params(), fault::FaultPlan::none());
+  ResilienceColumns columns = ResilienceColumns::start({40, 80}, 9, 4);
+  fleet.advance(columns, 1, 1);
+  core::save_checkpoint(path_, columns, hash_);
+  const std::vector<char> resilience = slurp(path_);
+  const auto load_resilience = [&] {
+    core::load_resilience_checkpoint(path_, hash_);
+  };
+  expect_refused(edited(resilience, 88, std::uint8_t{2}), "done byte 2",
+                 load_resilience);
+  expect_refused(edited(resilience, 186, std::uint64_t{1}),
+                 "a sample in a pending row", load_resilience);
+  spit(path_, resilience);
+  EXPECT_NO_THROW(load_resilience());
+  obs::set_enabled(was_enabled);
+}
+
+// ---- Crash safety -----------------------------------------------------
+
+bool same_stats(const util::RunningStats& a, const util::RunningStats& b) {
+  const auto x = a.raw();
+  const auto y = b.raw();
+  return x.n == y.n && x.mean == y.mean && x.m2 == y.m2 && x.sum == y.sum &&
+         x.min == y.min && x.max == y.max;
+}
+
+bool same_point(const core::SweepPoint& a, const core::SweepPoint& b) {
+  return a.initial_clients == b.initial_clients && a.cycles == b.cycles &&
+         a.servers_used == b.servers_used &&
          same_stats(a.lost_clients, b.lost_clients) &&
          same_stats(a.active_slots, b.active_slots) &&
          same_stats(a.edge_energy, b.edge_energy) &&
@@ -445,12 +574,27 @@ bool same_columns(const FleetColumns& a, const FleetColumns& b) {
          same_stats(a.total_energy, b.total_energy);
 }
 
+bool same_cursor(const util::Rng::State& a, const util::Rng::State& b) {
+  return std::equal(std::begin(a.s), std::end(a.s), std::begin(b.s)) &&
+         a.cached_normal == b.cached_normal &&
+         a.has_cached_normal == b.has_cached_normal;
+}
+
+bool same_columns(const FleetColumns& a, const FleetColumns& b) {
+  return a.seed == b.seed && a.cycles_target == b.cycles_target &&
+         std::equal(a.rows.begin(), a.rows.end(), b.rows.begin(),
+                    b.rows.end(), same_point) &&
+         std::equal(a.rng.begin(), a.rng.end(), b.rng.begin(), b.rng.end(),
+                    same_cursor);
+}
+
 TEST(CheckpointCrash, SaveKilledMidWriteLeavesTheLastGoodCheckpoint) {
   // A helper process (tests/checkpoint_writer.cpp) re-saves a 14.6 MB
   // campaign in a loop and is SIGKILLed 20-50 ms after its first save
   // began, mostly mid-save. Every kill must leave a checkpoint that loads
-  // and equals the saved columns. The helper is a separate binary
-  // because this process may already run the task pool's threads.
+  // and equals the saved campaign, point for point and cursor for cursor.
+  // The helper is a separate binary because this process may already run
+  // the task pool's threads.
   std::string dir = ::testing::TempDir() + "beesim_crash_XXXXXX";
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
   const std::string path = dir + "/campaign.ck";

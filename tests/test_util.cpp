@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "util/config.hpp"
@@ -147,6 +148,33 @@ TEST(RunningStats, MergeMatchesSequential) {
   EXPECT_EQ(left.count(), all.count());
   EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
   EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
+}
+
+TEST(RunningStats, RawRoundtripIsExact) {
+  // from_raw(raw()) is the identity, empty-state sentinels included, and
+  // the restored accumulator continues the same recurrence: the checkpoint
+  // layer stores every statistic this way.
+  const auto same = [](const u::RunningStats& a, const u::RunningStats& b) {
+    const u::RunningStats::Raw x = a.raw();
+    const u::RunningStats::Raw y = b.raw();
+    EXPECT_EQ(x.n, y.n);
+    EXPECT_EQ(std::memcmp(&x.mean, &y.mean, sizeof x.mean), 0);
+    EXPECT_EQ(std::memcmp(&x.m2, &y.m2, sizeof x.m2), 0);
+    EXPECT_EQ(std::memcmp(&x.sum, &y.sum, sizeof x.sum), 0);
+    EXPECT_EQ(std::memcmp(&x.min, &y.min, sizeof x.min), 0);
+    EXPECT_EQ(std::memcmp(&x.max, &y.max, sizeof x.max), 0);
+  };
+  u::RunningStats filled;
+  u::Rng rng(5);
+  for (int i = 0; i < 37; ++i) filled.add(rng.uniform(-3.0, 9.0));
+  for (u::RunningStats original : {filled, u::RunningStats{}}) {
+    SCOPED_TRACE(original.count() == 0 ? "empty" : "filled");
+    u::RunningStats restored = u::RunningStats::from_raw(original.raw());
+    same(restored, original);
+    original.add(2.5);
+    restored.add(2.5);
+    same(restored, original);
+  }
 }
 
 TEST(Percentile, MedianAndExtremes) {
