@@ -10,6 +10,10 @@
 #    repository's .git is left untouched) and builds each side's beebench
 #    once, the base into build/ab/base and the working tree into
 #    build/ab/change (perfbench/run.py's CARGO_TARGET_DIR).
+#    Each invocation keeps its run records in a directory of its own,
+#    build/ab/runs/<UTC stamp>-<pid>/ (printed on stderr): per side,
+#    workload and seed one file of JSON result lines in pair order, and
+#    one stderr log per run. Earlier invocations' directories are kept.
 # 2. Runs each side's own `perfbench/run.py --workload <w> --seed S
 #    --seconds <run_seconds of BENCHMARK.json> --trace 0` in alternating
 #    pairs: the base first in odd pairs, the change first in even ones.
@@ -26,7 +30,8 @@
 #      within bound  anything else.
 #    Then each side's runs in pair order. With several seeds, each seed
 #    gets its own header, tables and verdicts, in the order given.
-# 4. Prints one JSON summary line last. With one seed it carries that
+# 4. Prints one JSON summary line last, with the run directory, relative
+#    to the repository root, as "runs_dir". With one seed it carries that
 #    seed's verdicts at the top level; with several, "seeds" lists them
 #    and "per_seed" holds each seed's regressions, unresolved metrics,
 #    failed runs and ok flag, and the top-level "ok" is their conjunction.
@@ -76,9 +81,10 @@ print(json.load(open(sys.argv[1]))["run_seconds"])' "$repo/BENCHMARK.json")"
 
 ab="$repo/build/ab"
 base_src="$ab/base-src"
-runs="$ab/runs"
-rm -rf "$runs"
+runs_dir="build/ab/runs/$(date -u +%Y%m%dT%H%M%SZ)-$$"
+runs="$repo/$runs_dir"
 mkdir -p "$runs"
+echo "== run records in $runs_dir ==" >&2
 # Re-export only for a new base, so its build stays up to date.
 if [ "$(cat "$base_src/.ab-rev" 2> /dev/null)" != "$base_sha" ]; then
   rm -rf "$base_src" "$ab/base"
@@ -107,13 +113,14 @@ build_side "$base_src" "$ab/base"
 build_side "$repo" "$ab/change"
 
 # One run: appends run.py's JSON result line to
-# runs/<side>.<workload>.seed<seed>.
+# <runs>/<side>.<workload>.seed<seed> and keeps its stderr in
+# <runs>/<side>.<workload>.seed<seed>.pair<pair>.log.
 run_side() {
-  local side="$1" src="$2" workload="$3" s="$4" out
+  local side="$1" src="$2" workload="$3" s="$4" pair="$5" out
   local file="$runs/$side.$workload.seed$s"
   if out="$(CARGO_TARGET_DIR="$ab/$side" python3 "$src/perfbench/run.py" \
               --workload "$workload" --seed "$s" --seconds "$seconds" \
-              --trace 0 2> "$file.log")"; then
+              --trace 0 2> "$file.pair$pair.log")"; then
     printf '%s\n' "$out" | tail -n 1 >> "$file"
   else
     echo '{"correct": false, "failed": -1, "attempted": 0, "metrics": {}}' \
@@ -128,11 +135,11 @@ for s in "${seeds[@]}"; do
     for ((pair = 1; pair <= pairs; ++pair)); do
       echo "== $workload$label pair $pair/$pairs ==" >&2
       if ((pair % 2 == 1)); then
-        run_side base "$base_src" "$workload" "$s"
-        run_side change "$repo" "$workload" "$s"
+        run_side base "$base_src" "$workload" "$s" "$pair"
+        run_side change "$repo" "$workload" "$s" "$pair"
       else
-        run_side change "$repo" "$workload" "$s"
-        run_side base "$base_src" "$workload" "$s"
+        run_side change "$repo" "$workload" "$s" "$pair"
+        run_side base "$base_src" "$workload" "$s" "$pair"
       fi
     done
   done
@@ -142,15 +149,16 @@ head="$(git -C "$repo" rev-parse --short=12 HEAD)"
 if [ -n "$(git -C "$repo" status --porcelain -- src perfbench)" ]; then
   head="$head+dirty"
 fi
-python3 - "$repo/BENCHMARK.json" "$runs" "$base_sha" "$head" "$pairs" \
-  "$seed" "$seconds" "${workloads[@]}" <<'EOF'
+python3 - "$repo/BENCHMARK.json" "$runs" "$runs_dir" "$base_sha" "$head" \
+  "$pairs" "$seed" "$seconds" "${workloads[@]}" <<'EOF'
 import json
 import statistics
 import sys
 
-bench_path, runs, base_sha, head, pairs, seed_list, seconds = sys.argv[1:8]
+bench_path, runs, runs_dir, base_sha, head, pairs, seed_list, seconds = \
+    sys.argv[1:9]
 seeds = [int(s) for s in seed_list.split(",")]
-workloads = sys.argv[8:]
+workloads = sys.argv[9:]
 end_to_end = json.load(open(bench_path))["end_to_end"]
 
 
@@ -243,7 +251,8 @@ def report(seed):
 
 verdicts = {seed: report(seed) for seed in seeds}
 ok = all(v["ok"] for v in verdicts.values())
-summary = {"base": base_sha, "head": head, "pairs": int(pairs)}
+summary = {"base": base_sha, "head": head, "pairs": int(pairs),
+           "runs_dir": runs_dir}
 if len(seeds) == 1:
     summary.update(seed=seeds[0], seconds=float(seconds),
                    workloads=workloads, **verdicts[seeds[0]])

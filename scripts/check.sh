@@ -78,12 +78,14 @@
 #               ASan+UBSan (the last runs the STFT's reflect-mapped edge
 #               frames and the row-chunked dB pass); then a
 #               third tree (<build-dir>-tsan) with
-#               -DBEESIM_SANITIZE=thread and run the task-pool, serving
-#               and precision test binaries under ThreadSanitizer (the
-#               suites that exercise the task pool's shared queue, the
-#               serving layer's submission lanes racing shutdown(), and
-#               f32 and int8 inference running side by side in one
-#               process). Each tree is built through one goal of
+#               -DBEESIM_SANITIZE=thread and run the task-pool, serving,
+#               precision and DSP-kernel test binaries under
+#               ThreadSanitizer (the suites that exercise the task pool's
+#               shared queue, the serving layer's submission lanes racing
+#               shutdown(), f32 and int8 inference running side by side
+#               in one process, and the convolution's row blocks, the
+#               STFT's frame chunks and the dB pass, alone and nested in
+#               an outer region). Each tree is built through one goal of
 #               tests/CMakeLists.txt (sanitize_address_tests,
 #               sanitize_thread_tests) with one job per CPU.
 set -euo pipefail
@@ -407,12 +409,12 @@ if [ "$run_sanitize" -eq 1 ]; then
   done
 
   echo
-  echo "== sanitize (--sanitize): pool, serving + precision tests under TSan =="
+  echo "== sanitize (--sanitize): pool, serving, precision + dsp tests under TSan =="
   cmake -B "$repo/$build-tsan" -S "$repo" \
     -DBEESIM_SANITIZE=thread > /dev/null
   cmake --build "$repo/$build-tsan" -j "$jobs" \
     --target sanitize_thread_tests > /dev/null
-  for t in test_task_pool test_serve test_precision; do
+  for t in test_task_pool test_serve test_precision test_dsp_kernels; do
     if "$repo/$build-tsan/tests/$t" --gtest_brief=1 > "$tmp/$t.tsan.log" 2>&1
     then
       echo "  ok  $t clean under thread"

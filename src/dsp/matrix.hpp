@@ -53,8 +53,22 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Bilinear resize to (out_rows, out_cols); used to shrink the 128-band
-/// mel spectrogram into the LxL CNN input images of Fig 5.
+/// Where a bilinear resize from `in` samples to `out` samples reads
+/// along one axis: output index i takes samples lo = floor(i * (in - 1)
+/// / (out - 1)) (0 when out is 1) and hi = min(lo + 1, in - 1), with hi
+/// weighted by frac. Both lo and hi are read even when frac is 0.
+struct BilinearTap {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+
+/// The `out` taps of one axis; `in` must be at least 1.
+std::vector<BilinearTap> bilinear_taps(std::size_t in, std::size_t out);
+
+/// Bilinear resize to (out_rows, out_cols) through bilinear_taps on each
+/// axis; used to shrink the 128-band mel spectrogram into the LxL CNN
+/// input images of Fig 5. Reads no row or column that no tap names.
 Matrix resize_bilinear(const Matrix& src, std::size_t out_rows,
                        std::size_t out_cols);
 

@@ -104,35 +104,71 @@ void BandedFilterbank::apply(const double* power, double* out,
   }
 }
 
-Matrix power_to_db(const Matrix& power, double top_db) {
+namespace {
+
+constexpr double kAmin = 1e-10;
+
+/// librosa.power_to_db's reference: the peak of the whole matrix, at
+/// least kAmin. Its max element then maps to 10*log10(ref/ref) = 0 dB
+/// exactly, so the dB peak is always 0 and the clamp floor is -top_db,
+/// and one elementwise pass suffices.
+double db_reference(const Matrix& power, double top_db) {
   if (power.empty()) throw std::invalid_argument("power_to_db: empty");
   if (top_db <= 0.0) throw std::invalid_argument("power_to_db: top_db <= 0");
-  constexpr double kAmin = 1e-10;
-  const double ref = std::max(power.max(), kAmin);
-  // The max element maps to 10*log10(ref/ref) = 0 dB exactly, so the dB
-  // peak is always 0 and the clamp floor is -top_db, and one elementwise
-  // pass suffices. Each element depends only on itself and ref, so
-  // coarse row chunks (at least kMinChunk elements) across the pool give
-  // the serial bits.
+  return std::max(power.max(), kAmin);
+}
+
+double to_db(double p, double ref, double top_db) {
+  return std::max(10.0 * std::log10(std::max(p, kAmin) / ref), -top_db);
+}
+
+/// body(begin, end) over row ranges of `rows` (>= 1) rows, `per_row`
+/// converted elements each, in coarse chunks (at least kMinChunk
+/// elements) across the pool. Each element depends only on itself and
+/// the reference, so any chunking gives the serial bits.
+template <typename Body>
+void for_row_chunks(std::size_t rows, std::size_t per_row, const Body& body) {
   constexpr std::size_t kMinChunk = 4096;
-  const std::size_t rows = power.rows();
-  const std::size_t cols = power.cols();
   const std::size_t chunks = std::clamp<std::size_t>(
       std::min<std::size_t>(util::default_thread_count(),
-                            rows * cols / kMinChunk),
+                            rows * per_row / kMinChunk),
       1, rows);
   const std::size_t per_chunk = (rows + chunks - 1) / chunks;
-  Matrix out(rows, cols);
   util::parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = std::min(c * per_chunk, rows) * cols;
-    const std::size_t end = std::min((c + 1) * per_chunk, rows) * cols;
+    body(std::min(c * per_chunk, rows), std::min((c + 1) * per_chunk, rows));
+  });
+}
+
+}  // namespace
+
+Matrix power_to_db(const Matrix& power, double top_db) {
+  const double ref = db_reference(power, top_db);
+  const std::size_t cols = power.cols();
+  Matrix out(power.rows(), cols);
+  for_row_chunks(power.rows(), cols, [&](std::size_t begin, std::size_t end) {
     const double* in = power.data();
     double* db = out.data();
-    for (std::size_t i = begin; i < end; ++i)
-      db[i] = std::max(10.0 * std::log10(std::max(in[i], kAmin) / ref),
-                       -top_db);
+    for (std::size_t i = begin * cols; i < end * cols; ++i)
+      db[i] = to_db(in[i], ref, top_db);
   });
   return out;
+}
+
+void power_to_db_columns(Matrix& power,
+                         const std::vector<std::size_t>& columns,
+                         double top_db) {
+  const double ref = db_reference(power, top_db);
+  for (const std::size_t c : columns)
+    if (c >= power.cols())
+      throw std::out_of_range("power_to_db_columns: column out of range");
+  for_row_chunks(power.rows(), columns.size(),
+                 [&](std::size_t begin, std::size_t end) {
+                   for (std::size_t r = begin; r < end; ++r) {
+                     double* row = power.data() + r * power.cols();
+                     for (const std::size_t c : columns)
+                       row[c] = to_db(row[c], ref, top_db);
+                   }
+                 });
 }
 
 }  // namespace beesim::dsp

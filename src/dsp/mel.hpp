@@ -57,4 +57,14 @@ class BandedFilterbank {
 /// same bits.
 Matrix power_to_db(const Matrix& power, double top_db = 80.0);
 
+/// power_to_db in place on the listed columns only (each < cols()); the
+/// other columns keep their power values. The reference is still the
+/// peak of the whole matrix, so each converted element has
+/// power_to_db's bits. MelSpectrogram::compute_image converts only the
+/// columns its bilinear resize reads. Throws std::out_of_range on a
+/// column past the end, before any element changes.
+void power_to_db_columns(Matrix& power,
+                         const std::vector<std::size_t>& columns,
+                         double top_db = 80.0);
+
 }  // namespace beesim::dsp

@@ -36,7 +36,9 @@ class MelSpectrogram {
   Matrix compute(const std::vector<double>& signal) const;
 
   /// Mel spectrogram in dB, resized to a side x side image and scaled to
-  /// [0, 1] — the CNN input of Fig 5.
+  /// [0, 1] — the CNN input of Fig 5. Only the mel columns the resize
+  /// reads are converted to dB (power_to_db_columns), with power_to_db's
+  /// bits.
   Matrix compute_image(const std::vector<double>& signal,
                        std::size_t side) const;
 

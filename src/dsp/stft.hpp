@@ -42,7 +42,7 @@ class StftPlan {
   using FrameSink = std::function<void(std::size_t f, const double* power)>;
 
   /// |STFT|^2 of every frame of the signal, handed to sink. Frames run in
-  /// contiguous chunks across util::parallel_for with per-chunk scratch
+  /// fixed chunks of 16 across util::parallel_for with per-chunk scratch
   /// and no per-frame allocation. Each frame is windowed straight from
   /// the signal; only frames that overlap the n_fft/2 reflect pad map
   /// their indices, so no padded copy is made. Every frame's values are

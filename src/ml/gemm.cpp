@@ -27,18 +27,17 @@ void sgemm_bias_s8(std::size_t m, std::size_t n, std::size_t k,
 
 void im2col_same(const float* image, std::size_t channels,
                  std::size_t height, std::size_t width, std::size_t kernel,
-                 std::vector<float>& out) {
+                 std::size_t row_begin, std::size_t row_end, float* out) {
   const std::size_t pad = kernel / 2;
   const std::size_t cols = height * width;
-  out.resize(channels * kernel * kernel * cols);
-  float* dst = out.data();
+  float* dst = out;
   for (std::size_t ic = 0; ic < channels; ++ic) {
     const float* plane = image + ic * cols;
     for (std::size_t ky = 0; ky < kernel; ++ky) {
       for (std::size_t kx = 0; kx < kernel; ++kx) {
         // Row (ic, ky, kx): for each output y the source row is
         // y + ky - pad, shifted horizontally by kx - pad, zero outside.
-        for (std::size_t y = 0; y < height; ++y) {
+        for (std::size_t y = row_begin; y < row_end; ++y) {
           const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(y + ky) -
                                     static_cast<std::ptrdiff_t>(pad);
           if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(height)) {

@@ -2,9 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "ml/tensor.hpp"
 
 namespace beesim::ml {
 
@@ -26,13 +23,15 @@ void sgemm_bias_s8(std::size_t m, std::size_t n, std::size_t k,
                    const std::int8_t* b, float b_scale, const float* bias,
                    float* c);
 
-/// Lowers one (channels x height x width) image to the im2col matrix of a
-/// stride-1 "same"-padded kernel-sized convolution: row (ic*kernel + ky)
-/// *kernel + kx, column y*width + x holds input(ic, y+ky-pad, x+kx-pad)
-/// or 0 outside the image. `out` is resized to
-/// (channels*kernel*kernel) x (height*width).
+/// Lowers output rows [row_begin, row_end) of one (channels x height x
+/// width) image to the im2col matrix of a stride-1 "same"-padded
+/// kernel-sized convolution: row (ic*kernel + ky)*kernel + kx, column
+/// (y - row_begin)*width + x holds input(ic, y+ky-pad, x+kx-pad), or 0
+/// outside the image. `out` receives (channels*kernel*kernel) x
+/// ((row_end - row_begin)*width) floats. Each row block of Conv2d's
+/// forward pass lowers only its own rows.
 void im2col_same(const float* image, std::size_t channels,
                  std::size_t height, std::size_t width, std::size_t kernel,
-                 std::vector<float>& out);
+                 std::size_t row_begin, std::size_t row_end, float* out);
 
 }  // namespace beesim::ml

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
 #include "obs/catalog.hpp"
+#include "util/parallel.hpp"
 
 namespace beesim::ml {
 namespace {
@@ -59,26 +62,51 @@ Tensor Conv2d::forward(const Tensor& input, bool train,
   // right-hand side. Inference may run the GEMM in int8; training always
   // stays f32 for exact gradients.
   const Precision prec = train ? Precision::kF32 : precision;
+  const bool int8 = prec == Precision::kInt8;
   const std::size_t cols = h * w;
   const std::size_t kdim = in_ch_ * k_ * k_;
-  if (prec == Precision::kInt8 && quant_dirty_) {
+  if (int8 && quant_dirty_) {
     wt_s8_ = quantize_rows_s8(wt, out_ch_, kdim);
     quant_dirty_ = false;
   }
-  for (std::size_t b = 0; b < n; ++b) {
-    im2col_same(in + b * in_ch_ * cols, in_ch_, h, w, k_, im2col_buf_);
-    float* obatch = o + b * out_ch_ * cols;
-    if (prec == Precision::kInt8) {
-      const QuantizedTensor act =
-          quantize_tensor_s8(im2col_buf_.data(), im2col_buf_.size());
-      sgemm_bias_s8(out_ch_, cols, kdim, wt_s8_.values.data(),
-                    wt_s8_.scales.data(), act.values.data(), act.scale,
-                    bias_.data(), obatch);
+  // One activation scale per image, taken from the image itself: its
+  // im2col matrix holds every pixel (the centre tap's row) plus shifted
+  // copies and zero padding, so both have the same max |x|.
+  std::vector<float> act_scales(int8 ? n : 0);
+  for (std::size_t b = 0; b < act_scales.size(); ++b)
+    act_scales[b] = tensor_scale_s8(in + b * in_ch_ * cols, in_ch_ * cols);
+
+  // One task per (image, block of kRowBlock output rows): the block
+  // lowers its own rows, multiplies them into block-local scratch and
+  // copies each channel's rows into place. Every output element still
+  // accumulates over ascending k in every GEMM tier, so the blocks give
+  // the whole-image GEMM's bits (tests/dsp_oracle.hpp conv2d_gemm).
+  constexpr std::size_t kRowBlock = 8;
+  const std::size_t blocks = (h + kRowBlock - 1) / kRowBlock;
+  util::parallel_for(n * blocks, [&](std::size_t task) {
+    const std::size_t b = task / blocks;
+    const std::size_t y0 = task % blocks * kRowBlock;
+    const std::size_t y1 = std::min(y0 + kRowBlock, h);
+    const std::size_t span = (y1 - y0) * w;
+    const auto patches = std::make_unique_for_overwrite<float[]>(kdim * span);
+    const auto block = std::make_unique_for_overwrite<float[]>(out_ch_ * span);
+    im2col_same(in + b * in_ch_ * cols, in_ch_, h, w, k_, y0, y1,
+                patches.get());
+    if (int8) {
+      const auto act =
+          std::make_unique_for_overwrite<std::int8_t[]>(kdim * span);
+      quantize_s8(patches.get(), kdim * span, act_scales[b], act.get());
+      sgemm_bias_s8(out_ch_, span, kdim, wt_s8_.values.data(),
+                    wt_s8_.scales.data(), act.get(), act_scales[b],
+                    bias_.data(), block.get());
     } else {
-      sgemm_bias(out_ch_, cols, kdim, wt, im2col_buf_.data(), bias_.data(),
-                 obatch);
+      sgemm_bias(out_ch_, span, kdim, wt, patches.get(), bias_.data(),
+                 block.get());
     }
-  }
+    for (std::size_t oc = 0; oc < out_ch_; ++oc)
+      std::copy_n(block.get() + oc * span, span,
+                  o + (b * out_ch_ + oc) * cols + y0 * w);
+  });
   if (obs::enabled()) {
     static auto& flops =
         obs::registry().counter(obs::metric::kMlConvGemmFlops);
@@ -163,8 +191,11 @@ void Conv2d::load_parameters(const float*& cursor) {
 
 Tensor ReLU::forward(const Tensor& input, bool train, Precision) {
   Tensor out = input;
+  // A select, not a branch: about half the conv outputs are negative, so
+  // an `if` mispredicts on them. Same bits for +-0, NaN and +-inf.
+  float* d = out.data();
   for (std::size_t i = 0; i < out.size(); ++i)
-    if (out[i] < 0.0f) out[i] = 0.0f;
+    d[i] = d[i] < 0.0f ? 0.0f : d[i];
   if (train) cached_input_ = input;
   return out;
 }

@@ -39,11 +39,14 @@ class Layer {
 /// initialization. Input/output layout: (N, C, H, W).
 ///
 /// The forward pass is im2col + the dispatched register-blocked GEMM
-/// (the weight matrix (out, in*k*k) times the lowered image); the naive
-/// 6-deep loop nest it is checked against is the test oracle in
-/// tests/dsp_oracle.hpp. An inference pass at Precision::kInt8 swaps in
-/// symmetric-int8 operands (weights quantized once and cached until the
-/// next sgd_step/load_parameters, activations per call).
+/// (the weight matrix (out, in*k*k) times the lowered image), run as one
+/// util::parallel_for task per (image, block of 8 output rows), each
+/// with its own scratch; the blocks give the bits of one whole-image
+/// GEMM. The naive 6-deep loop nest and that whole-image loop are the
+/// test oracles in tests/dsp_oracle.hpp. An inference pass at
+/// Precision::kInt8 swaps in symmetric-int8 operands (weights quantized
+/// once and cached until the next sgd_step/load_parameters, one
+/// activation scale per image per call).
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -73,7 +76,6 @@ class Conv2d final : public Layer {
   Tensor vel_weights_;
   Tensor vel_bias_;
   Tensor cached_input_;
-  std::vector<float> im2col_buf_;  // reused across forward calls
 
   // int8 weight cache (inference only); rebuilt lazily after any
   // parameter mutation flips quant_dirty_.

@@ -27,38 +27,38 @@ QuantizedRows quantize_rows_s8(const float* data, std::size_t rows,
   q.values.resize(rows * cols);
   q.scales.resize(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = data + r * cols;
-    float maxabs = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c)
-      maxabs = std::max(maxabs, std::fabs(row[c]));
-    const float scale = maxabs / 127.0f;
-    q.scales[r] = scale;
-    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) {
-      // nearbyint in the default round-to-nearest-even mode; the clamp
-      // guards the maxabs element itself rounding to 128 (it cannot:
-      // maxabs * inv == 127 exactly only up to rounding, so keep it).
-      const float v = std::nearbyint(row[c] * inv);
-      q.values[r * cols + c] = static_cast<std::int8_t>(
-          std::max(-127.0f, std::min(127.0f, v)));
-    }
+    q.scales[r] = tensor_scale_s8(data + r * cols, cols);
+    quantize_s8(data + r * cols, cols, q.scales[r], q.values.data() + r * cols);
   }
   return q;
+}
+
+float tensor_scale_s8(const float* data, std::size_t count) {
+  // std::max keeps its first argument when the second is NaN, so NaNs
+  // never reach the scale and the maximum is the same in any order.
+  float maxabs = 0.0f;
+  for (std::size_t i = 0; i < count; ++i)
+    maxabs = std::max(maxabs, std::fabs(data[i]));
+  return maxabs / 127.0f;
+}
+
+void quantize_s8(const float* data, std::size_t count, float scale,
+                 std::int8_t* out) {
+  const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
+  for (std::size_t i = 0; i < count; ++i) {
+    // nearbyint in the default round-to-nearest-even mode; the clamp
+    // guards the maxabs element itself rounding to 128 (it cannot:
+    // maxabs * inv == 127 exactly only up to rounding, so keep it).
+    const float v = std::nearbyint(data[i] * inv);
+    out[i] = static_cast<std::int8_t>(std::max(-127.0f, std::min(127.0f, v)));
+  }
 }
 
 QuantizedTensor quantize_tensor_s8(const float* data, std::size_t count) {
   QuantizedTensor q;
   q.values.resize(count);
-  float maxabs = 0.0f;
-  for (std::size_t i = 0; i < count; ++i)
-    maxabs = std::max(maxabs, std::fabs(data[i]));
-  q.scale = maxabs / 127.0f;
-  const float inv = q.scale > 0.0f ? 1.0f / q.scale : 0.0f;
-  for (std::size_t i = 0; i < count; ++i) {
-    const float v = std::nearbyint(data[i] * inv);
-    q.values[i] =
-        static_cast<std::int8_t>(std::max(-127.0f, std::min(127.0f, v)));
-  }
+  q.scale = tensor_scale_s8(data, count);
+  quantize_s8(data, count, q.scale, q.values.data());
   return q;
 }
 

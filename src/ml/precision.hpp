@@ -41,6 +41,15 @@ struct QuantizedTensor {
 
 QuantizedTensor quantize_tensor_s8(const float* data, std::size_t count);
 
+/// quantize_tensor_s8's two steps. The scale is max|x| / 127 over the
+/// buffer's non-NaN elements (0 for an all-zero buffer); the apply step
+/// writes x / scale rounded to nearest-even and clamped to [-127, 127]
+/// (all 0 when scale is 0). Conv2d takes the scale from the image once
+/// and applies it to each block of its im2col rows.
+float tensor_scale_s8(const float* data, std::size_t count);
+void quantize_s8(const float* data, std::size_t count, float scale,
+                 std::int8_t* out);
+
 /// Round-trips for tests and for the reference accuracy-delta analysis.
 std::vector<float> dequantize_rows_s8(const QuantizedRows& q,
                                       std::size_t rows, std::size_t cols);

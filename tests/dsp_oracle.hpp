@@ -4,18 +4,22 @@
 // against them. Each kernel of the queen-detection front end has one
 // production path: the planned FFT (dsp::FftPlan / dsp::RealFftPlan),
 // the chunk-parallel STFT frame loop (dsp::StftPlan), the per-frame
-// banded mel filterbank, the row-chunked dB pass and the im2col + GEMM
-// convolution. Their oracles are the loops they replaced — a radix-2
-// FFT whose twiddles drift by repeated multiplication, one complex
-// transform per STFT frame over a reflect-padded copy, the dense
+// banded mel filterbank, the row-chunked dB pass and the row-blocked
+// im2col + GEMM convolution. Their oracles are the loops they replaced —
+// a radix-2 FFT whose twiddles drift by repeated multiplication, one
+// complex transform per STFT frame over a reflect-padded copy, the dense
 // bin-by-bin filterbank apply over a whole bins x frames matrix and the
 // 6-deep convolution loop nest — plus the serial planned frame loop,
 // the serial dB loop and their composition into the CNN image, which
-// the fused mel front end must equal bit for bit.
+// the fused mel front end must equal bit for bit, and the whole-image
+// im2col + GEMM loop, which the row blocks must equal bit for bit.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -29,7 +33,9 @@
 #include "dsp/spectrogram.hpp"
 #include "dsp/stft.hpp"
 #include "dsp/window.hpp"
+#include "ml/gemm.hpp"
 #include "ml/layers.hpp"
+#include "ml/precision.hpp"
 #include "ml/tensor.hpp"
 
 namespace beesim::oracle {
@@ -251,6 +257,99 @@ inline ml::Tensor conv2d_forward(const ml::Conv2d& conv,
           out[((b * out_ch + oc) * h + y) * w + x] = acc;
         }
   return out;
+}
+
+/// The whole-image im2col lowering: all height*width columns of one
+/// (channels x height x width) image at once, row (ic*kernel + ky)*kernel
+/// + kx, column y*width + x holding input(ic, y+ky-pad, x+kx-pad) or 0
+/// outside the image. ml::im2col_same lowers one row range instead.
+inline void im2col_image(const float* image, std::size_t channels,
+                         std::size_t height, std::size_t width,
+                         std::size_t kernel, std::vector<float>& out) {
+  const std::size_t pad = kernel / 2;
+  const std::size_t cols = height * width;
+  out.resize(channels * kernel * kernel * cols);
+  float* dst = out.data();
+  for (std::size_t ic = 0; ic < channels; ++ic) {
+    const float* plane = image + ic * cols;
+    for (std::size_t ky = 0; ky < kernel; ++ky) {
+      for (std::size_t kx = 0; kx < kernel; ++kx) {
+        for (std::size_t y = 0; y < height; ++y) {
+          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(y + ky) -
+                                    static_cast<std::ptrdiff_t>(pad);
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(height)) {
+            std::memset(dst, 0, width * sizeof(float));
+            dst += width;
+            continue;
+          }
+          const float* src = plane + static_cast<std::size_t>(iy) * width;
+          const std::ptrdiff_t shift = static_cast<std::ptrdiff_t>(kx) -
+                                       static_cast<std::ptrdiff_t>(pad);
+          if (shift < 0) {
+            const auto lead =
+                std::min(static_cast<std::size_t>(-shift), width);
+            std::memset(dst, 0, lead * sizeof(float));
+            std::memcpy(dst + lead, src, (width - lead) * sizeof(float));
+          } else {
+            const auto s = std::min(static_cast<std::size_t>(shift), width);
+            std::memcpy(dst, src + s, (width - s) * sizeof(float));
+            std::memset(dst + width - s, 0, s * sizeof(float));
+          }
+          dst += width;
+        }
+      }
+    }
+  }
+}
+
+/// ml::Conv2d's inference forward as one whole-image im2col and one
+/// dispatched GEMM per image on the calling thread: f32, or int8 with
+/// the weights quantized per row and the activations over the whole
+/// im2col matrix. Conv2d::forward's row blocks (each with the image's
+/// own scale at int8) must equal it bit for bit.
+inline ml::Tensor conv2d_gemm(const ml::Conv2d& conv, const ml::Tensor& input,
+                              ml::Precision precision) {
+  const ml::Tensor& weights = conv.weights();  // (out, in, k, k)
+  const std::size_t out_ch = weights.dim(0);
+  const std::size_t in_ch = weights.dim(1);
+  const std::size_t k = weights.dim(2);
+  std::vector<float> params;
+  conv.append_parameters(params);  // weights, then the out_ch biases
+  const float* wt = weights.data();
+  const float* bias = params.data() + weights.size();
+  const std::size_t n = input.dim(0);
+  const std::size_t cols = input.dim(2) * input.dim(3);
+  const std::size_t kdim = in_ch * k * k;
+  const ml::QuantizedRows wt_s8 = ml::quantize_rows_s8(wt, out_ch, kdim);
+  ml::Tensor out({n, out_ch, input.dim(2), input.dim(3)});
+  const float* in = input.data();
+  float* o = out.data();
+  std::vector<float> buf;
+  for (std::size_t b = 0; b < n; ++b) {
+    im2col_image(in + b * in_ch * cols, in_ch, input.dim(2), input.dim(3), k,
+                 buf);
+    float* obatch = o + b * out_ch * cols;
+    if (precision == ml::Precision::kInt8) {
+      const ml::QuantizedTensor act =
+          ml::quantize_tensor_s8(buf.data(), buf.size());
+      ml::sgemm_bias_s8(out_ch, cols, kdim, wt_s8.values.data(),
+                        wt_s8.scales.data(), act.values.data(), act.scale,
+                        bias, obatch);
+    } else {
+      ml::sgemm_bias(out_ch, cols, kdim, wt, buf.data(), bias, obatch);
+    }
+  }
+  return out;
+}
+
+/// Equal bit patterns, element by element (NaNs included).
+inline void expect_tensors_identical(const ml::Tensor& a,
+                                     const ml::Tensor& b) {
+  ASSERT_TRUE(a.same_shape(b));
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << "at " << i << ": " << a[i] << " vs " << b[i];
 }
 
 inline void expect_matrices_identical(const dsp::Matrix& a,

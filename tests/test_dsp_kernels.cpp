@@ -252,6 +252,34 @@ TEST(PowerToDb, MatchesLegacyTwoPassBitIdentical) {
                                 legacy(*m, top_db));
 }
 
+TEST(PowerToDb, ColumnsConvertOnlyTheirColumnsWithTheWholePeak) {
+  // The peak sits in a column that is not converted: every listed
+  // column must still read power_to_db's bits, every other column its
+  // power, on one row chunk (8 x 12) and several (128 x 431).
+  beesim::util::Rng rng(28);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{8, 12}, {128, 431}}) {
+    dsp::Matrix power(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < cols; ++c)
+        power(r, c) = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 1e3);
+    power(rows / 2, 1) = 1e6;
+    std::vector<std::size_t> columns;
+    for (std::size_t c = 0; c < cols; c += 3) columns.push_back(c);
+    const dsp::Matrix db = dsp::power_to_db(power);
+    dsp::Matrix got = power;
+    dsp::power_to_db_columns(got, columns);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < cols; ++c)
+        ASSERT_EQ(got(r, c), c % 3 == 0 ? db(r, c) : power(r, c))
+            << rows << "x" << cols << " at (" << r << ", " << c << ")";
+    dsp::Matrix untouched = power;
+    EXPECT_THROW(dsp::power_to_db_columns(untouched, {0, cols}),
+                 std::out_of_range);
+    expect_matrices_identical(untouched, power);
+  }
+}
+
 // ------------------------------------------------------------ Conv2d GEMM
 
 TEST(ConvGemm, ForwardMatchesNaive) {
@@ -341,6 +369,91 @@ TEST(ConvGemm, QueenCnnLogitsMatchNaive) {
   }
 }
 
+namespace {
+
+/// One convolution the row blocks must reproduce: the queen CNN's two
+/// layer shapes and a 5x5 kernel, at heights around the 8-row block
+/// (one block, a partial one, several), 1 or 3 images, f32 or int8.
+struct ConvCase {
+  std::size_t in_ch, out_ch, kernel, batch, h, w;
+  ml::Precision precision;
+};
+
+std::vector<ConvCase> conv_cases() {
+  struct Layer {
+    std::size_t in_ch, out_ch, kernel;
+  };
+  std::vector<ConvCase> cases;
+  for (const Layer l : {Layer{1, 8, 3}, Layer{8, 16, 3}, Layer{3, 4, 5}})
+    for (const std::size_t h : {1, 2, 7, 8, 9, 17, 100})
+      for (const std::size_t batch : {1, 3})
+        for (const auto precision : {ml::Precision::kF32, ml::Precision::kInt8})
+          cases.push_back({l.in_ch, l.out_ch, l.kernel, batch, h,
+                           h == 100 ? std::size_t{100} : std::size_t{13},
+                           precision});
+  return cases;
+}
+
+/// A case's layer, with random biases (the constructor leaves them zero),
+/// and its input, drawn from the case's own seed.
+struct ConvSetup {
+  ConvSetup(const ConvCase& c, std::uint64_t seed)
+      : rng(seed), conv(c.in_ch, c.out_ch, c.kernel, rng),
+        input({c.batch, c.in_ch, c.h, c.w}) {
+    std::vector<float> params;
+    conv.append_parameters(params);
+    for (std::size_t i = params.size() - c.out_ch; i < params.size(); ++i)
+      params[i] = static_cast<float>(rng.normal());
+    const float* cursor = params.data();
+    conv.load_parameters(cursor);
+    for (std::size_t i = 0; i < input.size(); ++i)
+      input[i] = static_cast<float>(rng.normal());
+  }
+
+  beesim::util::Rng rng;
+  ml::Conv2d conv;
+  ml::Tensor input;
+};
+
+}  // namespace
+
+TEST(ConvGemm, RowBlocksBitIdenticalToWholeImageGemm) {
+  // Conv2d::forward runs one task per (image, 8-row block); each output
+  // element still sums over ascending k in every tier, and at int8 the
+  // image's own scale equals its im2col matrix's, so the blocks must
+  // give the whole-image loop's bits.
+  const std::vector<ConvCase> cases = conv_cases();
+  for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
+                          dsp::IsaRequest::kAuto}) {
+    dsp::set_active_isa(tier);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const ConvCase& c = cases[i];
+      SCOPED_TRACE(testing::Message()
+                   << dsp::isa_name(dsp::active_isa()) << " case " << i
+                   << ": " << c.in_ch << "->" << c.out_ch << " k" << c.kernel
+                   << " n" << c.batch << " " << c.h << "x" << c.w << " "
+                   << ml::precision_name(c.precision));
+      ConvSetup s(c, 1000 + i);
+      oracle::expect_tensors_identical(
+          s.conv.forward(s.input, false, c.precision),
+          oracle::conv2d_gemm(s.conv, s.input, c.precision));
+    }
+  }
+  // Once more with every case inside one index of an outer parallel_for,
+  // so the row blocks run as nested regions.
+  std::vector<ml::Tensor> got(cases.size());
+  beesim::util::parallel_for(cases.size(), [&](std::size_t i) {
+    ConvSetup s(cases[i], 1000 + i);
+    got[i] = s.conv.forward(s.input, false, cases[i].precision);
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "nested case " << i);
+    ConvSetup s(cases[i], 1000 + i);
+    oracle::expect_tensors_identical(
+        got[i], oracle::conv2d_gemm(s.conv, s.input, cases[i].precision));
+  }
+}
+
 // ----------------------------------------------------------- Mel pipeline
 
 TEST(MelPipeline, FastMatchesReference) {
@@ -369,18 +482,22 @@ namespace {
 
 /// Signal lengths that reach reflect-mapped frames at both ends: the
 /// shortest signal that can be padded, one sample short of a frame, one
-/// frame, one frame and a hop, then 1 s and 10 s at 22050 Hz.
+/// frame, one frame and a hop, exactly one 16-frame STFT chunk and one
+/// chunk plus a frame (15 and 16 hops), then 1 s and 10 s at 22050 Hz.
 std::vector<std::size_t> edge_lengths(const dsp::MelSpectrogram::Params& mp) {
   return {mp.n_fft / 2 + 1, mp.n_fft - 1, mp.n_fft, mp.n_fft + mp.hop + 1,
-          22050, 220500};
+          15 * mp.hop, 16 * mp.hop, 22050, 220500};
 }
 
-constexpr std::size_t kImageSide = 100;
+/// compute_image sides: its dB pass then converts 2 or 3 columns, every
+/// column (frames <= side) or about half of them (side 100 of a 10 s
+/// clip's 431 frames).
+constexpr std::size_t kImageSides[] = {1, 2, 64, 100};
 
 /// Everything the mel front end produces for one signal.
 struct FrontEnd {
   dsp::Matrix mel;
-  dsp::Matrix image;
+  std::vector<dsp::Matrix> images;  // one per kImageSides entry
   dsp::Matrix stft_centered;
   dsp::Matrix stft_plain;  // center = false; empty when too short
 };
@@ -396,8 +513,9 @@ dsp::StftParams stft_of(const dsp::MelSpectrogram::Params& mp, bool center) {
 FrontEnd production(const dsp::MelSpectrogram& mel,
                     const std::vector<double>& x) {
   const auto& mp = mel.params();
-  FrontEnd out{mel.compute(x), mel.compute_image(x, kImageSide),
-               dsp::stft_power(x, stft_of(mp, true)), {}};
+  FrontEnd out{mel.compute(x), {}, dsp::stft_power(x, stft_of(mp, true)), {}};
+  for (const std::size_t side : kImageSides)
+    out.images.push_back(mel.compute_image(x, side));
   if (x.size() >= mp.n_fft)
     out.stft_plain = dsp::stft_power(x, stft_of(mp, false));
   return out;
@@ -407,7 +525,8 @@ FrontEnd oracles(const dsp::MelSpectrogram::Params& mp,
                  const std::vector<double>& x) {
   FrontEnd out;
   out.mel = oracle::mel_power_serial(x, mp);
-  out.image = oracle::mel_image(out.mel, kImageSide);
+  for (const std::size_t side : kImageSides)
+    out.images.push_back(oracle::mel_image(out.mel, side));
   out.stft_centered = oracle::stft_power_serial(x, stft_of(mp, true));
   if (x.size() >= mp.n_fft)
     out.stft_plain = oracle::stft_power_serial(x, stft_of(mp, false));
@@ -416,7 +535,11 @@ FrontEnd oracles(const dsp::MelSpectrogram::Params& mp,
 
 void expect_identical(const FrontEnd& got, const FrontEnd& want) {
   expect_matrices_identical(got.mel, want.mel);
-  expect_matrices_identical(got.image, want.image);
+  ASSERT_EQ(got.images.size(), want.images.size());
+  for (std::size_t i = 0; i < want.images.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "side " << kImageSides[i]);
+    expect_matrices_identical(got.images[i], want.images[i]);
+  }
   expect_matrices_identical(got.stft_centered, want.stft_centered);
   expect_matrices_identical(got.stft_plain, want.stft_plain);
 }
@@ -505,7 +628,7 @@ TEST(MelPipeline, ShortSignalThrowsBeforeAnyFrameRuns) {
     const auto reuses_before = reuses.value();
     const auto tasks_before = pool.stats().tasks;
     EXPECT_THROW(mel.compute(x), std::invalid_argument) << "length " << len;
-    EXPECT_THROW(mel.compute_image(x, kImageSide), std::invalid_argument);
+    EXPECT_THROW(mel.compute_image(x, 100), std::invalid_argument);
     EXPECT_THROW(mel.compute_features(x), std::invalid_argument);
     EXPECT_EQ(frames.value(), frames_before) << "length " << len;
     EXPECT_EQ(reuses.value(), reuses_before) << "length " << len;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include "audio/dataset.hpp"
 #include "ml/costmodel.hpp"
@@ -59,6 +62,40 @@ TEST(ReLU, ForwardAndBackward) {
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[1], 1.0f);
   EXPECT_FLOAT_EQ(gx[3], 0.0f);
+}
+
+TEST(ReLU, ForwardKeepsEveryBitPattern) {
+  // Forward keeps x unless x < 0, which becomes +0: -0 and NaNs of
+  // either sign (payload included) pass through unchanged. Each pattern
+  // sits at several offsets so vectorized bodies and scalar tails both
+  // see it.
+  struct Case {
+    std::uint32_t in, out;
+  };
+  const Case cases[] = {
+      {0x00000000u, 0x00000000u},  // +0
+      {0x80000000u, 0x80000000u},  // -0
+      {0x7fc12345u, 0x7fc12345u},  // quiet NaN with a payload
+      {0xffc54321u, 0xffc54321u},  // negative NaN
+      {0x00000001u, 0x00000001u},  // +denormal
+      {0x80000001u, 0x00000000u},  // -denormal
+      {0x7f800000u, 0x7f800000u},  // +inf
+      {0xff800000u, 0x00000000u},  // -inf
+      {0x7f7fffffu, 0x7f7fffffu},  // FLT_MAX
+      {0xff7fffffu, 0x00000000u},  // -FLT_MAX
+  };
+  constexpr std::size_t kCount = std::size(cases);
+  ml::Tensor x({5, kCount + 1});
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::bit_cast<float>(cases[i % kCount].in);
+  ml::ReLU relu;
+  const ml::Tensor y = relu.forward(x, false, kF32);
+  ASSERT_TRUE(y.same_shape(x));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const Case& c = cases[i % kCount];
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]), c.out)
+        << std::hex << "input 0x" << c.in << " at " << std::dec << i;
+  }
 }
 
 TEST(MaxPool2, PicksMaximaAndRoutesGradient) {

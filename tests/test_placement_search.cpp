@@ -236,9 +236,10 @@ TEST(PlacementSearch, NeverWorseThanGreedyOnFuzzedFleets) {
     const int n_classes = static_cast<int>(rng.uniform_int(1, 4));
     std::vector<DeviceClassSpec> classes;
     for (int c = 0; c < n_classes; ++c) {
+      std::string name = "c";
+      name += std::to_string(c);
       DeviceClassSpec cls =
-          make_class("c" + std::to_string(c),
-                     static_cast<int>(rng.uniform_int(0, 300)),
+          make_class(name, static_cast<int>(rng.uniform_int(0, 300)),
                      rng.uniform(0.1, 1.0), rng.uniform(0.3, 1.0));
       cls.compute_scale = rng.uniform(0.8, 2.0);
       cls.energy_scale = rng.uniform(0.8, 2.0);
