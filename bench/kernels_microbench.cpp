@@ -6,15 +6,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "audio/synth.hpp"
 #include "core/network_sim.hpp"
 #include "dsp/dispatch.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/simd_kernels.hpp"
 #include "dsp/spectrogram.hpp"
+#include "dsp/stft.hpp"
 #include "ml/network.hpp"
 #include "ml/precision.hpp"
 #include "ml/svm.hpp"
@@ -25,22 +26,42 @@ namespace {
 
 using namespace beesim;
 
-// The planned real FFT: an N/2 complex transform on precomputed tables
-// (the naive full complex FFT is the test oracle in tests/dsp_oracle.hpp).
+// The batched real FFT: one stft_power4 call on the active dispatch tier
+// windows four frames a quarter frame apart and writes their power, each
+// lane an N/2-point complex transform on precomputed tables (the
+// per-frame planned FFT it replaced and the naive full complex FFT are
+// test oracles in tests/dsp_oracle.hpp). Items are frames;
+// `time_per_frame` is the time of one call divided by its four frames.
 void BM_RealFftPlanned(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  dsp::StftParams p;
+  p.n_fft = n;
+  p.hop = n / 4;
+  const dsp::StftPlan plan(p);
+  const dsp::StftTables tables = plan.tables();
   util::Rng rng(1);
-  std::vector<double> signal(n);
+  std::vector<double> signal(n + 3 * p.hop);
   for (auto& v : signal) v = rng.normal();
-  const dsp::RealFftPlan plan(n);
-  std::vector<dsp::Complex> out(plan.bins());
-  std::vector<dsp::Complex> scratch(plan.scratch_size());
+  const double* frames[dsp::StftPlan::kBatch];
+  for (std::size_t l = 0; l < dsp::StftPlan::kBatch; ++l)
+    frames[l] = signal.data() + l * p.hop;
+  // Cache-line aligned, as StftPlan::for_each_frame aligns its scratch.
+  std::vector<double> buffer(dsp::stft_scratch_size(n) + 8);
+  void* start = buffer.data();
+  std::size_t space = buffer.size() * sizeof(double);
+  auto* scratch = static_cast<double*>(std::align(
+      64, dsp::stft_scratch_size(n) * sizeof(double), start, space));
+  const dsp::KernelTable& kernels = dsp::kernel_table();
   for (auto _ : state) {
-    plan.transform(signal.data(), out.data(), scratch.data());
-    benchmark::DoNotOptimize(out.data());
+    kernels.stft_power4(tables, frames, scratch);
+    benchmark::DoNotOptimize(scratch);
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+  const auto frames_done = static_cast<double>(state.iterations()) *
+                           static_cast<double>(dsp::StftPlan::kBatch);
+  state.SetItemsProcessed(static_cast<std::int64_t>(frames_done));
+  state.counters["time_per_frame"] = benchmark::Counter(
+      frames_done, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_RealFftPlanned)->Arg(512)->Arg(2048)->Arg(8192);
 
@@ -58,18 +79,21 @@ void BM_MelSpectrogram(benchmark::State& state) {
 BENCHMARK(BM_MelSpectrogram)->Arg(5)->Arg(10)->Arg(30);  // 0.5 / 1 / 3 s
 
 // Banded filterbank apply, isolated from the STFT: 128 mel bands over the
-// 44 frames of a 1-second clip, one frame at a time into its column of
-// the mel matrix — the per-frame form MelSpectrogram::compute runs.
+// 44 frames of a 1-second clip, four frames per apply into their columns
+// of the mel matrix, laid out as StftPlan hands a batch over (bin b of
+// frame l at 4 b + l) — the form MelSpectrogram::compute runs.
 void BM_FilterbankBanded(benchmark::State& state) {
   util::Rng rng(6);
   const dsp::BandedFilterbank banded(dsp::mel_filterbank(128, 2048, 22050.0));
   constexpr std::size_t kFrames = 44;
-  std::vector<double> power(kFrames * banded.bins());  // frame after frame
+  constexpr std::size_t kBatch = dsp::StftPlan::kBatch;
+  std::vector<double> power(kFrames * banded.bins());  // batch after batch
   for (double& v : power) v = rng.uniform(0.0, 10.0);
   dsp::Matrix mel(banded.bands(), kFrames);
   for (auto _ : state) {
-    for (std::size_t f = 0; f < kFrames; ++f)
-      banded.apply(power.data() + f * banded.bins(), mel.data() + f, kFrames);
+    for (std::size_t f = 0; f < kFrames; f += kBatch)
+      banded.apply(power.data() + f * banded.bins(), kBatch, mel.data() + f,
+                   kFrames);
     benchmark::DoNotOptimize(mel.data());
     benchmark::ClobberMemory();
   }

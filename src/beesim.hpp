@@ -36,7 +36,6 @@
 #include "audio/synth.hpp"
 #include "audio/wav.hpp"
 #include "dsp/features.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/spectrogram.hpp"
 #include "ml/costmodel.hpp"
 #include "ml/metrics.hpp"

@@ -18,9 +18,9 @@
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
-namespace beesim::dsp::detail {
+#include "dsp/batch4_body.hpp"
 
-using Complex = std::complex<double>;
+namespace beesim::dsp::detail {
 
 void sgemm_bias_f32_avx2(std::size_t m, std::size_t n, std::size_t k,
                          const float* a, const float* b, const float* bias,
@@ -266,36 +266,50 @@ void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-void fft_stage_avx2(Complex* data, std::size_t n, std::size_t len,
-                    const Complex* tw) {
-  const std::size_t half = len / 2;
-  if (half < 2) {  // len == 2: twiddle is 1+0i, plain u +/- v
-    fft_stage_scalar(data, n, len, tw);
-    return;
+namespace {
+
+/// One __m256d: the AVX2 tier's batch-kernel lanes.
+struct Avx2Lanes {
+  __m256d v;
+
+  static Avx2Lanes load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  static Avx2Lanes broadcast(double x) { return {_mm256_set1_pd(x)}; }
+  static void load_pairs(const double* const* frames, std::size_t i,
+                         Avx2Lanes& a, Avx2Lanes& b) {
+    // [f0[i], f0[i+1], f2[i], f2[i+1]] and the same of frames 1 and 3;
+    // unpacking them gives lane l's sample i in a, i + 1 in b.
+    const __m256d t02 = _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_loadu_pd(frames[0] + i)),
+        _mm_loadu_pd(frames[2] + i), 1);
+    const __m256d t13 = _mm256_insertf128_pd(
+        _mm256_castpd128_pd256(_mm_loadu_pd(frames[1] + i)),
+        _mm_loadu_pd(frames[3] + i), 1);
+    a = {_mm256_unpacklo_pd(t02, t13)};
+    b = {_mm256_unpackhi_pd(t02, t13)};
   }
-  auto* d = reinterpret_cast<double*>(data);
-  const auto* t = reinterpret_cast<const double*>(tw);
-  for (std::size_t i = 0; i < n; i += len) {
-    double* lo = d + 2 * i;
-    double* hi = lo + 2 * half;
-    for (std::size_t j = 0; j < half; j += 2) {
-      const __m256d u = _mm256_loadu_pd(lo + 2 * j);
-      const __m256d x = _mm256_loadu_pd(hi + 2 * j);  // [a, b] per lane
-      const __m256d w = _mm256_loadu_pd(t + 2 * j);   // [c, d] per lane
-      const __m256d wr = _mm256_movedup_pd(w);        // [c, c]
-      const __m256d wi = _mm256_permute_pd(w, 0xF);   // [d, d]
-      const __m256d xs = _mm256_permute_pd(x, 0x5);   // [b, a]
-      const __m256d t1 = _mm256_mul_pd(x, wr);        // [ac, bc]
-      const __m256d t2 = _mm256_mul_pd(xs, wi);       // [bd, ad]
-      // v = x*w: re = ac - bd, im = bc + ad — the scalar complex
-      // product's rounded ops per lane (no addsubpd: blend of separate
-      // sub/add keeps the op-for-op correspondence obvious).
-      const __m256d v = _mm256_blend_pd(_mm256_sub_pd(t1, t2),
-                                        _mm256_add_pd(t1, t2), 0xA);
-      _mm256_storeu_pd(lo + 2 * j, _mm256_add_pd(u, v));
-      _mm256_storeu_pd(hi + 2 * j, _mm256_sub_pd(u, v));
-    }
-  }
+  void store(double* p) const { _mm256_storeu_pd(p, v); }
+};
+
+inline Avx2Lanes operator+(Avx2Lanes a, Avx2Lanes b) {
+  return {_mm256_add_pd(a.v, b.v)};
+}
+inline Avx2Lanes operator-(Avx2Lanes a, Avx2Lanes b) {
+  return {_mm256_sub_pd(a.v, b.v)};
+}
+inline Avx2Lanes operator*(Avx2Lanes a, Avx2Lanes b) {
+  return {_mm256_mul_pd(a.v, b.v)};
+}
+
+}  // namespace
+
+void stft_power4_avx2(const StftTables& t, const double* const* frames,
+                      double* scratch) {
+  stft_power4_body<Avx2Lanes>(t, frames, scratch);
+}
+
+void mel_bands4_avx2(const BandTables& t, const double* power,
+                     std::size_t count, double* out, std::size_t stride) {
+  mel_bands4_body<Avx2Lanes>(t, power, count, out, stride);
 }
 
 namespace {
@@ -363,9 +377,14 @@ void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
   sgemm_bias_s8_scalar(m, n, k, a, a_scales, b, b_scale, bias, c);
 }
 
-void fft_stage_avx2(std::complex<double>* data, std::size_t n,
-                    std::size_t len, const std::complex<double>* tw) {
-  fft_stage_scalar(data, n, len, tw);
+void stft_power4_avx2(const StftTables& t, const double* const* frames,
+                      double* scratch) {
+  stft_power4_scalar(t, frames, scratch);
+}
+
+void mel_bands4_avx2(const BandTables& t, const double* power,
+                     std::size_t count, double* out, std::size_t stride) {
+  mel_bands4_scalar(t, power, count, out, stride);
 }
 
 void welford5_add_avx2(Welford5* s, const double* xs, std::size_t count) {

@@ -2,17 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace beesim::dsp {
 
+namespace {
+
+/// The element std::max_element (greater = std::less) or std::min_element
+/// (std::greater) returns, bit for bit, from four running extremes that
+/// break the scan's dependent compare chain. A NaN never replaces a
+/// running extreme (every compare with it is false), so in both scans a
+/// NaN is the answer only as the first element, which then fills every
+/// lane. Otherwise the extreme value is unique up to the sign of zero: a
+/// nonzero extreme is the answer, and for a zero one the first zero of
+/// either sign is, as in the std:: scan.
+template <typename Before>
+double first_extreme(const std::vector<double>& v, Before before) {
+  const double* p = v.data();
+  const std::size_t n = v.size();
+  double lane[4] = {p[0], p[0], p[0], p[0]};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    for (std::size_t l = 0; l < 4; ++l)
+      lane[l] = before(lane[l], p[i + l]) ? p[i + l] : lane[l];
+  for (; i < n; ++i) lane[0] = before(lane[0], p[i]) ? p[i] : lane[0];
+  double best = lane[0];
+  for (std::size_t l = 1; l < 4; ++l)
+    best = before(best, lane[l]) ? lane[l] : best;
+  if (best != 0.0) return best;  // a NaN too
+  return *std::find(v.begin(), v.end(), 0.0);
+}
+
+}  // namespace
+
 double Matrix::min() const {
   if (data_.empty()) throw std::logic_error("Matrix::min: empty");
-  return *std::min_element(data_.begin(), data_.end());
+  return first_extreme(data_, std::greater<>());
 }
 
 double Matrix::max() const {
   if (data_.empty()) throw std::logic_error("Matrix::max: empty");
-  return *std::max_element(data_.begin(), data_.end());
+  return first_extreme(data_, std::less<>());
 }
 
 std::vector<BilinearTap> bilinear_taps(std::size_t in, std::size_t out) {

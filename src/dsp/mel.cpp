@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "dsp/simd_kernels.hpp"
 #include "obs/catalog.hpp"
 #include "util/parallel.hpp"
 
@@ -60,24 +61,15 @@ Matrix mel_filterbank(std::size_t n_mels, std::size_t n_fft,
 BandedFilterbank::BandedFilterbank(const Matrix& dense) : bins_(dense.cols()) {
   if (dense.empty())
     throw std::invalid_argument("BandedFilterbank: empty filterbank");
-  first_.reserve(dense.rows());
   offset_.reserve(dense.rows() + 1);
   offset_.push_back(0);
   for (std::size_t m = 0; m < dense.rows(); ++m) {
-    std::size_t first = bins_;
-    std::size_t last = 0;
     for (std::size_t b = 0; b < bins_; ++b) {
-      if (dense(m, b) != 0.0) {
-        if (first == bins_) first = b;
-        last = b;
-      }
+      // Zero weights of either sign are skipped, as the dense apply does.
+      if (dense(m, b) == 0.0) continue;
+      bin_.push_back(b);
+      weights_.push_back(dense(m, b));
     }
-    if (first == bins_) first = 0;  // all-zero band: empty range
-    else {
-      for (std::size_t b = first; b <= last; ++b)
-        weights_.push_back(dense(m, b));
-    }
-    first_.push_back(first);
     offset_.push_back(weights_.size());
   }
   if (obs::enabled()) {
@@ -86,22 +78,10 @@ BandedFilterbank::BandedFilterbank(const Matrix& dense) : bins_(dense.cols()) {
   }
 }
 
-void BandedFilterbank::apply(const double* power, double* out,
-                             std::size_t stride) const noexcept {
-  for (std::size_t m = 0; m < bands(); ++m) {
-    const double* w = weights_.data() + offset_[m];
-    const double* bin = power + first_[m];
-    const std::size_t count = offset_[m + 1] - offset_[m];
-    double acc = 0.0;
-    for (std::size_t j = 0; j < count; ++j) {
-      // Triangular bands have no interior zeros, but skip them anyway so
-      // the accumulation matches the dense apply (skip zero weights,
-      // bins ascending) bit for bit on any input.
-      if (w[j] == 0.0) continue;
-      acc += w[j] * bin[j];
-    }
-    out[m * stride] = acc;
-  }
+void BandedFilterbank::apply(const double* power, std::size_t count,
+                             double* out, std::size_t stride) const noexcept {
+  const BandTables t{bands(), offset_.data(), bin_.data(), weights_.data()};
+  kernel_table().mel_bands4(t, power, count, out, stride);
 }
 
 namespace {

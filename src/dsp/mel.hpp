@@ -19,33 +19,37 @@ Matrix mel_filterbank(std::size_t n_mels, std::size_t n_fft,
                       double sample_rate, double fmin = 0.0,
                       double fmax = 0.0 /* 0 => sample_rate/2 */);
 
-/// Sparse (banded) form of a triangular filterbank: per band, the first
-/// nonzero bin and the packed weights up to the last nonzero bin. Built
-/// once per MelSpectrogram; apply() maps one frame's power bins onto its
-/// mel bands, touching only the nonzero bins. Each triangular band is
-/// nonzero on a narrow bin range, so the dense matrix is >90% zeros.
-/// apply() is bit-identical to the dense bin-by-bin apply (the oracle in
-/// tests/dsp_oracle.hpp): per band, zero weights skipped, bins ascending,
-/// a separate multiply and add into an accumulator that starts at 0.
+/// Sparse form of a filterbank: per band, its nonzero weights and their
+/// bins, ascending. Built once per MelSpectrogram; apply() maps one
+/// StftPlan batch of up to four frames onto their mel bands, touching
+/// only the nonzero bins. Each triangular band is nonzero on a narrow bin
+/// range, so the dense matrix is >90% zeros. apply() is bit-identical to
+/// the dense bin-by-bin apply (the oracle in tests/dsp_oracle.hpp): per
+/// band and frame, zero weights skipped, bins ascending, a separate
+/// multiply and add into an accumulator that starts at 0. The four
+/// frames are the four lanes of the dispatched mel_bands4 kernel, one
+/// vector add chain per band.
 class BandedFilterbank {
  public:
   explicit BandedFilterbank(const Matrix& dense);
 
-  std::size_t bands() const noexcept { return first_.size(); }
+  std::size_t bands() const noexcept { return offset_.size() - 1; }
   std::size_t bins() const noexcept { return bins_; }
-  /// Stored (nonzero-range) weight count across all bands.
+  /// Stored (nonzero) weight count across all bands.
   std::size_t nonzeros() const noexcept { return weights_.size(); }
 
-  /// out[m * stride] = band m of the frame power[0..bins()), for
-  /// m < bands(). A stride of the frame count writes one column of a
-  /// (bands x frames) row-major matrix.
-  void apply(const double* power, double* out,
+  /// out[m * stride + l] = band m of frame l of a batch, for m < bands()
+  /// and l < count (1 .. StftPlan::kBatch). The batch is laid out as
+  /// StftPlan hands it over: bin b of frame l at power[4 * b + l], for
+  /// all four lanes. A stride of the frame count writes `count` adjacent
+  /// columns of a (bands x frames) row-major matrix.
+  void apply(const double* power, std::size_t count, double* out,
              std::size_t stride) const noexcept;
 
  private:
   std::size_t bins_ = 0;
-  std::vector<std::size_t> first_;    // first nonzero bin per band
-  std::vector<std::size_t> offset_;   // bands() + 1 offsets into weights_
+  std::vector<std::size_t> offset_;  // bands() + 1 offsets into the two below
+  std::vector<std::size_t> bin_;     // the bin of each stored weight
   std::vector<double> weights_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/batch4_body.hpp"
 #include "dsp/simd_kernels_detail.hpp"
 
 #if defined(__SSE2__)
@@ -10,8 +11,6 @@
 #endif
 
 namespace beesim::dsp {
-
-using Complex = std::complex<double>;
 
 // ------------------------------------------------------------ scalar tier
 //
@@ -90,19 +89,52 @@ void sgemm_bias_s8_scalar(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-void fft_stage_scalar(Complex* data, std::size_t n, std::size_t len,
-                      const Complex* tw) {
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    Complex* lo = data + i;
-    Complex* hi = lo + half;
-    for (std::size_t j = 0; j < half; ++j) {
-      const Complex u = lo[j];
-      const Complex v = hi[j] * tw[j];
-      lo[j] = u + v;
-      hi[j] = u - v;
+namespace {
+
+/// Four plain doubles, one per lane: the scalar tier's batch-kernel
+/// lanes.
+struct ScalarLanes {
+  double v[kLanes];
+
+  static ScalarLanes load(const double* p) {
+    return {{p[0], p[1], p[2], p[3]}};
+  }
+  static ScalarLanes broadcast(double x) { return {{x, x, x, x}}; }
+  static void load_pairs(const double* const* frames, std::size_t i,
+                         ScalarLanes& a, ScalarLanes& b) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      a.v[l] = frames[l][i];
+      b.v[l] = frames[l][i + 1];
     }
   }
+  void store(double* p) const {
+    for (std::size_t l = 0; l < kLanes; ++l) p[l] = v[l];
+  }
+};
+
+inline ScalarLanes operator+(ScalarLanes a, ScalarLanes b) {
+  for (std::size_t l = 0; l < kLanes; ++l) a.v[l] += b.v[l];
+  return a;
+}
+inline ScalarLanes operator-(ScalarLanes a, ScalarLanes b) {
+  for (std::size_t l = 0; l < kLanes; ++l) a.v[l] -= b.v[l];
+  return a;
+}
+inline ScalarLanes operator*(ScalarLanes a, ScalarLanes b) {
+  for (std::size_t l = 0; l < kLanes; ++l) a.v[l] *= b.v[l];
+  return a;
+}
+
+}  // namespace
+
+void stft_power4_scalar(const StftTables& t, const double* const* frames,
+                        double* scratch) {
+  stft_power4_body<ScalarLanes>(t, frames, scratch);
+}
+
+void mel_bands4_scalar(const BandTables& t, const double* power,
+                       std::size_t count, double* out, std::size_t stride) {
+  mel_bands4_body<ScalarLanes>(t, power, count, out, stride);
 }
 
 void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count) {
@@ -128,10 +160,10 @@ void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count) {
 
 // -------------------------------------------------------------- SSE2 tier
 //
-// Explicit 128-bit kernels for the x86-64 baseline. blendv/addsub are
-// SSE4.1/SSE3, so selects use cmp + and/andnot/or and complex products
-// recombine sub/add lanes with shufpd — both reproduce the scalar
-// operation per lane exactly.
+// Explicit 128-bit kernels for the x86-64 baseline. blendv is SSE4.1, so
+// selects use cmp + and/andnot/or, which reproduces the scalar operation
+// per lane exactly; the batch kernels carry their four lanes in two
+// registers.
 
 #if defined(__SSE2__)
 
@@ -203,31 +235,49 @@ void sgemm_bias_f32_sse2(std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-void fft_stage_sse2(Complex* data, std::size_t n, std::size_t len,
-                    const Complex* tw) {
-  const std::size_t half = len / 2;
-  auto* d = reinterpret_cast<double*>(data);
-  const auto* t = reinterpret_cast<const double*>(tw);
-  for (std::size_t i = 0; i < n; i += len) {
-    double* lo = d + 2 * i;
-    double* hi = lo + 2 * half;
-    for (std::size_t j = 0; j < half; ++j) {
-      const __m128d u = _mm_loadu_pd(lo + 2 * j);
-      const __m128d x = _mm_loadu_pd(hi + 2 * j);  // [a, b]
-      const __m128d w = _mm_loadu_pd(t + 2 * j);   // [c, d]
-      const __m128d wr = _mm_shuffle_pd(w, w, 0);  // [c, c]
-      const __m128d wi = _mm_shuffle_pd(w, w, 3);  // [d, d]
-      const __m128d xs = _mm_shuffle_pd(x, x, 1);  // [b, a]
-      const __m128d t1 = _mm_mul_pd(x, wr);        // [ac, bc]
-      const __m128d t2 = _mm_mul_pd(xs, wi);       // [bd, ad]
-      // v = x*w: re = ac - bd, im = bc + ad (the scalar complex product's
-      // two rounded ops per lane; the wasted opposite lanes are dropped).
-      const __m128d v = _mm_shuffle_pd(_mm_sub_pd(t1, t2),
-                                       _mm_add_pd(t1, t2), 2);
-      _mm_storeu_pd(lo + 2 * j, _mm_add_pd(u, v));
-      _mm_storeu_pd(hi + 2 * j, _mm_sub_pd(u, v));
-    }
+/// Two __m128d, lanes 0-1 and 2-3: the SSE2 tier's batch-kernel lanes.
+struct Sse2Lanes {
+  __m128d lo, hi;
+
+  static Sse2Lanes load(const double* p) {
+    return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
   }
+  static Sse2Lanes broadcast(double x) {
+    return {_mm_set1_pd(x), _mm_set1_pd(x)};
+  }
+  static void load_pairs(const double* const* frames, std::size_t i,
+                         Sse2Lanes& a, Sse2Lanes& b) {
+    const __m128d p0 = _mm_loadu_pd(frames[0] + i);
+    const __m128d p1 = _mm_loadu_pd(frames[1] + i);
+    const __m128d p2 = _mm_loadu_pd(frames[2] + i);
+    const __m128d p3 = _mm_loadu_pd(frames[3] + i);
+    a = {_mm_unpacklo_pd(p0, p1), _mm_unpacklo_pd(p2, p3)};
+    b = {_mm_unpackhi_pd(p0, p1), _mm_unpackhi_pd(p2, p3)};
+  }
+  void store(double* p) const {
+    _mm_storeu_pd(p, lo);
+    _mm_storeu_pd(p + 2, hi);
+  }
+};
+
+inline Sse2Lanes operator+(Sse2Lanes a, Sse2Lanes b) {
+  return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
+}
+inline Sse2Lanes operator-(Sse2Lanes a, Sse2Lanes b) {
+  return {_mm_sub_pd(a.lo, b.lo), _mm_sub_pd(a.hi, b.hi)};
+}
+inline Sse2Lanes operator*(Sse2Lanes a, Sse2Lanes b) {
+  return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
+}
+
+void stft_power4_sse2(const StftTables& t, const double* const* frames,
+                      double* scratch) {
+  stft_power4_body<Sse2Lanes>(t, frames, scratch);
+}
+
+void mel_bands4_sse2(const BandTables& t, const double* power,
+                     std::size_t count, double* out, std::size_t stride) {
+  mel_bands4_body<Sse2Lanes>(t, power, count, out, stride);
 }
 
 /// std::min(cur, x) selects x only on strict x < cur; cmplt + and/andnot
@@ -299,7 +349,8 @@ namespace {
 
 constexpr KernelTable kScalarTable = {
     detail::sgemm_bias_f32_scalar, detail::sgemm_bias_s8_scalar,
-    detail::fft_stage_scalar,      detail::welford5_add_scalar,
+    detail::stft_power4_scalar,    detail::mel_bands4_scalar,
+    detail::welford5_add_scalar,
 };
 
 #if defined(__SSE2__)
@@ -308,7 +359,8 @@ constexpr KernelTable kScalarTable = {
 // already autovectorizes (results are identical either way).
 constexpr KernelTable kSse2Table = {
     detail::sgemm_bias_f32_sse2, detail::sgemm_bias_s8_scalar,
-    detail::fft_stage_sse2,      detail::welford5_add_sse2,
+    detail::stft_power4_sse2,    detail::mel_bands4_sse2,
+    detail::welford5_add_sse2,
 };
 #else
 constexpr KernelTable kSse2Table = kScalarTable;
@@ -316,7 +368,8 @@ constexpr KernelTable kSse2Table = kScalarTable;
 
 constexpr KernelTable kAvx2Table = {
     detail::sgemm_bias_f32_avx2, detail::sgemm_bias_s8_avx2,
-    detail::fft_stage_avx2,      detail::welford5_add_avx2,
+    detail::stft_power4_avx2,    detail::mel_bands4_avx2,
+    detail::welford5_add_avx2,
 };
 
 }  // namespace

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 
@@ -33,6 +32,40 @@ struct Welford5 {
   double max[5];
 };
 
+/// One real-FFT size's precomputed tables, as stft_power4 reads them
+/// (dsp::StftPlan builds and owns them). Complex index j of the packed
+/// n_fft/2-point sequence holds samples 2j and 2j + 1 and sits at
+/// bitrev[j] before the first stage.
+struct StftTables {
+  std::size_t n_fft = 0;                ///< a power of two
+  const double* window = nullptr;       ///< n_fft weights
+  const std::size_t* bitrev = nullptr;  ///< n_fft/2 entries
+  /// e^{-i2pi k/len} for each stage len = 2 .. n_fft/2 and k < len/2,
+  /// stages concatenated (stage len starts at len/2 - 1), split into
+  /// real and imaginary parts.
+  const double* twiddle_re = nullptr;
+  const double* twiddle_im = nullptr;
+  /// e^{-i2pi k/n_fft} for k = 0 .. n_fft/4: the untangle's table.
+  const double* post_re = nullptr;
+  const double* post_im = nullptr;
+};
+
+/// A filterbank's nonzero weights, as mel_bands4 reads them
+/// (dsp::BandedFilterbank builds and owns them): band m's weights are
+/// weight[offset[m] .. offset[m + 1]), on bins bin[...], ascending.
+struct BandTables {
+  std::size_t bands = 0;
+  const std::size_t* offset = nullptr;  ///< bands + 1 entries
+  const std::size_t* bin = nullptr;
+  const double* weight = nullptr;
+};
+
+/// The stft_power4 scratch doubles for one n_fft: four lanes of
+/// n_fft/2 + 1 real parts (then the power) and n_fft/2 imaginary parts.
+constexpr std::size_t stft_scratch_size(std::size_t n_fft) noexcept {
+  return 4 * (n_fft + 1);
+}
+
 /// One dispatch tier's kernel set. Obtain via kernel_table().
 struct KernelTable {
   /// Row-major f32 GEMM with broadcast row bias (ml::sgemm_bias
@@ -50,11 +83,28 @@ struct KernelTable {
                         const std::int8_t* b, float b_scale,
                         const float* bias, float* c);
 
-  /// One radix-2 FFT stage over data[0..n): for each block of `len`
-  /// elements, the butterfly u +/- hi*tw with the stage's `len/2`
-  /// twiddles (FftPlan::forward contract).
-  void (*fft_stage)(std::complex<double>* data, std::size_t n,
-                    std::size_t len, const std::complex<double>* tw);
+  /// |rfft(window * frame)|^2 of four frames at once, one per vector
+  /// lane (StftPlan::for_each_frame contract): frames[l] points at lane
+  /// l's t.n_fft samples, not yet windowed. The power of bin b of lane l
+  /// lands in scratch[4 * b + l], b <= n_fft/2, over the real parts;
+  /// scratch holds stft_scratch_size(t.n_fft) doubles (started on a
+  /// cache line, no vector access splits one). Every lane runs
+  /// the per-frame real FFT's operations in its order (windowing, an
+  /// n_fft/2-point complex radix-2 FFT on the packed even/odd samples,
+  /// the even/odd untangle), so each frame's bits do not depend on the
+  /// other three.
+  void (*stft_power4)(const StftTables& t, const double* const* frames,
+                      double* scratch);
+
+  /// The mel bands of four frames at once, one per vector lane
+  /// (BandedFilterbank::apply contract): power holds stft_power4's
+  /// layout, bin b of lane l at power[4 * b + l]. Band m of lane l is
+  /// the sum of weight[j] * power[4 * bin[j] + l] over the band's
+  /// weights in order, one multiply and one add each into an
+  /// accumulator starting at 0; lanes l < count land in
+  /// out[m * stride + l].
+  void (*mel_bands4)(const BandTables& t, const double* power,
+                     std::size_t count, double* out, std::size_t stride);
 
   /// Feeds `count` samples of five values each (xs row-major, stride 5)
   /// into the lockstep accumulators.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 
@@ -21,8 +20,10 @@ void sgemm_bias_s8_scalar(std::size_t m, std::size_t n, std::size_t k,
                           const std::int8_t* a, const float* a_scales,
                           const std::int8_t* b, float b_scale,
                           const float* bias, float* c);
-void fft_stage_scalar(std::complex<double>* data, std::size_t n,
-                      std::size_t len, const std::complex<double>* tw);
+void stft_power4_scalar(const StftTables& t, const double* const* frames,
+                        double* scratch);
+void mel_bands4_scalar(const BandTables& t, const double* power,
+                       std::size_t count, double* out, std::size_t stride);
 void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count);
 
 // AVX2 tier (kernels_avx2.cpp; forwards to the scalar tier when that TU
@@ -34,8 +35,10 @@ void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
                         const std::int8_t* a, const float* a_scales,
                         const std::int8_t* b, float b_scale,
                         const float* bias, float* c);
-void fft_stage_avx2(std::complex<double>* data, std::size_t n,
-                    std::size_t len, const std::complex<double>* tw);
+void stft_power4_avx2(const StftTables& t, const double* const* frames,
+                      double* scratch);
+void mel_bands4_avx2(const BandTables& t, const double* power,
+                     std::size_t count, double* out, std::size_t stride);
 void welford5_add_avx2(Welford5* s, const double* xs, std::size_t count);
 
 }  // namespace beesim::dsp::detail

@@ -28,9 +28,10 @@ MelSpectrogram::MelSpectrogram(const Params& params)
 Matrix MelSpectrogram::compute(const std::vector<double>& signal) const {
   const std::size_t frames = stft_.frames(signal.size());
   Matrix mel(banded_.bands(), frames);
-  stft_.for_each_frame(signal, [&](std::size_t f, const double* power) {
-    banded_.apply(power, mel.data() + f, frames);
-  });
+  stft_.for_each_frame(
+      signal, [&](std::size_t first, std::size_t count, const double* power) {
+        banded_.apply(power, count, mel.data() + first, frames);
+      });
   return mel;
 }
 

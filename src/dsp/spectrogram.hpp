@@ -10,7 +10,7 @@ namespace beesim::dsp {
 
 /// End-to-end mel-spectrogram pipeline with the paper's parameters
 /// (Section V): sample rate 22050 Hz, FFT window 2048, hop 512, 128 mel
-/// bands. Construct once (the FFT plan, Hann window and nonzero spans of
+/// bands. Construct once (the FFT tables, Hann window and nonzero weights of
 /// the filterbank are built here), then call for each audio sample.
 class MelSpectrogram {
  public:
@@ -28,10 +28,10 @@ class MelSpectrogram {
   /// or filterbank parameters mel_filterbank rejects.
   explicit MelSpectrogram(const Params& params);
 
-  /// (n_mels x frames) mel power spectrogram in one pass per frame: the
-  /// StftPlan frame loop hands each frame's power bins to the banded
-  /// filterbank, which writes that frame's column. No bins x frames
-  /// power matrix is built. Throws std::invalid_argument on a signal of
+  /// (n_mels x frames) mel power spectrogram in one pass per batch: the
+  /// StftPlan frame loop hands each batch of four frames' power bins to
+  /// the banded filterbank, which writes those frames' columns. No
+  /// bins x frames power matrix is built. Throws std::invalid_argument on a signal of
   /// n_fft/2 samples or fewer, before any frame runs.
   Matrix compute(const std::vector<double>& signal) const;
 
@@ -51,9 +51,9 @@ class MelSpectrogram {
 
  private:
   Params params_;
-  /// n_fft, hop and center=true, with their RealFftPlan and Hann window.
+  /// n_fft, hop and center=true, with their FFT tables and Hann window.
   StftPlan stft_;
-  /// The mel_filterbank(...) of params_, nonzero spans only.
+  /// The mel_filterbank(...) of params_, nonzero weights only.
   BandedFilterbank banded_;
 };
 

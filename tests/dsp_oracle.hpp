@@ -2,21 +2,24 @@
 
 // The naive DSP/ML kernels, and exact and near matrix comparisons
 // against them. Each kernel of the queen-detection front end has one
-// production path: the planned FFT (dsp::FftPlan / dsp::RealFftPlan),
-// the chunk-parallel STFT frame loop (dsp::StftPlan), the per-frame
-// banded mel filterbank, the row-chunked dB pass and the row-blocked
-// im2col + GEMM convolution. Their oracles are the loops they replaced —
-// a radix-2 FFT whose twiddles drift by repeated multiplication, one
-// complex transform per STFT frame over a reflect-padded copy, the dense
-// bin-by-bin filterbank apply over a whole bins x frames matrix and the
-// 6-deep convolution loop nest — plus the serial planned frame loop,
-// the serial dB loop and their composition into the CNN image, which
-// the fused mel front end must equal bit for bit, and the whole-image
-// im2col + GEMM loop, which the row blocks must equal bit for bit.
+// production path: the batched STFT (dsp::StftPlan, four frames per
+// stft_power4 call on every dispatch tier), the four-lane banded mel
+// filterbank, the row-chunked dB pass and the row-blocked im2col + GEMM
+// convolution. Their oracles are the code they replaced: a radix-2 FFT
+// whose twiddles drift by repeated multiplication, one complex transform
+// per STFT frame over a reflect-padded copy, the planned per-frame real
+// FFT (FftPlan / RealFftPlan below, the former src/dsp/fft code with
+// its scalar stage loop), the dense bin-by-bin filterbank apply over a
+// whole bins x frames matrix and the 6-deep convolution loop nest. The
+// serial planned frame loop, the serial dB loop and their composition
+// into the CNN image are what the batched mel front end must equal bit
+// for bit, and the whole-image im2col + GEMM loop is what the row blocks
+// must equal bit for bit.
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -27,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dsp/fft.hpp"
 #include "dsp/matrix.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/spectrogram.hpp"
@@ -40,11 +42,13 @@
 
 namespace beesim::oracle {
 
+using Complex = std::complex<double>;
+
 /// In-place iterative radix-2 Cooley-Tukey FFT, forward (e^{-i2pi/N}).
 /// Each stage's twiddle advances by repeated multiplication (w *= wlen),
-/// so it drifts from the exact value; dsp::FftPlan computes every
+/// so it drifts from the exact value; FftPlan below computes every
 /// twiddle directly, and the two agree to ~1e-9 relative.
-inline void fft(std::vector<dsp::Complex>& data) {
+inline void fft(std::vector<Complex>& data) {
   const std::size_t n = data.size();
   if (!dsp::is_power_of_two(n))
     throw std::invalid_argument("oracle::fft: size must be a power of two");
@@ -57,12 +61,12 @@ inline void fft(std::vector<dsp::Complex>& data) {
   }
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
-    const dsp::Complex wlen(std::cos(angle), std::sin(angle));
+    const Complex wlen(std::cos(angle), std::sin(angle));
     for (std::size_t i = 0; i < n; i += len) {
-      dsp::Complex w(1.0, 0.0);
+      Complex w(1.0, 0.0);
       for (std::size_t k = 0; k < len / 2; ++k) {
-        const dsp::Complex u = data[i + k];
-        const dsp::Complex v = data[i + k + len / 2] * w;
+        const Complex u = data[i + k];
+        const Complex v = data[i + k + len / 2] * w;
         data[i + k] = u + v;
         data[i + k + len / 2] = u - v;
         w *= wlen;
@@ -73,16 +77,184 @@ inline void fft(std::vector<dsp::Complex>& data) {
 
 /// The n/2 + 1 non-redundant bins of a real signal (numpy.fft.rfft),
 /// through the full n-point complex transform.
-inline std::vector<dsp::Complex> rfft(const std::vector<double>& signal) {
-  std::vector<dsp::Complex> buf(signal.begin(), signal.end());
+inline std::vector<Complex> rfft(const std::vector<double>& signal) {
+  std::vector<Complex> buf(signal.begin(), signal.end());
   fft(buf);
   buf.resize(signal.size() / 2 + 1);
   return buf;
 }
 
+/// Precomputed forward complex FFT of a fixed power-of-two size:
+/// iterative radix-2 Cooley-Tukey with the e^{-i2pi/N} convention,
+/// bit-reversal permutation plus exact per-stage twiddle tables, and
+/// one stage after another over the whole array. dsp::StftPlan's tables
+/// hold the same permutation and twiddles, and every lane of its
+/// stft_power4 kernel runs these butterflies in this order.
+class FftPlan {
+ public:
+  explicit FftPlan(std::size_t n) : n_(n) {
+    if (!dsp::is_power_of_two(n))
+      throw std::invalid_argument("FftPlan: size must be a power of two");
+    bitrev_.resize(n);
+    std::size_t j = 0;
+    bitrev_[0] = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      std::size_t bit = n >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+      bitrev_[i] = j;
+    }
+    // Per-stage twiddles exp(-i 2pi k / len), concatenated; each value is
+    // computed directly (no incremental drift). Total n - 1 entries.
+    twiddles_.reserve(n > 1 ? n - 1 : 0);
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const double a = angle * static_cast<double>(k);
+        twiddles_.emplace_back(std::cos(a), std::sin(a));
+      }
+    }
+  }
+
+  std::size_t size() const noexcept { return n_; }
+
+  /// In-place forward transform of exactly size() elements.
+  void forward(Complex* data) const noexcept {
+    const std::size_t n = n_;
+    for (std::size_t i = 1; i < n; ++i) {
+      const std::size_t j = bitrev_[i];
+      if (i < j) std::swap(data[i], data[j]);
+    }
+    const Complex* tw = twiddles_.data();
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const std::size_t half = len / 2;
+      for (std::size_t i = 0; i < n; i += len) {
+        Complex* lo = data + i;
+        Complex* hi = lo + half;
+        for (std::size_t j = 0; j < half; ++j) {
+          const Complex u = lo[j];
+          const Complex v = hi[j] * tw[j];
+          lo[j] = u + v;
+          hi[j] = u - v;
+        }
+      }
+      tw += half;
+    }
+  }
+
+  void forward(std::vector<Complex>& data) const {
+    if (data.size() != n_)
+      throw std::invalid_argument("FftPlan::forward: size mismatch");
+    forward(data.data());
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::size_t> bitrev_;  // permutation: i -> reversed(i)
+  std::vector<Complex> twiddles_;    // stages concatenated, n_ - 1 entries
+};
+
+/// Real-input forward FFT of a fixed power-of-two size N, one frame at a
+/// time: packs the N real samples into an N/2 complex sequence, runs an
+/// N/2 complex FFT through an FftPlan, and untangles the even/odd spectra
+/// with a precomputed e^{-i2pi k/N} post-processing table. power() is the
+/// per-frame reference of dsp::StftPlan's batched kernel.
+class RealFftPlan {
+ public:
+  explicit RealFftPlan(std::size_t n) : n_(n), half_(n >= 2 ? n / 2 : 1) {
+    if (!dsp::is_power_of_two(n))
+      throw std::invalid_argument("RealFftPlan: size must be a power of two");
+    // Untangling needs exp(-i 2pi k / n) for k = 1 .. n/4 only, but the
+    // table is tiny; store k = 0 .. n/4 for direct indexing.
+    post_.reserve(n / 4 + 1);
+    for (std::size_t k = 0; k <= n / 4; ++k) {
+      const double a = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                       static_cast<double>(n);
+      post_.emplace_back(std::cos(a), std::sin(a));
+    }
+  }
+
+  std::size_t size() const noexcept { return n_; }
+  std::size_t bins() const noexcept { return n_ / 2 + 1; }
+  std::size_t scratch_size() const noexcept { return n_ / 2; }
+
+  /// out[0..bins()) = the half spectrum of in[0..size()) (numpy.fft.rfft);
+  /// scratch holds scratch_size() elements (unused for n == 1).
+  void transform(const double* in, Complex* out, Complex* scratch) const {
+    if (n_ == 1) {
+      out[0] = Complex(in[0], 0.0);
+      return;
+    }
+    const std::size_t m = n_ / 2;
+    // Pack even samples into the real lane, odd samples into the
+    // imaginary lane, and transform the half-size complex sequence.
+    for (std::size_t j = 0; j < m; ++j)
+      scratch[j] = Complex(in[2 * j], in[2 * j + 1]);
+    half_.forward(scratch);
+
+    // Untangle: Z[k] = E[k] + i O[k] with E/O the even/odd half-spectra;
+    // X[k] = E[k] + e^{-i2pi k/n} O[k] and X[m-k] = conj(E[k] - w O[k]).
+    const Complex z0 = scratch[0];
+    out[0] = Complex(z0.real() + z0.imag(), 0.0);
+    out[m] = Complex(z0.real() - z0.imag(), 0.0);
+    for (std::size_t k = 1; k <= m / 2; ++k) {
+      const Complex zk = scratch[k];
+      const Complex zc = std::conj(scratch[m - k]);
+      const Complex even = 0.5 * (zk + zc);
+      const Complex t = post_[k] * (0.5 * (zk - zc));  // w_k * (i O[k])
+      const Complex u(t.imag(), -t.real());            // w_k * O[k]
+      out[k] = even + u;
+      out[m - k] = std::conj(even - u);
+    }
+  }
+
+  /// |transform(in)|^2 into out_power[0..bins()): the STFT inner loop.
+  void power(const double* in, double* out_power, Complex* scratch) const {
+    if (n_ == 1) {
+      out_power[0] = in[0] * in[0];
+      return;
+    }
+    const std::size_t m = n_ / 2;
+    for (std::size_t j = 0; j < m; ++j)
+      scratch[j] = Complex(in[2 * j], in[2 * j + 1]);
+    half_.forward(scratch);
+
+    const Complex z0 = scratch[0];
+    const double dc = z0.real() + z0.imag();
+    const double nyquist = z0.real() - z0.imag();
+    out_power[0] = dc * dc;
+    out_power[m] = nyquist * nyquist;
+    for (std::size_t k = 1; k <= m / 2; ++k) {
+      const Complex zk = scratch[k];
+      const Complex zc = std::conj(scratch[m - k]);
+      const Complex even = 0.5 * (zk + zc);
+      const Complex t = post_[k] * (0.5 * (zk - zc));
+      const Complex u(t.imag(), -t.real());
+      out_power[k] = std::norm(even + u);
+      out_power[m - k] = std::norm(even - u);  // |conj(z)|^2 == |z|^2
+    }
+  }
+
+  /// Convenience allocating form.
+  std::vector<Complex> transform(const std::vector<double>& in) const {
+    if (in.size() != n_)
+      throw std::invalid_argument("RealFftPlan::transform: size mismatch");
+    std::vector<Complex> scratch(scratch_size());
+    std::vector<Complex> out(bins());
+    transform(in.data(), out.data(), scratch.data());
+    return out;
+  }
+
+ private:
+  std::size_t n_;
+  FftPlan half_;               // complex plan of size n/2 (n >= 2)
+  std::vector<Complex> post_;  // e^{-i2pi k/n}, k = 0 .. n/4
+};
+
 /// Dense filterbank apply, (bands x bins) on (bins x frames): every bin
 /// of every band, zero weights skipped, bins ascending — the
-/// accumulation order dsp::BandedFilterbank::apply reproduces.
+/// accumulation order each lane of dsp::BandedFilterbank::apply
+/// reproduces.
 inline dsp::Matrix apply_filterbank(const dsp::Matrix& filterbank,
                                     const dsp::Matrix& power) {
   if (filterbank.cols() != power.rows())
@@ -156,13 +328,14 @@ inline dsp::Matrix stft_power_naive(const std::vector<double>& x,
   });
 }
 
-/// The serial planned STFT: dsp::RealFftPlan::power per frame, on one
-/// thread. dsp::stft_power, which splits the frames into chunks across
-/// the task pool, must equal it bit for bit.
+/// The serial planned STFT: RealFftPlan::power per frame, on one
+/// thread. dsp::stft_power, which transforms four frames per kernel call
+/// and splits the batches into chunks across the task pool, must equal
+/// it bit for bit on every dispatch tier.
 inline dsp::Matrix stft_power_serial(const std::vector<double>& x,
                                      const dsp::StftParams& p) {
-  const dsp::RealFftPlan plan(p.n_fft);
-  std::vector<dsp::Complex> scratch(plan.scratch_size());
+  const RealFftPlan plan(p.n_fft);
+  std::vector<Complex> scratch(plan.scratch_size());
   return stft_loop(x, p, [&](const std::vector<double>& frame,
                              std::vector<double>& column) {
     plan.power(frame.data(), column.data(), scratch.data());
@@ -175,7 +348,9 @@ inline dsp::Matrix stft_power_serial(const std::vector<double>& x,
 inline dsp::Matrix power_to_db_serial(const dsp::Matrix& power,
                                       double top_db = 80.0) {
   constexpr double kAmin = 1e-10;
-  const double ref = std::max(power.max(), kAmin);
+  const double ref = std::max(
+      *std::max_element(power.storage().begin(), power.storage().end()),
+      kAmin);
   dsp::Matrix out(power.rows(), power.cols());
   for (std::size_t r = 0; r < power.rows(); ++r)
     for (std::size_t c = 0; c < power.cols(); ++c)
@@ -204,8 +379,9 @@ inline dsp::Matrix mel_power_serial(const std::vector<double>& x,
 inline dsp::Matrix mel_image(const dsp::Matrix& mel, std::size_t side) {
   dsp::Matrix img =
       dsp::resize_bilinear(power_to_db_serial(mel), side, side);
-  const double lo = img.min();
-  const double hi = img.max();
+  const auto& v = img.storage();
+  const double lo = *std::min_element(v.begin(), v.end());
+  const double hi = *std::max_element(v.begin(), v.end());
   const double span = hi > lo ? hi - lo : 1.0;
   for (std::size_t r = 0; r < img.rows(); ++r)
     for (std::size_t c = 0; c < img.cols(); ++c)

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
-#include "dsp/fft.hpp"
 #include "dsp/matrix.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/spectrogram.hpp"
@@ -14,78 +17,127 @@
 namespace dsp = beesim::dsp;
 
 // ---------------------------------------------------------------------- FFT
-// Properties of the planned transforms (FftPlan, RealFftPlan), the only
-// FFTs in src/; test_dsp_kernels.cpp checks them against the naive one.
+// Properties of the one FFT in src/, the batched real FFT behind
+// dsp::StftPlan, read through one frame of its power: center off and a
+// hop of n_fft, so the frame is the whole signal under the periodic Hann
+// window. test_dsp_kernels.cpp pins its bits to the per-frame planned
+// FFT (tests/dsp_oracle.hpp) and that one to the naive FFT; test_simd.cpp
+// pins every dispatch tier to the scalar one.
 
-TEST(Fft, DeltaHasFlatSpectrum) {
-  std::vector<dsp::Complex> x(8, {0.0, 0.0});
-  x[0] = {1.0, 0.0};
-  dsp::FftPlan(8).forward(x);
-  for (const auto& v : x) {
-    EXPECT_NEAR(v.real(), 1.0, 1e-12);
-    EXPECT_NEAR(v.imag(), 0.0, 1e-12);
-  }
+namespace {
+
+/// |rfft(hann * x)|^2, the n/2 + 1 bins of one frame of x.size() samples.
+std::vector<double> frame_power(const std::vector<double>& x) {
+  dsp::StftParams p;
+  p.n_fft = x.size();
+  p.hop = x.size();
+  p.center = false;
+  const dsp::Matrix power = dsp::stft_power(x, p);
+  EXPECT_EQ(power.cols(), 1u);
+  std::vector<double> column(power.rows());
+  for (std::size_t b = 0; b < column.size(); ++b) column[b] = power(b, 0);
+  return column;
 }
 
-TEST(Fft, ConstantSignalConcentratesAtDc) {
-  std::vector<dsp::Complex> x(16, {1.0, 0.0});
-  dsp::FftPlan(16).forward(x);
-  EXPECT_NEAR(x[0].real(), 16.0, 1e-12);
-  for (std::size_t i = 1; i < x.size(); ++i)
-    EXPECT_NEAR(std::abs(x[i]), 0.0, 1e-12);
-}
-
-TEST(Fft, PureToneLandsInCorrectBin) {
-  const std::size_t n = 256;
-  const std::size_t bin = 19;
-  std::vector<dsp::Complex> x(n);
+std::vector<double> cosine(std::size_t n, std::size_t bin) {
+  std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i)
     x[i] = std::cos(2.0 * std::numbers::pi * static_cast<double>(bin * i) /
                     static_cast<double>(n));
-  dsp::FftPlan(n).forward(x);
-  // A real tone splits into `bin` and its mirror n - bin, amplitude n/2
-  // each (RealFftPlan.PureToneLandsInCorrectBin covers the half spectrum).
-  EXPECT_NEAR(std::abs(x[bin]), n / 2.0, 1e-9);
-  EXPECT_NEAR(std::abs(x[n - bin]), n / 2.0, 1e-9);
-  EXPECT_NEAR(std::abs(x[bin - 3]), 0.0, 1e-9);
+  return x;
+}
+
+}  // namespace
+
+TEST(Fft, DeltaHasFlatSpectrum) {
+  // A delta at the window's peak (weight 1) has |X_k| = 1 in every bin.
+  std::vector<double> x(8, 0.0);
+  x[4] = 1.0;
+  const auto power = frame_power(x);
+  ASSERT_EQ(power.size(), 5u);
+  for (const double v : power) EXPECT_NEAR(v, 1.0, 1e-12);
+}
+
+TEST(Fft, ConstantSignalConcentratesAtDc) {
+  // A constant leaves the window's own spectrum: n/2 at DC, -n/4 in the
+  // next bin and nothing above it.
+  const std::size_t n = 16;
+  const auto power = frame_power(std::vector<double>(n, 1.0));
+  EXPECT_NEAR(power[0], 64.0, 1e-12);
+  EXPECT_NEAR(power[1], 16.0, 1e-12);
+  for (std::size_t b = 2; b < power.size(); ++b)
+    EXPECT_NEAR(power[b], 0.0, 1e-12) << "bin " << b;
+}
+
+TEST(Fft, PureToneLandsInCorrectBin) {
+  // A cosine in bin 19 under the Hann window: amplitude n/4 in its bin,
+  // n/8 in each neighbour, nothing further out.
+  const std::size_t n = 256;
+  const std::size_t bin = 19;
+  const auto power = frame_power(cosine(n, bin));
+  EXPECT_NEAR(power[bin], 64.0 * 64.0, 1e-8);
+  EXPECT_NEAR(power[bin - 1], 32.0 * 32.0, 1e-8);
+  EXPECT_NEAR(power[bin + 1], 32.0 * 32.0, 1e-8);
+  EXPECT_NEAR(power[bin - 3], 0.0, 1e-8);
 }
 
 TEST(Fft, ParsevalHolds) {
+  // The half spectrum stands for the whole: DC and Nyquist once, every
+  // other bin twice, sum n times the windowed signal's energy.
   beesim::util::Rng rng(5);
-  std::vector<dsp::Complex> x(64);
+  const std::size_t n = 64;
+  std::vector<double> x(n);
+  for (auto& v : x) v = rng.normal();
+  const auto window = dsp::hann_window(n);
   double time_energy = 0.0;
-  for (auto& v : x) {
-    v = {rng.normal(), 0.0};
-    time_energy += std::norm(v);
-  }
-  dsp::FftPlan(64).forward(x);
-  double freq_energy = 0.0;
-  for (const auto& v : x) freq_energy += std::norm(v);
-  EXPECT_NEAR(freq_energy / 64.0, time_energy, 1e-9);
+  for (std::size_t i = 0; i < n; ++i)
+    time_energy += (x[i] * window[i]) * (x[i] * window[i]);
+  const auto power = frame_power(x);
+  double freq_energy = power.front() + power.back();
+  for (std::size_t b = 1; b + 1 < power.size(); ++b)
+    freq_energy += 2.0 * power[b];
+  EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-9);
 }
 
 TEST(Fft, LinearityProperty) {
   beesim::util::Rng rng(6);
   const std::size_t n = 32;
-  std::vector<dsp::Complex> a(n);
-  std::vector<dsp::Complex> b(n);
-  std::vector<dsp::Complex> sum(n);
+  std::vector<double> x(n);
+  for (auto& v : x) v = rng.normal();
+  const auto power = frame_power(x);
+  // Scaling by 2 is exact in every operation, so every bin's power is
+  // exactly 4 times; by 3 it is 9 times up to rounding.
+  std::vector<double> twice(n), thrice(n);
   for (std::size_t i = 0; i < n; ++i) {
-    a[i] = {rng.normal(), rng.normal()};
-    b[i] = {rng.normal(), rng.normal()};
-    sum[i] = a[i] + 2.0 * b[i];
+    twice[i] = 2.0 * x[i];
+    thrice[i] = 3.0 * x[i];
   }
-  const dsp::FftPlan plan(n);
-  plan.forward(a);
-  plan.forward(b);
-  plan.forward(sum);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(sum[i] - (a[i] + 2.0 * b[i])), 0.0, 1e-9);
+  const auto power2 = frame_power(twice);
+  const auto power3 = frame_power(thrice);
+  for (std::size_t b = 0; b < power.size(); ++b) {
+    EXPECT_EQ(power2[b], 4.0 * power[b]) << "bin " << b;
+    EXPECT_NEAR(power3[b], 9.0 * power[b], 1e-12 * (1.0 + 9.0 * power[b]))
+        << "bin " << b;
+  }
+  // Tones whose windowed bins do not meet add their powers.
+  const std::size_t m = 256;
+  const auto a = cosine(m, 10);
+  const auto b = cosine(m, 40);
+  std::vector<double> sum(m);
+  for (std::size_t i = 0; i < m; ++i) sum[i] = a[i] + 2.0 * b[i];
+  const auto pa = frame_power(a);
+  const auto pb = frame_power(b);
+  const auto psum = frame_power(sum);
+  for (std::size_t k = 0; k < psum.size(); ++k)
+    EXPECT_NEAR(psum[k], pa[k] + 4.0 * pb[k], 1e-8) << "bin " << k;
 }
 
 TEST(Fft, RejectsNonPowerOfTwo) {
-  EXPECT_THROW(dsp::FftPlan(0), std::invalid_argument);
-  EXPECT_THROW(dsp::RealFftPlan(12), std::invalid_argument);
+  for (const std::size_t n_fft : {0u, 12u, 1000u}) {
+    dsp::StftParams p;
+    p.n_fft = n_fft;
+    EXPECT_THROW(dsp::StftPlan{p}, std::invalid_argument) << n_fft;
+  }
 }
 
 TEST(Fft, PowerOfTwoHelpers) {
@@ -155,6 +207,57 @@ TEST(Matrix, ResizePreservesValueRange) {
   const auto r = dsp::resize_bilinear(m, 40, 9);
   EXPECT_GE(r.min(), m.min() - 1e-12);
   EXPECT_LE(r.max(), m.max() + 1e-12);
+}
+
+TEST(Matrix, PeakScanMatchesStdBitForBit) {
+  // max() and min() must return std::max_element's and std::min_element's
+  // element bit for bit: the first zero of either sign when the extreme
+  // is zero, and wherever NaNs sit (the answer only when first).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  beesim::util::Rng rng(8);
+  std::vector<std::vector<double>> cases = {
+      {nan, 1.0, 2.0, -3.0, 0.5},
+      {1.0, nan, 2.0, -3.0, 0.5, 7.0, -1.0, 4.0, 6.0},
+      {1.0, 2.0, -3.0, 0.5, 7.0, -1.0, 4.0, 6.0, nan},
+      {-1.0, nan, -0.0, 0.0, -2.0, nan, 0.0},
+      {nan, 0.0, -0.0, nan, 5.0, -5.0},
+      {-1.0, -0.0, -2.0, 0.0, -5.0, 0.0, -0.0},
+      {1.0, 0.0, 2.0, -0.0, 5.0, -0.0, 0.0},
+      {-0.0, 0.0},
+      {0.0, -0.0, 0.0, -0.0, 0.0},
+      {1.0, inf, -inf, 3.0, inf, -inf},
+      {-inf, -inf},
+      {tiny, -tiny, 0.0, -0.0},
+      {42.0},
+      {-0.0},
+      {nan},
+  };
+  for (std::size_t len = 1; len <= 9; ++len) {
+    std::vector<double> v(len);
+    for (auto& x : v) x = rng.uniform() < 0.3 ? 0.0 : rng.normal();
+    cases.push_back(v);
+  }
+  std::vector<double> large(128 * 431);
+  for (auto& x : large) x = rng.uniform(0.0, 1e3);
+  large[5000] = 2e3;
+  large[60] = -1.0;
+  cases.push_back(large);
+  large[9] = nan;
+  cases.push_back(large);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& v = cases[i];
+    dsp::Matrix m(1, v.size());
+    std::copy(v.begin(), v.end(), m.data());
+    EXPECT_EQ(bits(m.max()), bits(*std::max_element(v.begin(), v.end())))
+        << "case " << i;
+    EXPECT_EQ(bits(m.min()), bits(*std::min_element(v.begin(), v.end())))
+        << "case " << i;
+  }
+  EXPECT_THROW(dsp::Matrix().max(), std::logic_error);
+  EXPECT_THROW(dsp::Matrix(0, 3).min(), std::logic_error);
 }
 
 // --------------------------------------------------------------------- STFT
@@ -250,14 +353,15 @@ TEST(Mel, ApplyFilterbankDimensions) {
   const dsp::BandedFilterbank fb(dsp::mel_filterbank(16, 256, 22050.0));
   EXPECT_EQ(fb.bands(), 16u);
   EXPECT_EQ(fb.bins(), 129u);
-  // One frame of 129 bins fills column 3 of a 16 x 10 mel matrix (stride
-  // 10) and leaves every other column alone.
-  const std::vector<double> power(fb.bins(), 1.0);
+  // A batch of 129 bins x 4 lanes with two frames in it fills columns 3
+  // and 4 of a 16 x 10 mel matrix (stride 10) and leaves every other
+  // column alone.
+  const std::vector<double> power(4 * fb.bins(), 1.0);
   dsp::Matrix mel(16, 10, -1.0);
-  fb.apply(power.data(), mel.data() + 3, mel.cols());
+  fb.apply(power.data(), 2, mel.data() + 3, mel.cols());
   for (std::size_t m = 0; m < mel.rows(); ++m)
     for (std::size_t f = 0; f < mel.cols(); ++f) {
-      if (f == 3) EXPECT_GT(mel(m, f), 0.0) << "band " << m;
+      if (f == 3 || f == 4) EXPECT_GT(mel(m, f), 0.0) << "band " << m;
       else EXPECT_EQ(mel(m, f), -1.0) << "band " << m << " frame " << f;
     }
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dsp/dispatch.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/spectrogram.hpp"
 #include "dsp/stft.hpp"
@@ -21,10 +20,11 @@
 
 // Each DSP/ML kernel's one production path against its oracle in
 // dsp_oracle.hpp: bit-identical where the accumulation order is
-// unchanged (per-frame banded filterbank, row-chunked power_to_db, the
-// STFT frame loop with in-place and reflect-mapped frames, and the
-// fused mel front end they make up), <= 1e-9 relative where the FFT
-// algorithm differs (planned real FFT vs full complex FFT), and float
+// unchanged (the batched STFT against the per-frame planned real FFT,
+// with in-place and reflect-mapped frames and every partial batch; the
+// four-lane banded filterbank; row-chunked power_to_db; and the fused
+// mel front end they make up), <= 1e-9 relative where the FFT algorithm
+// differs (the planned FFT oracle vs the full complex FFT), and float
 // tolerance for the GEMM convolution.
 
 namespace dsp = beesim::dsp;
@@ -44,15 +44,18 @@ std::vector<double> random_signal(std::size_t n, beesim::util::Rng& rng) {
 }  // namespace
 
 // ---------------------------------------------------------------- FFT plan
+// The planned per-frame FFT oracle (FftPlan / RealFftPlan in
+// dsp_oracle.hpp), which the batched STFT must equal bit for bit, is
+// itself held to the naive FFT here.
 
 TEST(FftPlan, MatchesReferenceFft) {
   beesim::util::Rng rng(11);
   for (std::size_t n : {1u, 2u, 4u, 8u, 64u, 256u, 1024u, 4096u}) {
-    std::vector<dsp::Complex> data(n);
+    std::vector<oracle::Complex> data(n);
     for (auto& v : data) v = {rng.normal(), rng.normal()};
     auto reference = data;
     oracle::fft(reference);
-    const dsp::FftPlan plan(n);
+    const oracle::FftPlan plan(n);
     plan.forward(data);
     double scale = 1.0;
     for (const auto& v : reference) scale = std::max(scale, std::abs(v));
@@ -63,9 +66,10 @@ TEST(FftPlan, MatchesReferenceFft) {
 }
 
 TEST(FftPlan, RejectsNonPowerOfTwoAndSizeMismatch) {
-  EXPECT_THROW(dsp::FftPlan(12), std::invalid_argument);
-  const dsp::FftPlan plan(8);
-  std::vector<dsp::Complex> wrong(4);
+  EXPECT_THROW(oracle::FftPlan(12), std::invalid_argument);
+  EXPECT_THROW(oracle::RealFftPlan(12), std::invalid_argument);
+  const oracle::FftPlan plan(8);
+  std::vector<oracle::Complex> wrong(4);
   EXPECT_THROW(plan.forward(wrong), std::invalid_argument);
 }
 
@@ -74,7 +78,7 @@ TEST(RealFftPlan, MatchesReferenceRfft) {
   for (std::size_t n : {1u, 2u, 4u, 8u, 32u, 512u, 2048u, 4096u}) {
     const auto signal = random_signal(n, rng);
     const auto reference = oracle::rfft(signal);
-    const dsp::RealFftPlan plan(n);
+    const oracle::RealFftPlan plan(n);
     const auto fast = plan.transform(signal);
     ASSERT_EQ(fast.size(), n / 2 + 1);
     double scale = 1.0;
@@ -92,7 +96,7 @@ TEST(RealFftPlan, PureToneLandsInCorrectBin) {
   for (std::size_t i = 0; i < n; ++i)
     x[i] = std::cos(2.0 * std::numbers::pi * static_cast<double>(bin * i) /
                     static_cast<double>(n));
-  const dsp::RealFftPlan plan(n);
+  const oracle::RealFftPlan plan(n);
   const auto spec = plan.transform(x);
   EXPECT_NEAR(std::abs(spec[bin]), n / 2.0, 1e-9);
   EXPECT_NEAR(std::abs(spec[bin - 3]), 0.0, 1e-9);
@@ -102,9 +106,9 @@ TEST(RealFftPlan, PowerMatchesTransformSquared) {
   beesim::util::Rng rng(13);
   const std::size_t n = 1024;
   const auto signal = random_signal(n, rng);
-  const dsp::RealFftPlan plan(n);
+  const oracle::RealFftPlan plan(n);
   const auto spec = plan.transform(signal);
-  std::vector<dsp::Complex> scratch(plan.scratch_size());
+  std::vector<oracle::Complex> scratch(plan.scratch_size());
   std::vector<double> power(plan.bins());
   plan.power(signal.data(), power.data(), scratch.data());
   for (std::size_t b = 0; b < plan.bins(); ++b)
@@ -128,6 +132,30 @@ TEST(StftKernels, ChunkingIsBitIdentical) {
   const auto signal = random_signal(30000, rng);
   expect_matrices_identical(dsp::stft_power(signal),
                             oracle::stft_power_serial(signal, {}));
+  // The smallest transforms (one bin; no stage; one single stage; one
+  // stage pair), with and without centering, at lengths giving 1 to 9
+  // frames and a few chunks.
+  for (const std::size_t n_fft : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t hop : {std::size_t{1}, n_fft, 3 * n_fft}) {
+      for (const bool center : {true, false}) {
+        dsp::StftParams p;
+        p.n_fft = n_fft;
+        p.hop = hop;
+        p.center = center;
+        for (std::size_t len = std::max<std::size_t>(2, n_fft);
+             len < n_fft + 9 * hop; len += std::max<std::size_t>(1, hop / 2))
+          for (const std::size_t extra : {std::size_t{0}, 70 * hop}) {
+            SCOPED_TRACE(testing::Message()
+                         << "n_fft " << n_fft << " hop " << hop
+                         << " center " << center << " length "
+                         << len + extra);
+            const auto x = random_signal(len + extra, rng);
+            expect_matrices_identical(dsp::stft_power(x, p),
+                                      oracle::stft_power_serial(x, p));
+          }
+      }
+    }
+  }
 }
 
 TEST(StftKernels, ReflectPadShortSignalThrows) {
@@ -149,15 +177,21 @@ TEST(StftKernels, ReflectPadShortSignalThrows) {
 
 namespace {
 
-/// Applies the banded form frame by frame, each frame's bins into its
-/// column of the (bands x frames) result.
-dsp::Matrix apply_per_frame(const dsp::BandedFilterbank& banded,
+/// Applies the banded form batch by batch, as MelSpectrogram does: four
+/// frames' bins interleaved, the last batch short with its spare lanes
+/// holding its last frame, each batch into its columns of the
+/// (bands x frames) result.
+dsp::Matrix apply_per_batch(const dsp::BandedFilterbank& banded,
                             const dsp::Matrix& power) {
+  constexpr std::size_t kBatch = dsp::StftPlan::kBatch;
   dsp::Matrix mel(banded.bands(), power.cols());
-  std::vector<double> frame(power.rows());
-  for (std::size_t f = 0; f < power.cols(); ++f) {
-    for (std::size_t b = 0; b < power.rows(); ++b) frame[b] = power(b, f);
-    banded.apply(frame.data(), mel.data() + f, mel.cols());
+  std::vector<double> batch(kBatch * power.rows());
+  for (std::size_t first = 0; first < power.cols(); first += kBatch) {
+    const std::size_t count = std::min(kBatch, power.cols() - first);
+    for (std::size_t b = 0; b < power.rows(); ++b)
+      for (std::size_t l = 0; l < kBatch; ++l)
+        batch[kBatch * b + l] = power(b, first + std::min(l, count - 1));
+    banded.apply(batch.data(), count, mel.data() + first, mel.cols());
   }
   return mel;
 }
@@ -166,16 +200,17 @@ dsp::Matrix apply_per_frame(const dsp::BandedFilterbank& banded,
 
 TEST(BandedFilterbank, MatchesDenseBitIdentical) {
   beesim::util::Rng rng(16);
-  for (std::size_t n_mels : {16u, 128u}) {
-    const auto fb = dsp::mel_filterbank(n_mels, 2048, 22050.0);
-    dsp::Matrix power(fb.cols(), 37);
-    for (std::size_t r = 0; r < power.rows(); ++r)
-      for (std::size_t c = 0; c < power.cols(); ++c)
-        power(r, c) = rng.uniform(0.0, 10.0);
-    const dsp::BandedFilterbank banded(fb);
-    expect_matrices_identical(apply_per_frame(banded, power),
-                              oracle::apply_filterbank(fb, power));
-  }
+  for (std::size_t n_mels : {16u, 128u})
+    for (std::size_t frames : {1u, 2u, 3u, 4u, 37u}) {
+      const auto fb = dsp::mel_filterbank(n_mels, 2048, 22050.0);
+      dsp::Matrix power(fb.cols(), frames);
+      for (std::size_t r = 0; r < power.rows(); ++r)
+        for (std::size_t c = 0; c < power.cols(); ++c)
+          power(r, c) = rng.uniform(0.0, 10.0);
+      const dsp::BandedFilterbank banded(fb);
+      expect_matrices_identical(apply_per_batch(banded, power),
+                                oracle::apply_filterbank(fb, power));
+    }
   // A non-triangular bank with interior zeros (both signs) and negative
   // weights: the banded span keeps the zeros, and both sides skip them.
   dsp::Matrix bank(6, 40);
@@ -188,7 +223,7 @@ TEST(BandedFilterbank, MatchesDenseBitIdentical) {
   for (std::size_t r = 0; r < power.rows(); ++r)
     for (std::size_t c = 0; c < power.cols(); ++c)
       power(r, c) = rng.normal();
-  expect_matrices_identical(apply_per_frame(dsp::BandedFilterbank(bank), power),
+  expect_matrices_identical(apply_per_batch(dsp::BandedFilterbank(bank), power),
                             oracle::apply_filterbank(bank, power));
 }
 
@@ -483,10 +518,32 @@ namespace {
 /// Signal lengths that reach reflect-mapped frames at both ends: the
 /// shortest signal that can be padded, one sample short of a frame, one
 /// frame, one frame and a hop, exactly one 16-frame STFT chunk and one
-/// chunk plus a frame (15 and 16 hops), then 1 s and 10 s at 22050 Hz.
+/// chunk plus a frame (15 and 16 hops), n_fft plus 1 to 8 hops (2 to 9
+/// frames without centering, 6 to 13 with it, so every partial batch
+/// width), then 1 s and 10 s at 22050 Hz for the paper's n_fft.
 std::vector<std::size_t> edge_lengths(const dsp::MelSpectrogram::Params& mp) {
-  return {mp.n_fft / 2 + 1, mp.n_fft - 1, mp.n_fft, mp.n_fft + mp.hop + 1,
-          15 * mp.hop, 16 * mp.hop, 22050, 220500};
+  const std::size_t shortest = std::max<std::size_t>(2, mp.n_fft / 2 + 1);
+  std::vector<std::size_t> lengths = {shortest,         mp.n_fft - 1,
+                                      mp.n_fft,         mp.n_fft + mp.hop + 1,
+                                      15 * mp.hop,      16 * mp.hop};
+  for (std::size_t k = 1; k <= 8; ++k) lengths.push_back(mp.n_fft + k * mp.hop);
+  if (mp.n_fft >= 2048) lengths.insert(lengths.end(), {22050, 220500});
+  std::erase_if(lengths, [&](std::size_t len) { return len < shortest; });
+  return lengths;
+}
+
+/// The paper's front end, then the smallest transforms (n_fft 1, 2, 4
+/// and 8) with a few mel bands.
+std::vector<dsp::MelSpectrogram::Params> front_end_params() {
+  std::vector<dsp::MelSpectrogram::Params> params(1);
+  for (const std::size_t n_fft : {1u, 2u, 4u, 8u}) {
+    dsp::MelSpectrogram::Params mp;
+    mp.n_fft = n_fft;
+    mp.hop = std::max<std::size_t>(1, n_fft / 2);
+    mp.n_mels = 4;
+    params.push_back(mp);
+  }
+  return params;
 }
 
 /// compute_image sides: its dB pass then converts 2 or 3 columns, every
@@ -550,23 +607,27 @@ TEST(MelPipeline, BitIdenticalToSerialOracleOnEveryTier) {
   // The oracles run once under the scalar tier; every tier's fused front
   // end must reproduce them bit for bit.
   beesim::util::Rng rng(25);
-  const dsp::MelSpectrogram mel;
-  const auto& mp = mel.params();
-  for (const std::size_t len : edge_lengths(mp)) {
-    const auto x = random_signal(len, rng);
-    dsp::set_active_isa(dsp::IsaRequest::kScalar);
-    const FrontEnd want = oracles(mp, x);
-    EXPECT_EQ(want.mel.cols(), dsp::stft_frame_count(len, stft_of(mp, true)));
-    for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
-                            dsp::IsaRequest::kAuto}) {
-      dsp::set_active_isa(tier);
-      SCOPED_TRACE(testing::Message()
-                   << dsp::isa_name(dsp::active_isa()) << " length " << len);
-      expect_identical(production(mel, x), want);
-    }
-    if (len < mp.n_fft) {
-      EXPECT_THROW(dsp::stft_power(x, stft_of(mp, false)),
-                   std::invalid_argument);
+  for (const auto& params : front_end_params()) {
+    const dsp::MelSpectrogram mel(params);
+    const auto& mp = mel.params();
+    for (const std::size_t len : edge_lengths(mp)) {
+      const auto x = random_signal(len, rng);
+      dsp::set_active_isa(dsp::IsaRequest::kScalar);
+      const FrontEnd want = oracles(mp, x);
+      EXPECT_EQ(want.mel.cols(),
+                dsp::stft_frame_count(len, stft_of(mp, true)));
+      for (const auto tier : {dsp::IsaRequest::kScalar,
+                              dsp::IsaRequest::kSse2, dsp::IsaRequest::kAuto}) {
+        dsp::set_active_isa(tier);
+        SCOPED_TRACE(testing::Message()
+                     << dsp::isa_name(dsp::active_isa()) << " n_fft "
+                     << mp.n_fft << " length " << len);
+        expect_identical(production(mel, x), want);
+      }
+      if (len < mp.n_fft) {
+        EXPECT_THROW(dsp::stft_power(x, stft_of(mp, false)),
+                     std::invalid_argument);
+      }
     }
   }
 }
@@ -656,7 +717,9 @@ TEST(KernelMetrics, StftCountsFramesAndPlanReuses) {
   p.hop = 512;
   const auto power = dsp::stft_power(signal, p);
   EXPECT_EQ(frames.value() - frames_before, power.cols());
-  // One planned (half-size) FFT execution per frame.
+  // One count per transformed frame: 17 frames are four full batches and
+  // one of a single frame, whose three spare lanes are not counted.
+  EXPECT_EQ(power.cols(), 17u);
   EXPECT_EQ(reuses.value() - reuses_before, power.cols());
 
   // MelSpectrogram::compute runs the same frame loop, which counts each
@@ -685,7 +748,7 @@ TEST(FuzzKernels, FastStftAndRfftMatchReferenceOnRandomShapes) {
     // Random real-FFT equivalence at this size.
     const auto frame = random_signal(n_fft, rng);
     const auto ref_spec = oracle::rfft(frame);
-    const auto fast_spec = dsp::RealFftPlan(n_fft).transform(frame);
+    const auto fast_spec = oracle::RealFftPlan(n_fft).transform(frame);
     double scale = 1.0;
     for (const auto& v : ref_spec) scale = std::max(scale, std::abs(v));
     for (std::size_t b = 0; b < ref_spec.size(); ++b)

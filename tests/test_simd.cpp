@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -9,8 +8,10 @@
 #include "core/fleet_columns.hpp"
 #include "core/network_sim.hpp"
 #include "dsp/dispatch.hpp"
-#include "dsp/fft.hpp"
+#include "dsp/mel.hpp"
+#include "dsp/stft.hpp"
 #include "dsp/simd_kernels.hpp"
+#include "dsp_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -148,53 +149,159 @@ TEST(SimdGemm, Int8BitIdenticalFuzzed) {
   }
 }
 
-TEST(SimdFft, StageBitIdenticalFuzzed) {
+namespace {
+
+/// A frame sample whose magnitude spans 1e-150 .. 1e150, with +-0 and
+/// subnormals mixed in: the batched power stays finite at n_fft <= 2048
+/// (|X|^2 <= (n_fft * 1e150)^2), so every tier must agree bit for bit.
+double wide_sample(Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.05) return 0.0;
+  if (u < 0.10) return -0.0;
+  const double sign = rng.chance(0.5) ? -1.0 : 1.0;
+  if (u < 0.15)
+    return sign * std::numeric_limits<double>::denorm_min() *
+           static_cast<double>(rng.uniform_int(1, 1 << 20));
+  return sign * rng.uniform(1.0, 10.0) *
+         std::pow(10.0, static_cast<double>(rng.uniform_int(-150, 149)));
+}
+
+}  // namespace
+
+TEST(SimdFft, BatchedPowerBitIdenticalFuzzed) {
+  // stft_power4 on random batches: every tier's power memcmp'd against
+  // the scalar tier, and each lane of it against the per-frame planned
+  // real FFT of the windowed frame (tests/dsp_oracle.hpp). Lanes mix
+  // plain normals with the wide samples, one lane may repeat another (a
+  // short batch's spare lanes), and the frames sit at odd offsets.
   Rng rng(555);
   const dsp::KernelTable& scalar = dsp::kernel_table(dsp::IsaTier::kScalar);
-  for (std::size_t n : {2u, 4u, 8u, 64u, 256u, 1024u}) {
-    std::vector<std::complex<double>> base(n);
-    for (auto& x : base)
-      x = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      std::vector<std::complex<double>> tw(len / 2);
-      for (std::size_t j = 0; j < len / 2; ++j) {
-        const double a = -2.0 * 3.141592653589793 *
-                         static_cast<double>(j) / static_cast<double>(len);
-        tw[j] = {std::cos(a), std::sin(a)};
+  for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 512u, 2048u}) {
+    dsp::StftParams p;
+    p.n_fft = n;
+    p.hop = n;
+    const dsp::StftPlan plan(p);
+    const dsp::StftTables tables = plan.tables();
+    const beesim::oracle::RealFftPlan reference(n);
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<std::vector<double>> lanes(4, std::vector<double>(n));
+      for (std::size_t l = 0; l < 4; ++l)
+        for (auto& x : lanes[l])
+          x = (trial + l) % 2 == 0 ? wide_sample(rng) : rng.normal();
+      if (trial == 5) lanes[3] = lanes[2];
+      std::vector<std::vector<double>> buffers;
+      const double* frames[4];
+      for (std::size_t l = 0; l < 4; ++l)
+        buffers.push_back(offset_copy(lanes[l], 1 + l));
+      for (std::size_t l = 0; l < 4; ++l) frames[l] = buffers[l].data() + 1 + l;
+      const std::size_t size = dsp::stft_scratch_size(n);
+      std::vector<double> want(size);
+      scalar.stft_power4(tables, frames, want.data());
+      const std::size_t bins = n / 2 + 1;
+      for (std::size_t l = 0; l < 4; ++l) {
+        std::vector<double> windowed(n), power(bins);
+        for (std::size_t i = 0; i < n; ++i)
+          windowed[i] = lanes[l][i] * tables.window[i];
+        std::vector<beesim::oracle::Complex> scratch(reference.scratch_size());
+        reference.power(windowed.data(), power.data(), scratch.data());
+        for (std::size_t b = 0; b < bins; ++b)
+          ASSERT_EQ(std::memcmp(&want[4 * b + l], &power[b], sizeof(double)),
+                    0)
+              << "n=" << n << " trial " << trial << " lane " << l << " bin "
+              << b;
       }
-      auto want = base;
-      scalar.fft_stage(want.data(), n, len, tw.data());
       for (dsp::IsaTier tier : kTiers) {
-        auto got = base;
-        dsp::kernel_table(tier).fft_stage(got.data(), n, len, tw.data());
+        std::vector<double> got(size);
+        dsp::kernel_table(tier).stft_power4(tables, frames, got.data());
         ASSERT_EQ(std::memcmp(want.data(), got.data(),
-                              n * sizeof(std::complex<double>)),
+                              4 * bins * sizeof(double)),
                   0)
-            << "tier " << dsp::isa_name(tier) << " n=" << n
-            << " len=" << len;
+            << "tier " << dsp::isa_name(tier) << " n=" << n << " trial "
+            << trial;
+      }
+    }
+  }
+}
+
+TEST(SimdMel, BandsBitIdenticalFuzzed) {
+  // mel_bands4 through BandedFilterbank on random batches of 1 to 4
+  // frames: every tier memcmp'd against the scalar tier, each written
+  // lane against the dense apply on that frame (tests/dsp_oracle.hpp),
+  // and the columns past count left alone. Banks: the paper's 128 bands
+  // and a random one with negative weights and interior zeros of both
+  // signs; the power mixes wide magnitudes with zeros and subnormals.
+  IsaGuard guard;
+  Rng rng(999);
+  dsp::Matrix random_bank(9, 40);
+  for (std::size_t m = 0; m < random_bank.rows(); ++m)
+    for (std::size_t b = 4 * m; b < 4 * m + 9 && b < 40; ++b) {
+      const double u = rng.uniform();
+      random_bank(m, b) = u < 0.2 ? 0.0 : u < 0.3 ? -0.0 : rng.normal();
+    }
+  for (const dsp::Matrix& bank :
+       {dsp::mel_filterbank(128, 2048, 22050.0), random_bank}) {
+    const dsp::BandedFilterbank banded(bank);
+    for (std::size_t count = 1; count <= 4; ++count) {
+      dsp::Matrix power(bank.cols(), 4);  // bins x lanes
+      for (std::size_t b = 0; b < power.rows(); ++b)
+        for (std::size_t l = 0; l < 4; ++l)
+          power(b, l) = std::abs(wide_sample(rng));
+      const std::vector<double> batch = offset_copy(power.storage(), 1);
+      const double* lanes = batch.data() + 1;  // bin b, lane l at 4 b + l
+      const std::size_t stride = 7;
+      const auto run = [&](dsp::IsaRequest tier) {
+        dsp::set_active_isa(tier);
+        std::vector<double> out(banded.bands() * stride, -1.0);
+        banded.apply(lanes, count, out.data() + 2, stride);
+        return out;
+      };
+      const std::vector<double> want = run(dsp::IsaRequest::kScalar);
+      const dsp::Matrix dense = beesim::oracle::apply_filterbank(bank, power);
+      for (std::size_t m = 0; m < banded.bands(); ++m)
+        for (std::size_t c = 0; c < stride; ++c) {
+          const double got = want[m * stride + c];
+          if (c >= 2 && c < 2 + count) {
+            const double ref = dense(m, c - 2);
+            ASSERT_EQ(std::memcmp(&got, &ref, sizeof(double)), 0)
+                << "band " << m << " lane " << c - 2;
+          } else {
+            ASSERT_EQ(got, -1.0) << "band " << m << " column " << c;
+          }
+        }
+      for (const auto tier : {dsp::IsaRequest::kSse2, dsp::IsaRequest::kAuto}) {
+        const std::vector<double> got = run(tier);
+        ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << dsp::isa_name(dsp::active_isa()) << " count " << count;
       }
     }
   }
 }
 
 TEST(SimdFft, FullPlanMatchesScalarTier) {
+  // The whole frame loop (reflect-mapped edge frames, partial batches,
+  // chunks across the pool) under each tier, memcmp'd against scalar.
   IsaGuard guard;
   Rng rng(777);
-  for (std::size_t n : {8u, 128u, 2048u}) {
-    std::vector<std::complex<double>> input(n);
-    for (auto& x : input)
-      x = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-    const dsp::FftPlan plan(n);
+  for (const std::size_t n : {8u, 128u, 2048u}) {
+    std::vector<double> signal(5 * n + 3);
+    for (auto& x : signal) x = rng.normal(0.0, 1.0);
+    dsp::StftParams p;
+    p.n_fft = n;
+    p.hop = n / 4;
     dsp::set_active_isa(dsp::IsaRequest::kScalar);
-    auto want = input;
-    plan.forward(want.data());
-    dsp::set_active_isa(dsp::IsaRequest::kAuto);
-    auto got = input;
-    plan.forward(got.data());
-    ASSERT_EQ(std::memcmp(want.data(), got.data(),
-                          n * sizeof(std::complex<double>)),
-              0)
-        << "n=" << n;
+    const dsp::Matrix want = dsp::stft_power(signal, p);
+    for (const auto tier : {dsp::IsaRequest::kSse2, dsp::IsaRequest::kAuto}) {
+      dsp::set_active_isa(tier);
+      const dsp::Matrix got = dsp::stft_power(signal, p);
+      ASSERT_EQ(got.rows(), want.rows());
+      ASSERT_EQ(got.cols(), want.cols());
+      ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                            want.rows() * want.cols() * sizeof(double)),
+                0)
+          << dsp::isa_name(dsp::active_isa()) << " n=" << n;
+    }
   }
 }
 
