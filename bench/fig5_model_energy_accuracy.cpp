@@ -13,8 +13,9 @@
 //
 // Usage: fig5_model_energy_accuracy [clips=240] [clip_seconds=1.5]
 //          [epochs=8] [seed=2023] [sides=20,40,60,80,100,140]
-//          [dispatch=auto]  (auto | scalar | sse2 | avx2 SIMD tier —
-//                            bit-identical output under every tier)
+//          [dispatch=auto]  (auto | scalar | sse2 | avx2 | avx512 SIMD
+//                            tier — bit-identical output under every
+//                            tier)
 //          [precision=f32]  (f32 | int8: int8 adds a quantized
 //                            inference pass with scaled edge energy and
 //                            accuracy deltas vs the f32 reference)

@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -26,13 +27,22 @@ namespace {
 
 using namespace beesim;
 
-// The batched real FFT: one stft_power4 call on the active dispatch tier
-// windows four frames a quarter frame apart and writes their power, each
-// lane an N/2-point complex transform on precomputed tables (the
-// per-frame planned FFT it replaced and the naive full complex FFT are
-// test oracles in tests/dsp_oracle.hpp). Items are frames;
-// `time_per_frame` is the time of one call divided by its four frames.
-void BM_RealFftPlanned(benchmark::State& state) {
+/// The tier a kernel_table(tier) call runs: the request, clamped to what
+/// the CPU has. Reported as the `isa` counter (0 scalar .. 3 AVX-512).
+double isa_ran(dsp::IsaTier tier) {
+  return static_cast<double>(
+      std::min(static_cast<int>(tier), static_cast<int>(dsp::detected_isa())));
+}
+
+// The batched real FFT: one stft_power_batch call on the given dispatch
+// tier windows StftPlan::kBatch frames a quarter frame apart and writes
+// their power, each lane an N/2-point complex transform on precomputed
+// tables (the per-frame planned FFT it replaced and the naive full
+// complex FFT are test oracles in tests/dsp_oracle.hpp). Items are
+// frames; `time_per_frame` is the time of one call divided by its
+// kBatch frames. Every tier runs, not only the active one.
+void BM_RealFftPlanned(benchmark::State& state, dsp::IsaTier tier) {
+  constexpr std::size_t kBatch = dsp::StftPlan::kBatch;
   const auto n = static_cast<std::size_t>(state.range(0));
   dsp::StftParams p;
   p.n_fft = n;
@@ -40,10 +50,10 @@ void BM_RealFftPlanned(benchmark::State& state) {
   const dsp::StftPlan plan(p);
   const dsp::StftTables tables = plan.tables();
   util::Rng rng(1);
-  std::vector<double> signal(n + 3 * p.hop);
+  std::vector<double> signal(n + (kBatch - 1) * p.hop);
   for (auto& v : signal) v = rng.normal();
-  const double* frames[dsp::StftPlan::kBatch];
-  for (std::size_t l = 0; l < dsp::StftPlan::kBatch; ++l)
+  const double* frames[kBatch];
+  for (std::size_t l = 0; l < kBatch; ++l)
     frames[l] = signal.data() + l * p.hop;
   // Cache-line aligned, as StftPlan::for_each_frame aligns its scratch.
   std::vector<double> buffer(dsp::stft_scratch_size(n) + 8);
@@ -51,19 +61,27 @@ void BM_RealFftPlanned(benchmark::State& state) {
   std::size_t space = buffer.size() * sizeof(double);
   auto* scratch = static_cast<double*>(std::align(
       64, dsp::stft_scratch_size(n) * sizeof(double), start, space));
-  const dsp::KernelTable& kernels = dsp::kernel_table();
+  const dsp::KernelTable& kernels = dsp::kernel_table(tier);
   for (auto _ : state) {
-    kernels.stft_power4(tables, frames, scratch);
+    kernels.stft_power_batch(tables, frames, scratch);
     benchmark::DoNotOptimize(scratch);
     benchmark::ClobberMemory();
   }
   const auto frames_done = static_cast<double>(state.iterations()) *
-                           static_cast<double>(dsp::StftPlan::kBatch);
+                           static_cast<double>(kBatch);
   state.SetItemsProcessed(static_cast<std::int64_t>(frames_done));
   state.counters["time_per_frame"] = benchmark::Counter(
       frames_done, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["isa"] = isa_ran(tier);
 }
-BENCHMARK(BM_RealFftPlanned)->Arg(512)->Arg(2048)->Arg(8192);
+BENCHMARK_CAPTURE(BM_RealFftPlanned, scalar, dsp::IsaTier::kScalar)
+    ->Arg(512)->Arg(2048)->Arg(8192);
+BENCHMARK_CAPTURE(BM_RealFftPlanned, sse2, dsp::IsaTier::kSse2)
+    ->Arg(512)->Arg(2048)->Arg(8192);
+BENCHMARK_CAPTURE(BM_RealFftPlanned, avx2, dsp::IsaTier::kAvx2)
+    ->Arg(512)->Arg(2048)->Arg(8192);
+BENCHMARK_CAPTURE(BM_RealFftPlanned, avx512, dsp::IsaTier::kAvx512)
+    ->Arg(512)->Arg(2048)->Arg(8192);
 
 void BM_MelSpectrogram(benchmark::State& state) {
   const double seconds = static_cast<double>(state.range(0)) / 10.0;
@@ -79,27 +97,41 @@ void BM_MelSpectrogram(benchmark::State& state) {
 BENCHMARK(BM_MelSpectrogram)->Arg(5)->Arg(10)->Arg(30);  // 0.5 / 1 / 3 s
 
 // Banded filterbank apply, isolated from the STFT: 128 mel bands over the
-// 44 frames of a 1-second clip, four frames per apply into their columns
-// of the mel matrix, laid out as StftPlan hands a batch over (bin b of
-// frame l at 4 b + l) — the form MelSpectrogram::compute runs.
-void BM_FilterbankBanded(benchmark::State& state) {
+// 44 frames of a 1-second clip, one StftPlan batch per apply into its
+// columns of the mel matrix, laid out as StftPlan hands a batch over (bin
+// b of frame l at kBatch b + l, each batch kBatch lanes wide) — the form
+// MelSpectrogram::compute runs, the short last batch included. Every tier
+// runs; `time_per_frame` is the time of the 44 frames divided by 44.
+void BM_FilterbankBanded(benchmark::State& state, dsp::IsaTier tier) {
   util::Rng rng(6);
   const dsp::BandedFilterbank banded(dsp::mel_filterbank(128, 2048, 22050.0));
   constexpr std::size_t kFrames = 44;
   constexpr std::size_t kBatch = dsp::StftPlan::kBatch;
-  std::vector<double> power(kFrames * banded.bins());  // batch after batch
+  constexpr std::size_t kBatches = (kFrames + kBatch - 1) / kBatch;
+  std::vector<double> power(kBatches * kBatch * banded.bins());
   for (double& v : power) v = rng.uniform(0.0, 10.0);
   dsp::Matrix mel(banded.bands(), kFrames);
+  const dsp::BandTables tables = banded.tables();
+  const dsp::KernelTable& kernels = dsp::kernel_table(tier);
   for (auto _ : state) {
     for (std::size_t f = 0; f < kFrames; f += kBatch)
-      banded.apply(power.data() + f * banded.bins(), kBatch, mel.data() + f,
-                   kFrames);
+      kernels.mel_bands_batch(tables, power.data() + f * banded.bins(),
+                              std::min(kBatch, kFrames - f), mel.data() + f,
+                              kFrames);
     benchmark::DoNotOptimize(mel.data());
     benchmark::ClobberMemory();
   }
+  const auto frames_done = static_cast<double>(state.iterations()) *
+                           static_cast<double>(kFrames);
+  state.counters["time_per_frame"] = benchmark::Counter(
+      frames_done, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   state.counters["nnz"] = static_cast<double>(banded.nonzeros());
+  state.counters["isa"] = isa_ran(tier);
 }
-BENCHMARK(BM_FilterbankBanded);
+BENCHMARK_CAPTURE(BM_FilterbankBanded, scalar, dsp::IsaTier::kScalar);
+BENCHMARK_CAPTURE(BM_FilterbankBanded, sse2, dsp::IsaTier::kSse2);
+BENCHMARK_CAPTURE(BM_FilterbankBanded, avx2, dsp::IsaTier::kAvx2);
+BENCHMARK_CAPTURE(BM_FilterbankBanded, avx512, dsp::IsaTier::kAvx512);
 
 void BM_AudioSynthesis(benchmark::State& state) {
   audio::BeeAudioSynth synth;

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/features.hpp"
 #include "dsp/mel.hpp"
-#include "dsp/stft.hpp"
 #include "util/parallel.hpp"
 
 namespace beesim::audio {
@@ -35,7 +33,7 @@ QueenDataset generate_queen_dataset(const DatasetParams& params) {
   ds.mel_params = params.mel;
   ds.examples.resize(count);
 
-  // Featurization (STFT -> mel -> dB -> descriptors) dominates dataset
+  // Featurization (STFT -> mel -> dB -> band means) dominates dataset
   // generation and is independent per clip, so it runs batched across
   // util::parallel_for. Synthesis consumes the shared RNG stream and
   // stays in serial order, which keeps the dataset bit-identical to a
@@ -64,16 +62,6 @@ QueenDataset generate_queen_dataset(const DatasetParams& params) {
         for (std::size_t f = 0; f < ex.mel_db.cols(); ++f)
           acc += ex.mel_db(m, f);
         ex.features[m] = acc / static_cast<double>(ex.mel_db.cols());
-      }
-      if (params.extended_features) {
-        dsp::StftParams sp;
-        sp.n_fft = params.mel.n_fft;
-        sp.hop = params.mel.hop;
-        const auto power = dsp::stft_power(clips[j], sp);
-        const auto descriptor =
-            dsp::spectral_descriptor(power, params.mel.sample_rate);
-        ex.features.insert(ex.features.end(), descriptor.begin(),
-                           descriptor.end());
       }
       clips[j] = std::vector<double>();  // release the raw audio
     });

@@ -37,10 +37,6 @@ struct DatasetParams {
   std::uint64_t seed = 2023;
   BeeAudioSynth::Params synth;            // acoustic model
   dsp::MelSpectrogram::Params mel;        // paper's spectrogram settings
-  /// Append the 10-value spectral descriptor (centroid/bandwidth/rolloff/
-  /// flatness/flux mean+std; dsp/features.hpp) to each example's SVM
-  /// feature vector.
-  bool extended_features = false;
 };
 
 /// Generates a balanced labeled dataset (count/2 per class, interleaved).

@@ -35,7 +35,6 @@
 #include "audio/dataset.hpp"
 #include "audio/synth.hpp"
 #include "audio/wav.hpp"
-#include "dsp/features.hpp"
 #include "dsp/spectrogram.hpp"
 #include "ml/costmodel.hpp"
 #include "ml/metrics.hpp"

@@ -12,9 +12,12 @@ IsaTier probe() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports reads cpuid once and caches; FMA is required
   // alongside AVX2 because the int8 dequantization step fuses exactly
-  // where the scalar tier calls std::fma.
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+  // where the scalar tier calls std::fma. The AVX-512 tier reuses the
+  // AVX2 GEMM and Welford kernels, so it needs both as well.
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    if (__builtin_cpu_supports("avx512f")) return IsaTier::kAvx512;
     return IsaTier::kAvx2;
+  }
   if (__builtin_cpu_supports("sse2")) return IsaTier::kSse2;
   return IsaTier::kScalar;
 #else
@@ -66,15 +69,17 @@ IsaRequest isa_from_name(const std::string& name) {
   if (name == "scalar") return IsaRequest::kScalar;
   if (name == "sse2") return IsaRequest::kSse2;
   if (name == "avx2") return IsaRequest::kAvx2;
+  if (name == "avx512") return IsaRequest::kAvx512;
   throw std::invalid_argument(
-      "isa_from_name: expected 'auto', 'scalar', 'sse2' or 'avx2', got '" +
-      name + "'");
+      "isa_from_name: expected 'auto', 'scalar', 'sse2', 'avx2' or "
+      "'avx512', got '" + name + "'");
 }
 
 const char* isa_name(IsaTier tier) noexcept {
   switch (tier) {
     case IsaTier::kSse2: return "sse2";
     case IsaTier::kAvx2: return "avx2";
+    case IsaTier::kAvx512: return "avx512";
     case IsaTier::kScalar: break;
   }
   return "scalar";

@@ -18,7 +18,7 @@
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
-#include "dsp/batch4_body.hpp"
+#include "dsp/batch_body.hpp"
 
 namespace beesim::dsp::detail {
 
@@ -268,48 +268,65 @@ void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
 
 namespace {
 
-/// One __m256d: the AVX2 tier's batch-kernel lanes.
+/// Two __m256d, lanes 0-3 and 4-7: the AVX2 tier's batch-kernel lanes.
 struct Avx2Lanes {
-  __m256d v;
+  static constexpr std::size_t kWidth = 8;
+  __m256d lo, hi;
 
-  static Avx2Lanes load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static Avx2Lanes broadcast(double x) { return {_mm256_set1_pd(x)}; }
+  static Avx2Lanes load(const double* p) {
+    return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)};
+  }
+  static Avx2Lanes broadcast(double x) {
+    return {_mm256_set1_pd(x), _mm256_set1_pd(x)};
+  }
   static void load_pairs(const double* const* frames, std::size_t i,
                          Avx2Lanes& a, Avx2Lanes& b) {
+    load_quad(frames, i, a.lo, b.lo);
+    load_quad(frames + 4, i, a.hi, b.hi);
+  }
+  void store(double* p) const {
+    _mm256_storeu_pd(p, lo);
+    _mm256_storeu_pd(p + 4, hi);
+  }
+
+ private:
+  /// Samples i (into a) and i + 1 (into b) of frames 0 to 3.
+  static void load_quad(const double* const* frames, std::size_t i,
+                        __m256d& a, __m256d& b) {
     // [f0[i], f0[i+1], f2[i], f2[i+1]] and the same of frames 1 and 3;
-    // unpacking them gives lane l's sample i in a, i + 1 in b.
+    // unpacking them gives frame l's sample i in lane l of a, i + 1 in b.
     const __m256d t02 = _mm256_insertf128_pd(
         _mm256_castpd128_pd256(_mm_loadu_pd(frames[0] + i)),
         _mm_loadu_pd(frames[2] + i), 1);
     const __m256d t13 = _mm256_insertf128_pd(
         _mm256_castpd128_pd256(_mm_loadu_pd(frames[1] + i)),
         _mm_loadu_pd(frames[3] + i), 1);
-    a = {_mm256_unpacklo_pd(t02, t13)};
-    b = {_mm256_unpackhi_pd(t02, t13)};
+    a = _mm256_unpacklo_pd(t02, t13);
+    b = _mm256_unpackhi_pd(t02, t13);
   }
-  void store(double* p) const { _mm256_storeu_pd(p, v); }
 };
 
 inline Avx2Lanes operator+(Avx2Lanes a, Avx2Lanes b) {
-  return {_mm256_add_pd(a.v, b.v)};
+  return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
 }
 inline Avx2Lanes operator-(Avx2Lanes a, Avx2Lanes b) {
-  return {_mm256_sub_pd(a.v, b.v)};
+  return {_mm256_sub_pd(a.lo, b.lo), _mm256_sub_pd(a.hi, b.hi)};
 }
 inline Avx2Lanes operator*(Avx2Lanes a, Avx2Lanes b) {
-  return {_mm256_mul_pd(a.v, b.v)};
+  return {_mm256_mul_pd(a.lo, b.lo), _mm256_mul_pd(a.hi, b.hi)};
 }
 
 }  // namespace
 
-void stft_power4_avx2(const StftTables& t, const double* const* frames,
-                      double* scratch) {
-  stft_power4_body<Avx2Lanes>(t, frames, scratch);
+void stft_power_batch_avx2(const StftTables& t, const double* const* frames,
+                           double* scratch) {
+  stft_power_batch_body<Avx2Lanes>(t, frames, scratch);
 }
 
-void mel_bands4_avx2(const BandTables& t, const double* power,
-                     std::size_t count, double* out, std::size_t stride) {
-  mel_bands4_body<Avx2Lanes>(t, power, count, out, stride);
+void mel_bands_batch_avx2(const BandTables& t, const double* power,
+                          std::size_t count, double* out,
+                          std::size_t stride) {
+  mel_bands_batch_body<Avx2Lanes>(t, power, count, out, stride);
 }
 
 namespace {
@@ -377,14 +394,15 @@ void sgemm_bias_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
   sgemm_bias_s8_scalar(m, n, k, a, a_scales, b, b_scale, bias, c);
 }
 
-void stft_power4_avx2(const StftTables& t, const double* const* frames,
-                      double* scratch) {
-  stft_power4_scalar(t, frames, scratch);
+void stft_power_batch_avx2(const StftTables& t, const double* const* frames,
+                           double* scratch) {
+  stft_power_batch_scalar(t, frames, scratch);
 }
 
-void mel_bands4_avx2(const BandTables& t, const double* power,
-                     std::size_t count, double* out, std::size_t stride) {
-  mel_bands4_scalar(t, power, count, out, stride);
+void mel_bands_batch_avx2(const BandTables& t, const double* power,
+                          std::size_t count, double* out,
+                          std::size_t stride) {
+  mel_bands_batch_scalar(t, power, count, out, stride);
 }
 
 void welford5_add_avx2(Welford5* s, const double* xs, std::size_t count) {

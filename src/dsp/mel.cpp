@@ -78,10 +78,13 @@ BandedFilterbank::BandedFilterbank(const Matrix& dense) : bins_(dense.cols()) {
   }
 }
 
+BandTables BandedFilterbank::tables() const noexcept {
+  return {bands(), offset_.data(), bin_.data(), weights_.data()};
+}
+
 void BandedFilterbank::apply(const double* power, std::size_t count,
                              double* out, std::size_t stride) const noexcept {
-  const BandTables t{bands(), offset_.data(), bin_.data(), weights_.data()};
-  kernel_table().mel_bands4(t, power, count, out, stride);
+  kernel_table().mel_bands_batch(tables(), power, count, out, stride);
 }
 
 namespace {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "dsp/matrix.hpp"
+#include "dsp/simd_kernels.hpp"
 
 namespace beesim::dsp {
 
@@ -21,14 +22,14 @@ Matrix mel_filterbank(std::size_t n_mels, std::size_t n_fft,
 
 /// Sparse form of a filterbank: per band, its nonzero weights and their
 /// bins, ascending. Built once per MelSpectrogram; apply() maps one
-/// StftPlan batch of up to four frames onto their mel bands, touching
-/// only the nonzero bins. Each triangular band is nonzero on a narrow bin
-/// range, so the dense matrix is >90% zeros. apply() is bit-identical to
-/// the dense bin-by-bin apply (the oracle in tests/dsp_oracle.hpp): per
-/// band and frame, zero weights skipped, bins ascending, a separate
-/// multiply and add into an accumulator that starts at 0. The four
-/// frames are the four lanes of the dispatched mel_bands4 kernel, one
-/// vector add chain per band.
+/// StftPlan batch of up to StftPlan::kBatch frames onto their mel bands,
+/// touching only the nonzero bins. Each triangular band is nonzero on a
+/// narrow bin range, so the dense matrix is >90% zeros. apply() is
+/// bit-identical to the dense bin-by-bin apply (the oracle in
+/// tests/dsp_oracle.hpp): per band and frame, zero weights skipped, bins
+/// ascending, a separate multiply and add into an accumulator that
+/// starts at 0. The batch's frames are the lanes of the dispatched
+/// mel_bands_batch kernel, one vector add chain per band and lane group.
 class BandedFilterbank {
  public:
   explicit BandedFilterbank(const Matrix& dense);
@@ -38,11 +39,15 @@ class BandedFilterbank {
   /// Stored (nonzero) weight count across all bands.
   std::size_t nonzeros() const noexcept { return weights_.size(); }
 
+  /// The weights as kernel_table().mel_bands_batch reads them. They
+  /// point into this filterbank.
+  BandTables tables() const noexcept;
+
   /// out[m * stride + l] = band m of frame l of a batch, for m < bands()
   /// and l < count (1 .. StftPlan::kBatch). The batch is laid out as
-  /// StftPlan hands it over: bin b of frame l at power[4 * b + l], for
-  /// all four lanes. A stride of the frame count writes `count` adjacent
-  /// columns of a (bands x frames) row-major matrix.
+  /// StftPlan hands it over: bin b of frame l at power[kBatch * b + l],
+  /// for all kBatch lanes. A stride of the frame count writes `count`
+  /// adjacent columns of a (bands x frames) row-major matrix.
   void apply(const double* power, std::size_t count, double* out,
              std::size_t stride) const noexcept;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/batch4_body.hpp"
+#include "dsp/batch_body.hpp"
 #include "dsp/simd_kernels_detail.hpp"
 
 #if defined(__SSE2__)
@@ -94,7 +94,8 @@ namespace {
 /// Four plain doubles, one per lane: the scalar tier's batch-kernel
 /// lanes.
 struct ScalarLanes {
-  double v[kLanes];
+  static constexpr std::size_t kWidth = 4;
+  double v[kWidth];
 
   static ScalarLanes load(const double* p) {
     return {{p[0], p[1], p[2], p[3]}};
@@ -102,39 +103,40 @@ struct ScalarLanes {
   static ScalarLanes broadcast(double x) { return {{x, x, x, x}}; }
   static void load_pairs(const double* const* frames, std::size_t i,
                          ScalarLanes& a, ScalarLanes& b) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
+    for (std::size_t l = 0; l < kWidth; ++l) {
       a.v[l] = frames[l][i];
       b.v[l] = frames[l][i + 1];
     }
   }
   void store(double* p) const {
-    for (std::size_t l = 0; l < kLanes; ++l) p[l] = v[l];
+    for (std::size_t l = 0; l < kWidth; ++l) p[l] = v[l];
   }
 };
 
 inline ScalarLanes operator+(ScalarLanes a, ScalarLanes b) {
-  for (std::size_t l = 0; l < kLanes; ++l) a.v[l] += b.v[l];
+  for (std::size_t l = 0; l < ScalarLanes::kWidth; ++l) a.v[l] += b.v[l];
   return a;
 }
 inline ScalarLanes operator-(ScalarLanes a, ScalarLanes b) {
-  for (std::size_t l = 0; l < kLanes; ++l) a.v[l] -= b.v[l];
+  for (std::size_t l = 0; l < ScalarLanes::kWidth; ++l) a.v[l] -= b.v[l];
   return a;
 }
 inline ScalarLanes operator*(ScalarLanes a, ScalarLanes b) {
-  for (std::size_t l = 0; l < kLanes; ++l) a.v[l] *= b.v[l];
+  for (std::size_t l = 0; l < ScalarLanes::kWidth; ++l) a.v[l] *= b.v[l];
   return a;
 }
 
 }  // namespace
 
-void stft_power4_scalar(const StftTables& t, const double* const* frames,
-                        double* scratch) {
-  stft_power4_body<ScalarLanes>(t, frames, scratch);
+void stft_power_batch_scalar(const StftTables& t, const double* const* frames,
+                             double* scratch) {
+  stft_power_batch_body<ScalarLanes>(t, frames, scratch);
 }
 
-void mel_bands4_scalar(const BandTables& t, const double* power,
-                       std::size_t count, double* out, std::size_t stride) {
-  mel_bands4_body<ScalarLanes>(t, power, count, out, stride);
+void mel_bands_batch_scalar(const BandTables& t, const double* power,
+                            std::size_t count, double* out,
+                            std::size_t stride) {
+  mel_bands_batch_body<ScalarLanes>(t, power, count, out, stride);
 }
 
 void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count) {
@@ -162,8 +164,8 @@ void welford5_add_scalar(Welford5* s, const double* xs, std::size_t count) {
 //
 // Explicit 128-bit kernels for the x86-64 baseline. blendv is SSE4.1, so
 // selects use cmp + and/andnot/or, which reproduces the scalar operation
-// per lane exactly; the batch kernels carry their four lanes in two
-// registers.
+// per lane exactly; the batch kernels carry four lanes in two registers
+// per lane group.
 
 #if defined(__SSE2__)
 
@@ -237,6 +239,7 @@ void sgemm_bias_f32_sse2(std::size_t m, std::size_t n, std::size_t k,
 
 /// Two __m128d, lanes 0-1 and 2-3: the SSE2 tier's batch-kernel lanes.
 struct Sse2Lanes {
+  static constexpr std::size_t kWidth = 4;
   __m128d lo, hi;
 
   static Sse2Lanes load(const double* p) {
@@ -270,14 +273,15 @@ inline Sse2Lanes operator*(Sse2Lanes a, Sse2Lanes b) {
   return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
 }
 
-void stft_power4_sse2(const StftTables& t, const double* const* frames,
-                      double* scratch) {
-  stft_power4_body<Sse2Lanes>(t, frames, scratch);
+void stft_power_batch_sse2(const StftTables& t, const double* const* frames,
+                           double* scratch) {
+  stft_power_batch_body<Sse2Lanes>(t, frames, scratch);
 }
 
-void mel_bands4_sse2(const BandTables& t, const double* power,
-                     std::size_t count, double* out, std::size_t stride) {
-  mel_bands4_body<Sse2Lanes>(t, power, count, out, stride);
+void mel_bands_batch_sse2(const BandTables& t, const double* power,
+                          std::size_t count, double* out,
+                          std::size_t stride) {
+  mel_bands_batch_body<Sse2Lanes>(t, power, count, out, stride);
 }
 
 /// std::min(cur, x) selects x only on strict x < cur; cmplt + and/andnot
@@ -348,8 +352,8 @@ void welford5_add_sse2(Welford5* s, const double* xs, std::size_t count) {
 namespace {
 
 constexpr KernelTable kScalarTable = {
-    detail::sgemm_bias_f32_scalar, detail::sgemm_bias_s8_scalar,
-    detail::stft_power4_scalar,    detail::mel_bands4_scalar,
+    detail::sgemm_bias_f32_scalar,   detail::sgemm_bias_s8_scalar,
+    detail::stft_power_batch_scalar, detail::mel_bands_batch_scalar,
     detail::welford5_add_scalar,
 };
 
@@ -358,8 +362,8 @@ constexpr KernelTable kScalarTable = {
 // widening loads and madd there is little to gain over what the compiler
 // already autovectorizes (results are identical either way).
 constexpr KernelTable kSse2Table = {
-    detail::sgemm_bias_f32_sse2, detail::sgemm_bias_s8_scalar,
-    detail::stft_power4_sse2,    detail::mel_bands4_sse2,
+    detail::sgemm_bias_f32_sse2,   detail::sgemm_bias_s8_scalar,
+    detail::stft_power_batch_sse2, detail::mel_bands_batch_sse2,
     detail::welford5_add_sse2,
 };
 #else
@@ -367,8 +371,16 @@ constexpr KernelTable kSse2Table = kScalarTable;
 #endif
 
 constexpr KernelTable kAvx2Table = {
-    detail::sgemm_bias_f32_avx2, detail::sgemm_bias_s8_avx2,
-    detail::stft_power4_avx2,    detail::mel_bands4_avx2,
+    detail::sgemm_bias_f32_avx2,   detail::sgemm_bias_s8_avx2,
+    detail::stft_power_batch_avx2, detail::mel_bands_batch_avx2,
+    detail::welford5_add_avx2,
+};
+
+// AVX-512 owns only the two batch kernels; the GEMMs and Welford stay
+// the AVX2 functions.
+constexpr KernelTable kAvx512Table = {
+    detail::sgemm_bias_f32_avx2,     detail::sgemm_bias_s8_avx2,
+    detail::stft_power_batch_avx512, detail::mel_bands_batch_avx512,
     detail::welford5_add_avx2,
 };
 
@@ -380,6 +392,7 @@ const KernelTable& kernel_table(IsaTier tier) noexcept {
   switch (tier) {
     case IsaTier::kSse2: return kSse2Table;
     case IsaTier::kAvx2: return kAvx2Table;
+    case IsaTier::kAvx512: return kAvx512Table;
     case IsaTier::kScalar: break;
   }
   return kScalarTable;

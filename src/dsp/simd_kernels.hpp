@@ -12,10 +12,13 @@ namespace beesim::dsp {
 /// scalar tier by construction: vector lanes carry independent elements
 /// through the same IEEE operations in the same per-element order, mul
 /// and add are never fused into an FMA the scalar code does not perform
-/// (the AVX2 translation unit compiles with -ffp-contract=off), and the
-/// int8 path accumulates in exact i32 arithmetic, fusing only the final
-/// dequantization where the scalar tier calls std::fma (both correctly
-/// rounded). Equivalence is fuzz-tested in tests/test_simd.cpp.
+/// (the AVX2 and AVX-512 translation units compile with
+/// -ffp-contract=off), and the int8 path accumulates in exact i32
+/// arithmetic, fusing only the final dequantization where the scalar tier
+/// calls std::fma (both correctly rounded). The AVX-512 tier has its own
+/// batch kernels (stft_power_batch, mel_bands_batch) and uses the AVX2
+/// GEMM and Welford kernels. Equivalence is fuzz-tested in
+/// tests/test_simd.cpp.
 
 /// Five Welford accumulators advanced in lockstep — one per sweep
 /// statistic of a fleet point (lost clients, active slots, edge / cloud /
@@ -32,7 +35,7 @@ struct Welford5 {
   double max[5];
 };
 
-/// One real-FFT size's precomputed tables, as stft_power4 reads them
+/// One real-FFT size's precomputed tables, as stft_power_batch reads them
 /// (dsp::StftPlan builds and owns them). Complex index j of the packed
 /// n_fft/2-point sequence holds samples 2j and 2j + 1 and sits at
 /// bitrev[j] before the first stage.
@@ -50,7 +53,7 @@ struct StftTables {
   const double* post_im = nullptr;
 };
 
-/// A filterbank's nonzero weights, as mel_bands4 reads them
+/// A filterbank's nonzero weights, as mel_bands_batch reads them
 /// (dsp::BandedFilterbank builds and owns them): band m's weights are
 /// weight[offset[m] .. offset[m + 1]), on bins bin[...], ascending.
 struct BandTables {
@@ -59,12 +62,6 @@ struct BandTables {
   const std::size_t* bin = nullptr;
   const double* weight = nullptr;
 };
-
-/// The stft_power4 scratch doubles for one n_fft: four lanes of
-/// n_fft/2 + 1 real parts (then the power) and n_fft/2 imaginary parts.
-constexpr std::size_t stft_scratch_size(std::size_t n_fft) noexcept {
-  return 4 * (n_fft + 1);
-}
 
 /// One dispatch tier's kernel set. Obtain via kernel_table().
 struct KernelTable {
@@ -83,28 +80,28 @@ struct KernelTable {
                         const std::int8_t* b, float b_scale,
                         const float* bias, float* c);
 
-  /// |rfft(window * frame)|^2 of four frames at once, one per vector
-  /// lane (StftPlan::for_each_frame contract): frames[l] points at lane
-  /// l's t.n_fft samples, not yet windowed. The power of bin b of lane l
-  /// lands in scratch[4 * b + l], b <= n_fft/2, over the real parts;
-  /// scratch holds stft_scratch_size(t.n_fft) doubles (started on a
-  /// cache line, no vector access splits one). Every lane runs
-  /// the per-frame real FFT's operations in its order (windowing, an
+  /// |rfft(window * frame)|^2 of one batch of StftPlan::kBatch frames,
+  /// one per lane (StftPlan::for_each_frame contract): frames[l] points
+  /// at lane l's t.n_fft samples, not yet windowed. The power of bin b of
+  /// lane l lands in scratch[kBatch * b + l], b <= n_fft/2, over the real
+  /// parts; scratch holds stft_scratch_size(t.n_fft) doubles (started on
+  /// a cache line, no vector access splits one). Every lane runs the
+  /// per-frame real FFT's operations in its order (windowing, an
   /// n_fft/2-point complex radix-2 FFT on the packed even/odd samples,
   /// the even/odd untangle), so each frame's bits do not depend on the
-  /// other three.
-  void (*stft_power4)(const StftTables& t, const double* const* frames,
-                      double* scratch);
+  /// other lanes.
+  void (*stft_power_batch)(const StftTables& t, const double* const* frames,
+                           double* scratch);
 
-  /// The mel bands of four frames at once, one per vector lane
-  /// (BandedFilterbank::apply contract): power holds stft_power4's
-  /// layout, bin b of lane l at power[4 * b + l]. Band m of lane l is
-  /// the sum of weight[j] * power[4 * bin[j] + l] over the band's
+  /// The mel bands of one batch of frames, one per lane
+  /// (BandedFilterbank::apply contract): power holds stft_power_batch's
+  /// layout, bin b of lane l at power[kBatch * b + l]. Band m of lane l
+  /// is the sum of weight[j] * power[kBatch * bin[j] + l] over the band's
   /// weights in order, one multiply and one add each into an
   /// accumulator starting at 0; lanes l < count land in
   /// out[m * stride + l].
-  void (*mel_bands4)(const BandTables& t, const double* power,
-                     std::size_t count, double* out, std::size_t stride);
+  void (*mel_bands_batch)(const BandTables& t, const double* power,
+                          std::size_t count, double* out, std::size_t stride);
 
   /// Feeds `count` samples of five values each (xs row-major, stride 5)
   /// into the lockstep accumulators.

@@ -29,10 +29,11 @@ class MelSpectrogram {
   explicit MelSpectrogram(const Params& params);
 
   /// (n_mels x frames) mel power spectrogram in one pass per batch: the
-  /// StftPlan frame loop hands each batch of four frames' power bins to
-  /// the banded filterbank, which writes those frames' columns. No
-  /// bins x frames power matrix is built. Throws std::invalid_argument on a signal of
-  /// n_fft/2 samples or fewer, before any frame runs.
+  /// StftPlan frame loop hands each batch of StftPlan::kBatch frames'
+  /// power bins to the banded filterbank, which writes those frames'
+  /// columns. No bins x frames power matrix is built. Throws
+  /// std::invalid_argument on a signal of n_fft/2 samples or fewer,
+  /// before any frame runs.
   Matrix compute(const std::vector<double>& signal) const;
 
   /// Mel spectrogram in dB, resized to a side x side image and scaled to

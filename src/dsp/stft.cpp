@@ -123,23 +123,27 @@ void StftPlan::for_each_frame(const std::vector<double>& signal,
   const std::size_t n = params_.n_fft;
   // Small fixed chunks (27 for a 10 s clip) claimed off the pool's
   // shared cursor: a worker that wakes late or is preempted holds up
-  // only its one chunk while the others take the rest. A chunk is still
-  // four batches, so its scratch setup stays negligible. Nested inside
+  // only its one chunk while the others take the rest. A chunk is two
+  // batches, so its scratch setup stays negligible. Nested inside
   // another parallel region (the clip-parallel dataset featurizer) the
   // loop still goes wide: the task pool composes nested regions on one
   // bounded worker set.
-  constexpr std::size_t kChunkFrames = 4 * kBatch;
+  constexpr std::size_t kChunkFrames = 2 * kBatch;
   const std::size_t chunks = (count + kChunkFrames - 1) / kChunkFrames;
   util::parallel_for(chunks, [&](std::size_t c) {
     const std::size_t begin = c * kChunkFrames;
     const std::size_t end = std::min(begin + kChunkFrames, count);
     const KernelTable& kernels = kernel_table();
     // The power is written over the real parts, so one buffer serves:
-    // 65,568 bytes at n_fft 2048, below malloc's 128 KiB mmap threshold.
-    // Started on a cache line, the kernel's 32-byte loads and stores
-    // split none, which malloc's 16-byte alignment does not promise
-    // (EXPERIMENTS.md "Batched STFT"). The kernel writes every scratch
-    // double before reading it, so none is zeroed here.
+    // 8 x 2049 doubles, 131,136 bytes at n_fft 2048, above glibc's
+    // initial 128 KiB mmap threshold. glibc raises that threshold past a
+    // mapped block when it frees one, so later chunks come from the heap:
+    // queen_detect's peak RSS stayed at 14.4 MB, as with four-frame
+    // batches (EXPERIMENTS.md "Eight-frame batches"). Started on a cache
+    // line, the kernel's vector loads and stores split none, which
+    // malloc's 16-byte alignment does not promise (EXPERIMENTS.md
+    // "Batched STFT"). The kernel writes every scratch double before
+    // reading it, so none is zeroed here.
     const std::size_t size = stft_scratch_size(n);
     const auto buffer = std::make_unique_for_overwrite<double[]>(size + 8);
     void* start = buffer.get();
@@ -154,7 +158,7 @@ void StftPlan::for_each_frame(const std::vector<double>& signal,
         samples[l] = l < lanes
                          ? frame_samples(signal, params_, first + l, mapped, l)
                          : samples[lanes - 1];
-      kernels.stft_power4(t, samples, scratch);
+      kernels.stft_power_batch(t, samples, scratch);
       sink(first, lanes, scratch);
     }
   });

@@ -30,8 +30,10 @@ struct StftParams {
 /// one StftPlan serves concurrent calls.
 class StftPlan {
  public:
-  /// Frames per batch: one per lane of the stft_power4 kernel.
-  static constexpr std::size_t kBatch = 4;
+  /// Frames per batch: one per lane of the stft_power_batch kernel. The
+  /// kernels, stft_scratch_size, the frame loop and the sinks all read
+  /// this one constant.
+  static constexpr std::size_t kBatch = 8;
 
   /// Throws std::invalid_argument on hop == 0 or a non-power-of-two
   /// n_fft.
@@ -47,7 +49,8 @@ class StftPlan {
   /// least n_fft long.
   std::size_t frames(std::size_t signal_len) const;
 
-  /// The window and FFT tables as kernel_table().stft_power4 reads them.
+  /// The window and FFT tables as kernel_table().stft_power_batch reads
+  /// them.
   /// They point into this plan.
   StftTables tables() const noexcept;
 
@@ -58,12 +61,12 @@ class StftPlan {
   using BatchSink = std::function<void(std::size_t first, std::size_t count,
                                        const double* power)>;
 
-  /// |STFT|^2 of every frame of the signal, handed to sink four adjacent
-  /// frames at a time. Frames run in fixed chunks of 16 (four batches)
-  /// across util::parallel_for with per-chunk scratch and no per-frame
-  /// allocation; each batch is one stft_power4 call, and a short last
-  /// batch repeats its last frame in the spare lanes, which the sink
-  /// does not see. Frames inside the signal are read in place; only
+  /// |STFT|^2 of every frame of the signal, handed to sink kBatch
+  /// adjacent frames at a time. Frames run in fixed chunks of 16 (two
+  /// batches) across util::parallel_for with per-chunk scratch and no
+  /// per-frame allocation; each batch is one stft_power_batch call, and
+  /// a short last batch repeats its last frame in the spare lanes, which
+  /// the sink does not see. Frames inside the signal are read in place; only
   /// frames that overlap the n_fft/2 reflect pad are copied out with
   /// their indices mapped, so no padded copy is made. Each lane's bits
   /// are independent of the batching and chunking, hence bit-identical
@@ -80,6 +83,12 @@ class StftPlan {
   std::vector<double> twiddle_re_, twiddle_im_;
   std::vector<double> post_re_, post_im_;
 };
+
+/// The stft_power_batch scratch doubles for one n_fft: kBatch lanes of
+/// n_fft/2 + 1 real parts (then the power) and n_fft/2 imaginary parts.
+constexpr std::size_t stft_scratch_size(std::size_t n_fft) noexcept {
+  return StftPlan::kBatch * (n_fft + 1);
+}
 
 /// Power spectrogram |STFT|^2 with a periodic Hann window.
 /// Rows: n_fft/2 + 1 frequency bins. Cols: frames. Builds an StftPlan per

@@ -2,9 +2,9 @@
 
 // The naive DSP/ML kernels, and exact and near matrix comparisons
 // against them. Each kernel of the queen-detection front end has one
-// production path: the batched STFT (dsp::StftPlan, four frames per
-// stft_power4 call on every dispatch tier), the four-lane banded mel
-// filterbank, the row-chunked dB pass and the row-blocked im2col + GEMM
+// production path: the batched STFT (dsp::StftPlan, one batch of frames
+// per stft_power_batch call on every dispatch tier), the batched banded
+// mel filterbank, the row-chunked dB pass and the row-blocked im2col + GEMM
 // convolution. Their oracles are the code they replaced: a radix-2 FFT
 // whose twiddles drift by repeated multiplication, one complex transform
 // per STFT frame over a reflect-padded copy, the planned per-frame real
@@ -89,7 +89,7 @@ inline std::vector<Complex> rfft(const std::vector<double>& signal) {
 /// bit-reversal permutation plus exact per-stage twiddle tables, and
 /// one stage after another over the whole array. dsp::StftPlan's tables
 /// hold the same permutation and twiddles, and every lane of its
-/// stft_power4 kernel runs these butterflies in this order.
+/// stft_power_batch kernel runs these butterflies in this order.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n) : n_(n) {
@@ -329,8 +329,8 @@ inline dsp::Matrix stft_power_naive(const std::vector<double>& x,
 }
 
 /// The serial planned STFT: RealFftPlan::power per frame, on one
-/// thread. dsp::stft_power, which transforms four frames per kernel call
-/// and splits the batches into chunks across the task pool, must equal
+/// thread. dsp::stft_power, which transforms a batch of frames per kernel
+/// call and splits the batches into chunks across the task pool, must equal
 /// it bit for bit on every dispatch tier.
 inline dsp::Matrix stft_power_serial(const std::vector<double>& x,
                                      const dsp::StftParams& p) {

@@ -208,27 +208,3 @@ TEST(Wav, ReadRejectsGarbage) {
 TEST(Wav, MissingFileThrows) {
   EXPECT_THROW(audio::read_wav("/nonexistent/nope.wav"), std::runtime_error);
 }
-
-// ------------------------------------------------------- Extended features
-
-TEST(Dataset, ExtendedFeaturesAppendDescriptor) {
-  audio::DatasetParams base;
-  base.count = 6;
-  base.clip_seconds = 0.6;
-  audio::DatasetParams extended = base;
-  extended.extended_features = true;
-  const auto plain = audio::generate_queen_dataset(base);
-  const auto rich = audio::generate_queen_dataset(extended);
-  ASSERT_EQ(plain.size(), rich.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain.examples[i].features.size(), 128u);
-    EXPECT_EQ(rich.examples[i].features.size(), 138u);  // +10 descriptor
-    // The mel part is identical.
-    for (std::size_t m = 0; m < 128; ++m)
-      EXPECT_DOUBLE_EQ(plain.examples[i].features[m],
-                       rich.examples[i].features[m]);
-    // Descriptor values are finite.
-    for (std::size_t m = 128; m < 138; ++m)
-      EXPECT_TRUE(std::isfinite(rich.examples[i].features[m]));
-  }
-}

@@ -353,15 +353,22 @@ TEST(Mel, ApplyFilterbankDimensions) {
   const dsp::BandedFilterbank fb(dsp::mel_filterbank(16, 256, 22050.0));
   EXPECT_EQ(fb.bands(), 16u);
   EXPECT_EQ(fb.bins(), 129u);
-  // A batch of 129 bins x 4 lanes with two frames in it fills columns 3
-  // and 4 of a 16 x 10 mel matrix (stride 10) and leaves every other
-  // column alone.
-  const std::vector<double> power(4 * fb.bins(), 1.0);
-  dsp::Matrix mel(16, 10, -1.0);
+  // A batch of 129 bins x kBatch lanes with two frames in it fills
+  // columns 3 and 4 of a 16 x 12 mel matrix (stride 12) and leaves every
+  // other column alone; a full batch then fills columns 4 to 11.
+  constexpr std::size_t kBatch = dsp::StftPlan::kBatch;
+  const std::vector<double> power(kBatch * fb.bins(), 1.0);
+  dsp::Matrix mel(16, 4 + kBatch, -1.0);
   fb.apply(power.data(), 2, mel.data() + 3, mel.cols());
   for (std::size_t m = 0; m < mel.rows(); ++m)
     for (std::size_t f = 0; f < mel.cols(); ++f) {
       if (f == 3 || f == 4) EXPECT_GT(mel(m, f), 0.0) << "band " << m;
+      else EXPECT_EQ(mel(m, f), -1.0) << "band " << m << " frame " << f;
+    }
+  fb.apply(power.data(), kBatch, mel.data() + 4, mel.cols());
+  for (std::size_t m = 0; m < mel.rows(); ++m)
+    for (std::size_t f = 0; f < mel.cols(); ++f) {
+      if (f >= 3) EXPECT_GT(mel(m, f), 0.0) << "band " << m << " frame " << f;
       else EXPECT_EQ(mel(m, f), -1.0) << "band " << m << " frame " << f;
     }
 }

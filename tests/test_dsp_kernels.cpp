@@ -22,7 +22,7 @@
 // dsp_oracle.hpp: bit-identical where the accumulation order is
 // unchanged (the batched STFT against the per-frame planned real FFT,
 // with in-place and reflect-mapped frames and every partial batch; the
-// four-lane banded filterbank; row-chunked power_to_db; and the fused
+// batched banded filterbank; row-chunked power_to_db; and the fused
 // mel front end they make up), <= 1e-9 relative where the FFT algorithm
 // differs (the planned FFT oracle vs the full complex FFT), and float
 // tolerance for the GEMM convolution.
@@ -177,7 +177,7 @@ TEST(StftKernels, ReflectPadShortSignalThrows) {
 
 namespace {
 
-/// Applies the banded form batch by batch, as MelSpectrogram does: four
+/// Applies the banded form batch by batch, as MelSpectrogram does: kBatch
 /// frames' bins interleaved, the last batch short with its spare lanes
 /// holding its last frame, each batch into its columns of the
 /// (bands x frames) result.
@@ -201,7 +201,7 @@ dsp::Matrix apply_per_batch(const dsp::BandedFilterbank& banded,
 TEST(BandedFilterbank, MatchesDenseBitIdentical) {
   beesim::util::Rng rng(16);
   for (std::size_t n_mels : {16u, 128u})
-    for (std::size_t frames : {1u, 2u, 3u, 4u, 37u}) {
+    for (std::size_t frames : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 37u}) {
       const auto fb = dsp::mel_filterbank(n_mels, 2048, 22050.0);
       dsp::Matrix power(fb.cols(), frames);
       for (std::size_t r = 0; r < power.rows(); ++r)
@@ -517,16 +517,18 @@ namespace {
 
 /// Signal lengths that reach reflect-mapped frames at both ends: the
 /// shortest signal that can be padded, one sample short of a frame, one
-/// frame, one frame and a hop, exactly one 16-frame STFT chunk and one
-/// chunk plus a frame (15 and 16 hops), n_fft plus 1 to 8 hops (2 to 9
-/// frames without centering, 6 to 13 with it, so every partial batch
-/// width), then 1 s and 10 s at 22050 Hz for the paper's n_fft.
+/// frame and a hop plus a sample, exactly one 16-frame STFT chunk and one
+/// chunk plus a frame (15 and 16 hops), n_fft plus 0 to 16 hops (1 to 17
+/// frames without centering, so every short last batch of 1 to 7 spare
+/// lanes and a one-frame chunk tail; 5 to 21 with it at the paper's
+/// n_fft), then 1 s and 10 s at 22050 Hz for the paper's n_fft.
 std::vector<std::size_t> edge_lengths(const dsp::MelSpectrogram::Params& mp) {
   const std::size_t shortest = std::max<std::size_t>(2, mp.n_fft / 2 + 1);
-  std::vector<std::size_t> lengths = {shortest,         mp.n_fft - 1,
-                                      mp.n_fft,         mp.n_fft + mp.hop + 1,
-                                      15 * mp.hop,      16 * mp.hop};
-  for (std::size_t k = 1; k <= 8; ++k) lengths.push_back(mp.n_fft + k * mp.hop);
+  std::vector<std::size_t> lengths = {shortest,    mp.n_fft - 1,
+                                      mp.n_fft + mp.hop + 1,
+                                      15 * mp.hop, 16 * mp.hop};
+  for (std::size_t k = 0; k <= 16; ++k)
+    lengths.push_back(mp.n_fft + k * mp.hop);
   if (mp.n_fft >= 2048) lengths.insert(lengths.end(), {22050, 220500});
   std::erase_if(lengths, [&](std::size_t len) { return len < shortest; });
   return lengths;
@@ -616,8 +618,10 @@ TEST(MelPipeline, BitIdenticalToSerialOracleOnEveryTier) {
       const FrontEnd want = oracles(mp, x);
       EXPECT_EQ(want.mel.cols(),
                 dsp::stft_frame_count(len, stft_of(mp, true)));
-      for (const auto tier : {dsp::IsaRequest::kScalar,
-                              dsp::IsaRequest::kSse2, dsp::IsaRequest::kAuto}) {
+      for (const auto tier :
+           {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
+            dsp::IsaRequest::kAvx2, dsp::IsaRequest::kAvx512,
+            dsp::IsaRequest::kAuto}) {
         dsp::set_active_isa(tier);
         SCOPED_TRACE(testing::Message()
                      << dsp::isa_name(dsp::active_isa()) << " n_fft "
@@ -717,8 +721,8 @@ TEST(KernelMetrics, StftCountsFramesAndPlanReuses) {
   p.hop = 512;
   const auto power = dsp::stft_power(signal, p);
   EXPECT_EQ(frames.value() - frames_before, power.cols());
-  // One count per transformed frame: 17 frames are four full batches and
-  // one of a single frame, whose three spare lanes are not counted.
+  // One count per transformed frame: 17 frames are two full batches and
+  // one of a single frame, whose seven spare lanes are not counted.
   EXPECT_EQ(power.cols(), 17u);
   EXPECT_EQ(reuses.value() - reuses_before, power.cols());
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -42,7 +43,14 @@ class IsaGuard {
   dsp::IsaTier saved_;
 };
 
-const dsp::IsaTier kTiers[] = {dsp::IsaTier::kSse2, dsp::IsaTier::kAvx2};
+const dsp::IsaTier kTiers[] = {dsp::IsaTier::kSse2, dsp::IsaTier::kAvx2,
+                               dsp::IsaTier::kAvx512};
+
+/// Every dispatch request after scalar: each tier by name (a tier the CPU
+/// lacks clamps down to the best it has) and auto.
+const dsp::IsaRequest kRequests[] = {
+    dsp::IsaRequest::kSse2, dsp::IsaRequest::kAvx2, dsp::IsaRequest::kAvx512,
+    dsp::IsaRequest::kAuto};
 
 template <typename T>
 std::vector<T> offset_copy(const std::vector<T>& v, std::size_t offset) {
@@ -58,10 +66,11 @@ std::vector<T> offset_copy(const std::vector<T>& v, std::size_t offset) {
 TEST(Dispatch, ProbeAndNames) {
   const dsp::IsaTier tier = dsp::detected_isa();
   EXPECT_GE(static_cast<int>(tier), 0);
-  EXPECT_LE(static_cast<int>(tier), 2);
+  EXPECT_LE(static_cast<int>(tier), 3);
   EXPECT_STREQ(dsp::isa_name(dsp::IsaTier::kScalar), "scalar");
   EXPECT_STREQ(dsp::isa_name(dsp::IsaTier::kSse2), "sse2");
   EXPECT_STREQ(dsp::isa_name(dsp::IsaTier::kAvx2), "avx2");
+  EXPECT_STREQ(dsp::isa_name(dsp::IsaTier::kAvx512), "avx512");
 }
 
 TEST(Dispatch, ParseNames) {
@@ -69,8 +78,23 @@ TEST(Dispatch, ParseNames) {
   EXPECT_EQ(dsp::isa_from_name("scalar"), dsp::IsaRequest::kScalar);
   EXPECT_EQ(dsp::isa_from_name("sse2"), dsp::IsaRequest::kSse2);
   EXPECT_EQ(dsp::isa_from_name("avx2"), dsp::IsaRequest::kAvx2);
-  EXPECT_THROW(dsp::isa_from_name("avx512"), std::invalid_argument);
+  EXPECT_EQ(dsp::isa_from_name("avx512"), dsp::IsaRequest::kAvx512);
+  EXPECT_THROW(dsp::isa_from_name("avx512f"), std::invalid_argument);
+  EXPECT_THROW(dsp::isa_from_name("AVX2"), std::invalid_argument);
   EXPECT_THROW(dsp::isa_from_name(""), std::invalid_argument);
+}
+
+TEST(Dispatch, Avx512TierOwnsOnlyTheBatchKernels) {
+  // The AVX-512 table differs from the AVX2 one in its two batch kernels
+  // only; on a CPU without AVX-512 both clamp to the same table.
+  const dsp::KernelTable& avx2 = dsp::kernel_table(dsp::IsaTier::kAvx2);
+  const dsp::KernelTable& avx512 = dsp::kernel_table(dsp::IsaTier::kAvx512);
+  EXPECT_EQ(avx512.sgemm_bias, avx2.sgemm_bias);
+  EXPECT_EQ(avx512.sgemm_bias_s8, avx2.sgemm_bias_s8);
+  EXPECT_EQ(avx512.welford5_add, avx2.welford5_add);
+  const bool own = dsp::detected_isa() == dsp::IsaTier::kAvx512;
+  EXPECT_EQ(avx512.stft_power_batch != avx2.stft_power_batch, own);
+  EXPECT_EQ(avx512.mel_bands_batch != avx2.mel_bands_batch, own);
 }
 
 TEST(Dispatch, ForcedTierClampsToDetected) {
@@ -169,67 +193,77 @@ double wide_sample(Rng& rng) {
 }  // namespace
 
 TEST(SimdFft, BatchedPowerBitIdenticalFuzzed) {
-  // stft_power4 on random batches: every tier's power memcmp'd against
-  // the scalar tier, and each lane of it against the per-frame planned
-  // real FFT of the windowed frame (tests/dsp_oracle.hpp). Lanes mix
-  // plain normals with the wide samples, one lane may repeat another (a
-  // short batch's spare lanes), and the frames sit at odd offsets.
+  // stft_power_batch on batches of 1 to kBatch real lanes, the spare
+  // lanes repeating the last real one as a short last batch does: every
+  // tier's power memcmp'd against the scalar tier, and each lane of it
+  // against the per-frame planned real FFT of the windowed frame
+  // (tests/dsp_oracle.hpp). Lanes mix plain normals with the wide
+  // samples, and each frame sits at its own odd offset. The sizes reach
+  // the block-wise stage pairs: one 256-point block (n 512), two blocks
+  // and an odd stage (1024), blocks and a wide pair (2048), and blocks,
+  // a wide pair and an odd stage (4096).
+  constexpr std::size_t kBatch = dsp::StftPlan::kBatch;
   Rng rng(555);
   const dsp::KernelTable& scalar = dsp::kernel_table(dsp::IsaTier::kScalar);
-  for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 512u, 2048u}) {
+  for (const std::size_t n :
+       {1u, 2u, 4u, 8u, 16u, 32u, 64u, 512u, 1024u, 2048u, 4096u}) {
     dsp::StftParams p;
     p.n_fft = n;
     p.hop = n;
     const dsp::StftPlan plan(p);
     const dsp::StftTables tables = plan.tables();
     const beesim::oracle::RealFftPlan reference(n);
-    for (int trial = 0; trial < 6; ++trial) {
-      std::vector<std::vector<double>> lanes(4, std::vector<double>(n));
-      for (std::size_t l = 0; l < 4; ++l)
+    const std::size_t bins = n / 2 + 1;
+    for (std::size_t real = 1; real <= kBatch; ++real) {
+      std::vector<std::vector<double>> lanes(real, std::vector<double>(n));
+      for (std::size_t l = 0; l < real; ++l)
         for (auto& x : lanes[l])
-          x = (trial + l) % 2 == 0 ? wide_sample(rng) : rng.normal();
-      if (trial == 5) lanes[3] = lanes[2];
+          x = (real + l) % 2 == 0 ? wide_sample(rng) : rng.normal();
       std::vector<std::vector<double>> buffers;
-      const double* frames[4];
-      for (std::size_t l = 0; l < 4; ++l)
+      for (std::size_t l = 0; l < real; ++l)
         buffers.push_back(offset_copy(lanes[l], 1 + l));
-      for (std::size_t l = 0; l < 4; ++l) frames[l] = buffers[l].data() + 1 + l;
+      const double* frames[kBatch];
+      for (std::size_t l = 0; l < kBatch; ++l)
+        frames[l] = l < real ? buffers[l].data() + 1 + l : frames[real - 1];
       const std::size_t size = dsp::stft_scratch_size(n);
       std::vector<double> want(size);
-      scalar.stft_power4(tables, frames, want.data());
-      const std::size_t bins = n / 2 + 1;
-      for (std::size_t l = 0; l < 4; ++l) {
+      scalar.stft_power_batch(tables, frames, want.data());
+      for (std::size_t l = 0; l < kBatch; ++l) {
+        const std::vector<double>& frame = lanes[std::min(l, real - 1)];
         std::vector<double> windowed(n), power(bins);
         for (std::size_t i = 0; i < n; ++i)
-          windowed[i] = lanes[l][i] * tables.window[i];
+          windowed[i] = frame[i] * tables.window[i];
         std::vector<beesim::oracle::Complex> scratch(reference.scratch_size());
         reference.power(windowed.data(), power.data(), scratch.data());
         for (std::size_t b = 0; b < bins; ++b)
-          ASSERT_EQ(std::memcmp(&want[4 * b + l], &power[b], sizeof(double)),
+          ASSERT_EQ(std::memcmp(&want[kBatch * b + l], &power[b],
+                                sizeof(double)),
                     0)
-              << "n=" << n << " trial " << trial << " lane " << l << " bin "
-              << b;
+              << "n=" << n << " real lanes " << real << " lane " << l
+              << " bin " << b;
       }
       for (dsp::IsaTier tier : kTiers) {
         std::vector<double> got(size);
-        dsp::kernel_table(tier).stft_power4(tables, frames, got.data());
+        dsp::kernel_table(tier).stft_power_batch(tables, frames, got.data());
         ASSERT_EQ(std::memcmp(want.data(), got.data(),
-                              4 * bins * sizeof(double)),
+                              kBatch * bins * sizeof(double)),
                   0)
-            << "tier " << dsp::isa_name(tier) << " n=" << n << " trial "
-            << trial;
+            << "tier " << dsp::isa_name(tier) << " n=" << n
+            << " real lanes " << real;
       }
     }
   }
 }
 
 TEST(SimdMel, BandsBitIdenticalFuzzed) {
-  // mel_bands4 through BandedFilterbank on random batches of 1 to 4
-  // frames: every tier memcmp'd against the scalar tier, each written
-  // lane against the dense apply on that frame (tests/dsp_oracle.hpp),
-  // and the columns past count left alone. Banks: the paper's 128 bands
-  // and a random one with negative weights and interior zeros of both
-  // signs; the power mixes wide magnitudes with zeros and subnormals.
+  // mel_bands_batch through BandedFilterbank on batches of 1 to kBatch
+  // real frames, the spare lanes repeating the last one: every tier
+  // memcmp'd against the scalar tier, each written lane against the
+  // dense apply on that frame (tests/dsp_oracle.hpp), and the columns
+  // past count left alone. Banks: the paper's 128 bands and a random one
+  // with negative weights and interior zeros of both signs; the power
+  // mixes wide magnitudes with zeros and subnormals.
+  constexpr std::size_t kBatch = dsp::StftPlan::kBatch;
   IsaGuard guard;
   Rng rng(999);
   dsp::Matrix random_bank(9, 40);
@@ -241,14 +275,15 @@ TEST(SimdMel, BandsBitIdenticalFuzzed) {
   for (const dsp::Matrix& bank :
        {dsp::mel_filterbank(128, 2048, 22050.0), random_bank}) {
     const dsp::BandedFilterbank banded(bank);
-    for (std::size_t count = 1; count <= 4; ++count) {
-      dsp::Matrix power(bank.cols(), 4);  // bins x lanes
+    for (std::size_t count = 1; count <= kBatch; ++count) {
+      dsp::Matrix power(bank.cols(), kBatch);  // bins x lanes
       for (std::size_t b = 0; b < power.rows(); ++b)
-        for (std::size_t l = 0; l < 4; ++l)
-          power(b, l) = std::abs(wide_sample(rng));
+        for (std::size_t l = 0; l < kBatch; ++l)
+          power(b, l) = l < count ? std::abs(wide_sample(rng))
+                                  : power(b, count - 1);
       const std::vector<double> batch = offset_copy(power.storage(), 1);
-      const double* lanes = batch.data() + 1;  // bin b, lane l at 4 b + l
-      const std::size_t stride = 7;
+      const double* lanes = batch.data() + 1;  // bin b, lane l: kBatch b + l
+      const std::size_t stride = kBatch + 3;
       const auto run = [&](dsp::IsaRequest tier) {
         dsp::set_active_isa(tier);
         std::vector<double> out(banded.bands() * stride, -1.0);
@@ -268,7 +303,7 @@ TEST(SimdMel, BandsBitIdenticalFuzzed) {
             ASSERT_EQ(got, -1.0) << "band " << m << " column " << c;
           }
         }
-      for (const auto tier : {dsp::IsaRequest::kSse2, dsp::IsaRequest::kAuto}) {
+      for (const auto tier : kRequests) {
         const std::vector<double> got = run(tier);
         ASSERT_EQ(std::memcmp(want.data(), got.data(),
                               want.size() * sizeof(double)),
@@ -292,7 +327,7 @@ TEST(SimdFft, FullPlanMatchesScalarTier) {
     p.hop = n / 4;
     dsp::set_active_isa(dsp::IsaRequest::kScalar);
     const dsp::Matrix want = dsp::stft_power(signal, p);
-    for (const auto tier : {dsp::IsaRequest::kSse2, dsp::IsaRequest::kAuto}) {
+    for (const auto tier : kRequests) {
       dsp::set_active_isa(tier);
       const dsp::Matrix got = dsp::stft_power(signal, p);
       ASSERT_EQ(got.rows(), want.rows());
@@ -332,7 +367,8 @@ TEST(SimdWelford, MatchesRunningStatsBitForBit) {
     for (std::size_t r = 0; r < count; ++r)
       for (int l = 0; l < 5; ++l) ref[l].add(xs[r * 5 + l]);
     for (dsp::IsaTier tier :
-         {dsp::IsaTier::kScalar, dsp::IsaTier::kSse2, dsp::IsaTier::kAvx2}) {
+         {dsp::IsaTier::kScalar, dsp::IsaTier::kSse2, dsp::IsaTier::kAvx2,
+          dsp::IsaTier::kAvx512}) {
       dsp::Welford5 s = fresh_welford();
       dsp::kernel_table(tier).welford5_add(&s, xs.data(), count);
       EXPECT_EQ(s.n, count);

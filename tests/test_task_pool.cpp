@@ -11,7 +11,6 @@
 
 #include "audio/dataset.hpp"
 #include "audio/synth.hpp"
-#include "dsp/features.hpp"
 #include "dsp/matrix.hpp"
 #include "dsp/mel.hpp"
 #include "dsp/stft.hpp"
@@ -95,16 +94,15 @@ TEST(TaskPool, NestedStftMatchesSerialFrameLoop) {
 }
 
 TEST(TaskPool, DatasetFeaturizerInvariantToNestedStftParallelism) {
-  // The featurizer runs chunk-parallel STFTs inside its clip-parallel
-  // region. Every example must equal the oracle pipeline on one thread:
-  // serial planned STFT, dense filterbank, power_to_db, band means, then
-  // the spectral descriptor. The clips are re-synthesised the way the
-  // generator draws them: sequentially from Rng(seed), example i queen
-  // iff i % 2 == 0.
+  // The featurizer runs chunk-parallel STFTs (inside
+  // MelSpectrogram::compute) within its clip-parallel region. Every
+  // example must equal the oracle pipeline on one thread: serial planned
+  // STFT, dense filterbank, power_to_db, then band means. The clips are
+  // re-synthesised the way the generator draws them: sequentially from
+  // Rng(seed), example i queen iff i % 2 == 0.
   audio::DatasetParams params;
   params.count = 6;
   params.clip_seconds = 0.5;
-  params.extended_features = true;
   const audio::QueenDataset ds = audio::generate_queen_dataset(params);
   ASSERT_EQ(ds.size(), 6u);
 
@@ -123,9 +121,7 @@ TEST(TaskPool, DatasetFeaturizerInvariantToNestedStftParallelism) {
     const dsp::Matrix power = oracle::stft_power_serial(clip, sp);
     const dsp::Matrix mel_db =
         dsp::power_to_db(oracle::apply_filterbank(fb, power));
-    std::vector<double> features = oracle::band_means(mel_db);
-    const auto descriptor = dsp::spectral_descriptor(power, mp.sample_rate);
-    features.insert(features.end(), descriptor.begin(), descriptor.end());
+    const std::vector<double> features = oracle::band_means(mel_db);
 
     EXPECT_EQ(ds.examples[i].queen_present, queen);
     EXPECT_EQ(ds.examples[i].features, features) << "example " << i;
