@@ -12,7 +12,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "device/autonomy.hpp"
 #include "hive/beehive.hpp"
 #include "sim/engine.hpp"
 #include "util/table.hpp"

@@ -7,7 +7,7 @@
 // the greedy's own loss level, plus the determinism contract (the
 // frontier must be byte-identical across thread counts and repeated
 // runs). Part 2 replays a random cloud-outage FaultPlan through
-// ResilientFleet twice — optimizer=greedy vs optimizer=beam — and
+// ResilientFleet twice — the greedy default vs the beam search — and
 // requires the beam's total energy to match or beat greedy's. Any
 // violated check exits non-zero, so the optimizer claims are
 // tier-1-guarded via the bench_smoke_placement ctest.
@@ -174,9 +174,10 @@ int main(int argc, char** argv) {
       42, cycles, 0.3, 4, fault::FaultKind::kCloudOutage);
   const core::FleetParams params =
       core::FleetParams::paper_default(service, 35);
-  core::ResiliencePolicy greedy_policy;  // optimizer=greedy (the default)
+  // The default policy: every survivor falls back to local inference.
+  // Classes plus a positive tolerance turn the beam search on.
+  core::ResiliencePolicy greedy_policy;
   core::ResiliencePolicy beam_policy;
-  beam_policy.optimizer = core::PlacementOptimizer::kBeam;
   beam_policy.classes = classes;
   beam_policy.outage_loss_tolerance = tolerance;
   beam_policy.search.beam_width = beam_width;

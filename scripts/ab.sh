@@ -35,6 +35,8 @@
 #    seed's verdicts at the top level; with several, "seeds" lists them
 #    and "per_seed" holds each seed's regressions, unresolved metrics,
 #    failed runs and ok flag, and the top-level "ok" is their conjunction.
+#    Each seed's "numbers" give, per workload and end-to-end metric, the
+#    base and change medians and IQRs (Q3 - Q1), in the metric's unit.
 #
 # Exits 1 on any regression or on a run that fails or reports failed
 # operations, under any seed, and 2 on bad arguments.
@@ -172,6 +174,10 @@ def quartiles(values):
     return q1, median, q3
 
 
+def sig(v):
+    return float(f"{v:.6g}")
+
+
 def fmt(v):
     if abs(v) >= 1e6:
         return f"{v / 1e6:.2f}M"
@@ -183,6 +189,7 @@ def fmt(v):
 def report(seed):
     """Prints one seed's tables and returns its verdicts."""
     rows, series, regressions, unresolved, failed_runs = [], [], [], [], []
+    numbers = {}
     for workload in workloads:
         sides = {side: load(side, workload, seed)
                  for side in ("base", "change")}
@@ -204,6 +211,9 @@ def report(seed):
                 continue
             bq1, bmed, bq3 = quartiles(base)
             cq1, cmed, cq3 = quartiles(change)
+            numbers.setdefault(workload, {})[name] = {
+                "base_median": sig(bmed), "base_iqr": sig(bq3 - bq1),
+                "change_median": sig(cmed), "change_iqr": sig(cq3 - cq1)}
             delta = (cmed - bmed) / bmed
             worse = delta if lower else -delta
             iqr = (bq3 - bq1) / bmed
@@ -246,7 +256,7 @@ def report(seed):
         print(f"REGRESSION {r}")
     return {"regressions": regressions, "unresolved": unresolved,
             "failed_runs": failed_runs,
-            "ok": not regressions and not failed_runs}
+            "ok": not regressions and not failed_runs, "numbers": numbers}
 
 
 verdicts = {seed: report(seed) for seed in seeds}

@@ -71,16 +71,14 @@
 #               across commits); fails if a run fails or reports failed
 #               operations, or if an end_to_end median of BENCHMARK.json
 #               is worse than the last line from the same workload, seed,
-#               length, run kind and machine (nproc, ISA, compiler) by
+#               length, run kind and machine (nproc, compiler, and the
+#               ISA tier of the kernels the workload runs: the probed
+#               tier for queen_detect, welford5_add's for the others) by
 #               more than that metric's bound (a fraction of the previous
 #               value). The record is appended either way.
 #   --sanitize  configure a second build tree (<build-dir>-san) with
-#               -DBEESIM_SANITIZE=address,undefined and run the
-#               sim/fault/net/checkpoint/simd/precision/placement-search,
-#               serving, core-simulation, obs, allocator, orchestrator,
-#               property-fuzz and DSP-kernel test binaries under
-#               ASan+UBSan (the last runs the STFT's reflect-mapped edge
-#               frames and the row-chunked dB pass); then a
+#               -DBEESIM_SANITIZE=address,undefined and run every test
+#               binary under ASan+UBSan; then a
 #               third tree (<build-dir>-tsan) with
 #               -DBEESIM_SANITIZE=thread and run the task-pool, serving,
 #               precision and DSP-kernel test binaries under
@@ -340,12 +338,26 @@ import json, sys
 
 record_path, history_path, spec_path = sys.argv[1:]
 new = json.load(open(record_path))
-keys = ("workload", "seed", "seconds", "run", "nproc", "isa", "compiler")
+keys = ("workload", "seed", "seconds", "run", "nproc", "compiler")
+
+
+def tier(record):
+    # The record's isa is the probed tier. fleet_campaign and the two
+    # serve workloads dispatch one kernel, welford5_add, whose AVX-512
+    # table slot holds the AVX2 function, so they key on the tier that
+    # kernel runs; queen_detect keys on the probe.
+    if record.get("workload") != "queen_detect" and \
+            record.get("isa") == "avx512":
+        return "avx2"
+    return record.get("isa")
+
+
 previous = None
 for line in open(history_path):
     if line.strip():
         old = json.loads(line)
-        if all(old["record"].get(k) == new["record"].get(k) for k in keys):
+        if all(old["record"].get(k) == new["record"].get(k) for k in keys) \
+                and tier(old["record"]) == tier(new["record"]):
             previous = old
 workload = new["record"]["workload"]
 if previous is None:
@@ -366,6 +378,9 @@ for metric in json.load(open(spec_path))["end_to_end"]:
         print(f"  REGRESSION  {workload} {name}: {after[name]:.6g} now vs "
               f"{before[name]:.6g} before, bound {bound:g}")
         worse = True
+if not worse:
+    print(f"  gate  {workload}: within bound of the run of "
+          f"{previous['record'].get('commit')}")
 sys.exit(1 if worse else 0)
 PY
 }
@@ -397,9 +412,10 @@ fi
 
 if [ "$run_sanitize" -eq 1 ]; then
   echo
-  echo "== sanitize (--sanitize): sim/fault/net/serve/dsp tests under ASan+UBSan =="
-  # One goal per tree (tests/CMakeLists.txt lists the same binaries), so
-  # -j compiles the test sources in parallel; one job per CPU.
+  echo "== sanitize (--sanitize): every test binary under ASan+UBSan =="
+  # One goal per tree, so -j compiles the test sources in parallel; one
+  # job per CPU. beesim_test() (tests/CMakeLists.txt) adds every test
+  # binary to the ASan goal and lists it in tests/test_binaries.txt.
   jobs="$(nproc 2> /dev/null || echo 1)"
   cmake -B "$repo/$build-san" -S "$repo" \
     -DBEESIM_SANITIZE=address,undefined > /dev/null
@@ -407,13 +423,10 @@ if [ "$run_sanitize" -eq 1 ]; then
     --target sanitize_address_tests > /dev/null
   # UBSan reports and carries on by default; halt_on_error turns a report
   # (a signed overflow, say) into a failing exit status.
-  for t in test_sim test_fault test_net test_checkpoint \
-           test_simd test_precision test_placement_search \
-           test_serve test_core_simulation test_obs \
-           test_core_allocator test_orchestrator test_property_fuzz \
-           test_dsp_kernels; do
-    if UBSAN_OPTIONS=halt_on_error=1 "$repo/$build-san/tests/$t" \
-         --gtest_brief=1 > "$tmp/$t.san.log" 2>&1
+  while read -r bin; do
+    t="$(basename "$bin")"
+    if UBSAN_OPTIONS=halt_on_error=1 "$bin" \
+         --gtest_brief=1 < /dev/null > "$tmp/$t.san.log" 2>&1
     then
       echo "  ok  $t clean under address,undefined"
     else
@@ -421,7 +434,7 @@ if [ "$run_sanitize" -eq 1 ]; then
       tail -30 "$tmp/$t.san.log" | sed 's/^/    /'
       fail=1
     fi
-  done
+  done < "$repo/$build-san/tests/test_binaries.txt"
 
   echo
   echo "== sanitize (--sanitize): pool, serving, precision + dsp tests under TSan =="

@@ -25,7 +25,6 @@
 #include "net/payload.hpp"
 
 // Devices calibrated to the paper.
-#include "device/autonomy.hpp"
 #include "device/calibration.hpp"
 #include "device/profiles.hpp"
 #include "device/routine.hpp"

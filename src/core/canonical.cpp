@@ -125,7 +125,9 @@ void hash_append(CanonicalHasher& h, const FleetSearchOptions& options) {
   h.boolean(options.cloud_available);
   h.f64(options.loss_weight_j_per_mb);
   h.f64(options.soc_floor);
-  h.boolean(options.use_dp_bound);
+  // The word of the deleted DP-bound switch, which no caller turned off:
+  // kept so saved checkpoint identities and the pinned goldens hold.
+  h.boolean(true);
 }
 
 void hash_append(CanonicalHasher& h, const ResiliencePolicy& policy) {
@@ -137,7 +139,13 @@ void hash_append(CanonicalHasher& h, const ResiliencePolicy& policy) {
   h.f64(policy.upload_bytes_per_client);
   h.f64(policy.upload_energy_per_payload);
   h.f64(policy.catchup_factor);
-  h.i64(static_cast<std::int64_t>(policy.optimizer));
+  // The word of the deleted optimizer field (greedy 0, beam 1). Every
+  // caller with classes and a positive tolerance chose beam and every
+  // other one greedy, so saved checkpoint identities and the pinned
+  // goldens hold.
+  const bool beam =
+      !policy.classes.empty() && policy.outage_loss_tolerance > 0.0;
+  h.i64(beam ? 1 : 0);
   h.u64(policy.classes.size());
   for (const auto& cls : policy.classes) hash_append(h, cls);
   h.f64(policy.outage_loss_tolerance);

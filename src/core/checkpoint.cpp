@@ -475,19 +475,6 @@ ResilienceColumns load_resilience_checkpoint(const std::string& path,
 
 // --------------------------------------------------------------- helpers
 
-CheckpointInfo inspect_checkpoint(const std::string& path) {
-  LoadedFile loaded = open_checkpoint(path);
-  CheckpointInfo info;
-  info.version = kVersion;
-  info.kind = loaded.header.kind;
-  info.points = loaded.header.points;
-  info.seed = loaded.header.seed;
-  info.params_hash = loaded.header.params_hash;
-  info.cycles_target = loaded.header.cycles_target;
-  info.payload_bytes = loaded.header.payload_bytes;
-  return info;
-}
-
 namespace {
 
 void count_merge() {

@@ -17,18 +17,6 @@ enum class CheckpointKind : std::uint32_t {
 
 const char* to_string(CheckpointKind kind) noexcept;
 
-/// Parsed, validated header of a checkpoint file — what inspect() returns
-/// and what bench tools print before deciding whether to resume.
-struct CheckpointInfo {
-  std::uint32_t version = 0;
-  CheckpointKind kind = CheckpointKind::kSweep;
-  std::uint64_t points = 0;        ///< rows in every column
-  std::uint64_t seed = 0;          ///< campaign seed
-  Hash128 params_hash;             ///< scenario identity (canonical.hpp)
-  std::int32_t cycles_target = 0;  ///< per-point cycle goal
-  std::uint64_t payload_bytes = 0;
-};
-
 /// Versioned, checksummed snapshots of sweep campaign state
 /// (docs/CHECKPOINT.md). Behind an 80-byte header the file stores each
 /// point field as one column, row after row; one listing per kind names
@@ -62,9 +50,6 @@ FleetColumns load_fleet_checkpoint(const std::string& path,
                                    const Hash128& params_hash);
 ResilienceColumns load_resilience_checkpoint(const std::string& path,
                                              const Hash128& params_hash);
-
-/// Header-only read (still checksum-validated): what is in this file?
-CheckpointInfo inspect_checkpoint(const std::string& path);
 
 /// Loads every shard and folds them into one campaign via
 /// FleetColumns::merge_from — the fan-in of a sweep sharded across

@@ -201,57 +201,6 @@ ServiceOrchestrator::Result ServiceOrchestrator::optimize(
   return *best;
 }
 
-ServiceOrchestrator::DegradedResult ServiceOrchestrator::degrade_to_edge(
-    const std::vector<ServicePlan>& plans) const {
-  DegradedResult result;
-  result.plans.reserve(plans.size());
-  // Moved services are shed before native-edge ones; remember which.
-  std::vector<bool> moved(plans.size(), false);
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    ServicePlan plan = plans[i];
-    if (plan.placement != Placement::kEdgeOnly) {
-      plan.placement = Placement::kEdgeOnly;
-      moved[i] = true;
-      ++result.services_moved;
-    }
-    result.plans.push_back(std::move(plan));
-  }
-
-  result.costs = evaluate(result.plans);
-  while (!result.costs.feasible) {
-    // Shed the moved service with the largest edge execution time — the
-    // greedy choice frees the most cycle time per dropped service.
-    std::size_t victim = result.plans.size();
-    for (std::size_t i = 0; i < result.plans.size(); ++i) {
-      if (!moved[i]) continue;
-      if (victim == result.plans.size() ||
-          result.plans[i].service.edge_time >
-              result.plans[victim].service.edge_time)
-        victim = i;
-    }
-    if (victim == result.plans.size())
-      throw std::runtime_error(
-          "degrade_to_edge: edge set infeasible even with every moved "
-          "service shed");
-    result.shed.push_back(result.plans[victim].service);
-    --result.services_moved;
-    result.plans.erase(result.plans.begin() +
-                       static_cast<std::ptrdiff_t>(victim));
-    moved.erase(moved.begin() + static_cast<std::ptrdiff_t>(victim));
-    result.costs = evaluate(result.plans);
-  }
-
-  if (obs::enabled()) {
-    static auto& degraded =
-        obs::registry().counter(obs::metric::kOrchestratorDegradedPlans);
-    static auto& shed =
-        obs::registry().counter(obs::metric::kOrchestratorServicesShed);
-    degraded.inc();
-    shed.inc(static_cast<std::uint64_t>(result.shed.size()));
-  }
-  return result;
-}
-
 std::optional<int> ServiceOrchestrator::cloud_breakeven(
     const hive::ServiceSpec& service, int lo, int hi) const {
   if (lo < 1 || hi < lo)

@@ -88,25 +88,6 @@ class ServiceOrchestrator {
   std::optional<int> cloud_breakeven(const hive::ServiceSpec& service,
                                      int lo, int hi) const;
 
-  /// Outcome of degrading an assignment for a cloud outage window.
-  struct DegradedResult {
-    std::vector<ServicePlan> plans;  // every service now kEdgeOnly
-    OrchestrationCosts costs;        // of the degraded assignment
-    /// Cloud services the edge could not absorb, dropped for the window
-    /// (largest edge execution time shed first).
-    std::vector<hive::ServiceSpec> shed;
-    int services_moved = 0;  // kEdgeCloud -> kEdgeOnly moves kept
-  };
-
-  /// Degradation policy for fault::FaultKind::kCloudOutage windows: move
-  /// every cloud-placed service of `plans` to the edge, then — if the
-  /// edge routine no longer fits the cycle — shed moved services
-  /// greedily (largest edge time first) until it does. Services already
-  /// at the edge are never shed. Throws if even the original edge set is
-  /// infeasible. Counts `core.orchestrator.degraded_plans` and
-  /// `core.orchestrator.services_shed`.
-  DegradedResult degrade_to_edge(const std::vector<ServicePlan>& plans) const;
-
   const OrchestratorOptions& options() const noexcept { return options_; }
 
  private:

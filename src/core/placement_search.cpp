@@ -38,17 +38,6 @@ const char* to_string(Assignment a) noexcept {
   return "?";
 }
 
-const char* to_string(PlacementOptimizer o) noexcept {
-  return o == PlacementOptimizer::kBeam ? "beam" : "greedy";
-}
-
-PlacementOptimizer parse_optimizer(const std::string& name) {
-  if (name == "greedy") return PlacementOptimizer::kGreedy;
-  if (name == "beam") return PlacementOptimizer::kBeam;
-  throw std::invalid_argument("optimizer must be greedy or beam, got '" +
-                              name + "'");
-}
-
 DeviceClassSpec DeviceClassSpec::calibrated(std::string name, int count,
                                             const energy::Battery& battery,
                                             const net::Link& link) {
@@ -481,18 +470,16 @@ ParetoFrontier PlacementSearch::search(unsigned threads,
         cand.h = h.digest();
         // DP-bound pruning: even the optimistic completion is strictly
         // dominated by a known configuration in both dimensions.
-        if (options_.use_dp_bound) {
-          bool dominated = false;
-          for (const auto& inc : completions)
-            if (inc.energy_per_cycle < cand.opt_energy &&
-                inc.loss_bytes_per_cycle < cand.loss_bytes) {
-              dominated = true;
-              break;
-            }
-          if (dominated) {
-            ++local.candidates_pruned;
-            continue;
+        bool dominated = false;
+        for (const auto& inc : completions)
+          if (inc.energy_per_cycle < cand.opt_energy &&
+              inc.loss_bytes_per_cycle < cand.loss_bytes) {
+            dominated = true;
+            break;
           }
+        if (dominated) {
+          ++local.candidates_pruned;
+          continue;
         }
         cands.push_back(cand);
       }

@@ -20,19 +20,6 @@ enum class Assignment : std::uint8_t { kEdge = 0, kCloud = 1, kShed = 2 };
 /// "edge" / "cloud" / "shed".
 const char* to_string(Assignment a) noexcept;
 
-/// Which placement engine a degrading fleet consults when a fault window
-/// opens: kGreedy keeps the fixed PR 4 reaction (every surviving client
-/// falls back to local inference), kBeam runs the beam/DP search over the
-/// policy's device classes and may shed the battery-scarcest classes.
-enum class PlacementOptimizer : std::uint8_t { kGreedy = 0, kBeam = 1 };
-
-/// "greedy" / "beam".
-const char* to_string(PlacementOptimizer o) noexcept;
-
-/// Parses the `optimizer=greedy|beam` knob (throws std::invalid_argument
-/// on anything else).
-PlacementOptimizer parse_optimizer(const std::string& name);
-
 /// One hardware class of a heterogeneous fleet: `count` hives sharing a
 /// compute/energy profile, a battery state and an uplink quality. The
 /// paper measures a single RPi 3B+ class; real apiaries mix device
@@ -94,9 +81,6 @@ struct FleetSearchOptions {
   /// edge_joule_weight / max(battery_soc, soc_floor), so a nearly flat
   /// battery never produces an unbounded weight. In (0, 1].
   double soc_floor = 0.2;
-  /// Enables the DP lower bound: prune a partial assignment when even its
-  /// optimistic completion is strictly dominated by a known configuration.
-  bool use_dp_bound = true;
 
   /// Throws std::invalid_argument on out-of-range values.
   void validate() const;

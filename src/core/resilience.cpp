@@ -170,16 +170,15 @@ ResilientFleet::ResilientFleet(FleetParams params, fault::FaultPlan plan,
       ClientSpec::smart_beehive(Placement::kEdgeOnly, service,
                                 base_.params().client.period)
           .cycle_energy();
-  // Beam optimizer: decide the outage reaction once, at construction.
+  // Beam search: decide the outage reaction once, at construction.
   // The search runs over the policy's device classes with the cloud
   // marked unavailable (the outage regime) and the single fallback
   // service; the cheapest frontier point within the loss tolerance tells
   // us which fleet fraction sleeps instead of running local inference.
-  // All the greedy-identical regimes (kGreedy, no classes, tolerance 0)
-  // leave the fraction at 0, and the per-cycle path below never branches
-  // — the empty-plan bit-identity contract is untouched.
-  if (policy_.optimizer == PlacementOptimizer::kBeam &&
-      policy_.edge_fallback && !policy_.classes.empty() &&
+  // Without classes or with tolerance 0 the fraction stays 0, and the
+  // per-cycle path below never branches — the empty-plan bit-identity
+  // contract is untouched.
+  if (policy_.edge_fallback && !policy_.classes.empty() &&
       policy_.outage_loss_tolerance > 0.0) {
     const hive::ServiceSpec fallback_service =
         service == ServiceModel::kCnn
@@ -323,7 +322,7 @@ ResilientFleet::CycleOutcome ResilientFleet::simulate_faulted_cycle(
     int active = remaining - lost;
     edge += static_cast<double>(lost) * client.sleep_cycle_energy();
     if (outage_shed_fraction_ > 0.0) {
-      // Beam-optimizer verdict (decided at construction): this fleet
+      // Beam-search verdict (decided at construction): this fleet
       // fraction sleeps through the outage instead of burning fallback
       // inference energy — their payloads are never produced (lost).
       const int opt_shed = std::clamp(

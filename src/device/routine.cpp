@@ -46,18 +46,6 @@ TaskSequence edge_routine(Placement placement, ServiceModel model) {
   return seq;
 }
 
-TaskSequence cloud_routine(Placement placement, ServiceModel model) {
-  if (placement == Placement::kEdgeOnly) return {};
-  const DeviceProfile server = cloud_server_profile();
-  TaskSequence seq;
-  seq.push_back(server.task("receive_audio"));
-  if (model == ServiceModel::kSvm)
-    seq.push_back(server.task("svm_inference"));
-  else if (model == ServiceModel::kCnn)
-    seq.push_back(server.task("cnn_inference"));
-  return seq;
-}
-
 net::Link beehive_uplink() {
   net::Link::Params p;
   // The routine upload is ~1.40 MB (~11.2 Mbit). 11.2 Mbit / 0.805 Mbps

@@ -21,10 +21,6 @@ const char* to_string(Placement placement) noexcept;
 /// (Table I / Table II edge columns.)
 TaskSequence edge_routine(Placement placement, ServiceModel model);
 
-/// Builds the cloud server's active task list for one slot of clients:
-/// receive_audio -> inference. Empty for EdgeOnly.
-TaskSequence cloud_routine(Placement placement, ServiceModel model);
-
 /// The Section IV calibration routine: wake_collect -> transfer everything
 /// -> shutdown, with the transfer duration sampled from a Link each time.
 /// Reproduces the 89 s / 2.14 W / 190.1 J averages and the 3.5 s length

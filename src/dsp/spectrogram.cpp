@@ -59,16 +59,4 @@ Matrix MelSpectrogram::compute_image(const std::vector<double>& signal,
   return img;
 }
 
-std::vector<double> MelSpectrogram::compute_features(
-    const std::vector<double>& signal) const {
-  const Matrix db = power_to_db(compute(signal));
-  std::vector<double> features(db.rows());
-  for (std::size_t m = 0; m < db.rows(); ++m) {
-    double acc = 0.0;
-    for (std::size_t f = 0; f < db.cols(); ++f) acc += db(m, f);
-    features[m] = acc / static_cast<double>(db.cols());
-  }
-  return features;
-}
-
 }  // namespace beesim::dsp

@@ -43,11 +43,6 @@ class MelSpectrogram {
   Matrix compute_image(const std::vector<double>& signal,
                        std::size_t side) const;
 
-  /// Per-mel-band time-mean of the dB spectrogram: the n_mels-dimensional
-  /// feature vector fed to the SVM.
-  std::vector<double> compute_features(
-      const std::vector<double>& signal) const;
-
   const Params& params() const noexcept { return params_; }
 
  private:

@@ -2,37 +2,18 @@
 
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 namespace beesim::dsp {
-namespace {
 
-std::vector<double> raised_cosine(std::size_t n, double a0) {
+std::vector<double> hann_window(std::size_t n) {
   std::vector<double> w(n);
   for (std::size_t i = 0; i < n; ++i) {
     // Periodic form: denominator n, not n-1 (matches scipy periodic=True).
-    w[i] = a0 - (1.0 - a0) * std::cos(2.0 * std::numbers::pi *
-                                      static_cast<double>(i) /
-                                      static_cast<double>(n));
+    w[i] = 0.5 - 0.5 * std::cos(2.0 * std::numbers::pi *
+                                static_cast<double>(i) /
+                                static_cast<double>(n));
   }
   return w;
-}
-
-}  // namespace
-
-std::vector<double> hann_window(std::size_t n) {
-  return raised_cosine(n, 0.5);
-}
-
-std::vector<double> hamming_window(std::size_t n) {
-  return raised_cosine(n, 0.54);
-}
-
-void apply_window(std::vector<double>& frame,
-                  const std::vector<double>& window) {
-  if (frame.size() != window.size())
-    throw std::invalid_argument("apply_window: size mismatch");
-  for (std::size_t i = 0; i < frame.size(); ++i) frame[i] *= window[i];
 }
 
 }  // namespace beesim::dsp

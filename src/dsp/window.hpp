@@ -8,11 +8,4 @@ namespace beesim::dsp {
 /// Periodic Hann window of length n (librosa's default for STFT).
 std::vector<double> hann_window(std::size_t n);
 
-/// Periodic Hamming window of length n.
-std::vector<double> hamming_window(std::size_t n);
-
-/// Element-wise multiply of a frame by a window (sizes must match).
-void apply_window(std::vector<double>& frame,
-                  const std::vector<double>& window);
-
 }  // namespace beesim::dsp

@@ -310,45 +310,6 @@ Tensor TimeAvgPool::backward(const Tensor& grad_output) {
   return grad;
 }
 
-// ----------------------------------------------------------- GlobalAvgPool
-
-Tensor GlobalAvgPool::forward(const Tensor& input, bool train, Precision) {
-  if (input.dims() != 4)
-    throw std::invalid_argument("GlobalAvgPool: expects 4-D input");
-  const std::size_t n = input.dim(0);
-  const std::size_t c = input.dim(1);
-  const std::size_t hw = input.dim(2) * input.dim(3);
-  Tensor out({n, c});
-  const float* in = input.data();
-  for (std::size_t b = 0; b < n; ++b)
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = in + (b * c + ch) * hw;
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < hw; ++i) acc += plane[i];
-      out.at2(b, ch) = acc / static_cast<float>(hw);
-    }
-  if (train) input_shape_ = input.shape();
-  return out;
-}
-
-Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
-  if (input_shape_.empty())
-    throw std::logic_error("GlobalAvgPool::backward before forward(train)");
-  Tensor grad(input_shape_, 0.0f);
-  const std::size_t n = input_shape_[0];
-  const std::size_t c = input_shape_[1];
-  const std::size_t hw = input_shape_[2] * input_shape_[3];
-  const float inv = 1.0f / static_cast<float>(hw);
-  float* g = grad.data();
-  for (std::size_t b = 0; b < n; ++b)
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float v = grad_output.at2(b, ch) * inv;
-      float* plane = g + (b * c + ch) * hw;
-      for (std::size_t i = 0; i < hw; ++i) plane[i] = v;
-    }
-  return grad;
-}
-
 // ----------------------------------------------------------------- Linear
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,

@@ -125,19 +125,6 @@ class TimeAvgPool final : public Layer {
   std::vector<std::size_t> input_shape_;
 };
 
-/// Global average pooling: (N, C, H, W) -> (N, C). Fully resolution-
-/// independent (used where translation invariance is wanted).
-class GlobalAvgPool final : public Layer {
- public:
-  Tensor forward(const Tensor& input, bool train,
-                 Precision precision) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "gap"; }
-
- private:
-  std::vector<std::size_t> input_shape_;
-};
-
 /// Fully connected layer: (N, D) -> (N, M). Xavier initialization.
 /// An inference pass at Precision::kInt8 quantizes like Conv2d: the
 /// batch is transposed to (D, N) so the dispatched GEMM kernel applies,

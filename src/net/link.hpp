@@ -7,7 +7,6 @@
 namespace beesim::net {
 
 using util::Seconds;
-using util::Watts;
 
 /// Stochastic point-to-point link. Throughput per transfer is drawn from a
 /// truncated normal; this is the mechanism behind the 3.5 s standard
@@ -42,14 +41,6 @@ class Link {
 
  private:
   Params params_;
-};
-
-/// Radio energy model: transferring for T seconds at `tx_power` watts above
-/// the device's baseline. Kept separate from Link because the same link is
-/// shared by devices with different radios.
-struct RadioProfile {
-  Watts tx_extra_power = 0.45;  // extra draw while transmitting
-  Watts rx_extra_power = 0.30;  // extra draw while receiving
 };
 
 }  // namespace beesim::net

@@ -1,7 +1,5 @@
 #include "net/payload.hpp"
 
-#include <cstdio>
-
 namespace beesim::net {
 namespace catalog {
 
@@ -18,11 +16,6 @@ Payload entrance_image(int width, int height) {
 
 Payload sensor_record() { return {"sensor_json", 512.0}; }
 
-Payload energy_record(double seconds_covered) {
-  // One current sample per second, ~24 bytes per CSV line.
-  return {"energy_csv", seconds_covered * 24.0};
-}
-
 std::vector<Payload> routine_upload() {
   std::vector<Payload> v;
   for (int i = 0; i < 3; ++i) v.push_back(audio_sample());
@@ -30,8 +23,6 @@ std::vector<Payload> routine_upload() {
   v.push_back(sensor_record());
   return v;
 }
-
-Payload result_message() { return {"queen_verdict", 256.0}; }
 
 }  // namespace catalog
 

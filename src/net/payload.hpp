@@ -16,8 +16,8 @@ struct Payload {
 };
 
 /// Catalog of the data products the deployed system collects per routine
-/// (paper Section IV): three 10-second audio samples, five 800x600 images,
-/// sensor readings and the energy-monitor record.
+/// (paper Section IV): three 10-second audio samples, five 800x600 images
+/// and sensor readings.
 namespace catalog {
 
 /// 10 s of 16-bit mono PCM at `sample_rate` Hz.
@@ -29,15 +29,8 @@ Payload entrance_image(int width = 800, int height = 600);
 /// Temperature/humidity/gas JSON record.
 Payload sensor_record();
 
-/// Energy-monitor record from the Raspberry Pi Zero (current samples since
-/// the last transfer).
-Payload energy_record(double seconds_covered);
-
 /// The full per-routine upload: 3 audio samples + 5 images + sensors.
 std::vector<Payload> routine_upload();
-
-/// Classification verdict sent to the beekeeper (edge scenario).
-Payload result_message();
 
 }  // namespace catalog
 

@@ -27,8 +27,7 @@ void register_catalog(Registry& reg) {
         m::kLinkBytes, m::kFaultWindowsScheduled, m::kFaultCyclesFaulted,
         m::kFaultBufferEnqueuedBytes, m::kFaultBufferDroppedBytes,
         m::kFleetDegradedCycles, m::kFleetShedClients,
-        m::kFleetEdgeFallbackCycles, m::kOrchestratorDegradedPlans,
-        m::kOrchestratorServicesShed, m::kPlacementSearches,
+        m::kFleetEdgeFallbackCycles, m::kPlacementSearches,
         m::kPlacementCandidatesExpanded, m::kPlacementCandidatesPruned,
         m::kPlacementEvaluations, m::kBatteryChargeEvents,
         m::kBatteryDischargeEvents, m::kBatteryDepletions,

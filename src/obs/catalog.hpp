@@ -48,10 +48,6 @@ inline constexpr const char* kOrchestratorPlacementsEdge =
     "core.orchestrator.placements_edge";
 inline constexpr const char* kOrchestratorPlacementsCloud =
     "core.orchestrator.placements_cloud";
-inline constexpr const char* kOrchestratorDegradedPlans =
-    "core.orchestrator.degraded_plans";
-inline constexpr const char* kOrchestratorServicesShed =
-    "core.orchestrator.services_shed";
 
 // core::PlacementSearch — beam/DP placement optimizer
 // (docs/PLACEMENT.md).

@@ -105,18 +105,4 @@ double Histogram::bucket_high(std::size_t bucket) const {
   return bucket_low(bucket + 1);
 }
 
-double trapezoid_integral(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  if (x.size() != y.size())
-    throw std::invalid_argument("trapezoid_integral: size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    const double dx = x[i] - x[i - 1];
-    if (dx < 0.0)
-      throw std::invalid_argument("trapezoid_integral: x not sorted");
-    acc += 0.5 * (y[i] + y[i - 1]) * dx;
-  }
-  return acc;
-}
-
 }  // namespace beesim::util

@@ -77,8 +77,4 @@ class Histogram {
   std::size_t total_ = 0;
 };
 
-/// Trapezoidal integral of (x, y) samples; x must be non-decreasing.
-double trapezoid_integral(const std::vector<double>& x,
-                          const std::vector<double>& y);
-
 }  // namespace beesim::util

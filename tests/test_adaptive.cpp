@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "device/autonomy.hpp"
-#include "device/calibration.hpp"
 #include "hive/adaptive.hpp"
 #include "hive/beehive.hpp"
 #include "sim/engine.hpp"
 #include "util/units.hpp"
 
 namespace hive = beesim::hive;
-namespace dev = beesim::device;
 namespace u = beesim::util;
 using hive::AdaptiveController;
 using hive::AdaptiveWakeupPolicy;
@@ -122,55 +119,4 @@ TEST(AdaptiveBeehive, DoesNothingOnAHealthyChain) {
   beehive.settle();
   EXPECT_EQ(beehive.stats().regime_transitions, 0);
   EXPECT_DOUBLE_EQ(beehive.wakeup_period(), cfg.wakeup_period);
-}
-
-// ------------------------------------------------------- Autonomy analysis
-
-TEST(Autonomy, ConstantLoadMath) {
-  beesim::energy::Battery::Params p;
-  p.capacity = 3600.0;  // 1 Wh
-  p.initial_soc = 1.0;
-  p.cutoff_soc = 0.0;
-  p.discharge_efficiency = 1.0;
-  beesim::energy::Battery battery(p);
-  EXPECT_DOUBLE_EQ(dev::battery_autonomy(battery, 1.0), 3600.0);
-  EXPECT_THROW(dev::battery_autonomy(battery, 0.0), std::invalid_argument);
-  EXPECT_THROW(dev::battery_autonomy(battery, -1.0), std::invalid_argument);
-}
-
-TEST(Autonomy, DeployedBankSurvivesDaysAsleep) {
-  // 20 Ah @ 5 V with the Pi asleep + Zero monitor: ~0.97 W continuous,
-  // which should carry the hive for about four days — the same order as
-  // the multi-day figures reported by the systems the paper cites.
-  beesim::energy::Battery battery;  // deployed defaults, SoC 0.8
-  const double autonomy =
-      dev::battery_autonomy(battery, dev::cal::kEdgeSleepPower +
-                                         dev::cal::kZeroMonitorPower);
-  EXPECT_GT(autonomy, 2.5 * u::kDay);
-  EXPECT_LT(autonomy, 6.0 * u::kDay);
-}
-
-TEST(Autonomy, ShorterPeriodDrainsFaster) {
-  beesim::energy::Battery battery;
-  const double busy = dev::beehive_autonomy(battery, 5.0 * u::kMinute);
-  const double calm = dev::beehive_autonomy(battery, 2.0 * u::kHour);
-  EXPECT_LT(busy, calm);
-  EXPECT_GT(calm / busy, 1.3);
-}
-
-TEST(Autonomy, PeriodForAutonomyInvertsTheCurve) {
-  beesim::energy::Battery battery;
-  const double target = 3.0 * u::kDay;
-  const double period = dev::period_for_autonomy(battery, target);
-  ASSERT_GT(period, 0.0);
-  EXPECT_GE(dev::beehive_autonomy(battery, period), target * 0.999);
-  // A slightly busier schedule must miss the target.
-  EXPECT_LT(dev::beehive_autonomy(battery, period * 0.7), target);
-}
-
-TEST(Autonomy, ImpossibleTargetsReturnZero) {
-  beesim::energy::Battery battery;
-  EXPECT_DOUBLE_EQ(dev::period_for_autonomy(battery, 365.0 * u::kDay), 0.0);
-  EXPECT_THROW(dev::period_for_autonomy(battery, -1.0),
-               std::invalid_argument);
 }

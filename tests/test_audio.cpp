@@ -8,11 +8,13 @@
 #include "audio/synth.hpp"
 #include "audio/wav.hpp"
 #include "dsp/spectrogram.hpp"
+#include "dsp_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace audio = beesim::audio;
 namespace dsp = beesim::dsp;
+namespace oracle = beesim::oracle;
 
 // -------------------------------------------------------------------- Synth
 
@@ -65,7 +67,8 @@ TEST(BeeAudioSynth, QueenlessFundamentalSitsHigher) {
     const int reps = 16;
     for (int r = 0; r < reps; ++r) {
       const auto clip = synth.synthesize(queen, 1.0, rng);
-      const auto feats = mel.compute_features(clip);
+      const auto feats =
+          oracle::band_means(dsp::power_to_db(mel.compute(clip)));
       double num = 0.0;
       double den = 0.0;
       for (std::size_t m = 8; m <= 20; ++m) {

@@ -291,23 +291,6 @@ TEST(Checkpoint, FileBytesArePinned) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, InspectReportsHeaderFields) {
-  const core::LargeScaleSimulator sim(lossy_params());
-  const core::Hash128 hash = core::canonical_hash(sim.params());
-  FleetColumns columns = FleetColumns::start({10, 20, 30}, 5, 7);
-  const std::string path = temp_path("ckpt_inspect.ck");
-  core::save_checkpoint(path, columns, hash);
-  const core::CheckpointInfo info = core::inspect_checkpoint(path);
-  EXPECT_EQ(info.version, 2u);
-  EXPECT_EQ(info.kind, core::CheckpointKind::kSweep);
-  EXPECT_EQ(info.points, 3u);
-  EXPECT_EQ(info.seed, 5u);
-  EXPECT_EQ(info.cycles_target, 7);
-  EXPECT_EQ(info.params_hash.hi, hash.hi);
-  EXPECT_EQ(info.params_hash.lo, hash.lo);
-  std::remove(path.c_str());
-}
-
 // ---- Corruption and identity rejection --------------------------------
 
 constexpr std::size_t kHeaderBytes = 80;
@@ -439,10 +422,9 @@ TEST_F(CheckpointCorruption, WrongKindIsRejected) {
   const std::uint32_t kind3 = 3;
   std::memcpy(relabelled.data() + 12, &kind3, sizeof kind3);
   spit(path_, relabelled);
-  for (const std::string& why :
-       {refusal([&] { core::load_fleet_checkpoint(path_, hash_); }),
-        refusal([&] { core::inspect_checkpoint(path_); })})
-    EXPECT_NE(why.find("unknown kind 3"), std::string::npos) << why;
+  const std::string why =
+      refusal([&] { core::load_fleet_checkpoint(path_, hash_); });
+  EXPECT_NE(why.find("unknown kind 3"), std::string::npos) << why;
 }
 
 TEST_F(CheckpointCorruption, WrappedPointCountIsRejected) {
@@ -466,7 +448,6 @@ TEST_F(CheckpointCorruption, WrappedPointCountIsRejected) {
   std::memcpy(wrapped.data() + 56, &payload, sizeof payload);
   reseal(wrapped);
   spit(path_, wrapped);
-  EXPECT_NE(refusal([&] { core::inspect_checkpoint(path_); }), "accepted");
   EXPECT_THROW(core::load_fleet_checkpoint(path_, hash_),
                std::runtime_error);
 }
@@ -480,13 +461,11 @@ TEST_F(CheckpointCorruption, VersionOneFileIsRefusedForItsIdentity) {
   const std::uint32_t v1 = 1;
   std::memcpy(old.data() + 8, &v1, sizeof v1);
   spit(path_, old);
-  for (const std::string& why :
-       {refusal([&] { core::load_fleet_checkpoint(path_, hash_); }),
-        refusal([&] { core::inspect_checkpoint(path_); })}) {
-    EXPECT_NE(why.find("scenario identity"), std::string::npos) << why;
-    EXPECT_EQ(why.find("params hash"), std::string::npos) << why;
-    EXPECT_EQ(why.find("unsupported version"), std::string::npos) << why;
-  }
+  const std::string why =
+      refusal([&] { core::load_fleet_checkpoint(path_, hash_); });
+  EXPECT_NE(why.find("scenario identity"), std::string::npos) << why;
+  EXPECT_EQ(why.find("params hash"), std::string::npos) << why;
+  EXPECT_EQ(why.find("unsupported version"), std::string::npos) << why;
 }
 
 TEST_F(CheckpointCorruption, MissingFileIsRejected) {
@@ -523,7 +502,6 @@ TEST_F(CheckpointCorruption, ResealedRowsOutsideTheCampaignAreRejected) {
   const auto load_sweep = [&] { core::load_fleet_checkpoint(path_, hash_); };
   expect_refused(edited(image_, 48, std::int32_t{0}), "cycle target 0",
                  load_sweep);
-  EXPECT_THROW(core::inspect_checkpoint(path_), std::runtime_error);
   expect_refused(edited(image_, 80, std::int32_t{-5}), "clients -5",
                  load_sweep);
   expect_refused(edited(image_, 88, std::int32_t{-1}), "cycles -1",

@@ -143,17 +143,6 @@ TEST(Routine, EdgeCloudSequenceUploadsInstead) {
   EXPECT_EQ(seq[1].name, "send_audio");
 }
 
-TEST(Routine, CloudSequenceEmptyForEdgeOnly) {
-  EXPECT_TRUE(dev::cloud_routine(dev::Placement::kEdgeOnly,
-                                 dev::ServiceModel::kSvm)
-                  .empty());
-  const auto seq = dev::cloud_routine(dev::Placement::kEdgeCloud,
-                                      dev::ServiceModel::kCnn);
-  ASSERT_EQ(seq.size(), 2u);
-  EXPECT_EQ(seq[0].name, "receive_audio");
-  EXPECT_EQ(seq[1].name, "cnn_inference");
-}
-
 TEST(Routine, ToStringNames) {
   EXPECT_STREQ(dev::to_string(dev::ServiceModel::kSvm), "SVM");
   EXPECT_STREQ(dev::to_string(dev::Placement::kEdgeCloud), "edge+cloud");

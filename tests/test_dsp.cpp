@@ -155,19 +155,6 @@ TEST(Window, HannEndpointsAndPeak) {
   EXPECT_NEAR(w[4], 1.0, 1e-12);  // periodic form peaks at n/2
 }
 
-TEST(Window, HammingNeverReachesZero) {
-  const auto w = dsp::hamming_window(16);
-  for (double v : w) EXPECT_GT(v, 0.05);
-}
-
-TEST(Window, ApplyMultipliesElementwise) {
-  std::vector<double> frame{1.0, 2.0, 3.0, 4.0};
-  dsp::apply_window(frame, {0.5, 0.5, 0.5, 0.5});
-  EXPECT_EQ(frame, (std::vector<double>{0.5, 1.0, 1.5, 2.0}));
-  std::vector<double> bad{1.0};
-  EXPECT_THROW(dsp::apply_window(bad, {0.5, 0.5}), std::invalid_argument);
-}
-
 // ------------------------------------------------------------------- Matrix
 
 TEST(Matrix, BoundsCheckedAccess) {
@@ -416,17 +403,3 @@ TEST(MelSpectrogram, ImageIsNormalizedSquare) {
   EXPECT_NEAR(img.max(), 1.0, 1e-12);
 }
 
-TEST(MelSpectrogram, FeaturesHaveMelDimension) {
-  dsp::MelSpectrogram mel;
-  std::vector<double> clip(22050, 0.0);
-  for (std::size_t i = 0; i < clip.size(); ++i)
-    clip[i] = std::sin(2.0 * std::numbers::pi * 230.0 *
-                       static_cast<double>(i) / 22050.0);
-  const auto f = mel.compute_features(clip);
-  EXPECT_EQ(f.size(), 128u);
-  // Low bands (hive-hum region) should dominate for a 230 Hz tone.
-  std::size_t peak = 0;
-  for (std::size_t i = 1; i < f.size(); ++i)
-    if (f[i] > f[peak]) peak = i;
-  EXPECT_LT(peak, 24u);
-}

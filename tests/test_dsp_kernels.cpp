@@ -14,6 +14,7 @@
 #include "ml/layers.hpp"
 #include "ml/network.hpp"
 #include "obs/catalog.hpp"
+#include "tiers.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
@@ -30,6 +31,7 @@
 namespace dsp = beesim::dsp;
 namespace ml = beesim::ml;
 namespace oracle = beesim::oracle;
+namespace tiers = beesim::tiers;
 using oracle::expect_matrices_close;
 using oracle::expect_matrices_identical;
 
@@ -322,6 +324,7 @@ TEST(ConvGemm, ForwardMatchesNaive) {
   // at a 20 px input, each under every dispatch tier's GEMM. Biases are
   // drawn at random: the constructor leaves them zero, which would hide
   // a GEMM that drops them.
+  const tiers::IsaGuard guard;
   struct Shape {
     std::size_t in_ch, out_ch, h, w;
   };
@@ -343,8 +346,7 @@ TEST(ConvGemm, ForwardMatchesNaive) {
     float scale = 1.0f;
     for (std::size_t i = 0; i < reference.size(); ++i)
       scale = std::max(scale, std::abs(reference[i]));
-    for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
-                            dsp::IsaRequest::kAuto}) {
+    for (const auto tier : tiers::kDispatch) {
       dsp::set_active_isa(tier);
       const auto fast = conv.forward(input, false, ml::Precision::kF32);
       ASSERT_TRUE(fast.same_shape(reference));
@@ -360,6 +362,7 @@ TEST(ConvGemm, QueenCnnLogitsMatchNaive) {
   // The whole queen CNN end to end: its logits under every dispatch
   // tier against a mirror of the same layers whose two convolutions run
   // the oracle's loop nest.
+  const tiers::IsaGuard guard;
   const std::size_t side = 20;
   const std::size_t base = 8;
   beesim::util::Rng net_rng(19);
@@ -392,8 +395,7 @@ TEST(ConvGemm, QueenCnnLogitsMatchNaive) {
   const auto reference =
       head.forward(time_pool.forward(x, false, kF32), false, kF32);
 
-  for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
-                          dsp::IsaRequest::kAuto}) {
+  for (const auto tier : tiers::kDispatch) {
     dsp::set_active_isa(tier);
     const auto fast = net.forward(input, false);
     ASSERT_TRUE(fast.same_shape(reference));
@@ -457,9 +459,9 @@ TEST(ConvGemm, RowBlocksBitIdenticalToWholeImageGemm) {
   // element still sums over ascending k in every tier, and at int8 the
   // image's own scale equals its im2col matrix's, so the blocks must
   // give the whole-image loop's bits.
+  const tiers::IsaGuard guard;
   const std::vector<ConvCase> cases = conv_cases();
-  for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
-                          dsp::IsaRequest::kAuto}) {
+  for (const auto tier : tiers::kDispatch) {
     dsp::set_active_isa(tier);
     for (std::size_t i = 0; i < cases.size(); ++i) {
       const ConvCase& c = cases[i];
@@ -506,7 +508,7 @@ TEST(MelPipeline, FastMatchesReference) {
   const auto ref_features = oracle::band_means(dsp::power_to_db(reference));
 
   const auto fast = mel.compute(clip);
-  const auto fast_features = mel.compute_features(clip);
+  const auto fast_features = oracle::band_means(dsp::power_to_db(fast));
   expect_matrices_close(fast, reference, 1e-9);
   ASSERT_EQ(fast_features.size(), ref_features.size());
   for (std::size_t i = 0; i < ref_features.size(); ++i)
@@ -608,6 +610,7 @@ void expect_identical(const FrontEnd& got, const FrontEnd& want) {
 TEST(MelPipeline, BitIdenticalToSerialOracleOnEveryTier) {
   // The oracles run once under the scalar tier; every tier's fused front
   // end must reproduce them bit for bit.
+  const tiers::IsaGuard guard;
   beesim::util::Rng rng(25);
   for (const auto& params : front_end_params()) {
     const dsp::MelSpectrogram mel(params);
@@ -618,10 +621,7 @@ TEST(MelPipeline, BitIdenticalToSerialOracleOnEveryTier) {
       const FrontEnd want = oracles(mp, x);
       EXPECT_EQ(want.mel.cols(),
                 dsp::stft_frame_count(len, stft_of(mp, true)));
-      for (const auto tier :
-           {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
-            dsp::IsaRequest::kAvx2, dsp::IsaRequest::kAvx512,
-            dsp::IsaRequest::kAuto}) {
+      for (const auto tier : tiers::kDispatch) {
         dsp::set_active_isa(tier);
         SCOPED_TRACE(testing::Message()
                      << dsp::isa_name(dsp::active_isa()) << " n_fft "
@@ -694,7 +694,6 @@ TEST(MelPipeline, ShortSignalThrowsBeforeAnyFrameRuns) {
     const auto tasks_before = pool.stats().tasks;
     EXPECT_THROW(mel.compute(x), std::invalid_argument) << "length " << len;
     EXPECT_THROW(mel.compute_image(x, 100), std::invalid_argument);
-    EXPECT_THROW(mel.compute_features(x), std::invalid_argument);
     EXPECT_EQ(frames.value(), frames_before) << "length " << len;
     EXPECT_EQ(reuses.value(), reuses_before) << "length " << len;
     EXPECT_EQ(pool.stats().tasks, tasks_before) << "length " << len;

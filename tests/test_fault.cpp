@@ -482,7 +482,6 @@ TEST(ResilientFleetOracle, LoadSheddingOff) {
 
 TEST(ResilientFleetOracle, BeamShedsDuringOutages) {
   core::ResiliencePolicy policy;
-  policy.optimizer = core::PlacementOptimizer::kBeam;
   core::DeviceClassSpec healthy;
   healthy.name = "healthy";
   healthy.count = 50;

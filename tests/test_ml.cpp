@@ -111,19 +111,6 @@ TEST(MaxPool2, PicksMaximaAndRoutesGradient) {
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
 }
 
-TEST(GlobalAvgPool, AveragesPlanes) {
-  ml::GlobalAvgPool gap;
-  ml::Tensor x({1, 2, 2, 2});
-  for (std::size_t i = 0; i < 4; ++i) x[i] = 4.0f;       // channel 0
-  for (std::size_t i = 4; i < 8; ++i) x[i] = 8.0f;       // channel 1
-  const auto y = gap.forward(x, true, kF32);
-  EXPECT_FLOAT_EQ(y.at2(0, 0), 4.0f);
-  EXPECT_FLOAT_EQ(y.at2(0, 1), 8.0f);
-  ml::Tensor g({1, 2}, 1.0f);
-  const auto gx = gap.backward(g);
-  EXPECT_FLOAT_EQ(gx[0], 0.25f);  // spread uniformly
-}
-
 TEST(Conv2d, IdentityKernelPassesThrough) {
   beesim::util::Rng rng(1);
   ml::Conv2d conv(1, 1, 3, rng);

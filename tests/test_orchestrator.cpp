@@ -259,44 +259,3 @@ TEST(Orchestrator, OptimizeRejectsDegenerateCatalogs) {
   ServiceOrchestrator orch(options(100, 10));
   EXPECT_THROW(orch.optimize({}), std::invalid_argument);
 }
-
-// ------------------------------------------------- Degradation (fault layer)
-
-TEST(Orchestrator, DegradeToEdgeMovesCloudServicesHome) {
-  ServiceOrchestrator orch(options(100, 10));
-  const auto result = orch.degrade_to_edge(
-      {{svc::queen_detection_cnn(), Placement::kEdgeCloud},
-       {svc::swarm_prediction(), Placement::kEdgeOnly}});
-  EXPECT_EQ(result.services_moved, 1);
-  EXPECT_TRUE(result.shed.empty());
-  ASSERT_TRUE(result.costs.feasible);
-  for (const auto& plan : result.plans)
-    EXPECT_EQ(plan.placement, Placement::kEdgeOnly);
-  EXPECT_DOUBLE_EQ(result.costs.cloud_per_client, 0.0);
-  EXPECT_EQ(result.costs.servers_used, 0);
-}
-
-TEST(Orchestrator, DegradeToEdgeShedsWhatTheEdgeCannotHost) {
-  // Pollen detection needs ~8 minutes of Pi time per invocation; moved
-  // home during an outage it overflows the 5-minute cycle and must be
-  // shed, while the native-edge queen detection keeps running.
-  ServiceOrchestrator orch(options(300, 35));
-  const auto result = orch.degrade_to_edge(
-      {{svc::queen_detection_cnn(), Placement::kEdgeOnly},
-       {svc::pollen_detection(), Placement::kEdgeCloud}});
-  ASSERT_TRUE(result.costs.feasible);
-  ASSERT_EQ(result.shed.size(), 1u);
-  EXPECT_EQ(result.shed.front().name, "pollen_detection");
-  EXPECT_EQ(result.services_moved, 0);
-  EXPECT_EQ(result.plans.size(), 1u);
-  EXPECT_EQ(result.plans.front().service.name, "queen_detection_cnn");
-}
-
-TEST(Orchestrator, DegradeToEdgeNeverShedsNativeEdgeServices) {
-  // A catalog whose *edge-native* part is already infeasible cannot be
-  // rescued by shedding moved services — the failure must be loud.
-  ServiceOrchestrator orch(options(100, 10));
-  EXPECT_THROW(
-      orch.degrade_to_edge({{svc::pollen_detection(), Placement::kEdgeOnly}}),
-      std::runtime_error);
-}

@@ -24,7 +24,6 @@ using core::DeviceClassSpec;
 using core::FleetAssignment;
 using core::FleetSearchOptions;
 using core::ParetoFrontier;
-using core::PlacementOptimizer;
 using core::PlacementSearch;
 
 namespace {
@@ -89,14 +88,9 @@ void expect_conserved(const core::ResiliencePoint& p) {
 
 }  // namespace
 
-// ------------------------------------------------------------------ parsing
+// -------------------------------------------------------------------- names
 
-TEST(PlacementSearch, OptimizerKnobParsesAndPrints) {
-  EXPECT_EQ(core::parse_optimizer("greedy"), PlacementOptimizer::kGreedy);
-  EXPECT_EQ(core::parse_optimizer("beam"), PlacementOptimizer::kBeam);
-  EXPECT_THROW(core::parse_optimizer("astar"), std::invalid_argument);
-  EXPECT_STREQ(core::to_string(PlacementOptimizer::kGreedy), "greedy");
-  EXPECT_STREQ(core::to_string(PlacementOptimizer::kBeam), "beam");
+TEST(PlacementSearch, AssignmentNames) {
   EXPECT_STREQ(core::to_string(Assignment::kEdge), "edge");
   EXPECT_STREQ(core::to_string(Assignment::kCloud), "cloud");
   EXPECT_STREQ(core::to_string(Assignment::kShed), "shed");
@@ -368,7 +362,6 @@ TEST(ResilientFleet, BeamWithZeroToleranceBitIdenticalToGreedy) {
   plan.add({fault::FaultKind::kCloudOutage, 2, 6});
   core::ResiliencePolicy greedy_policy;
   core::ResiliencePolicy beam_policy;
-  beam_policy.optimizer = PlacementOptimizer::kBeam;
   beam_policy.classes = {make_class("a", 60, 0.5), make_class("b", 40)};
   beam_policy.outage_loss_tolerance = 0.0;  // lossless ⇒ greedy-identical
   const core::FleetParams params = core::FleetParams::paper_default();
@@ -388,7 +381,6 @@ TEST(ResilientFleet, BeamShedsFlatBatteriesAndSavesEnergy) {
   fault::FaultPlan plan;
   plan.add({fault::FaultKind::kCloudOutage, 0, 7});
   core::ResiliencePolicy beam_policy;
-  beam_policy.optimizer = PlacementOptimizer::kBeam;
   // Half the fleet sits on a nearly flat battery: keeping its local
   // inference alive through the outage costs scarce joules the search
   // is allowed to save by shedding up to 60% of the data.
@@ -434,9 +426,6 @@ TEST(CanonicalHash, CoversPlacementPolicyFields) {
     return h.digest();
   };
   core::ResiliencePolicy base;
-  core::ResiliencePolicy beam = base;
-  beam.optimizer = PlacementOptimizer::kBeam;
-  EXPECT_NE(digest(base), digest(beam));
   core::ResiliencePolicy with_class = base;
   with_class.classes = {make_class("a", 10)};
   EXPECT_NE(digest(base), digest(with_class));

@@ -11,6 +11,7 @@
 #include "ml/network.hpp"
 #include "ml/precision.hpp"
 #include "ml/tensor.hpp"
+#include "tiers.hpp"
 #include "util/rng.hpp"
 
 // Properties of the int8 inference type: symmetric quantization with
@@ -20,6 +21,7 @@
 
 namespace ml = beesim::ml;
 namespace dsp = beesim::dsp;
+namespace tiers = beesim::tiers;
 using beesim::util::Rng;
 
 namespace {
@@ -194,8 +196,8 @@ TEST(Precision, QueenCnnLogitsArePinned) {
   // Golden logits in both precisions: an int8 pass that silently fell
   // back to f32 (or an f32 pass that quantized) would still track f32
   // within the tolerances above, but not reproduce these bits.
-  for (const auto tier : {dsp::IsaRequest::kScalar, dsp::IsaRequest::kSse2,
-                          dsp::IsaRequest::kAuto}) {
+  const tiers::IsaGuard guard;
+  for (const auto tier : tiers::kDispatch) {
     dsp::set_active_isa(tier);
     SCOPED_TRACE(dsp::isa_name(dsp::active_isa()));
     ml::Network net = queen_net();
@@ -203,7 +205,6 @@ TEST(Precision, QueenCnnLogitsArePinned) {
     EXPECT_EQ(logits(net, ml::Precision::kInt8), kInt8Logits);
     EXPECT_EQ(logits(net, ml::Precision::kF32), kF32Logits);
   }
-  dsp::set_active_isa(dsp::IsaRequest::kAuto);
 }
 
 TEST(Precision, ConcurrentTenantsKeepTheirOwnPrecision) {

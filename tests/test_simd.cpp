@@ -13,6 +13,7 @@
 #include "dsp/stft.hpp"
 #include "dsp/simd_kernels.hpp"
 #include "dsp_oracle.hpp"
+#include "tiers.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -25,32 +26,12 @@
 
 namespace dsp = beesim::dsp;
 namespace core = beesim::core;
+namespace tiers = beesim::tiers;
+using beesim::tiers::IsaGuard;
 using beesim::util::Rng;
 using beesim::util::RunningStats;
 
 namespace {
-
-/// Restores the active dispatch tier on scope exit so a forced tier never
-/// leaks into other suites.
-class IsaGuard {
- public:
-  IsaGuard() : saved_(dsp::active_isa()) {}
-  ~IsaGuard() {
-    dsp::set_active_isa(static_cast<dsp::IsaRequest>(saved_));
-  }
-
- private:
-  dsp::IsaTier saved_;
-};
-
-const dsp::IsaTier kTiers[] = {dsp::IsaTier::kSse2, dsp::IsaTier::kAvx2,
-                               dsp::IsaTier::kAvx512};
-
-/// Every dispatch request after scalar: each tier by name (a tier the CPU
-/// lacks clamps down to the best it has) and auto.
-const dsp::IsaRequest kRequests[] = {
-    dsp::IsaRequest::kSse2, dsp::IsaRequest::kAvx2, dsp::IsaRequest::kAvx512,
-    dsp::IsaRequest::kAuto};
 
 template <typename T>
 std::vector<T> offset_copy(const std::vector<T>& v, std::size_t offset) {
@@ -124,7 +105,8 @@ TEST(SimdGemm, F32BitIdenticalFuzzed) {
     std::vector<float> want(m * n);
     scalar.sgemm_bias(m, n, k, a.data(), b.data(), bias.data(),
                       want.data());
-    for (dsp::IsaTier tier : kTiers) {
+    for (const auto request : tiers::kDispatch) {
+      const dsp::IsaTier tier = tiers::tier_of(request);
       const auto ao = offset_copy(a, offset);
       const auto bo = offset_copy(b, offset);
       std::vector<float> got(m * n + offset);
@@ -161,7 +143,8 @@ TEST(SimdGemm, Int8BitIdenticalFuzzed) {
     std::vector<float> want(m * n), got(m * n);
     scalar.sgemm_bias_s8(m, n, k, a.data(), scales.data(), b.data(),
                          b_scale, bias.data(), want.data());
-    for (dsp::IsaTier tier : kTiers) {
+    for (const auto request : tiers::kDispatch) {
+      const dsp::IsaTier tier = tiers::tier_of(request);
       dsp::kernel_table(tier).sgemm_bias_s8(m, n, k, a.data(),
                                             scales.data(), b.data(), b_scale,
                                             bias.data(), got.data());
@@ -242,7 +225,8 @@ TEST(SimdFft, BatchedPowerBitIdenticalFuzzed) {
               << "n=" << n << " real lanes " << real << " lane " << l
               << " bin " << b;
       }
-      for (dsp::IsaTier tier : kTiers) {
+      for (const auto request : tiers::kDispatch) {
+        const dsp::IsaTier tier = tiers::tier_of(request);
         std::vector<double> got(size);
         dsp::kernel_table(tier).stft_power_batch(tables, frames, got.data());
         ASSERT_EQ(std::memcmp(want.data(), got.data(),
@@ -303,7 +287,7 @@ TEST(SimdMel, BandsBitIdenticalFuzzed) {
             ASSERT_EQ(got, -1.0) << "band " << m << " column " << c;
           }
         }
-      for (const auto tier : kRequests) {
+      for (const auto tier : tiers::kDispatch) {
         const std::vector<double> got = run(tier);
         ASSERT_EQ(std::memcmp(want.data(), got.data(),
                               want.size() * sizeof(double)),
@@ -327,7 +311,7 @@ TEST(SimdFft, FullPlanMatchesScalarTier) {
     p.hop = n / 4;
     dsp::set_active_isa(dsp::IsaRequest::kScalar);
     const dsp::Matrix want = dsp::stft_power(signal, p);
-    for (const auto tier : kRequests) {
+    for (const auto tier : tiers::kDispatch) {
       dsp::set_active_isa(tier);
       const dsp::Matrix got = dsp::stft_power(signal, p);
       ASSERT_EQ(got.rows(), want.rows());
@@ -366,9 +350,8 @@ TEST(SimdWelford, MatchesRunningStatsBitForBit) {
     RunningStats ref[5];
     for (std::size_t r = 0; r < count; ++r)
       for (int l = 0; l < 5; ++l) ref[l].add(xs[r * 5 + l]);
-    for (dsp::IsaTier tier :
-         {dsp::IsaTier::kScalar, dsp::IsaTier::kSse2, dsp::IsaTier::kAvx2,
-          dsp::IsaTier::kAvx512}) {
+    for (const auto request : tiers::kDispatch) {
+      const dsp::IsaTier tier = tiers::tier_of(request);
       dsp::Welford5 s = fresh_welford();
       dsp::kernel_table(tier).welford5_add(&s, xs.data(), count);
       EXPECT_EQ(s.n, count);
@@ -396,8 +379,8 @@ TEST(SimdWelford, SplitBatchesEqualOneBatch) {
   const std::size_t count = 300;
   std::vector<double> xs(count * 5);
   for (auto& x : xs) x = rng.normal(0.0, 3.0);
-  for (dsp::IsaTier tier :
-       {dsp::IsaTier::kScalar, dsp::IsaTier::kSse2, dsp::IsaTier::kAvx2}) {
+  for (const auto request : tiers::kDispatch) {
+    const dsp::IsaTier tier = tiers::tier_of(request);
     const dsp::KernelTable& kt = dsp::kernel_table(tier);
     dsp::Welford5 whole = fresh_welford();
     kt.welford5_add(&whole, xs.data(), count);

@@ -207,18 +207,6 @@ TEST(Histogram, BucketEdges) {
   EXPECT_DOUBLE_EQ(h.bucket_low(4), 8.0);
 }
 
-TEST(TrapezoidIntegral, LinearFunction) {
-  std::vector<double> x{0.0, 1.0, 2.0, 3.0};
-  std::vector<double> y{0.0, 1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(u::trapezoid_integral(x, y), 4.5);
-}
-
-TEST(TrapezoidIntegral, RejectsUnsortedX) {
-  std::vector<double> x{0.0, 2.0, 1.0};
-  std::vector<double> y{0.0, 0.0, 0.0};
-  EXPECT_THROW(u::trapezoid_integral(x, y), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------- CSV
 
 TEST(Csv, EscapesSpecialCharacters) {
